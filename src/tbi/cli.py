@@ -13,6 +13,7 @@ increasing order of precedence.
 """
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import CATALOG_NAMES, catalog_datum
-from .cohomology import bundle_report, leray_table
+from .cohomology import SpectralTable, bundle_report, leray_table
 from .curves import divisibility_index, kuranishi_dim
 from .decomposition import BundleDatum
 from .errors import ParseError, TbiError
@@ -34,6 +35,12 @@ from .serialize import (InputDocument, complex_to_pairs, dumps, input_document,
 from .variety import sample_point
 
 
+def _check_tol(value: float, name: str) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ParseError(f"{name} must be a positive finite number")
+    return value
+
+
 def _env_tol() -> float:
     raw = os.environ.get("TBI_TOL")
     if raw is None:
@@ -42,9 +49,7 @@ def _env_tol() -> float:
         value = float(raw)
     except ValueError:
         raise ParseError(f"TBI_TOL must be a number, got {raw!r}") from None
-    if not value > 0:
-        raise ParseError("TBI_TOL must be positive")
-    return value
+    return _check_tol(value, "TBI_TOL")
 
 
 def _read(path: str) -> bytes:
@@ -57,11 +62,14 @@ def _read(path: str) -> bytes:
 
 def _parse_file(path: str, args, require_structures: bool = True) -> tuple:
     data = _read(path)
+    tol_override = getattr(args, "tol", None)
+    if tol_override is not None:
+        _check_tol(tol_override, "--tol")
     document = parse_input(
         data.decode("utf-8", errors="replace"),
         require_structures=require_structures,
         tol=_env_tol(),
-        tol_override=getattr(args, "tol", None),
+        tol_override=tol_override,
     )
     return data, document
 
@@ -88,10 +96,10 @@ def _group_spot_checks(form, limit: int = 4) -> dict:
     return {"pairs_checked": checked, "all_match": all_match}
 
 
-def _report_document(datum: BundleDatum, data: bytes) -> dict:
+def _report_document(datum: BundleDatum, data: bytes, table: SpectralTable) -> dict:
     split = datum.split
     verdict = datum.membership
-    report = bundle_report(datum)
+    report = bundle_report(datum, table)
     return {
         "input": {
             "sha256": sha256_hex(data),
@@ -173,11 +181,11 @@ def _print_grid(title, grid):
 def cmd_invariants(args) -> int:
     data, document = _parse_file(args.file, args)
     datum = _datum_from_document(document)
-    report = _report_document(datum, data)
+    table = leray_table(datum)
+    report = _report_document(datum, data, table)
     if args.format == "json":
         print(dumps(report))
         return 0
-    table = leray_table(datum)
     cohomology = report["cohomology"]
     print(f"input sha256: {report['input']['sha256']}")
     print(f"m = {document.m}, d = {document.d}, tol = {datum.tol:.3e}")

@@ -6,16 +6,22 @@ only differential contracts a conjugated fibre index into the conjugated
 holomorphic two-form block; the tangent-sheaf dimensions come from level
 maps that wedge a hermitian-block one-form into the chosen representatives.
 
-All rank decisions go through numerical_rank, which records the smallest
-singular value kept and the largest discarded, so a dimension jump can be
-traced to the singular value that caused it.  Block computations are
-independent of one another (they could run concurrently); assembly of the
-tables and reports is deterministic.
+Wedging a basis one-form into a wedge monomial, and contracting one out of
+it, are signed index permutations of subsets.  _wedge_map caches them as
+integer arrays: each d2 block is one scatter through them, and each level
+map is applied to the representatives by gathers, block by block, so no
+operator on a whole degree space is ever built.
+
+All rank decisions record the smallest singular value kept and the largest
+discarded, so a dimension jump can be traced to the singular value that
+caused it.  Every matrix is decomposed once: its rank, kernel and image come
+from the same SVD.
 """
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +50,18 @@ def numerical_rank(matrix, tol, scale, label, decisions=None, warnings=None) -> 
     letting its own largest singular value promote noise to full rank.
     """
     matrix = np.asarray(matrix)
-    if matrix.size == 0:
+    sing = np.linalg.svd(matrix, compute_uv=False) if matrix.size else np.zeros(0)
+    return _rank_from_singular_values(sing, tol, scale, label, decisions, warnings)
+
+
+def _rank_from_singular_values(sing, tol, scale, label, decisions=None,
+                               warnings=None) -> int:
+    """The rank decision of numerical_rank, on descending singular values
+    that the caller already has (empty for an empty matrix)."""
+    if sing.size == 0:
         if decisions is not None:
             decisions.append(RankDecision(label, 0, 0.0, 0.0, 0.0))
         return 0
-    sing = np.linalg.svd(matrix, compute_uv=False)
     threshold = tol * max(scale, float(sing[0]))
     rank = int(np.sum(sing > threshold))
     smallest_kept = float(sing[rank - 1]) if rank else 0.0
@@ -130,33 +143,33 @@ def is_parallelizable(datum: BundleDatum) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Wedge bookkeeping on index tuples
+# Wedge bookkeeping on index maps
 
 
-def _prepend_one(index, subset):
-    """Left-wedge a basis one-form into a sorted index tuple: sign and the
-    merged tuple, or None when the index already occurs."""
-    if index in subset:
-        return None
-    position = sum(1 for x in subset if x < index)
-    return (-1) ** position, tuple(sorted(subset + (index,)))
+@functools.cache
+def _wedge_map(count, size):
+    """Left wedge by a basis one-form, from size-subsets to (size+1)-subsets
+    of range(count), both numbered in itertools.combinations order.
 
-
-def _prepend_two(low, high, subset):
-    """Left-wedge e_low ∧ e_high (low < high) into a sorted index tuple."""
-    first = _prepend_one(high, subset)
-    if first is None:
-        return None
-    sign_high, merged = first
-    second = _prepend_one(low, merged)
-    if second is None:
-        return None
-    sign_low, final = second
-    return sign_high * sign_low, final
-
-
-def _bases(count):
-    return {k: list(itertools.combinations(range(count), k)) for k in range(count + 1)}
+    Returns read-only int arrays (index, src, sign) of shape
+    (size + 1, C(count, size + 1)).  Column r is the r-th (size+1)-subset R;
+    row pos removes its pos-th element k = index[pos, r], which leaves the
+    subset numbered src[pos, r], and e_k ∧ e_src = sign[pos, r] · e_R with
+    sign (-1)**pos.  Read from src to R the map is e_k ∧ ·; read from R to
+    src it is the interior product ι_k.
+    """
+    number = {s: n for n, s in enumerate(itertools.combinations(range(count), size))}
+    targets = list(itertools.combinations(range(count), size + 1))
+    shape = (size + 1, len(targets))
+    index = np.array([r[pos] for pos in range(size + 1) for r in targets],
+                     dtype=np.intp).reshape(shape)
+    src = np.array([number[r[:pos] + r[pos + 1:]] for pos in range(size + 1) for r in targets],
+                   dtype=np.intp).reshape(shape)
+    sign = np.ones(shape, dtype=np.intp)
+    sign[1::2] = -1
+    for array in (index, src, sign):
+        array.flags.writeable = False
+    return index, src, sign
 
 
 def _degree_blocks(m, d, p):
@@ -202,33 +215,34 @@ class SpectralTable:
                 for p in range(m + d + 1)]
 
 
-def _d2_block(conj_two_forms, i, j, s_bases, t_bases):
+def _d2_block(conj_two_forms, m, d, i, j):
     """Matrix of the differential out of block (i, j).
 
     Acts on e_S ⊗ e_T by removing one conjugated fibre index t (interior
     product, sign (-1)^position) and left-wedging the corresponding
     conjugated two-form into e_S.  Vector index is S-major.
     """
-    m = len(s_bases) - 1
-    s_src, t_src = s_bases[i], t_bases[j]
-    s_dst, t_dst = s_bases[i + 2], t_bases[j - 1]
-    row_of = {(s, t): si * len(t_dst) + ti
-              for si, s in enumerate(s_dst) for ti, t in enumerate(t_dst)}
-    matrix = np.zeros((len(s_dst) * len(t_dst), len(s_src) * len(t_src)), dtype=complex)
-    for si, s_tuple in enumerate(s_src):
-        for ti, t_tuple in enumerate(t_src):
-            col = si * len(t_src) + ti
-            for t_pos, t in enumerate(t_tuple):
-                t_rest = t_tuple[:t_pos] + t_tuple[t_pos + 1:]
-                sign_t = (-1) ** t_pos
-                for low in range(m):
-                    for high in range(low + 1, m):
-                        wedge = _prepend_two(low, high, s_tuple)
-                        if wedge is None:
-                            continue
-                        sign_w, s_new = wedge
-                        matrix[row_of[(s_new, t_rest)], col] += \
-                            sign_t * sign_w * conj_two_forms[t, low, high]
+    # Every pair low < high inside an (i+2)-subset R, with S = R minus both:
+    # e_low ∧ e_high ∧ e_S = sign · e_R, removing low first and high second.
+    low, middle, sign_low = _wedge_map(m, i + 1)
+    high, s_src, sign_high = (array[:, middle] for array in _wedge_map(m, i))
+    low = np.broadcast_to(low, high.shape)
+    pair = low < high
+    r_dst = np.broadcast_to(np.arange(low.shape[-1]), high.shape)[pair]
+    sign_pair = (sign_low * sign_high)[pair]
+    low, high, s_src = low[pair], high[pair], s_src[pair]
+    # Every j-subset T and t in it: ι_t e_T = sign_t · e_{T minus t}.
+    t, t_dst, sign_t = (array.ravel() for array in _wedge_map(d, j - 1))
+    t_src = np.tile(np.arange(math.comb(d, j)), j)
+
+    rows = r_dst[:, None] * math.comb(d, j - 1) + t_dst
+    cols = s_src[:, None] * math.comb(d, j) + t_src
+    matrix = np.zeros((math.comb(m, i + 2) * math.comb(d, j - 1),
+                       math.comb(m, i) * math.comb(d, j)), dtype=complex)
+    # Each (row, col) pair occurs once: R minus S fixes the pair, T minus the
+    # contracted subset fixes t.
+    matrix[rows, cols] = (conj_two_forms[t, low[:, None], high[:, None]]
+                          * (sign_pair[:, None] * sign_t))
     return matrix
 
 
@@ -250,7 +264,6 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     m, d = split.base_half_rank, split.fibre_half_rank
     tol, scale = datum.tol, split.scale
     conj_two_forms = np.conj(split.holomorphic)
-    s_bases, t_bases = _bases(m), _bases(d)
 
     e2 = np.array([[math.comb(m, i) * math.comb(d, j) for j in range(d + 1)]
                    for i in range(m + 1)], dtype=np.int64)
@@ -259,13 +272,18 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     warnings: list = []
     d2 = {}
     ranks = {}
-    for i in range(m + 1):
-        for j in range(d + 1):
-            if i + 2 <= m and j - 1 >= 0:
-                block = _d2_block(conj_two_forms, i, j, s_bases, t_bases)
-                d2[(i, j)] = block
-                ranks[(i, j)] = numerical_rank(
-                    block, tol, scale, f"d2 out of ({i},{j})", decisions, warnings)
+    kernels = {}
+    incoming = {}
+    for i in range(m - 1):
+        for j in range(1, d + 1):
+            block = _d2_block(conj_two_forms, m, d, i, j)
+            u, sing, vh = np.linalg.svd(block)
+            rank = _rank_from_singular_values(
+                sing, tol, scale, f"d2 out of ({i},{j})", decisions, warnings)
+            d2[(i, j)] = block
+            ranks[(i, j)] = rank
+            kernels[(i, j)] = vh[rank:].conj().T
+            incoming[(i + 2, j - 1)] = u[:, :rank]
 
     e3 = np.zeros_like(e2)
     representatives = {}
@@ -283,21 +301,21 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
                 )
             e3[i, j] = survivors
 
-            if (i, j) in d2:
-                _, _, vh = np.linalg.svd(d2[(i, j)])
-                kernel = vh[rank_out:].conj().T
-            else:
+            kernel = kernels.get((i, j))
+            if kernel is None:
                 kernel = np.eye(dim, dtype=complex)
-            incoming = d2.get((i - 2, j + 1))
-            if incoming is not None and rank_in:
-                image = np.linalg.svd(incoming)[0][:, :rank_in]
-            else:
+            image = incoming.get((i, j))
+            if image is None:
                 image = np.zeros((dim, 0), dtype=complex)
             images[(i, j)] = image
 
             overlap = image.conj().T @ kernel
-            overlap_rank = numerical_rank(
-                overlap, tol, 1.0, f"image/kernel overlap at ({i},{j})",
+            if overlap.size:
+                _, sing, vh_overlap = np.linalg.svd(overlap)
+            else:
+                sing = np.zeros(0)
+            overlap_rank = _rank_from_singular_values(
+                sing, tol, 1.0, f"image/kernel overlap at ({i},{j})",
                 decisions, warnings)
             if overlap_rank != rank_in:
                 raise ToleranceAmbiguityError(
@@ -305,12 +323,7 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
                     f"at the working tolerance (overlap rank {overlap_rank}, "
                     f"image rank {rank_in})"
                 )
-            if overlap.size:
-                _, _, vh_overlap = np.linalg.svd(overlap)
-                coeff = vh_overlap[overlap_rank:].conj().T
-                reps = kernel @ coeff
-            else:
-                reps = kernel
+            reps = kernel @ vh_overlap[overlap_rank:].conj().T if overlap.size else kernel
             if reps.shape[1] != survivors:
                 raise ToleranceAmbiguityError(
                     f"spectral block ({i},{j}): {reps.shape[1]} representatives "
@@ -333,59 +346,17 @@ def structure_sheaf_dims(datum: BundleDatum, table: SpectralTable | None = None)
 # Tangent-sheaf dimensions via level maps on representatives
 
 
-def _stack_representatives(table, blocks):
-    """Block-diagonal embedding of per-block representatives into the stacked
-    degree space; returns (matrix, block offsets, total ambient dim)."""
-    offsets = {}
-    ambient = 0
-    count = 0
-    for (i, j) in blocks:
-        offsets[(i, j)] = ambient
-        ambient += table.representatives[(i, j)].shape[0]
-        count += table.representatives[(i, j)].shape[1]
-    stacked = np.zeros((ambient, count), dtype=complex)
-    col = 0
-    for (i, j) in blocks:
-        reps = table.representatives[(i, j)]
-        stacked[offsets[(i, j)]:offsets[(i, j)] + reps.shape[0],
-                col:col + reps.shape[1]] = reps
-        col += reps.shape[1]
-    return stacked, offsets, ambient
-
-
-def _stack_images(table, blocks, ambient, offsets):
-    columns = []
-    for (i, j) in blocks:
-        image = table.images[(i, j)]
-        lifted = np.zeros((ambient, image.shape[1]), dtype=complex)
-        lifted[offsets[(i, j)]:offsets[(i, j)] + image.shape[0]] = image
-        columns.append(lifted)
-    return np.hstack(columns) if columns else np.zeros((ambient, 0), dtype=complex)
-
-
-def _one_form_level_map(one_form, blocks_src, offsets_src, ambient_src,
-                        offsets_dst, ambient_dst, s_bases, t_bases):
-    """Left-wedging a conjugated base one-form, acting block (i,j) -> (i+1,j)
-    on the stacked degree spaces."""
-    matrix = np.zeros((ambient_dst, ambient_src), dtype=complex)
-    for (i, j) in blocks_src:
-        if (i + 1, j) not in offsets_dst:
-            continue
-        s_src, t_src = s_bases[i], t_bases[j]
-        s_dst, t_dst = s_bases[i + 1], t_bases[j]
-        row_of = {s: si for si, s in enumerate(s_dst)}
-        base_src = offsets_src[(i, j)]
-        base_dst = offsets_dst[(i + 1, j)]
-        for si, s_tuple in enumerate(s_src):
-            for index in range(len(one_form)):
-                wedge = _prepend_one(index, s_tuple)
-                if wedge is None:
-                    continue
-                sign, s_new = wedge
-                for ti in range(len(t_src)):
-                    matrix[base_dst + row_of[s_new] * len(t_dst) + ti,
-                           base_src + si * len(t_src) + ti] += sign * one_form[index]
-    return matrix
+def _wedge_one_form(one_form, reps, m, i):
+    """Left-wedge a conjugated base one-form into the columns of a block
+    (i, j) matrix, giving their block (i+1, j) images.  Rows are S-major, so
+    the gather acts on the base index and carries the fibre index along."""
+    index, src, sign = _wedge_map(m, i)
+    weights = one_form[index] * sign
+    rows = reps.reshape(math.comb(m, i), -1)
+    pushed = np.zeros((index.shape[1], rows.shape[1]), dtype=complex)
+    for weight, source in zip(weights, src):
+        pushed += weight[:, None] * rows[source]
+    return pushed.reshape(-1, reps.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,46 +386,58 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     split = datum.split
     m, d = split.base_half_rank, split.fibre_half_rank
     tol, scale = datum.tol, split.scale
-    s_bases, t_bases = _bases(m), _bases(d)
     total = m + d
 
     decisions: list = []
     warnings: list = []
     h = table.total_dims(3)
-
-    stacked = {}
-    for p in range(total + 1):
-        blocks = _degree_blocks(m, d, p)
-        reps, offsets, ambient = _stack_representatives(table, blocks)
-        image = _stack_images(table, blocks, ambient, offsets)
-        stacked[p] = (blocks, reps, offsets, ambient, image)
+    reps = table.representatives
 
     level_ranks = []
     twist = 0.0
     for p in range(total + 1):
-        blocks_p, reps_p, offsets_p, ambient_p, _ = stacked[p]
+        label = f"level map at degree {p}"
         if p + 1 > total or h[p] == 0:
             level_ranks.append(0)
-            decisions.append(RankDecision(f"level map at degree {p}", 0, 0.0, 0.0, 0.0))
+            decisions.append(RankDecision(label, 0, 0.0, 0.0, 0.0))
             continue
-        blocks_q, reps_q, offsets_q, ambient_q, image_q = stacked[p + 1]
-        big = np.zeros((d * h[p + 1], m * h[p]), dtype=complex)
-        for s in range(m):
-            for a in range(d):
-                one_form = split.hermitian[a, s, :]
-                level = _one_form_level_map(one_form, blocks_p, offsets_p,
-                                            ambient_p, offsets_q, ambient_q,
-                                            s_bases, t_bases)
-                pushed = level @ reps_p
-                coeff = reps_q.conj().T @ pushed
-                big[a * h[p + 1]:(a + 1) * h[p + 1],
-                    s * h[p]:(s + 1) * h[p]] = coeff
-                dropped = pushed - reps_q @ coeff - image_q @ (image_q.conj().T @ pushed)
-                pushed_norm = float(np.linalg.norm(pushed))
-                if pushed_norm > tol * scale:
-                    twist = max(twist, float(np.linalg.norm(dropped)) / pushed_norm)
-        level_ranks.append(numerical_rank(
-            big, tol, scale, f"level map at degree {p}", decisions, warnings))
+        # The level map keeps the fibre degree j, so up to a permutation of
+        # rows and columns its matrix is a direct sum of one piece per j, from
+        # block (i, j) to block (i+1, j): the singular values of the whole are
+        # those of the pieces taken together.
+        singular_values = []
+        pushed_sq = np.zeros((d, m))
+        dropped_sq = np.zeros((d, m))
+        for i, j in _degree_blocks(m, d, p):
+            source = reps[(i, j)]
+            if i == m or source.shape[1] == 0:
+                continue
+            target = reps[(i + 1, j)]
+            # Orthonormal columns spanning the kernel of the outgoing d2.
+            basis = np.hstack([target, table.images[(i + 1, j)]])
+            width, height = source.shape[1], target.shape[1]
+            piece = np.zeros((d * height, m * width), dtype=complex)
+            for s in range(m):
+                for a in range(d):
+                    pushed = _wedge_one_form(split.hermitian[a, s, :], source, m, i)
+                    projection = basis.conj().T @ pushed
+                    piece[a * height:(a + 1) * height,
+                          s * width:(s + 1) * width] = projection[:height]
+                    pushed_sq[a, s] += np.linalg.norm(pushed) ** 2
+                    dropped_sq[a, s] += np.linalg.norm(pushed - basis @ projection) ** 2
+            if piece.size:
+                singular_values.append(np.linalg.svd(piece, compute_uv=False))
+        pushed_norm = np.sqrt(pushed_sq)
+        moved = pushed_norm > tol * scale
+        if np.any(moved):
+            twist = max(twist, float(np.max(np.sqrt(dropped_sq[moved]) / pushed_norm[moved])))
+        # Padded with the exact zeros of the rows and columns no piece covers.
+        sing = np.zeros(min(d * h[p + 1], m * h[p]))
+        if singular_values:
+            merged = np.sort(np.concatenate(singular_values))[::-1]
+            sing[:merged.size] = merged
+        level_ranks.append(_rank_from_singular_values(
+            sing, tol, scale, label, decisions, warnings))
 
     dims = []
     for p in range(total + 1):
@@ -550,14 +533,16 @@ class CohomologyReport:
     warnings: tuple
 
 
-def bundle_report(datum: BundleDatum) -> CohomologyReport:
-    """Run every dimension computation once and collect the audit trail."""
+def bundle_report(datum: BundleDatum, table: SpectralTable | None = None) -> CohomologyReport:
+    """Run every dimension computation once and collect the audit trail;
+    table, when given, is leray_table(datum) already built."""
     decisions: list = []
     warnings: list = []
     forms = h0_forms(datum, decisions, warnings)
     closed = closed_forms_dim(datum, decisions, warnings)
     h1 = h1_structure_sheaf(datum, decisions, warnings)
-    table = leray_table(datum)
+    if table is None:
+        table = leray_table(datum)
     decisions.extend(table.decisions)
     warnings.extend(table.warnings)
     tangent = tangent_table(datum, table)

@@ -89,6 +89,18 @@ def complex_to_pairs(matrix) -> list:
     return [[[float(entry.real), float(entry.imag)] for entry in row] for row in matrix]
 
 
+def _finite(value) -> float | None:
+    """A JSON number as a finite float; None for anything else, including
+    NaN, the infinities and integers beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _pairs_to_complex(obj, rows, cols, name) -> np.ndarray:
     matrix = np.zeros((rows, cols), dtype=complex)
     if not isinstance(obj, list) or len(obj) != rows:
@@ -97,12 +109,11 @@ def _pairs_to_complex(obj, rows, cols, name) -> np.ndarray:
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"'{name}' row {r + 1} must have {cols} entries")
         for c, pair in enumerate(row):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                               for x in pair)):
-                raise ParseError(
-                    f"'{name}' entry ({r + 1},{c + 1}) must be a [re, im] pair")
-            matrix[r, c] = complex(pair[0], pair[1])
+            parts = [_finite(x) for x in pair] if isinstance(pair, list) else []
+            if len(parts) != 2 or None in parts:
+                raise ParseError(f"'{name}' entry ({r + 1},{c + 1}) must be a "
+                                 f"[re, im] pair of finite numbers")
+            matrix[r, c] = complex(*parts)
     return matrix
 
 
@@ -175,6 +186,10 @@ def parse_input(text: str, require_structures: bool = True,
         numeric = coefficients.astype(float)
     except (TypeError, ValueError) as exc:
         raise ParseError("'A' entries must be numbers") from exc
+    except OverflowError:
+        raise ParseError("'A' entries must be finite numbers") from None
+    if not np.all(np.isfinite(numeric)):
+        raise ParseError("'A' entries must be finite numbers")
     form = ExtensionForm(numeric)
     violations = validate_form(form)
     if violations:
@@ -190,9 +205,9 @@ def parse_input(text: str, require_structures: bool = True,
 
     doc_tol = raw.get("tol")
     if doc_tol is not None:
-        if isinstance(doc_tol, bool) or not isinstance(doc_tol, (int, float)) or doc_tol <= 0:
-            raise ParseError("'tol' must be a positive number")
-        doc_tol = float(doc_tol)
+        doc_tol = _finite(doc_tol)
+        if doc_tol is None or doc_tol <= 0:
+            raise ParseError("'tol' must be a positive finite number")
     if tol_override is not None:
         effective = tol_override
     elif doc_tol is not None:

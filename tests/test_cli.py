@@ -95,7 +95,7 @@ def test_validate_incompatible_pair_exits_4(tmp_path, capsys):
 
 
 def test_tolerance_ambiguity_exits_5(tmp_path, capsys, monkeypatch):
-    def raiser(datum):
+    def raiser(datum, table=None):
         raise ToleranceAmbiguityError("synthetic rank bookkeeping failure")
 
     monkeypatch.setattr("tbi.cli.bundle_report", raiser)
@@ -103,6 +103,27 @@ def test_tolerance_ambiguity_exits_5(tmp_path, capsys, monkeypatch):
     code, _, err = _run(capsys, ["invariants", path])
     assert code == 5
     assert "synthetic" in err
+
+
+def _nan_in_v(doc):
+    doc["V"][0][0][0] = float("nan")
+
+
+def _infinite_tol(doc):
+    doc["tol"] = float("inf")
+
+
+@pytest.mark.parametrize("corrupt,needle", [(_nan_in_v, "'V'"), (_infinite_tol, "'tol'")])
+def test_non_finite_numbers_exit_1(tmp_path, capsys, corrupt, needle):
+    code, out, _ = _run(capsys, ["catalog", "iwasawa"])
+    doc = json.loads(out)
+    corrupt(doc)
+    path = _write(tmp_path, "corrupt.json", json.dumps(doc))  # writes NaN / Infinity
+    code, out, err = _run(capsys, ["invariants", path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and needle in err
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +233,23 @@ def test_invariants_table_format(tmp_path, capsys):
     assert "classification: zero_hermitian" in out
 
 
+def test_invariants_table_format_builds_spectral_table_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = tbi.cohomology.leray_table
+
+    def counting(datum):
+        calls.append(datum)
+        return original(datum)
+
+    monkeypatch.setattr("tbi.cli.leray_table", counting)
+    monkeypatch.setattr("tbi.cohomology.leray_table", counting)
+    path = _write(tmp_path, "iwasawa.json", _iwasawa_doc())
+    code, out, _ = _run(capsys, ["invariants", path, "--format", "table"])
+    assert code == 0
+    assert "tangent sheaf dimensions: [3, 6, 6, 3]" in out
+    assert len(calls) == 1
+
+
 def test_invariants_deterministic_in_process(tmp_path, capsys):
     path = _write(tmp_path, "iwasawa.json", _iwasawa_doc())
     _, first, _ = _run(capsys, ["invariants", path])
@@ -269,6 +307,12 @@ def _assert_matches_module(command, tmp_path):
 def test_invariants_deterministic_across_entry_points(tmp_path):
     command = _console_script_command(_console_script_target())
     _assert_matches_module(command, tmp_path)
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    code = ("import sys, tbi.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _stdout([sys.executable, "-c", code], tmp_path) == b"[]\n"
 
 
 @pytest.mark.skipif(shutil.which("tbi") is None,

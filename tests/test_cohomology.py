@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ from tbi import (BundleDatum, bundle_report, classify_blocks, closed_forms_dim,
                  product_datum, random_structure, sample_point,
                  structure_sheaf_dims, tangent_table, theta_cohomology)
 
-from support import random_alternating_form
+from tbi.cohomology import _wedge_map, _wedge_one_form
+
+from support import random_alternating_form, transported_case1
 
 
 def _random_datum(seed, m, d):
@@ -61,6 +64,97 @@ def test_numerical_rank_empty_matrix():
     decisions = []
     assert numerical_rank(np.zeros((0, 3)), 1e-9, 1.0, "empty", decisions) == 0
     assert decisions[0].rank == 0
+
+
+# ---------------------------------------------------------------------------
+# Wedge index maps against sorted insertion
+
+
+def _insert(index, subset):
+    """e_index ∧ e_subset by sorted insertion: (sign, merged subset), or None
+    when index already occurs."""
+    if index in subset:
+        return None
+    before = sum(1 for x in subset if x < index)
+    return (-1) ** before, tuple(sorted(subset + (index,)))
+
+
+@pytest.mark.parametrize("count", range(1, 7))
+def test_wedge_map_matches_sorted_insertion(count):
+    for size in range(count):
+        sources = list(itertools.combinations(range(count), size))
+        targets = list(itertools.combinations(range(count), size + 1))
+        index, src, sign = _wedge_map(count, size)
+        assert index.shape == src.shape == sign.shape == (size + 1, len(targets))
+        seen = set()
+        for pos in range(size + 1):
+            for r, target in enumerate(targets):
+                k, source = int(index[pos, r]), sources[src[pos, r]]
+                assert _insert(k, source) == (sign[pos, r], target)
+                seen.add((k, source))
+        # every (k, S) with k outside S occurs exactly once
+        assert seen == {(k, s) for k in range(count) for s in sources if k not in s}
+        assert len(seen) == index.size
+
+
+def _level_map_reference(one_form, m, i, fibre_count):
+    """Dense matrix of e_k-wedging with weights one_form[k], from block
+    (i, j) to block (i+1, j) with C(d, j) = fibre_count, S-major."""
+    s_src = list(itertools.combinations(range(m), i))
+    s_dst = list(itertools.combinations(range(m), i + 1))
+    matrix = np.zeros((len(s_dst) * fibre_count, len(s_src) * fibre_count), dtype=complex)
+    for si, subset in enumerate(s_src):
+        for k in range(m):
+            wedge = _insert(k, subset)
+            if wedge is None:
+                continue
+            sign, merged = wedge
+            for ti in range(fibre_count):
+                matrix[s_dst.index(merged) * fibre_count + ti,
+                       si * fibre_count + ti] += sign * one_form[k]
+    return matrix
+
+
+@pytest.mark.parametrize("m,i,fibre_count", [(1, 0, 1), (3, 1, 2), (4, 2, 3), (5, 2, 1)])
+def test_wedge_one_form_matches_dense_reference(m, i, fibre_count):
+    rng = np.random.default_rng([90, m, i])
+    one_form = rng.normal(size=m) + 1j * rng.normal(size=m)
+    reps = rng.normal(size=(math.comb(m, i) * fibre_count, 3)) + 0j
+    expected = _level_map_reference(one_form, m, i, fibre_count) @ reps
+    assert np.allclose(_wedge_one_form(one_form, reps, m, i), expected, rtol=0, atol=1e-13)
+
+
+def _d2_reference(conj_two_forms, m, d, i, j):
+    """The differential out of block (i, j) entry by entry: contract t out
+    of T, wedge the two-form of t into S."""
+    s_src = list(itertools.combinations(range(m), i))
+    s_dst = list(itertools.combinations(range(m), i + 2))
+    t_src = list(itertools.combinations(range(d), j))
+    t_dst = list(itertools.combinations(range(d), j - 1))
+    matrix = np.zeros((len(s_dst) * len(t_dst), len(s_src) * len(t_src)), dtype=complex)
+    for si, s in enumerate(s_src):
+        for ti, t_tuple in enumerate(t_src):
+            for t_pos, t in enumerate(t_tuple):
+                t_rest = t_tuple[:t_pos] + t_tuple[t_pos + 1:]
+                for low, high in itertools.combinations(range(m), 2):
+                    first = _insert(high, s)
+                    second = first and _insert(low, first[1])
+                    if not second:
+                        continue
+                    row = s_dst.index(second[1]) * len(t_dst) + t_dst.index(t_rest)
+                    matrix[row, si * len(t_src) + ti] += \
+                        (-1) ** t_pos * first[0] * second[0] * conj_two_forms[t, low, high]
+    return matrix
+
+
+@pytest.mark.parametrize("seed,m,d", [(91, 3, 1), (92, 4, 2), (93, 4, 3), (94, 5, 2)])
+def test_d2_blocks_match_entrywise_reference(seed, m, d):
+    datum = _random_datum(seed, m, d)
+    table = leray_table(datum)
+    conj_two_forms = np.conj(datum.split.holomorphic)
+    assert sorted(table.d2) == [(i, j) for i in range(m - 1) for j in range(1, d + 1)]
+    for (i, j), block in table.d2.items():
+        assert np.array_equal(block, _d2_reference(conj_two_forms, m, d, i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +324,74 @@ def test_tangent_product_scales_binomials(m, d):
     tangent = tangent_table(product_datum(m, d))
     expected = tuple((m + d) * math.comb(m + d, p) for p in range(m + d + 1))
     assert tangent.dims == expected
+
+
+@pytest.mark.parametrize("seed,m", [(s, m) for s in (95, 96) for m in (2, 3, 4)])
+def test_parallelizable_tangent_is_frame_multiple(seed, m):
+    """Parallelizable total space: Θ is trivial of rank m + d, so
+    h^p(Θ) = (m + d)·h^p(O) in every degree."""
+    datum = BundleDatum.checked(*transported_case1(np.random.default_rng([seed, m]), m))
+    assert is_parallelizable(datum)
+    report = bundle_report(datum)
+    assert report.h_tangent == tuple((m + 1) * h for h in report.h_structure)
+
+
+def _report_labels(m, d):
+    """Decision labels of bundle_report in the order they are recorded."""
+    return (["hermitian block", "holomorphic+hermitian blocks", "holomorphic block"]
+            + [f"d2 out of ({i},{j})" for i in range(m - 1) for j in range(1, d + 1)]
+            + [f"image/kernel overlap at ({i},{j})"
+               for i in range(m + 1) for j in range(d + 1)]
+            + [f"level map at degree {p}" for p in range(m + d + 1)])
+
+
+# Recorded with the dense tuple-loop implementation that the index maps replaced.
+FROZEN = [
+    (lambda: _random_datum(3, 3, 2),
+     (2, 10, 18, 17, 10, 3), (3, 2, 10, 3, 2, 0),
+     [[1, 0, 0], [3, 5, 1], [1, 5, 3], [0, 0, 1]],
+     [2, 2, 2, 2, 1, 1, 2, 0, 0, 0, 0, 0, 0, 2, 1, 0, 1, 2, 0, 3, 2, 10, 3, 2, 0]),
+    (lambda: _random_datum(7, 4, 1),
+     (1, 11, 20, 21, 15, 4), (4, 5, 0, 4, 1, 0),
+     [[1, 0], [4, 0], [5, 5], [0, 4], [0, 1]],
+     [1, 1, 1, 1, 4, 1, 0, 0, 0, 0, 1, 0, 4, 0, 1, 0, 4, 5, 0, 4, 1, 0]),
+    (lambda: _sampled_member(71),
+     (1, 4, 5, 2), (2, 0, 1, 0),
+     [[1, 0], [2, 2], [0, 1]],
+     [1, 1, 1, 1, 0, 0, 0, 0, 1, 0, 2, 0, 1, 0]),
+    (lambda: product_datum(2, 2),
+     (4, 16, 24, 16, 4), (0, 0, 0, 0, 0),
+     [[1, 2, 1], [2, 4, 2], [1, 2, 1]],
+     [0] * 19),
+]
+
+
+@pytest.mark.parametrize("make,h_tangent,level_ranks,e3,ranks", FROZEN)
+def test_tables_frozen(make, h_tangent, level_ranks, e3, ranks):
+    datum = make()
+    table = leray_table(datum)
+    tangent = tangent_table(datum, table)
+    assert tangent.dims == h_tangent
+    assert tangent.level_ranks == level_ranks
+    assert table.e3.tolist() == e3
+    labels = _report_labels(datum.split.base_half_rank, datum.split.fibre_half_rank)
+    report = bundle_report(datum, table)
+    assert [(x.label, x.rank) for x in report.decisions] == list(zip(labels, ranks))
+    assert report.h_tangent == h_tangent
+
+
+@pytest.mark.parametrize("seed,m,d", [(97, 3, 2), (98, 4, 1), (99, 4, 3)])
+def test_d2_decisions_match_numerical_rank(seed, m, d):
+    datum = _random_datum(seed, m, d)
+    table = leray_table(datum)
+    recorded = [x for x in table.decisions if x.label.startswith("d2 ")]
+    again = []
+    for (i, j), block in table.d2.items():
+        numerical_rank(block, datum.tol, datum.split.scale, f"d2 out of ({i},{j})", again)
+    assert [(x.label, x.rank) for x in recorded] == [(x.label, x.rank) for x in again]
+    for first, second in zip(recorded, again):
+        assert first.threshold == pytest.approx(second.threshold, rel=1e-12)
+        assert first.smallest_kept == pytest.approx(second.smallest_kept, rel=1e-12)
 
 
 def test_theta_cohomology_fixtures(iwasawa, kodaira_surface):

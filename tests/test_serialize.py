@@ -175,10 +175,23 @@ def test_parse_rejects_bad_entry_pair():
         parse_input(json.dumps(doc))
 
 
-@pytest.mark.parametrize("tol", [0, -1e-9, True, "tight"])
+@pytest.mark.parametrize("tol", [0, -1e-9, True, "tight", float("inf"), float("nan"),
+                                 pytest.param(10 ** 400, id="huge-int")])
 def test_parse_rejects_bad_tol(tol):
     with pytest.raises(ParseError, match="'tol'"):
         parse_input(json.dumps(_zero_doc(tol=tol)))
+
+
+@pytest.mark.parametrize("key,value,needle", [
+    ("V", [[[float("nan"), 0.0]], [[0.0, 1.0]]], r"'V' entry \(1,1\)"),
+    ("U", [[[1.0, 0.0]], [[0.0, float("-inf")]]], r"'U' entry \(2,1\)"),
+    ("V", [[[10 ** 400, 0.0]], [[0.0, 1.0]]], r"'V' entry \(1,1\)"),
+    ("A", [[[0, float("inf")], [float("-inf"), 0]], [[0, 0], [0, 0]]], "'A'"),
+    ("A", [[[0, 10 ** 400], [-10 ** 400, 0]], [[0, 0], [0, 0]]], "'A'"),
+], ids=["V-nan", "U-infinity", "V-huge-int", "A-infinity", "A-huge-int"])
+def test_parse_rejects_non_finite_numbers(key, value, needle):
+    with pytest.raises(ParseError, match=needle):
+        parse_input(json.dumps(_zero_doc(**{key: value})))
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
