@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 parse/usage error, 2 invalid extension form,
 3 degenerate period matrix, 4 incompatible structure pair, 5 internal
 tolerance ambiguity.  The default tolerance is overridden by the TBI_TOL
 environment variable, the document's "tol" key, and the --tol flag, in
-increasing order of precedence.
+increasing order of precedence.  --tol is taken by validate, invariants,
+decompose and sample; group does exact integer arithmetic and has none.
 """
 
 import argparse
@@ -17,7 +18,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -96,6 +96,14 @@ def _group_spot_checks(form, limit: int = 4) -> dict:
     return {"pairs_checked": checked, "all_match": all_match}
 
 
+def _norms(split) -> dict:
+    return {
+        "holomorphic": float(np.max(np.abs(split.holomorphic))),
+        "hermitian": float(np.max(np.abs(split.hermitian))),
+        "forbidden": float(np.max(np.abs(split.antiholomorphic))),
+    }
+
+
 def _report_document(datum: BundleDatum, data: bytes, table: SpectralTable) -> dict:
     split = datum.split
     verdict = datum.membership
@@ -112,11 +120,7 @@ def _report_document(datum: BundleDatum, data: bytes, table: SpectralTable) -> d
             "residual": verdict.residual,
             "scale": verdict.scale,
         },
-        "norms": {
-            "holomorphic": float(np.max(np.abs(split.holomorphic))),
-            "hermitian": float(np.max(np.abs(split.hermitian))),
-            "forbidden": float(np.max(np.abs(split.antiholomorphic))),
-        },
+        "norms": _norms(split),
         "cohomology": {
             "h_structure": list(report.h_structure),
             "h0_one_forms": report.h0_one_forms,
@@ -224,11 +228,7 @@ def cmd_decompose(args) -> int:
             "hermitian": _tensor_to_pairs(split.hermitian),
             "antiholomorphic": _tensor_to_pairs(split.antiholomorphic),
         },
-        "norms": {
-            "holomorphic": float(np.max(np.abs(split.holomorphic))),
-            "hermitian": float(np.max(np.abs(split.hermitian))),
-            "forbidden": float(np.max(np.abs(split.antiholomorphic))),
-        },
+        "norms": _norms(split),
     }))
     return 0
 
@@ -239,13 +239,9 @@ def cmd_sample(args) -> int:
     tol = document.effective_tol
     form = document.form
 
-    def job(index):
-        return sample_point(form, seed=[seed, index], max_attempts=args.max_attempts,
+    results = [sample_point(form, seed=[seed, index], max_attempts=args.max_attempts,
                             tol=tol)
-
-    workers = max(1, min(args.count, os.cpu_count() or 1))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(job, range(args.count)))
+               for index in range(args.count)]
 
     points = []
     failures = []
@@ -414,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group", help="multiply and bracket two group elements")
     p.add_argument("file", help="document with at least m, d, A")
-    add_tol(p)
     p.add_argument("g1")
     p.add_argument("g2")
     p.set_defaults(handler=cmd_group)

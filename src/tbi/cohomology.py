@@ -109,10 +109,10 @@ def h0_forms(datum: BundleDatum, decisions=None, warnings=None) -> OneFormsSpace
     survives exactly when it annihilates the image of the hermitian block."""
     split = datum.split
     flat = _hermitian_flat(datum)
-    rank = numerical_rank(flat, datum.tol, split.scale, "hermitian block",
-                          decisions, warnings)
-    u_svd = np.linalg.svd(flat)[0] if flat.size else np.eye(split.fibre_half_rank)
-    annihilator = u_svd[:, rank:].conj().T
+    u, sing, _ = np.linalg.svd(flat)
+    rank = _rank_from_singular_values(sing, datum.tol, split.scale, "hermitian block",
+                                      decisions, warnings)
+    annihilator = u[:, rank:].conj().T
     return OneFormsSpace(split.base_half_rank + split.fibre_half_rank - rank, annihilator)
 
 

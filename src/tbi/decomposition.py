@@ -12,11 +12,11 @@ subspace U or its conjugate).  The three U-valued blocks are::
 The pair of structures is compatible with the form exactly when the
 antiholomorphic block vanishes; that is the membership test for the
 parameter variety of bundle structures.  The three conjugate (Ubar-valued)
-blocks are determined by reality of the integer form and are kept only so
-that reconstruction and reality checks can be exercised numerically.
+blocks are determined by reality of the integer form, so they are not kept:
+reconstruct derives them from the U-valued blocks.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,13 +25,10 @@ from .errors import FormInvalidError, MembershipError, StructureDegenerateError
 from .lattices import ExtensionForm, validate_form
 from .periods import ComplexStructure, DEFAULT_TOL, basis_change, validate_structure
 
-# Keys of the conjugate blocks, by input-slot type.
-CONJ_KEYS = ("vv", "v_vbar", "vbar_vbar")
-
 
 @dataclass(frozen=True)
 class DecomposedForm:
-    """The six blocks of a split extension form, plus bookkeeping.
+    """The three U-valued blocks of a split extension form, plus bookkeeping.
 
     scale is the max-norm of the full split tensor and is the reference
     against which all residual norms on this datum are measured.
@@ -40,7 +37,6 @@ class DecomposedForm:
     holomorphic: np.ndarray
     hermitian: np.ndarray
     antiholomorphic: np.ndarray
-    conjugate_blocks: dict
     tol: float
     scale: float
 
@@ -91,16 +87,10 @@ def decompose(form: ExtensionForm, base: ComplexStructure, fibre: ComplexStructu
     full = split_form(form, base, fibre, tol)
     m = base.half_rank
     d = fibre.half_rank
-    conjugate_blocks = {
-        "vv": full[d:, :m, :m],
-        "v_vbar": full[d:, :m, m:],
-        "vbar_vbar": full[d:, m:, m:],
-    }
     return DecomposedForm(
         holomorphic=full[:d, :m, :m],
         hermitian=full[:d, :m, m:],
         antiholomorphic=full[:d, m:, m:],
-        conjugate_blocks=conjugate_blocks,
         tol=tol,
         scale=float(np.max(np.abs(full))) if full.size else 0.0,
     )
@@ -118,10 +108,10 @@ def reconstruct(split: DecomposedForm, base: ComplexStructure,
     full[:d, :m, m:] = split.hermitian
     full[:d, m:, :m] = -split.hermitian.transpose(0, 2, 1)
     full[:d, m:, m:] = split.antiholomorphic
-    full[d:, :m, :m] = split.conjugate_blocks["vv"]
-    full[d:, :m, m:] = split.conjugate_blocks["v_vbar"]
-    full[d:, m:, :m] = -split.conjugate_blocks["v_vbar"].transpose(0, 2, 1)
-    full[d:, m:, m:] = split.conjugate_blocks["vbar_vbar"]
+    # Reality of the integer form: the Ubar-valued half is the conjugate of
+    # the U-valued half with V and Vbar slots exchanged.
+    swap = np.r_[m:2 * m, 0:m]
+    full[d:] = np.conj(full[:d][:, swap][:, :, swap])
     c_base = basis_change(base, split.tol)
     return np.einsum("ka,ars,ri,sj->kij", fibre.frame, full, c_base, c_base)
 
@@ -135,14 +125,7 @@ def riemann_check(form: ExtensionForm, base: ComplexStructure, fibre: ComplexStr
     tol * (max-norm of the whole split tensor); the zero form is a member
     of every structure pair.
     """
-    split = decompose(form, base, fibre, tol)
-    residual = float(np.max(np.abs(split.antiholomorphic)))
-    return MembershipResult(
-        member=bool(residual <= tol * split.scale),
-        residual=residual,
-        scale=split.scale,
-        tol=tol,
-    )
+    return BundleDatum(form, base, fibre, tol=tol).membership
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,9 @@ import numpy as np
 
 from .errors import FormInvalidError
 
+# Coefficients are stored as int64; entries must lie in [-INT64_BOUND, INT64_BOUND).
+INT64_BOUND = 2**63
+
 
 @dataclass(frozen=True)
 class ExtensionForm:
@@ -53,6 +56,8 @@ class ExtensionForm:
             if not np.array_equal(rounded, coeff):
                 raise FormInvalidError("coefficients must be integers")
             coeff = rounded
+        if coeff.size and not (-INT64_BOUND <= coeff.min() and coeff.max() < INT64_BOUND):
+            raise FormInvalidError("coefficients must lie in the int64 range [-2**63, 2**63)")
         coeff = coeff.astype(np.int64)
         coeff.setflags(write=False)
         object.__setattr__(self, "coefficients", coeff)
@@ -81,7 +86,7 @@ def validate_form(form: ExtensionForm) -> list[str]:
     coeff = form.coefficients
     violations = []
     for k in range(coeff.shape[0]):
-        block = coeff[k]
+        block = coeff[k].astype(object)  # Python ints: -(-2**63) must not wrap
         bad = np.argwhere(block != -block.T)
         for i, j in bad:
             if i <= j:  # report each unordered pair once, diagonal included

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormInvalidError, ParseError, StructureDegenerateError
-from .lattices import ExtensionForm, validate_form
+from .lattices import INT64_BOUND, ExtensionForm, validate_form
 from .periods import ComplexStructure, DEFAULT_TOL, validate_structure
 
 
@@ -188,9 +188,14 @@ def parse_input(text: str, require_structures: bool = True,
         raise ParseError("'A' entries must be numbers") from exc
     except OverflowError:
         raise ParseError("'A' entries must be finite numbers") from None
-    if not np.all(np.isfinite(numeric)):
-        raise ParseError("'A' entries must be finite numbers")
-    form = ExtensionForm(numeric)
+    # JSON integers are range-checked and stored exactly, not through float;
+    # NaN and the infinities fail the range test too.
+    exact = all(isinstance(x, int) for x in coefficients.flat)
+    values = coefficients if exact else numeric
+    if not all(-INT64_BOUND <= x < INT64_BOUND for x in values.flat):
+        raise ParseError("'A' entries must be finite numbers in the int64 range "
+                         "[-2**63, 2**63)")
+    form = ExtensionForm(values.astype(np.int64) if exact else numeric)
     violations = validate_form(form)
     if violations:
         raise FormInvalidError("; ".join(violations))

@@ -1,8 +1,21 @@
 """Shared construction helpers for the test suite."""
 
+import os
+import pathlib
+
 import numpy as np
 
+import tbi
 from tbi import ComplexStructure, ExtensionForm, standard_structure
+
+
+def subprocess_env():
+    """Environment whose subprocesses import the same tbi as this process,
+    whatever the working directory and whatever else is installed."""
+    env = dict(os.environ)
+    root = str(pathlib.Path(tbi.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_alternating_form(rng, m, d, span=3):

@@ -25,7 +25,7 @@ from tbi import (BundleDatum, ExtensionForm, GroupElement,
 from tbi import cli
 
 from support import (random_alternating_form, random_group_element_parts,
-                     transported_case1)
+                     subprocess_env, transported_case1)
 
 
 def _report(number, detail):
@@ -220,10 +220,10 @@ def test_criterion_8_determinism(tmp_path, capsys):
         json.loads(first)  # valid JSON both times
         from_module = subprocess.run(
             [sys.executable, "-m", "tbi", "invariants", str(path)],
-            capture_output=True, check=True)
+            capture_output=True, check=True, env=subprocess_env())
         repeat = subprocess.run(
             [sys.executable, "-m", "tbi", "invariants", str(path)],
-            capture_output=True, check=True)
+            capture_output=True, check=True, env=subprocess_env())
         assert from_module.stdout == repeat.stdout
         assert from_module.stdout.decode() == first
     _report(8, "byte-identical reports for both catalog inputs, "

@@ -1,9 +1,9 @@
 import json
-import os
 import pathlib
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +11,8 @@ import pytest
 import tbi
 from tbi import ToleranceAmbiguityError, dumps, input_document, iwasawa_datum
 from tbi import cli
+
+from support import subprocess_env
 
 try:
     import tomllib
@@ -113,13 +115,26 @@ def _infinite_tol(doc):
     doc["tol"] = float("inf")
 
 
-@pytest.mark.parametrize("corrupt,needle", [(_nan_in_v, "'V'"), (_infinite_tol, "'tol'")])
+def _huge_float_in_a(doc):
+    doc["A"][0][0][1], doc["A"][0][1][0] = 1e300, -1e300
+
+
+def _int64_overflow_in_a(doc):
+    doc["A"][0][0][1], doc["A"][0][1][0] = 2 ** 63, -2 ** 63
+
+
+@pytest.mark.parametrize("corrupt,needle", [
+    (_nan_in_v, "'V'"), (_infinite_tol, "'tol'"),
+    (_huge_float_in_a, "int64 range"), (_int64_overflow_in_a, "int64 range"),
+])
 def test_non_finite_numbers_exit_1(tmp_path, capsys, corrupt, needle):
     code, out, _ = _run(capsys, ["catalog", "iwasawa"])
     doc = json.loads(out)
     corrupt(doc)
     path = _write(tmp_path, "corrupt.json", json.dumps(doc))  # writes NaN / Infinity
-    code, out, err = _run(capsys, ["invariants", path])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["invariants", path])
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and needle in err
@@ -280,17 +295,8 @@ def _console_script_command(target):
     return [sys.executable, "-c", code]
 
 
-def _subprocess_env():
-    """Environment whose subprocesses import the same tbi as this process,
-    whatever the working directory and whatever else is installed."""
-    env = dict(os.environ)
-    root = str(pathlib.Path(tbi.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    return env
-
-
 def _stdout(command, cwd):
-    done = subprocess.run(command, capture_output=True, cwd=cwd, env=_subprocess_env())
+    done = subprocess.run(command, capture_output=True, cwd=cwd, env=subprocess_env())
     assert done.returncode == 0, done.stderr.decode(errors="replace")
     return done.stdout
 
@@ -310,8 +316,8 @@ def test_invariants_deterministic_across_entry_points(tmp_path):
 
 
 def test_cli_import_loads_no_scipy(tmp_path):
-    code = ("import sys, tbi.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, tbi.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'concurrent')))")
     assert _stdout([sys.executable, "-c", code], tmp_path) == b"[]\n"
 
 
@@ -442,6 +448,14 @@ def test_group_product_and_inverse(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["product"] == {"fibre": [1, 0], "base": [1, 0, 1, 0]}
     assert payload["inverse_g1"]["base"] == [-1, 0, 0, 0]
+
+
+def test_group_takes_no_tol(tmp_path, capsys):
+    path = _write(tmp_path, "form.json", _form_only_doc())
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["group", path, "e1", "e3", "--tol", "1e-3"])
+    assert excinfo.value.code == 1
+    assert "--tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("element", ["x3", "e9", "f3", "1,2/3", "a/b"])

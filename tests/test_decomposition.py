@@ -7,7 +7,7 @@ from tbi import (BundleDatum, ComplexStructure, ExtensionForm, FormInvalidError,
                  product_datum, random_structure, reconstruct, riemann_check,
                  split_form, standard_structure)
 
-from support import random_alternating_form
+from support import random_alternating_form, transported_case1
 
 
 def _random_datum(seed, m, d):
@@ -46,11 +46,12 @@ def test_reconstruct_roundtrip(seed, m, d):
 
 @pytest.mark.parametrize("seed,m,d", [(5, 2, 1), (6, 3, 2)])
 def test_conjugate_blocks_are_conjugates(seed, m, d):
-    split = _random_datum(seed, m, d).split
-    conj = split.conjugate_blocks
-    assert np.allclose(conj["vv"], np.conj(split.antiholomorphic), atol=1e-10)
-    assert np.allclose(conj["vbar_vbar"], np.conj(split.holomorphic), atol=1e-10)
-    assert np.allclose(conj["v_vbar"],
+    datum = _random_datum(seed, m, d)
+    split = datum.split
+    conj = split_form(datum.form, datum.base, datum.fibre)[d:]
+    assert np.allclose(conj[:, :m, :m], np.conj(split.antiholomorphic), atol=1e-10)
+    assert np.allclose(conj[:, m:, m:], np.conj(split.holomorphic), atol=1e-10)
+    assert np.allclose(conj[:, :m, m:],
                        -np.conj(split.hermitian).transpose(0, 2, 1), atol=1e-10)
 
 
@@ -93,6 +94,36 @@ def test_zero_form_always_member():
 def test_generic_pair_not_member():
     datum = _random_datum(8, 3, 1)
     assert not datum.membership.member
+
+
+def _member_pair(seed, m):
+    return transported_case1(np.random.default_rng(seed), m)
+
+
+def _nonmember_pair(seed, m):
+    datum = _random_datum(seed, m, 1)
+    return datum.form, datum.base, datum.fibre
+
+
+def _zero_pair(seed, m):
+    rng = np.random.default_rng(seed)
+    form = ExtensionForm(np.zeros((2, 2 * m, 2 * m), dtype=np.int64))
+    return form, random_structure(m, rng), random_structure(1, rng)
+
+
+@pytest.mark.parametrize("make,seed,m,member", [
+    (_member_pair, 11, 2, True), (_member_pair, 12, 3, True), (_member_pair, 13, 4, True),
+    (_nonmember_pair, 8, 3, False), (_nonmember_pair, 14, 2, False),
+    (_zero_pair, 15, 2, True),
+])
+def test_riemann_check_is_the_datum_verdict(make, seed, m, member):
+    form, base, fibre = make(seed, m)
+    for tol in (1e-9, 1e-3):
+        verdict = riemann_check(form, base, fibre, tol=tol)
+        expected = BundleDatum(form, base, fibre, tol=tol).membership
+        assert verdict.member is expected.member is member
+        assert (verdict.residual, verdict.scale, verdict.tol) == \
+            (expected.residual, expected.scale, expected.tol)
 
 
 # ---------------------------------------------------------------------------

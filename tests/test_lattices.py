@@ -31,6 +31,23 @@ def test_integral_floats_accepted():
     assert form.coefficients[0, 0, 1] == 2
 
 
+@pytest.mark.parametrize("value", [2.0 ** 63, -2.0 ** 63 - 2048, 1e300, float("inf"),
+                                   np.uint64(2 ** 63)])
+def test_out_of_int64_range_entries_rejected(value):
+    coefficients = np.zeros((2, 2, 2), dtype=np.asarray(value).dtype)
+    coefficients[0, 0, 1] = value
+    with pytest.raises(FormInvalidError, match="int64 range"):
+        ExtensionForm(coefficients)
+
+
+def test_validate_form_does_not_wrap_int64_min():
+    low = np.iinfo(np.int64).min
+    form = ExtensionForm(np.array([[[0, low], [low, 0]], [[0, 0], [0, 0]]]))
+    violations = validate_form(form)
+    assert len(violations) == 1
+    assert f"{low} != {-low}" in violations[0]
+
+
 def test_validate_form_names_first_violation():
     form = ExtensionForm(np.array([[[0, 1], [1, 0]], [[0, 0], [0, 0]]]))
     violations = validate_form(form)

@@ -188,10 +188,21 @@ def test_parse_rejects_bad_tol(tol):
     ("V", [[[10 ** 400, 0.0]], [[0.0, 1.0]]], r"'V' entry \(1,1\)"),
     ("A", [[[0, float("inf")], [float("-inf"), 0]], [[0, 0], [0, 0]]], "'A'"),
     ("A", [[[0, 10 ** 400], [-10 ** 400, 0]], [[0, 0], [0, 0]]], "'A'"),
-], ids=["V-nan", "U-infinity", "V-huge-int", "A-infinity", "A-huge-int"])
+    ("A", [[[0, 2 ** 63], [-2 ** 63, 0]], [[0, 0], [0, 0]]], "int64 range"),
+    ("A", [[[0, -2 ** 63 - 1], [2 ** 63 + 1, 0]], [[0, 0], [0, 0]]], "int64 range"),
+    ("A", [[[0, 2.0 ** 63], [-2.0 ** 63, 0]], [[0, 0], [0, 0]]], "int64 range"),
+    ("A", [[[0, 1e300], [-1e300, 0]], [[0, 0], [0, 0]]], "int64 range"),
+], ids=["V-nan", "U-infinity", "V-huge-int", "A-infinity", "A-huge-int",
+        "A-int-2**63", "A-int-below-int64", "A-float-2**63", "A-float-1e300"])
 def test_parse_rejects_non_finite_numbers(key, value, needle):
     with pytest.raises(ParseError, match=needle):
         parse_input(json.dumps(_zero_doc(**{key: value})))
+
+
+def test_parse_keeps_int64_extremes_exact():
+    top = 2 ** 63 - 1
+    document = parse_input(json.dumps(_zero_doc(A=[[[0, top], [-top, 0]], [[0, 0], [0, 0]]])))
+    assert int(document.form.coefficients[0, 0, 1]) == top
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
