@@ -18,6 +18,7 @@ import math
 import os
 import re
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .cohomology import SpectralTable, bundle_report, leray_table
 from .curves import divisibility_index, kuranishi_dim
 from .decomposition import BundleDatum
 from .errors import ParseError, TbiError
-from .lattices import (GroupElement, basis_lift, central_lift, commutator,
+from .lattices import (INT64_BOUND, GroupElement, basis_lift, central_lift, commutator,
                        group_inverse, group_multiply)
 from .periods import DEFAULT_TOL
 from .serialize import (InputDocument, complex_to_pairs, dumps, input_document,
@@ -277,9 +278,12 @@ def _parse_vector(text, length, name):
     if len(parts) != length:
         raise ParseError(f"{name} must have {length} comma-separated integers")
     try:
-        return [int(p) for p in parts]
+        values = [int(p) for p in parts]
     except ValueError:
         raise ParseError(f"{name} entries must be integers") from None
+    if not all(-INT64_BOUND <= v < INT64_BOUND for v in values):
+        raise ParseError(f"{name} entries must lie in the int64 range [-2**63, 2**63)")
+    return values
 
 
 def _parse_element(text, form):
@@ -387,18 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check an input document end to end")
     p.add_argument("file")
     add_tol(p)
-    p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("invariants", help="compute the full invariant report")
     p.add_argument("file")
     add_tol(p)
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(handler=cmd_invariants)
 
     p = sub.add_parser("decompose", help="print the split blocks of the form")
     p.add_argument("file")
     add_tol(p)
-    p.set_defaults(handler=cmd_decompose)
 
     p = sub.add_parser("sample", help="sample compatible structure pairs for a form")
     p.add_argument("file", help="document with at least m, d, A")
@@ -406,13 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--max-attempts", type=int, default=100)
-    p.set_defaults(handler=cmd_sample)
 
     p = sub.add_parser("group", help="multiply and bracket two group elements")
     p.add_argument("file", help="document with at least m, d, A")
     p.add_argument("g1")
     p.add_argument("g2")
-    p.set_defaults(handler=cmd_group)
 
     p = sub.add_parser("catalog", help="emit a built-in example document")
     p.add_argument("name", choices=CATALOG_NAMES)
@@ -420,23 +419,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base half-rank for the product datum")
     p.add_argument("--fibre-dim", type=int, default=1,
                    help="fibre half-rank for the product datum")
-    p.set_defaults(handler=cmd_catalog)
 
     p = sub.add_parser("curve", help="closed-form invariants over a curve base")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--fibre-dim", type=int, required=True)
     p.add_argument("--chern", type=str, default=None,
                    help="comma-separated integer vector of length 2*fibre-dim")
-    p.set_defaults(handler=cmd_curve)
 
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the life of the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up at call time, so a patched module attribute takes effect.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.handler(args)
+        return handler(args)
     except TbiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

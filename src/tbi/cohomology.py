@@ -455,16 +455,20 @@ class ThetaCohomology:
 
 
 def theta_cohomology(datum: BundleDatum, degree: int,
-                     table: SpectralTable | None = None) -> ThetaCohomology:
+                     table: SpectralTable | None = None,
+                     tangent: TangentTable | None = None) -> ThetaCohomology:
     """Tangent-sheaf cohomology in one degree, split into the cokernel of the
-    incoming level map and the kernel of the outgoing one."""
-    if table is None:
-        table = leray_table(datum)
+    incoming level map and the kernel of the outgoing one.  table and
+    tangent, when given, are leray_table(datum) and tangent_table(datum,
+    table) already built."""
     split = datum.split
     total = split.base_half_rank + split.fibre_half_rank
     if not 0 <= degree <= total:
         raise ValueError(f"degree must lie in 0..{total}, got {degree}")
-    tangent = tangent_table(datum, table)
+    if table is None:
+        table = leray_table(datum)
+    if tangent is None:
+        tangent = tangent_table(datum, table)
     h = table.total_dims(3)
     from_below = tangent.level_ranks[degree - 1] if degree >= 1 else 0
     coker = split.fibre_half_rank * h[degree] - from_below

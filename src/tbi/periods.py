@@ -54,6 +54,15 @@ class ComplexStructure:
         return np.hstack([self.period, np.conj(self.period)])
 
 
+def _frames_invertible(frames: np.ndarray, tol: float):
+    """Whether each frame (the last two axes) has its smallest singular value
+    above tol times its largest; a stack of frames takes one SVD call."""
+    # Transposed, the singular values are indexed by rank first: s[0] is
+    # the largest of one frame (a scalar) or of each frame in a stack.
+    s = np.linalg.svd(frames, compute_uv=False).T
+    return s[-1] > tol * s[0]
+
+
 def validate_structure(structure: ComplexStructure, tol: float = DEFAULT_TOL) -> bool:
     """True when (P | conj P) is invertible at relative tolerance tol.
 
@@ -61,8 +70,7 @@ def validate_structure(structure: ComplexStructure, tol: float = DEFAULT_TOL) ->
     tol times the largest, so rescaling the period matrix does not change
     the verdict.
     """
-    s = np.linalg.svd(structure.frame, compute_uv=False)
-    return bool(s[-1] > tol * s[0])
+    return bool(_frames_invertible(structure.frame, tol))
 
 
 def basis_change(structure: ComplexStructure, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -93,6 +101,43 @@ def split_coordinates(structure: ComplexStructure, x, tol: float = DEFAULT_TOL):
 _RANDOM_FRAME_TOL = 1e-2
 
 
+def draws_exhausted(n: int, max_attempts: int = 64) -> StructureDegenerateError:
+    """The error for a generator that gave no valid frame in max_attempts draws."""
+    return StructureDegenerateError(
+        f"no valid period matrix of half rank {n} found in {max_attempts} draws"
+    )
+
+
+def random_periods(n: int, rngs, max_attempts: int = 64):
+    """Stacked random period matrices, one per generator in rngs.
+
+    Returns (periods, valid): periods has shape (len(rngs), 2n, n) and
+    valid[a] tells whether generator a produced an acceptable frame within
+    max_attempts draws.  Each generator is used exactly as random_structure
+    uses it -- the real part of a draw, then its imaginary part, redrawn
+    while the frame is nearly singular -- so entry a equals
+    random_structure(n, rngs[a]) bit for bit.  Every round of draws is
+    orthonormalised by one stacked QR and screened by one stacked SVD.
+    """
+    if n < 1:
+        raise ValueError("half rank must be positive")
+    periods = np.empty((len(rngs), 2 * n, n), dtype=complex)
+    valid = np.zeros(len(rngs), dtype=bool)
+    pending = np.arange(len(rngs))
+    for _ in range(max_attempts):
+        if not pending.size:
+            break
+        draws = np.array([rngs[a].standard_normal((2 * n, n))
+                          + 1j * rngs[a].standard_normal((2 * n, n)) for a in pending])
+        fresh = np.linalg.qr(draws)[0]
+        accepted = _frames_invertible(np.concatenate([fresh, np.conj(fresh)], axis=-1),
+                                      _RANDOM_FRAME_TOL)
+        periods[pending] = fresh
+        valid[pending] = accepted
+        pending = pending[~accepted]
+    return periods, valid
+
+
 def random_structure(n: int, seed, max_attempts: int = 64) -> ComplexStructure:
     """Deterministic random structure of half rank n.
 
@@ -101,19 +146,12 @@ def random_structure(n: int, seed, max_attempts: int = 64) -> ComplexStructure:
     The period matrix is the orthonormalisation of a complex Gaussian draw,
     so the subspace is uniform on the Grassmannian; draws whose frame is
     nearly singular (the subspace almost meets its conjugate) are redrawn.
+    This is the one-generator case of random_periods.
     """
-    if n < 1:
-        raise ValueError("half rank must be positive")
-    rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
-        draw = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
-        period = np.linalg.qr(draw)[0]
-        structure = ComplexStructure(period)
-        if validate_structure(structure, _RANDOM_FRAME_TOL):
-            return structure
-    raise StructureDegenerateError(
-        f"no valid period matrix of half rank {n} found in {max_attempts} draws"
-    )
+    periods, valid = random_periods(n, [np.random.default_rng(seed)], max_attempts)
+    if not valid[0]:
+        raise draws_exhausted(n, max_attempts)
+    return ComplexStructure(periods[0])
 
 
 def standard_structure(n: int) -> ComplexStructure:

@@ -182,10 +182,12 @@ def parse_input(text: str, require_structures: bool = True,
             f"'A' must be nested lists of shape ({2 * d}, {2 * m}, {2 * m}), "
             f"got {coefficients.shape}"
         )
+    # JSON numbers only: float() would also take strings such as "1".
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in coefficients.flat):
+        raise ParseError("'A' entries must be numbers")
     try:
         numeric = coefficients.astype(float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError("'A' entries must be numbers") from exc
     except OverflowError:
         raise ParseError("'A' entries must be finite numbers") from None
     # JSON integers are range-checked and stored exactly, not through float;

@@ -10,16 +10,27 @@ fibre subspace: every pairwise value
 must lie in the fibre subspace.  In the graph chart of the fibre Grassmannian,
 where the subspace is { (u', U* u') }, this reads w'' = U* w' per pair, which
 is what LocalEquations records.
+
+sample_point is a rejection search over random base structures.  Its attempts
+are screened in batches of doubling size on stacked arrays: one QR and one
+frame SVD for the bases (random_periods), one einsum for the pairwise values
+and one SVD for their ranks per batch.  Only attempts that pass the rank test
+are completed one at a time, so the result -- found, attempts, residual and
+period bytes -- equals that of trying the attempts one by one.
+pairwise_values and random_structure are the one-element case of the same
+kernels.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .decomposition import riemann_check
 from .errors import StructureDegenerateError
 from .lattices import ExtensionForm
-from .periods import ComplexStructure, DEFAULT_TOL, random_structure, validate_structure
+from .periods import (ComplexStructure, DEFAULT_TOL, draws_exhausted, random_periods,
+                      validate_structure)
 
 
 @dataclass(frozen=True)
@@ -53,19 +64,32 @@ class LocalEquations:
         return self.max_residual <= self.tol * self.scale
 
 
+@lru_cache(maxsize=None)
+def _pair_index(m: int):
+    """Row and column indices of the pairs h < l, in pair-label order."""
+    index = np.triu_indices(m, 1)
+    for axis in index:
+        axis.setflags(write=False)
+    return index
+
+
+def _pair_values(coeff: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """A(v_h, v_l) for h < l on a stack of period matrices, one einsum call.
+
+    coeff is the form's coefficient tensor as complex; periods has shape
+    (k, 2m, m).  The result has shape (k, 2d, pairs): for each period
+    matrix, the values as columns in the order of the pair labels.
+    """
+    h, l = _pair_index(periods.shape[-1])
+    return np.einsum("aih,kij,ajl->akhl", periods, coeff, periods)[:, :, h, l]
+
+
 def pairwise_values(form: ExtensionForm, base: ComplexStructure):
     """The vectors A(v_h, v_l) for h < l, plus the 1-based pair labels."""
-    period = base.period
     m = base.half_rank
     pairs = tuple((h + 1, l + 1) for h in range(m) for l in range(h + 1, m))
-    if not pairs:
-        return pairs, np.zeros((0, form.fibre_rank), dtype=complex)
-    coeff = form.coefficients.astype(complex)
-    values = np.array([
-        np.einsum("kij,i,j->k", coeff, period[:, h - 1], period[:, l - 1])
-        for h, l in pairs
-    ])
-    return pairs, values
+    values = _pair_values(form.coefficients.astype(complex), base.period[None])
+    return pairs, np.ascontiguousarray(values[0].T)
 
 
 def chart_structure(chart) -> ComplexStructure:
@@ -141,6 +165,17 @@ def _seed_prefix(seed) -> list:
     return [int(x) for x in seed]
 
 
+def _chunks(max_attempts: int):
+    """Attempt ranges of doubling length 1, 2, 4, ..., the last one cut at
+    max_attempts, so an early success costs one small batch and a full
+    search of 100 attempts takes 7 batches."""
+    start, size = 1, 1
+    while start <= max_attempts:
+        stop = min(start + size, max_attempts + 1)
+        yield range(start, stop)
+        start, size = stop, 2 * size
+
+
 def sample_point(form: ExtensionForm, seed=0, max_attempts: int = 100,
                  tol: float = DEFAULT_TOL) -> SampleResult:
     """Search for a compatible structure pair for the given form.
@@ -152,36 +187,45 @@ def sample_point(form: ExtensionForm, seed=0, max_attempts: int = 100,
     passes.  seed is a non-negative integer or sequence of them; attempts use
     per-attempt derived seeds, so they are independent and the first success
     (lowest attempt index) is returned deterministically.
+
+    Attempts are screened in batches of doubling size (1, 2, 4, ... up to
+    max_attempts): each batch draws its bases with random_periods, takes the
+    pairwise values of all of them in one einsum and their ranks from one
+    stacked SVD.  Only the attempts whose rank is at most d are completed and
+    checked, one by one in attempt order.  Every attempt keeps its own
+    generator, so the result is the same as trying the attempts one at a
+    time.
     """
     d = form.fibre_rank // 2
     m = form.base_rank // 2
     prefix = _seed_prefix(seed)
+    coeff = form.coefficients.astype(complex)
     best_residual = None
-    for attempt in range(1, max_attempts + 1):
-        rng = np.random.default_rng(prefix + [attempt])
-        base = random_structure(m, rng)
-        _, values = pairwise_values(form, base)
-        stacked = values.T  # ambient coordinates in rows -> vectors in columns
-        if stacked.size:
-            u_svd, sing, _ = np.linalg.svd(stacked, full_matrices=True)
-            rank = int(np.sum(sing > tol * sing[0])) if sing[0] > 0 else 0
-        else:
-            u_svd = np.eye(2 * d, dtype=complex)
-            rank = 0
-        if rank > d:
-            continue
-        padding = rng.standard_normal((2 * d, d - rank)) \
-            + 1j * rng.standard_normal((2 * d, d - rank))
-        candidate = np.hstack([u_svd[:, :rank], padding])
-        # QR keeps leading column spans, so the candidate still contains the
-        # span of the pairwise values.
-        q, _ = np.linalg.qr(candidate)
-        fibre = ComplexStructure(q)
-        if not validate_structure(fibre, tol):
-            continue
-        verdict = riemann_check(form, base, fibre, tol)
-        if best_residual is None or verdict.residual < best_residual:
-            best_residual = verdict.residual
-        if verdict.member:
-            return SampleResult(True, base, fibre, attempt, verdict.residual)
+    for chunk in _chunks(max_attempts):
+        rngs = [np.random.default_rng(prefix + [attempt]) for attempt in chunk]
+        periods, valid = random_periods(m, rngs)
+        values = _pair_values(coeff, periods)  # (attempt, ambient row, pair)
+        # With no pairs (m = 1) every rank is 0 and u_svd is the identity.
+        # Singular values come sorted, so all-zero values have rank 0 too.
+        u_svd, sing, _ = np.linalg.svd(values, full_matrices=True)
+        ranks = (sing > tol * sing[:, :1]).sum(axis=1)
+        for a in ((ranks <= d) | ~valid).nonzero()[0]:
+            if not valid[a]:
+                raise draws_exhausted(m)
+            rng, rank = rngs[a], int(ranks[a])
+            padding = rng.standard_normal((2 * d, d - rank)) \
+                + 1j * rng.standard_normal((2 * d, d - rank))
+            candidate = np.hstack([u_svd[a, :, :rank], padding])
+            # QR keeps leading column spans, so the candidate still contains
+            # the span of the pairwise values.
+            q, _ = np.linalg.qr(candidate)
+            fibre = ComplexStructure(q)
+            if not validate_structure(fibre, tol):
+                continue
+            base = ComplexStructure(periods[a])
+            verdict = riemann_check(form, base, fibre, tol)
+            if best_residual is None or verdict.residual < best_residual:
+                best_residual = verdict.residual
+            if verdict.member:
+                return SampleResult(True, base, fibre, chunk[a], verdict.residual)
     return SampleResult(False, None, None, max_attempts, best_residual)

@@ -466,6 +466,36 @@ def test_group_rejects_bad_elements(tmp_path, capsys, element):
     assert err.startswith("error:")
 
 
+def test_group_rejects_string_form_entries(tmp_path, capsys):
+    path = _write(tmp_path, "strings.json",
+                  '{"m":1,"d":1,"A":[[["0","1"],["-1","0"]],[[0,0],[0,0]]]}')
+    code, out, err = _run(capsys, ["group", path, "e1", "e2"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: 'A' entries must be numbers\n"
+
+
+@pytest.mark.parametrize("g1", ["123456789012345678901,0/1,0,0,0",
+                                "0,0/1,0,-9223372036854775809,0"])
+def test_group_rejects_out_of_range_coordinates(tmp_path, capsys, g1):
+    path = _write(tmp_path, "form.json", _form_only_doc())
+    code, out, err = _run(capsys, ["group", path, g1, "1,0/0,0,1,0"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "int64 range" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+def test_group_keeps_int64_extreme_coordinates(tmp_path, capsys):
+    path = _write(tmp_path, "form.json", _form_only_doc())
+    code, out, _ = _run(capsys, ["group", path, "9223372036854775807,0/0,0,0,0",
+                                 "0,-9223372036854775808/0,0,0,0"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["g1"]["fibre"] == [2 ** 63 - 1, 0]
+    assert payload["g2"]["fibre"] == [0, -2 ** 63]
+
+
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -536,6 +566,37 @@ def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["no-such-command"])
     assert excinfo.value.code == 1
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr("tbi.cli.build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert cli.main(["catalog", "iwasawa"]) == 0
+        assert cli.main(["curve", "--genus", "2", "--fibre-dim", "1"]) == 0
+        assert len(built) == 1
+        # a usage error after a successful call still exits 1
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["catalog", "no-such-name"])
+        assert excinfo.value.code == 1
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+
+
+def test_handlers_are_resolved_at_call_time(monkeypatch, capsys):
+    cli.main(["catalog", "iwasawa"])  # the cached parser exists from here on
+    monkeypatch.setattr("tbi.cli.cmd_curve", lambda args: 42)
+    assert cli.main(["curve", "--genus", "2", "--fibre-dim", "1"]) == 42
+    capsys.readouterr()
 
 
 def test_version_flag():

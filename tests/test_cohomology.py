@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import tbi.cohomology
 from tbi import (BundleDatum, bundle_report, classify_blocks, closed_forms_dim,
                  h0_forms, h1_structure_sheaf, is_parallelizable,
                  kodaira_spencer_report, leray_table, numerical_rank,
@@ -406,6 +407,38 @@ def test_theta_cohomology_matches_table(iwasawa):
     tangent = tangent_table(iwasawa, table)
     for degree, dim in enumerate(tangent.dims):
         assert theta_cohomology(iwasawa, degree, table).dim == dim
+
+
+def _count_table_builds(monkeypatch):
+    builds = {"leray_table": 0, "tangent_table": 0}
+    for name in builds:
+        original = getattr(tbi.cohomology, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            builds[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(tbi.cohomology, name, counting)
+    return builds
+
+
+def test_theta_cohomology_takes_built_tables(iwasawa, monkeypatch):
+    table = leray_table(iwasawa)
+    tangent = tangent_table(iwasawa, table)
+    builds = _count_table_builds(monkeypatch)
+    dims = [theta_cohomology(iwasawa, degree, table, tangent).dim for degree in range(4)]
+    assert dims == list(tangent.dims) == [3, 6, 6, 3]
+    assert builds == {"leray_table": 0, "tangent_table": 0}
+    # given only the spectral table, each degree builds the tangent table
+    for degree in range(4):
+        theta_cohomology(iwasawa, degree, table)
+    assert builds == {"leray_table": 0, "tangent_table": 4}
+
+
+def test_kodaira_spencer_report_builds_each_table_once(iwasawa, monkeypatch):
+    builds = _count_table_builds(monkeypatch)
+    assert kodaira_spencer_report(iwasawa).h1_tangent == 6
+    assert builds == {"leray_table": 1, "tangent_table": 1}
 
 
 @pytest.mark.parametrize("degree", [-1, 4])

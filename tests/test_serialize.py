@@ -147,6 +147,17 @@ def test_parse_rejects_non_numeric_form():
         parse_input(json.dumps(doc))
 
 
+@pytest.mark.parametrize("entries", [
+    [[["0", "1"], ["-1", "0"]], [[0, 0], [0, 0]]],
+    [[[0, 1.5], ["-1.5", 0]], [[0, 0], [0, 0]]],
+    [[[0, True], [-1, 0]], [[0, 0], [0, 0]]],
+])
+def test_parse_rejects_strings_and_booleans_in_form(entries):
+    # float("1") and int(True) would succeed; only JSON numbers are entries.
+    with pytest.raises(ParseError, match="'A' entries must be numbers"):
+        parse_input(json.dumps(_zero_doc(A=entries)), require_structures=False)
+
+
 def test_parse_rejects_non_alternating_form():
     doc = _zero_doc(A=[[[0, 5], [7, 0]], [[0, 0], [0, 0]]])
     with pytest.raises(FormInvalidError, match=r"\(k=1, i=1, j=2\)"):
