@@ -144,7 +144,7 @@ def _report_document(datum: BundleDatum, data: bytes, table: SpectralTable) -> d
             }
             for decision in report.decisions
         ],
-        "warnings": list(report.warnings),
+        "warnings": [decision.warning for decision in report.decisions if decision.near],
     }
 
 

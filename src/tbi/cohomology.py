@@ -12,9 +12,11 @@ integer arrays: each d2 block is one scatter through them, and each level
 map is applied to the representatives by gathers, block by block, so no
 operator on a whole degree space is ever built.
 
-All rank decisions record the smallest singular value kept and the largest
-discarded, so a dimension jump can be traced to the singular value that
-caused it.  Every matrix is decomposed once: its rank, kernel and image come
+Every rank decision is one RankDecision record: the smallest singular value
+kept, the largest discarded, the threshold, and how many singular values lie
+within a factor 10 of the threshold, so a dimension jump can be traced to the
+singular value that caused it and a borderline cut is flagged by its own
+record.  Every matrix is decomposed once: its rank, kernel and image come
 from the same SVD.
 """
 
@@ -33,16 +35,24 @@ _NEAR_FACTOR = 10.0  # singular values within this factor of the cut are flagged
 
 @dataclass(frozen=True)
 class RankDecision:
-    """Audit record for one numerical rank determination."""
+    """Audit record for one numerical rank determination.  near counts the
+    singular values strictly within a factor _NEAR_FACTOR of the threshold
+    (0 when there are none or the threshold is 0)."""
 
     label: str
     rank: int
     smallest_kept: float
     largest_dropped: float
     threshold: float
+    near: int
+
+    @property
+    def warning(self) -> str:
+        return (f"rank decision '{self.label}': {self.near} singular value(s) "
+                f"within a factor {_NEAR_FACTOR:g} of the threshold {self.threshold:.3e}")
 
 
-def numerical_rank(matrix, tol, scale, label, decisions=None, warnings=None) -> int:
+def numerical_rank(matrix, tol, scale, label, decisions=None) -> int:
     """Rank by singular values, cut at tol * max(scale, largest value).
 
     Measuring against an external scale (typically the max-norm of the whole
@@ -51,30 +61,20 @@ def numerical_rank(matrix, tol, scale, label, decisions=None, warnings=None) -> 
     """
     matrix = np.asarray(matrix)
     sing = np.linalg.svd(matrix, compute_uv=False) if matrix.size else np.zeros(0)
-    return _rank_from_singular_values(sing, tol, scale, label, decisions, warnings)
+    return _rank_from_singular_values(sing, tol, scale, label, decisions)
 
 
-def _rank_from_singular_values(sing, tol, scale, label, decisions=None,
-                               warnings=None) -> int:
+def _rank_from_singular_values(sing, tol, scale, label, decisions=None) -> int:
     """The rank decision of numerical_rank, on descending singular values
     that the caller already has (empty for an empty matrix)."""
-    if sing.size == 0:
-        if decisions is not None:
-            decisions.append(RankDecision(label, 0, 0.0, 0.0, 0.0))
-        return 0
-    threshold = tol * max(scale, float(sing[0]))
+    threshold = tol * max(scale, float(sing[0])) if sing.size else 0.0
     rank = int(np.sum(sing > threshold))
-    smallest_kept = float(sing[rank - 1]) if rank else 0.0
-    largest_dropped = float(sing[rank]) if rank < sing.size else 0.0
     if decisions is not None:
-        decisions.append(RankDecision(label, rank, smallest_kept, largest_dropped, threshold))
-    if warnings is not None and threshold > 0:
-        near = (sing > threshold / _NEAR_FACTOR) & (sing < threshold * _NEAR_FACTOR)
-        if np.any(near):
-            warnings.append(
-                f"rank decision '{label}': {int(np.sum(near))} singular value(s) "
-                f"within a factor {_NEAR_FACTOR:g} of the threshold {threshold:.3e}"
-            )
+        smallest_kept = float(sing[rank - 1]) if rank else 0.0
+        largest_dropped = float(sing[rank]) if rank < sing.size else 0.0
+        near = int(np.sum((sing > threshold / _NEAR_FACTOR) & (sing < threshold * _NEAR_FACTOR)))
+        decisions.append(RankDecision(label, rank, smallest_kept, largest_dropped,
+                                      threshold, near))
     return rank
 
 
@@ -104,34 +104,34 @@ def _holomorphic_flat(datum: BundleDatum) -> np.ndarray:
     return split.holomorphic.reshape(d, -1)
 
 
-def h0_forms(datum: BundleDatum, decisions=None, warnings=None) -> OneFormsSpace:
+def h0_forms(datum: BundleDatum, decisions=None) -> OneFormsSpace:
     """Global 1-forms: the m base forms always survive; a fibre functional
     survives exactly when it annihilates the image of the hermitian block."""
     split = datum.split
     flat = _hermitian_flat(datum)
     u, sing, _ = np.linalg.svd(flat)
     rank = _rank_from_singular_values(sing, datum.tol, split.scale, "hermitian block",
-                                      decisions, warnings)
+                                      decisions)
     annihilator = u[:, rank:].conj().T
     return OneFormsSpace(split.base_half_rank + split.fibre_half_rank - rank, annihilator)
 
 
-def closed_forms_dim(datum: BundleDatum, decisions=None, warnings=None) -> int:
+def closed_forms_dim(datum: BundleDatum, decisions=None) -> int:
     """Closed global 1-forms: the fibre functional must annihilate both the
     holomorphic and the hermitian block images."""
     split = datum.split
     combined = np.concatenate([_holomorphic_flat(datum), _hermitian_flat(datum)], axis=1)
     rank = numerical_rank(combined, datum.tol, split.scale,
-                          "holomorphic+hermitian blocks", decisions, warnings)
+                          "holomorphic+hermitian blocks", decisions)
     return split.base_half_rank + split.fibre_half_rank - rank
 
 
-def h1_structure_sheaf(datum: BundleDatum, decisions=None, warnings=None) -> int:
+def h1_structure_sheaf(datum: BundleDatum, decisions=None) -> int:
     """First cohomology of the structure sheaf: m plus the corank of the
     holomorphic block as a map from fibre functionals to base two-forms."""
     split = datum.split
     rank = numerical_rank(_holomorphic_flat(datum), datum.tol, split.scale,
-                          "holomorphic block", decisions, warnings)
+                          "holomorphic block", decisions)
     return split.base_half_rank + split.fibre_half_rank - rank
 
 
@@ -198,7 +198,6 @@ class SpectralTable:
     representatives: dict
     images: dict
     decisions: tuple
-    warnings: tuple
 
     @property
     def base_degrees(self) -> int:
@@ -269,7 +268,6 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
                    for i in range(m + 1)], dtype=np.int64)
 
     decisions: list = []
-    warnings: list = []
     d2 = {}
     ranks = {}
     kernels = {}
@@ -279,7 +277,7 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
             block = _d2_block(conj_two_forms, m, d, i, j)
             u, sing, vh = np.linalg.svd(block)
             rank = _rank_from_singular_values(
-                sing, tol, scale, f"d2 out of ({i},{j})", decisions, warnings)
+                sing, tol, scale, f"d2 out of ({i},{j})", decisions)
             d2[(i, j)] = block
             ranks[(i, j)] = rank
             kernels[(i, j)] = vh[rank:].conj().T
@@ -315,8 +313,7 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
             else:
                 sing = np.zeros(0)
             overlap_rank = _rank_from_singular_values(
-                sing, tol, 1.0, f"image/kernel overlap at ({i},{j})",
-                decisions, warnings)
+                sing, tol, 1.0, f"image/kernel overlap at ({i},{j})", decisions)
             if overlap_rank != rank_in:
                 raise ToleranceAmbiguityError(
                     f"spectral block ({i},{j}): image does not lie in the kernel "
@@ -331,8 +328,7 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
                 )
             representatives[(i, j)] = reps
 
-    return SpectralTable(e2, d2, e3, representatives, images,
-                         tuple(decisions), tuple(warnings))
+    return SpectralTable(e2, d2, e3, representatives, images, tuple(decisions))
 
 
 def structure_sheaf_dims(datum: BundleDatum, table: SpectralTable | None = None) -> list:
@@ -367,7 +363,6 @@ class TangentTable:
     level_ranks: tuple
     twist_residual: float
     decisions: tuple
-    warnings: tuple
 
 
 def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> TangentTable:
@@ -389,7 +384,6 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     total = m + d
 
     decisions: list = []
-    warnings: list = []
     h = table.total_dims(3)
     reps = table.representatives
 
@@ -398,8 +392,8 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     for p in range(total + 1):
         label = f"level map at degree {p}"
         if p + 1 > total or h[p] == 0:
-            level_ranks.append(0)
-            decisions.append(RankDecision(label, 0, 0.0, 0.0, 0.0))
+            level_ranks.append(_rank_from_singular_values(np.zeros(0), tol, scale, label,
+                                                          decisions))
             continue
         # The level map keeps the fibre degree j, so up to a permutation of
         # rows and columns its matrix is a direct sum of one piece per j, from
@@ -436,15 +430,13 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
         if singular_values:
             merged = np.sort(np.concatenate(singular_values))[::-1]
             sing[:merged.size] = merged
-        level_ranks.append(_rank_from_singular_values(
-            sing, tol, scale, label, decisions, warnings))
+        level_ranks.append(_rank_from_singular_values(sing, tol, scale, label, decisions))
 
     dims = []
     for p in range(total + 1):
         from_below = level_ranks[p - 1] if p >= 1 else 0
         dims.append((d * h[p] - from_below) + (m * h[p] - level_ranks[p]))
-    return TangentTable(tuple(dims), tuple(level_ranks), twist,
-                        tuple(decisions), tuple(warnings))
+    return TangentTable(tuple(dims), tuple(level_ranks), twist, tuple(decisions))
 
 
 @dataclass(frozen=True)
@@ -534,24 +526,18 @@ class CohomologyReport:
     classification: str | None
     twist_residual: float
     decisions: tuple
-    warnings: tuple
 
 
 def bundle_report(datum: BundleDatum, table: SpectralTable | None = None) -> CohomologyReport:
     """Run every dimension computation once and collect the audit trail;
     table, when given, is leray_table(datum) already built."""
     decisions: list = []
-    warnings: list = []
-    forms = h0_forms(datum, decisions, warnings)
-    closed = closed_forms_dim(datum, decisions, warnings)
-    h1 = h1_structure_sheaf(datum, decisions, warnings)
+    forms = h0_forms(datum, decisions)
+    closed = closed_forms_dim(datum, decisions)
+    h1 = h1_structure_sheaf(datum, decisions)
     if table is None:
         table = leray_table(datum)
-    decisions.extend(table.decisions)
-    warnings.extend(table.warnings)
     tangent = tangent_table(datum, table)
-    decisions.extend(tangent.decisions)
-    warnings.extend(tangent.warnings)
     m = datum.split.base_half_rank
     return CohomologyReport(
         h_structure=tuple(table.total_dims(3)),
@@ -563,6 +549,5 @@ def bundle_report(datum: BundleDatum, table: SpectralTable | None = None) -> Coh
         deformation_target=m * m + m,
         classification=classify_blocks(datum),
         twist_residual=tangent.twist_residual,
-        decisions=tuple(decisions),
-        warnings=tuple(warnings),
+        decisions=tuple(decisions) + table.decisions + tangent.decisions,
     )

@@ -55,9 +55,11 @@ def divisibility_index(chern_vector) -> int:
     entries = np.asarray(chern_vector)
     if entries.ndim != 1:
         raise ValueError("chern vector must be one-dimensional")
-    if not np.issubdtype(entries.dtype, np.integer):
-        rounded = np.rint(entries)
-        if not np.array_equal(rounded, entries):
-            raise ValueError("chern vector entries must be integers")
-        entries = rounded.astype(np.int64)
-    return math.gcd(*(int(x) for x in entries)) if entries.size else 0
+    values = entries.tolist()
+    try:
+        exact = [int(x) for x in values]  # Python ints: no int64 bound
+    except (TypeError, ValueError, OverflowError):
+        exact = None
+    if exact != values:
+        raise ValueError("chern vector entries must be integers")
+    return math.gcd(*exact)

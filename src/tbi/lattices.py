@@ -51,14 +51,7 @@ class ExtensionForm:
             raise FormInvalidError(
                 f"lattice ranks must be even and positive, got shape {coeff.shape}"
             )
-        if not np.issubdtype(coeff.dtype, np.integer):
-            rounded = np.rint(coeff)
-            if not np.array_equal(rounded, coeff):
-                raise FormInvalidError("coefficients must be integers")
-            coeff = rounded
-        if coeff.size and not (-INT64_BOUND <= coeff.min() and coeff.max() < INT64_BOUND):
-            raise FormInvalidError("coefficients must lie in the int64 range [-2**63, 2**63)")
-        coeff = coeff.astype(np.int64)
+        coeff = _int64_array(coeff, "coefficients", FormInvalidError)
         coeff.setflags(write=False)
         object.__setattr__(self, "coefficients", coeff)
 
@@ -116,14 +109,30 @@ class GroupElement:
         )
 
 
+def _int64_array(values, name, error=ValueError) -> np.ndarray:
+    """values as a new int64 array.  Signed-integer input is cast as it is;
+    any other entry is compared as an exact Python number, and error is
+    raised unless it is an integer in [-2**63, 2**63)."""
+    arr = np.asarray(values)
+    if np.issubdtype(arr.dtype, np.signedinteger):
+        return arr.astype(np.int64)
+    out_of_range = f"{name} must lie in the int64 range [-2**63, 2**63)"
+    entries = arr.ravel().tolist()
+    try:
+        exact = [int(x) for x in entries]
+    except OverflowError:  # an infinity
+        raise error(out_of_range) from None
+    except (TypeError, ValueError):  # NaN, strings, complex numbers
+        exact = None
+    if exact != entries:
+        raise error(f"{name} must be integers")
+    if not all(-INT64_BOUND <= x < INT64_BOUND for x in exact):
+        raise error(out_of_range)
+    return np.array(exact, dtype=np.int64).reshape(arr.shape)
+
+
 def _int_vector(v, length, name):
-    arr = np.asarray(v)
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.array_equal(rounded, arr):
-            raise ValueError(f"{name} must be an integer vector")
-        arr = rounded
-    arr = arr.astype(np.int64)
+    arr = _int64_array(v, name)
     if arr.ndim != 1 or (length is not None and arr.shape[0] != length):
         raise ValueError(f"{name} must be a vector of length {length}, got shape {arr.shape}")
     arr.setflags(write=False)

@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 
 import tbi
-from tbi import ComplexStructure, ExtensionForm, standard_structure
+from tbi import BundleDatum, ComplexStructure, ExtensionForm, standard_structure
 
 
 def subprocess_env():
@@ -57,6 +57,37 @@ def gaussian_bilinear_form(m, coeffs) -> ExtensionForm:
             tensor[0, i, j] = int(round(value.real))
             tensor[1, i, j] = int(round(value.imag))
     return ExtensionForm(tensor)
+
+
+def gaussian_member(rng, kind, m, d) -> BundleDatum:
+    """Member on Z[i]^m over Z[i]^d with the standard structures.  Fibre
+    component c of the form is x^T B_c y + Im(x* H_c y), in the real
+    coordinate of that component, with B_c antisymmetric and H_c hermitian
+    Gaussian-integer matrices drawn until they have full generic rank.  kind
+    "pure_hermitian" sets every B_c to zero, "zero_hermitian" every H_c; no
+    part has a (0,2) piece, so the standard structures are compatible, and the
+    ranks of B and H sit far from any threshold."""
+    def gaussian(shape):
+        return rng.integers(-2, 3, size=shape) + 1j * rng.integers(-2, 3, size=shape)
+
+    b = np.zeros((d, m, m), dtype=complex)
+    h = b.copy()
+    while kind != "pure_hermitian" and any(np.linalg.matrix_rank(x) < m - m % 2 for x in b):
+        upper = np.triu(gaussian((d, m, m)), 1)
+        b = upper - upper.transpose(0, 2, 1)
+    while kind != "zero_hermitian" and any(np.linalg.matrix_rank(x) < m for x in h):
+        upper = np.triu(gaussian((d, m, m)), 1)
+        h = upper + upper.conj().transpose(0, 2, 1) + np.diag(rng.integers(-2, 3, size=m))
+    units = np.zeros((2 * m, m), dtype=complex)  # row k: the k-th real generator
+    units[0::2] = np.eye(m)
+    units[1::2] = 1j * np.eye(m)
+    holomorphic = np.einsum("ia,cab,jb->cij", units, b, units)
+    hermitian = np.einsum("ia,cab,jb->cij", units.conj(), h, units).imag
+    tensor = np.zeros((2 * d, 2 * m, 2 * m))
+    tensor[0::2] = holomorphic.real + hermitian
+    tensor[1::2] = holomorphic.imag
+    form = ExtensionForm(np.rint(tensor).astype(np.int64))
+    return BundleDatum.checked(form, standard_structure(m), standard_structure(d))
 
 
 def unimodular_matrix(rng, n, steps=None) -> np.ndarray:

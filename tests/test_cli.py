@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import shutil
@@ -9,10 +10,10 @@ import numpy as np
 import pytest
 
 import tbi
-from tbi import ToleranceAmbiguityError, dumps, input_document, iwasawa_datum
+from tbi import ToleranceAmbiguityError, dumps, input_document, iwasawa_datum, sample_point
 from tbi import cli
 
-from support import subprocess_env
+from support import random_alternating_form, subprocess_env
 
 try:
     import tomllib
@@ -270,6 +271,46 @@ def test_invariants_deterministic_in_process(tmp_path, capsys):
     _, first, _ = _run(capsys, ["invariants", path])
     _, second, _ = _run(capsys, ["invariants", path])
     assert first == second
+
+
+def _sampled_member_doc(seed):
+    form = random_alternating_form(np.random.default_rng(seed), 2, 1)
+    result = sample_point(form, seed=seed)
+    return input_document(form, result.base, result.fibre)
+
+
+NEAR_THRESHOLD_DOCS = {"iwasawa": _iwasawa_doc, "sampled-89": lambda: _sampled_member_doc(89)}
+
+
+# At these coarse tolerances some rank decisions land within a factor 10 of
+# their cut, so the report carries warnings.  Columns: document, tol, number
+# of warnings, and the sha256 of `tbi invariants` stdout in json and in table
+# format, recorded before the warnings were derived from the rank decisions.
+@pytest.mark.parametrize("name,tol,count,json_digest,table_digest", [
+    pytest.param("iwasawa", 0.3, 4,
+                 "e3d392b81844bd82ee74e0896da0fc1eae34a7fbee01c8d43596a36b0becebb5",
+                 "7e445e68c386be763850248157875313f1376984622f7183dc9c1bacfa2b2df5",
+                 id="iwasawa-0.3"),
+    pytest.param("iwasawa", 0.1, 2,
+                 "ea223930e70aeae288de13afdf0c7824e14a725c936f6b488ae54be271d696ad",
+                 "a801ecd2dec67a244c46ea804f05384368205bfbf6ac1b2c102aa32f1e73611b",
+                 id="iwasawa-0.1"),
+    pytest.param("sampled-89", 0.1, 5,
+                 "7c2d2339e68f858f913efe2916206d6902b31e059f57c76412bc8e7d217a4ce0",
+                 "4286ed648e2c9f99841b30bd6ea4c49c9237f8531d11cd4c813f88949e2efef0",
+                 id="sampled-89-0.1"),
+])
+def test_invariants_near_threshold_stdout_frozen(tmp_path, capsys, name, tol, count,
+                                                 json_digest, table_digest):
+    path = _write(tmp_path, "doc.json", dict(NEAR_THRESHOLD_DOCS[name](), tol=tol))
+    code, out, err = _run(capsys, ["invariants", path])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["warnings"]) == count
+    assert hashlib.sha256(out.encode()).hexdigest() == json_digest
+    code, out, err = _run(capsys, ["invariants", path, "--format", "table"])
+    assert (code, err) == (0, "")
+    assert sum(line.startswith("warning: ") for line in out.splitlines()) == count
+    assert hashlib.sha256(out.encode()).hexdigest() == table_digest
 
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"

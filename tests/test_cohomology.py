@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -5,15 +6,15 @@ import numpy as np
 import pytest
 
 import tbi.cohomology
-from tbi import (BundleDatum, bundle_report, classify_blocks, closed_forms_dim,
-                 h0_forms, h1_structure_sheaf, is_parallelizable,
-                 kodaira_spencer_report, leray_table, numerical_rank,
+from tbi import (BundleDatum, ComplexStructure, ExtensionForm, bundle_report,
+                 classify_blocks, closed_forms_dim, h0_forms, h1_structure_sheaf,
+                 is_parallelizable, kodaira_spencer_report, leray_table, numerical_rank,
                  product_datum, random_structure, sample_point,
                  structure_sheaf_dims, tangent_table, theta_cohomology)
 
 from tbi.cohomology import _wedge_map, _wedge_one_form
 
-from support import random_alternating_form, transported_case1
+from support import gaussian_member, random_alternating_form, transported_case1
 
 
 def _random_datum(seed, m, d):
@@ -47,11 +48,23 @@ def test_numerical_rank_records_decision():
 
 
 def test_numerical_rank_near_threshold_warns():
-    warnings = []
-    rank = numerical_rank(np.diag([1.0, 5e-9]), 1e-9, 1.0, "close", None, warnings)
+    decisions = []
+    rank = numerical_rank(np.diag([1.0, 5e-9]), 1e-9, 1.0, "close", decisions)
     assert rank == 2
-    assert len(warnings) == 1
-    assert "close" in warnings[0]
+    (decision,) = decisions
+    assert decision.near == 1
+    assert "close" in decision.warning
+
+
+def test_rank_decision_near_counts_strictly_within_the_factor():
+    # threshold 2**-10; 10 * 2**-10 and 2**-10 / 10 sit on the factor's edges
+    decisions = []
+    cut = 2.0 ** -10
+    numerical_rank(np.diag([1.0, 10 * cut, 3 * cut, cut / 10]), cut, 1.0, "edges", decisions)
+    numerical_rank(np.zeros((0, 3)), 1e-9, 1.0, "empty", decisions)
+    numerical_rank(np.zeros((2, 2)), 1e-9, 0.0, "zero threshold", decisions)
+    assert [(x.rank, x.threshold, x.near) for x in decisions] == \
+        [(3, cut, 1), (0, 0.0, 0), (0, 0.0, 0)]
 
 
 def test_numerical_rank_external_scale_suppresses_noise():
@@ -492,7 +505,7 @@ def test_bundle_report_fields(iwasawa):
     assert report.deformation_target == 6
     assert report.classification == "zero_hermitian"
     assert report.twist_residual == 0.0
-    assert report.warnings == ()
+    assert not any(decision.near for decision in report.decisions)
     labels = [decision.label for decision in report.decisions]
     assert "hermitian block" in labels
     assert "holomorphic block" in labels
@@ -505,3 +518,54 @@ def test_bundle_report_endpoints_are_one():
         assert report.h_structure[-1] == 1
         assert len(report.h_structure) == \
             datum.split.base_half_rank + datum.split.fibre_half_rank + 1
+
+
+# ---------------------------------------------------------------------------
+# Künneth oracle
+#
+# A datum built as A1 ⊕ A2 with block-diagonal V and U is the product of the
+# two bundles.  Its structure-sheaf dimensions are the convolution of the
+# factors', and since the tangent sheaf of a product is the sum of the pulled
+# back tangent sheaves, h(Θ) = h1(Θ) * h2(O) + h1(O) * h2(Θ).  Nilmanifolds
+# have a trivial canonical bundle, so Serre duality gives h^n(Θ) = h^0(Ω^1).
+
+KUNNETH_MEMBERS = [(kind, m, d) for kind in ("mixed", "pure_hermitian", "zero_hermitian")
+                   for m, d in ((2, 1), (3, 1), (2, 2))]
+
+
+def _block_diagonal(first, second):
+    """first in the leading corner and second in the trailing one, along
+    every axis: the fibre and both base axes of a form, both axes of V."""
+    out = np.zeros(np.add(first.shape, second.shape), dtype=np.result_type(first, second))
+    out[tuple(slice(0, n) for n in first.shape)] = first
+    out[tuple(slice(n, None) for n in first.shape)] = second
+    return out
+
+
+def _direct_sum(first, second):
+    return BundleDatum.checked(
+        ExtensionForm(_block_diagonal(first.form.coefficients, second.form.coefficients)),
+        ComplexStructure(_block_diagonal(first.base.period, second.base.period)),
+        ComplexStructure(_block_diagonal(first.fibre.period, second.fibre.period)))
+
+
+@functools.cache
+def _kunneth_factor(key):
+    kind, m, d = key
+    datum = gaussian_member(np.random.default_rng(KUNNETH_MEMBERS.index(key)), kind, m, d)
+    report = bundle_report(datum)
+    assert report.classification in (kind, None)  # None: d > 1
+    return datum, report
+
+
+@pytest.mark.parametrize("first,second", itertools.combinations(KUNNETH_MEMBERS, 2),
+                         ids=lambda key: "{}-{}-{}".format(*key))
+def test_kunneth_product_of_members(first, second):
+    (datum_one, one), (datum_two, two) = _kunneth_factor(first), _kunneth_factor(second)
+    product = bundle_report(_direct_sum(datum_one, datum_two))
+    assert list(product.h_structure) == np.convolve(one.h_structure, two.h_structure).tolist()
+    expected = (np.convolve(one.h_tangent, two.h_structure)
+                + np.convolve(one.h_structure, two.h_tangent))
+    assert list(product.h_tangent) == expected.tolist()
+    for report in (one, two, product):
+        assert report.h_tangent[-1] == report.h0_one_forms

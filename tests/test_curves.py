@@ -61,6 +61,23 @@ def test_divisibility_rejects_non_integers():
         divisibility_index((1.5, 2.0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_divisibility_beyond_int64_is_exact():
+    assert divisibility_index([2 ** 70, 4]) == 4
+    assert divisibility_index([3 * 2 ** 70, -6 * 2 ** 70]) == 3 * 2 ** 70
+    assert divisibility_index([2.0 ** 70, 2.0 ** 69]) == 2 ** 69
+    bundle = CurveBundleClass(genus=2, fibre_dim=1, chern_vector=(2 ** 70, 0))
+    assert bundle.divisibility == 2 ** 70
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entries", [(float("inf"), 2), (float("nan"), 2), ("2", 4),
+                                     (2 ** 70, 0.5)])
+def test_divisibility_rejects_non_integers_with_value_error(entries):
+    with pytest.raises(ValueError, match="integers"):
+        divisibility_index(entries)
+
+
 def test_curve_bundle_class():
     bundle = CurveBundleClass(genus=2, fibre_dim=1, chern_vector=(2, -4))
     assert bundle.divisibility == 2

@@ -40,6 +40,19 @@ def test_out_of_int64_range_entries_rejected(value):
         ExtensionForm(coefficients)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value,message", [
+    (2 ** 70, "int64 range"), (-2 ** 63 - 1, "int64 range"), (0.5, "integers"),
+])
+def test_python_int_and_object_entries_coerced_exactly(value, message):
+    coefficients = np.zeros((2, 2, 2), dtype=object)
+    coefficients[0, 0, 1], coefficients[0, 1, 0] = value, -value
+    with pytest.raises(FormInvalidError, match=message):
+        ExtensionForm(coefficients)
+    coefficients[0, 0, 1], coefficients[0, 1, 0] = 2 ** 62, -2 ** 62
+    assert ExtensionForm(coefficients).coefficients[0, 0, 1] == 2 ** 62
+
+
 def test_validate_form_does_not_wrap_int64_min():
     low = np.iinfo(np.int64).min
     form = ExtensionForm(np.array([[[0, low], [low, 0]], [[0, 0], [0, 0]]]))
@@ -105,6 +118,35 @@ def test_element_equality():
     c = GroupElement([1, 0], [1, 0, 0, 0])
     assert a == b
     assert a != c
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fibre,message", [
+    ([2 ** 70, 0], "int64 range"), ([2 ** 63, 0], "int64 range"),
+    ([-2 ** 63 - 1, 0], "int64 range"), ([1e300, 0], "int64 range"),
+    ([float("inf"), 0], "int64 range"), ([float("nan"), 0], "integers"),
+    ([0.5, 0], "integers"), (["1", 0], "integers"), ([1 + 1j, 0], "integers"),
+])
+def test_element_rejects_entries_outside_int64(fibre, message):
+    with pytest.raises(ValueError, match=message):
+        GroupElement(fibre, [0, 0, 0, 0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_element_keeps_int64_extremes():
+    g = GroupElement([2 ** 63 - 1, -2 ** 63], np.array([1.0, 0.0, -3.0, 2.0 ** 62]))
+    assert g.fibre.tolist() == [2 ** 63 - 1, -2 ** 63]
+    assert g.base.tolist() == [1, 0, -3, 2 ** 62]
+    assert g.fibre.dtype == g.base.dtype == np.int64
+
+
+@pytest.mark.filterwarnings("error")
+def test_form_call_and_cocycle_reject_entries_outside_int64():
+    form = iwasawa_form()
+    with pytest.raises(ValueError, match="int64 range"):
+        form([1e300, 0, 0, 0], [0, 0, 1, 0])
+    with pytest.raises(ValueError, match="int64 range"):
+        extension_cocycle(form, [0, 0, 1, 0], [2 ** 70, 0, 0, 0])
 
 
 def test_cocycle_strictly_upper_triangular():
