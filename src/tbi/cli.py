@@ -27,7 +27,7 @@ from .catalog import CATALOG_NAMES, catalog_datum
 from .cohomology import SpectralTable, bundle_report, leray_table
 from .curves import divisibility_index, kuranishi_dim
 from .decomposition import BundleDatum
-from .errors import ParseError, TbiError
+from .errors import ParseError, TbiError, ToleranceAmbiguityError
 from .lattices import (INT64_BOUND, GroupElement, basis_lift, central_lift, commutator,
                        group_inverse, group_multiply)
 from .periods import DEFAULT_TOL
@@ -444,3 +444,7 @@ def main(argv=None) -> int:
     except TbiError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except np.linalg.LinAlgError as exc:
+        # A decomposition that did not converge leaves no rank to trust.
+        print(f"error: {exc}", file=sys.stderr)
+        return ToleranceAmbiguityError.exit_code

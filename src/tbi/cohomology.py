@@ -18,6 +18,16 @@ within a factor 10 of the threshold, so a dimension jump can be traced to the
 singular value that caused it and a borderline cut is flagged by its own
 record.  Every matrix is decomposed once: its rank, kernel and image come
 from the same SVD.
+
+Every table matrix (d2 block, image/kernel overlap, level-map piece) is
+decomposed in its tall orientation by _svd: a wide matrix goes to LAPACK as
+its adjoint, whose factors are those of the matrix with u and vh swapped
+(as its transpose when only singular values are wanted).  A tall matrix is
+first reduced to a small triangular factor (Chan, ACM TOMS 1982), and
+numpy's SVD of a wide C-ordered complex matrix takes about twice as long as
+that of its transpose.  Square and tall matrices go through unchanged.  The
+d-row flats of the annihilator counts are left as they are: they cost
+microseconds.
 """
 
 import functools
@@ -62,6 +72,21 @@ def numerical_rank(matrix, tol, scale, label, decisions=None) -> int:
     matrix = np.asarray(matrix)
     sing = np.linalg.svd(matrix, compute_uv=False) if matrix.size else np.zeros(0)
     return _rank_from_singular_values(sing, tol, scale, label, decisions)
+
+
+def _svd(matrix, compute_uv=True):
+    """np.linalg.svd(matrix, compute_uv=compute_uv) with full matrices, a
+    wide matrix decomposed as its adjoint (as its transpose, a view, when
+    only the singular values are wanted).  Tall and square matrices get
+    numpy's result bit for bit.  np.linalg.svd is looked up on every call,
+    so a patched svd sees each decomposition."""
+    rows, cols = matrix.shape
+    if rows >= cols:
+        return np.linalg.svd(matrix, compute_uv=compute_uv)
+    if not compute_uv:
+        return np.linalg.svd(matrix.T, compute_uv=False)
+    u, sing, vh = np.linalg.svd(matrix.T.conj())
+    return vh.T.conj(), sing, u.T.conj()
 
 
 def _rank_from_singular_values(sing, tol, scale, label, decisions=None) -> int:
@@ -275,7 +300,7 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     for i in range(m - 1):
         for j in range(1, d + 1):
             block = _d2_block(conj_two_forms, m, d, i, j)
-            u, sing, vh = np.linalg.svd(block)
+            u, sing, vh = _svd(block)
             rank = _rank_from_singular_values(
                 sing, tol, scale, f"d2 out of ({i},{j})", decisions)
             d2[(i, j)] = block
@@ -309,7 +334,7 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
 
             overlap = image.conj().T @ kernel
             if overlap.size:
-                _, sing, vh_overlap = np.linalg.svd(overlap)
+                _, sing, vh_overlap = _svd(overlap)
             else:
                 sing = np.zeros(0)
             overlap_rank = _rank_from_singular_values(
@@ -409,18 +434,19 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
             target = reps[(i + 1, j)]
             # Orthonormal columns spanning the kernel of the outgoing d2.
             basis = np.hstack([target, table.images[(i + 1, j)]])
+            adjoint = basis.conj().T
             width, height = source.shape[1], target.shape[1]
             piece = np.zeros((d * height, m * width), dtype=complex)
             for s in range(m):
                 for a in range(d):
                     pushed = _wedge_one_form(split.hermitian[a, s, :], source, m, i)
-                    projection = basis.conj().T @ pushed
+                    projection = adjoint @ pushed
                     piece[a * height:(a + 1) * height,
                           s * width:(s + 1) * width] = projection[:height]
                     pushed_sq[a, s] += np.linalg.norm(pushed) ** 2
                     dropped_sq[a, s] += np.linalg.norm(pushed - basis @ projection) ** 2
             if piece.size:
-                singular_values.append(np.linalg.svd(piece, compute_uv=False))
+                singular_values.append(_svd(piece, compute_uv=False))
         pushed_norm = np.sqrt(pushed_sq)
         moved = pushed_norm > tol * scale
         if np.any(moved):

@@ -108,6 +108,19 @@ def test_tolerance_ambiguity_exits_5(tmp_path, capsys, monkeypatch):
     assert "synthetic" in err
 
 
+def test_unconverged_svd_exits_5(tmp_path, capsys, monkeypatch):
+    def raiser(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    path = _write(tmp_path, "iwasawa.json", _iwasawa_doc())
+    monkeypatch.setattr(np.linalg, "svd", raiser)
+    code, out, err = _run(capsys, ["invariants", path])
+    assert code == 5
+    assert out == ""
+    assert err == "error: SVD did not converge\n"
+    assert "Traceback" not in err
+
+
 def _nan_in_v(doc):
     doc["V"][0][0][0] = float("nan")
 

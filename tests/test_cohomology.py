@@ -12,7 +12,7 @@ from tbi import (BundleDatum, ComplexStructure, ExtensionForm, bundle_report,
                  product_datum, random_structure, sample_point,
                  structure_sheaf_dims, tangent_table, theta_cohomology)
 
-from tbi.cohomology import _wedge_map, _wedge_one_form
+from tbi.cohomology import _svd, _wedge_map, _wedge_one_form
 
 from support import gaussian_member, random_alternating_form, transported_case1
 
@@ -78,6 +78,66 @@ def test_numerical_rank_empty_matrix():
     decisions = []
     assert numerical_rank(np.zeros((0, 3)), 1e-9, 1.0, "empty", decisions) == 0
     assert decisions[0].rank == 0
+
+
+# ---------------------------------------------------------------------------
+# SVD in the tall orientation
+
+
+def _complex_matrix(shape, seed=0):
+    rng = np.random.default_rng([seed, *shape])
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+SVD_CASES = {
+    "tall": _complex_matrix((9, 4)),
+    "wide": _complex_matrix((4, 9)),
+    "square": _complex_matrix((6, 6)),
+    "empty wide": np.zeros((0, 5), dtype=complex),
+    "empty tall": np.zeros((5, 0), dtype=complex),
+    "zero wide": np.zeros((3, 7), dtype=complex),
+    "zero tall": np.zeros((7, 3), dtype=complex),
+}
+
+
+@pytest.mark.parametrize("name", SVD_CASES)
+def test_svd_matches_numpy(name):
+    matrix = SVD_CASES[name]
+    rows, cols = matrix.shape
+    sing = _svd(matrix, compute_uv=False)
+    u, sing_uv, vh = _svd(matrix)
+    reference = np.linalg.svd(matrix, compute_uv=False)
+    for values in (sing, sing_uv):
+        np.testing.assert_allclose(values, reference, rtol=1e-13, atol=0)
+    assert u.shape == (rows, rows) and vh.shape == (cols, cols)
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(rows), atol=1e-12)
+    np.testing.assert_allclose(vh @ vh.conj().T, np.eye(cols), atol=1e-12)
+    rebuilt = (u[:, :sing_uv.size] * sing_uv) @ vh[:sing_uv.size]
+    assert np.linalg.norm(rebuilt - matrix) <= 1e-12 * np.linalg.norm(matrix)
+    if rows >= cols:
+        assert np.array_equal(sing, reference)
+        for ours, numpys in zip((u, sing_uv, vh), np.linalg.svd(matrix)):
+            assert np.array_equal(ours, numpys)
+
+
+def test_table_svds_are_tall(monkeypatch):
+    """Every SVD of the spectral and tangent tables sees a matrix with at
+    least as many rows as columns, and each table matrix is still decomposed
+    by one call: 35 on these two members, 22 of whose matrices are wide."""
+    members = [gaussian_member(np.random.default_rng(61), "pure_hermitian", 6, 1),
+               gaussian_member(np.random.default_rng(62), "mixed", 4, 2)]
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(matrix, *args, **kwargs):
+        shapes.append(np.shape(matrix))
+        return svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    for datum in members:
+        tangent_table(datum, leray_table(datum))
+    assert [shape for shape in shapes if shape[0] < shape[1]] == []
+    assert len(shapes) == 35
 
 
 # ---------------------------------------------------------------------------
@@ -569,3 +629,51 @@ def test_kunneth_product_of_members(first, second):
     assert list(product.h_tangent) == expected.tolist()
     for report in (one, two, product):
         assert report.h_tangent[-1] == report.h0_one_forms
+
+
+# ---------------------------------------------------------------------------
+# Closed-form oracles for d = 1
+#
+# gaussian_member draws B until it has rank 2k = m - m % 2 and H until it has
+# rank m.  The structure sheaf only sees B: the differential out of block
+# (i, 1) is the wedge with the conjugate of B from Λ^i to Λ^{i+2}, whose rank
+# hard Lefschetz on the rank-2k part gives.  With B = 0 the Koszul complex of
+# H gives the level-map ranks L_p and so h^p(Θ).
+
+
+def _comb(n, k):
+    return math.comb(n, k) if 0 <= k <= n else 0
+
+
+def _lefschetz_structure_dims(m, two_k):
+    def rank(i):
+        return sum(_comb(m - two_k, a) * min(_comb(two_k, i - a), _comb(two_k, i - a + 2))
+                   for a in range(m - two_k + 1))
+
+    return [_comb(m, p) - rank(p - 2) + _comb(m, p - 1) - rank(p - 1) for p in range(m + 2)]
+
+
+def _koszul_tangent_dims(m, r, h_structure):
+    def level(p):
+        return sum(_comb(m, p - j + 1) - _comb(m - r, p - j + 1) for j in (0, 1))
+
+    return [(m + 1) * h_structure[p] - level(p - 1) - level(p) for p in range(m + 2)]
+
+
+@pytest.mark.parametrize("kind", ["mixed", "zero_hermitian"])
+@pytest.mark.parametrize("m", range(2, 10))
+def test_hard_lefschetz_structure_dims(kind, m):
+    datum = gaussian_member(np.random.default_rng([101, m]), kind, m, 1)
+    report = bundle_report(datum)
+    assert report.classification == kind
+    assert list(report.h_structure) == _lefschetz_structure_dims(m, m - m % 2)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_koszul_pure_hermitian_tangent_dims(m):
+    datum = gaussian_member(np.random.default_rng([102, m]), "pure_hermitian", m, 1)
+    report = bundle_report(datum)
+    assert report.classification == "pure_hermitian"
+    h_structure = _lefschetz_structure_dims(m, 0)
+    assert list(report.h_structure) == h_structure
+    assert list(report.h_tangent) == _koszul_tangent_dims(m, m, h_structure)
