@@ -14,7 +14,6 @@ decompose and sample; group does exact integer arithmetic and has none.
 """
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -31,15 +30,9 @@ from .errors import ParseError, TbiError, ToleranceAmbiguityError
 from .lattices import (INT64_BOUND, GroupElement, basis_lift, central_lift, commutator,
                        group_inverse, group_multiply)
 from .periods import DEFAULT_TOL
-from .serialize import (InputDocument, complex_to_pairs, dumps, input_document,
-                        parse_input, sha256_hex)
+from .serialize import (InputDocument, check_tol, complex_to_pairs, dumps, input_document,
+                        parse_input, require_int, sha256_hex)
 from .variety import sample_point
-
-
-def _check_tol(value: float, name: str) -> float:
-    if not (math.isfinite(value) and value > 0):
-        raise ParseError(f"{name} must be a positive finite number")
-    return value
 
 
 def _env_tol() -> float:
@@ -50,7 +43,7 @@ def _env_tol() -> float:
         value = float(raw)
     except ValueError:
         raise ParseError(f"TBI_TOL must be a number, got {raw!r}") from None
-    return _check_tol(value, "TBI_TOL")
+    return check_tol(value, "TBI_TOL")
 
 
 def _read(path: str) -> bytes:
@@ -63,9 +56,7 @@ def _read(path: str) -> bytes:
 
 def _parse_file(path: str, args, require_structures: bool = True) -> tuple:
     data = _read(path)
-    tol_override = getattr(args, "tol", None)
-    if tol_override is not None:
-        _check_tol(tol_override, "--tol")
+    tol_override = check_tol(getattr(args, "tol", None), "--tol")
     document = parse_input(
         data.decode("utf-8", errors="replace"),
         require_structures=require_structures,
@@ -79,22 +70,22 @@ def _tensor_to_pairs(tensor) -> list:
     return [complex_to_pairs(layer) for layer in np.asarray(tensor, dtype=complex)]
 
 
-def _group_spot_checks(form, limit: int = 4) -> dict:
-    """Exercise the group law on basis lifts: the commutator of two lifts
-    must be central with fibre part equal to the form's value."""
-    n = min(form.base_rank, limit)
-    checked = 0
-    all_match = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            left = basis_lift(form, i)
-            right = basis_lift(form, j)
-            bracket = commutator(form, left, right)
-            expected = form(left.base, right.base)
-            checked += 1
-            if np.any(bracket.base) or not np.array_equal(bracket.fibre, expected):
-                all_match = False
-    return {"pairs_checked": checked, "all_match": all_match}
+def _bracket(form, g1, g2) -> tuple:
+    """The commutator of g1 and g2, the form's value on their base parts, and
+    whether the commutator is the central element carrying that value."""
+    bracket = commutator(form, g1, g2)
+    expected = form(g1.base, g2.base)
+    return bracket, expected, bool(not np.any(bracket.base)
+                                   and np.array_equal(bracket.fibre, expected))
+
+
+def _group_spot_checks(form) -> dict:
+    """Exercise the group law on the first four basis lifts: each pair must
+    pass the commutator check of _bracket."""
+    lifts = [basis_lift(form, i) for i in range(min(form.base_rank, 4))]
+    matches = [_bracket(form, left, right)[2]
+               for i, left in enumerate(lifts) for right in lifts[i + 1:]]
+    return {"pairs_checked": len(matches), "all_match": all(matches)}
 
 
 def _norms(split) -> dict:
@@ -105,17 +96,18 @@ def _norms(split) -> dict:
     }
 
 
-def _report_document(datum: BundleDatum, data: bytes, table: SpectralTable) -> dict:
+def _input_echo(data: bytes, document: InputDocument) -> dict:
+    """The "input" section of a report: what was read, and at which tolerance."""
+    return {"sha256": sha256_hex(data), "m": document.m, "d": document.d,
+            "tol": document.effective_tol}
+
+
+def _report_document(datum: BundleDatum, echo: dict, table: SpectralTable) -> dict:
     split = datum.split
     verdict = datum.membership
     report = bundle_report(datum, table)
     return {
-        "input": {
-            "sha256": sha256_hex(data),
-            "m": split.base_half_rank,
-            "d": split.fibre_half_rank,
-            "tol": datum.tol,
-        },
+        "input": echo,
         "riemann": {
             "member": verdict.member,
             "residual": verdict.residual,
@@ -149,9 +141,9 @@ def _report_document(datum: BundleDatum, data: bytes, table: SpectralTable) -> d
 
 
 def _datum_from_document(document: InputDocument) -> BundleDatum:
-    return BundleDatum.checked(
-        document.form, document.base, document.fibre,
-        translation=document.translation, tol=document.effective_tol)
+    """The document's datum; parse_input has already checked its form and structures."""
+    return BundleDatum(document.form, document.base, document.fibre,
+                       translation=document.translation, tol=document.effective_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +152,7 @@ def _datum_from_document(document: InputDocument) -> BundleDatum:
 
 def cmd_validate(args) -> int:
     data, document = _parse_file(args.file, args)
-    datum = _datum_from_document(document)
+    datum = _datum_from_document(document).require_member()
     verdict = datum.membership
     print(dumps({
         "ok": True,
@@ -185,9 +177,9 @@ def _print_grid(title, grid):
 
 def cmd_invariants(args) -> int:
     data, document = _parse_file(args.file, args)
-    datum = _datum_from_document(document)
+    datum = _datum_from_document(document).require_member()
     table = leray_table(datum)
-    report = _report_document(datum, data, table)
+    report = _report_document(datum, _input_echo(data, document), table)
     if args.format == "json":
         print(dumps(report))
         return 0
@@ -214,13 +206,11 @@ def cmd_invariants(args) -> int:
 
 def cmd_decompose(args) -> int:
     data, document = _parse_file(args.file, args)
-    datum = BundleDatum(document.form, document.base, document.fibre,
-                        translation=document.translation, tol=document.effective_tol)
+    datum = _datum_from_document(document)
     split = datum.split
     verdict = datum.membership
     print(dumps({
-        "input": {"sha256": sha256_hex(data), "m": document.m, "d": document.d,
-                  "tol": datum.tol},
+        "input": _input_echo(data, document),
         "member": verdict.member,
         "residual": verdict.residual,
         "scale": verdict.scale,
@@ -235,13 +225,16 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.seed is not None:
+        require_int(args.seed, "--seed", 0)
+    require_int(args.count, "--count", 0)
+    require_int(args.max_attempts, "--max-attempts", 0)
     data, document = _parse_file(args.file, args, require_structures=False)
     seed = args.seed if args.seed is not None else (document.seed or 0)
-    tol = document.effective_tol
     form = document.form
 
     results = [sample_point(form, seed=[seed, index], max_attempts=args.max_attempts,
-                            tol=tol)
+                            tol=document.effective_tol)
                for index in range(args.count)]
 
     points = []
@@ -256,8 +249,7 @@ def cmd_sample(args) -> int:
                 "attempts": result.attempts,
             })
     print(dumps({
-        "input": {"sha256": sha256_hex(data), "m": document.m, "d": document.d,
-                  "tol": tol},
+        "input": _input_echo(data, document),
         "seed": seed,
         "count": args.count,
         "found": len(points),
@@ -320,8 +312,7 @@ def cmd_group(args) -> int:
     form = document.form
     g1 = _parse_element(args.g1, form)
     g2 = _parse_element(args.g2, form)
-    bracket = commutator(form, g1, g2)
-    expected = form(g1.base, g2.base)
+    bracket, expected, matches = _bracket(form, g1, g2)
     print(dumps({
         "g1": _element_doc(g1),
         "g2": _element_doc(g2),
@@ -329,13 +320,14 @@ def cmd_group(args) -> int:
         "inverse_g1": _element_doc(group_inverse(form, g1)),
         "commutator": _element_doc(bracket),
         "form_value": expected.tolist(),
-        "commutator_matches_form": bool(
-            not np.any(bracket.base) and np.array_equal(bracket.fibre, expected)),
+        "commutator_matches_form": matches,
     }))
     return 0
 
 
 def cmd_catalog(args) -> int:
+    require_int(args.base_dim, "--base-dim", 1)
+    require_int(args.fibre_dim, "--fibre-dim", 1)
     try:
         datum = catalog_datum(args.name, m=args.base_dim, d=args.fibre_dim)
     except KeyError as exc:

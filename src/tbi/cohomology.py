@@ -117,24 +117,11 @@ class OneFormsSpace:
     annihilator: np.ndarray
 
 
-def _hermitian_flat(datum: BundleDatum) -> np.ndarray:
-    split = datum.split
-    d = split.fibre_half_rank
-    return split.hermitian.reshape(d, -1)
-
-
-def _holomorphic_flat(datum: BundleDatum) -> np.ndarray:
-    split = datum.split
-    d = split.fibre_half_rank
-    return split.holomorphic.reshape(d, -1)
-
-
 def h0_forms(datum: BundleDatum, decisions=None) -> OneFormsSpace:
     """Global 1-forms: the m base forms always survive; a fibre functional
     survives exactly when it annihilates the image of the hermitian block."""
     split = datum.split
-    flat = _hermitian_flat(datum)
-    u, sing, _ = np.linalg.svd(flat)
+    u, sing, _ = np.linalg.svd(split.hermitian.reshape(split.fibre_half_rank, -1))
     rank = _rank_from_singular_values(sing, datum.tol, split.scale, "hermitian block",
                                       decisions)
     annihilator = u[:, rank:].conj().T
@@ -145,7 +132,9 @@ def closed_forms_dim(datum: BundleDatum, decisions=None) -> int:
     """Closed global 1-forms: the fibre functional must annihilate both the
     holomorphic and the hermitian block images."""
     split = datum.split
-    combined = np.concatenate([_holomorphic_flat(datum), _hermitian_flat(datum)], axis=1)
+    d = split.fibre_half_rank
+    combined = np.concatenate([split.holomorphic.reshape(d, -1),
+                               split.hermitian.reshape(d, -1)], axis=1)
     rank = numerical_rank(combined, datum.tol, split.scale,
                           "holomorphic+hermitian blocks", decisions)
     return split.base_half_rank + split.fibre_half_rank - rank
@@ -155,8 +144,8 @@ def h1_structure_sheaf(datum: BundleDatum, decisions=None) -> int:
     """First cohomology of the structure sheaf: m plus the corank of the
     holomorphic block as a map from fibre functionals to base two-forms."""
     split = datum.split
-    rank = numerical_rank(_holomorphic_flat(datum), datum.tol, split.scale,
-                          "holomorphic block", decisions)
+    rank = numerical_rank(split.holomorphic.reshape(split.fibre_half_rank, -1), datum.tol,
+                          split.scale, "holomorphic block", decisions)
     return split.base_half_rank + split.fibre_half_rank - rank
 
 
@@ -356,11 +345,9 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     return SpectralTable(e2, d2, e3, representatives, images, tuple(decisions))
 
 
-def structure_sheaf_dims(datum: BundleDatum, table: SpectralTable | None = None) -> list:
+def structure_sheaf_dims(datum: BundleDatum) -> list:
     """h^p of the structure sheaf for p = 0..m+d."""
-    if table is None:
-        table = leray_table(datum)
-    return table.total_dims(3)
+    return leray_table(datum).total_dims(3)
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +494,9 @@ def classify_blocks(datum: BundleDatum) -> str | None:
     tol, scale = datum.tol, split.scale
     if scale <= tol:
         return "abelian"
-    hermitian_zero = np.max(np.abs(split.hermitian)) <= tol * scale
-    holomorphic_zero = np.max(np.abs(split.holomorphic)) <= tol * scale
-    if hermitian_zero:
+    if is_parallelizable(datum):
         return "zero_hermitian"
-    if holomorphic_zero:
+    if np.max(np.abs(split.holomorphic)) <= tol * scale:
         return "pure_hermitian"
     return "mixed"
 

@@ -21,9 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FormInvalidError, MembershipError, StructureDegenerateError
+from .errors import FormInvalidError, MembershipError
 from .lattices import ExtensionForm, validate_form
-from .periods import ComplexStructure, DEFAULT_TOL, basis_change, validate_structure
+from .periods import (ComplexStructure, DEFAULT_TOL, basis_change, require_structure,
+                      split_coordinates)
 
 
 @dataclass(frozen=True)
@@ -161,17 +162,19 @@ class BundleDatum:
         violations = validate_form(form)
         if violations:
             raise FormInvalidError("; ".join(violations))
-        for name, structure in (("base", base), ("fibre", fibre)):
-            if not validate_structure(structure, tol):
-                raise StructureDegenerateError(f"{name} period matrix is degenerate")
-        datum = cls(form, base, fibre, translation, tol)
-        verdict = datum.membership
+        for name, structure in (("V", base), ("U", fibre)):
+            require_structure(structure, tol, name)
+        return cls(form, base, fibre, translation, tol).require_member()
+
+    def require_member(self) -> "BundleDatum":
+        """This datum, or MembershipError when the pair is not compatible."""
+        verdict = self.membership
         if not verdict.member:
             raise MembershipError(
                 f"structure pair is incompatible with the form "
                 f"(residual {verdict.residual:.3e} vs scale {verdict.scale:.3e})"
             )
-        return datum
+        return self
 
     @cached_property
     def split(self) -> DecomposedForm:
@@ -193,12 +196,6 @@ class BundleDatum:
         return self.translation @ np.asarray(gamma)
 
 
-def _fibre_projection(datum: BundleDatum, value) -> np.ndarray:
-    """Holomorphic fibre coordinates of a fibre-lattice-coordinate vector."""
-    coords = basis_change(datum.fibre, datum.tol) @ np.asarray(value, dtype=complex)
-    return coords[: datum.fibre.half_rank]
-
-
 def _eval_at_point(datum: BundleDatum, gamma, point) -> np.ndarray:
     """Classifying cocycle at an arbitrary point of the complexified base,
     given in lattice coordinates: -(U-part of A(point, gamma)) + translation."""
@@ -206,7 +203,8 @@ def _eval_at_point(datum: BundleDatum, gamma, point) -> np.ndarray:
         "kij,i,j->k", datum.form.coefficients.astype(complex),
         np.asarray(point, dtype=complex), np.asarray(gamma, dtype=complex),
     )
-    return -_fibre_projection(datum, value) + datum.translation_value(gamma)
+    holomorphic, _ = split_coordinates(datum.fibre, value, datum.tol)
+    return -holomorphic + datum.translation_value(gamma)
 
 
 def cocycle_eval(datum: BundleDatum, gamma, z) -> np.ndarray:
@@ -220,12 +218,10 @@ def cocycle_eval(datum: BundleDatum, gamma, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if z.shape != (datum.base.half_rank,):
         raise ValueError(f"z must have length {datum.base.half_rank}")
-    gamma = np.asarray(gamma)
-    coords = basis_change(datum.base, datum.tol) @ gamma.astype(complex)
-    m = datum.base.half_rank
+    holomorphic, antiholomorphic = split_coordinates(datum.base, gamma, datum.tol)
     split = datum.split
-    linear = np.einsum("ahl,h,l->a", split.holomorphic, z, coords[:m]) \
-        + np.einsum("ahl,h,l->a", split.hermitian, z, coords[m:])
+    linear = np.einsum("ahl,h,l->a", split.holomorphic, z, holomorphic) \
+        + np.einsum("ahl,h,l->a", split.hermitian, z, antiholomorphic)
     return -linear + datum.translation_value(gamma)
 
 
@@ -261,7 +257,7 @@ def lattice_vector_from_fibre(datum: BundleDatum, value, tol: float | None = Non
     value = np.asarray(value, dtype=complex)
     real = datum.fibre.period @ value
     candidate = np.rint((real + np.conj(real)).real).astype(np.int64)
-    back = _fibre_projection(datum, candidate)
+    back, _ = split_coordinates(datum.fibre, candidate, datum.tol)
     scale = max(1.0, float(np.max(np.abs(value))))
     if np.max(np.abs(back - value)) <= tol * scale:
         return candidate

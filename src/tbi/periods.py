@@ -73,17 +73,25 @@ def validate_structure(structure: ComplexStructure, tol: float = DEFAULT_TOL) ->
     return bool(_frames_invertible(structure.frame, tol))
 
 
+def require_structure(structure: ComplexStructure, tol: float = DEFAULT_TOL,
+                      name: str | None = None) -> None:
+    """Raise StructureDegenerateError unless validate_structure holds; name,
+    when given, is the period matrix's name in the message ('V' or 'U')."""
+    if not validate_structure(structure, tol):
+        label = f" '{name}'" if name else ""
+        raise StructureDegenerateError(
+            f"period matrix{label} is degenerate: its columns and their "
+            f"conjugates do not span the ambient space at tolerance {tol:g}"
+        )
+
+
 def basis_change(structure: ComplexStructure, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Inverse C of the frame, so C @ (P | conj P) = identity.
 
     For a real vector x the two halves of C @ x are complex conjugates of
     each other; the top half holds the holomorphic coordinates of x.
     """
-    if not validate_structure(structure, tol):
-        raise StructureDegenerateError(
-            "period matrix does not split the complexified lattice "
-            "(frame is singular at the working tolerance)"
-        )
+    require_structure(structure, tol)
     n = structure.full_rank
     return np.linalg.solve(structure.frame, np.eye(n, dtype=complex))
 
@@ -99,21 +107,22 @@ def split_coordinates(structure: ComplexStructure, x, tol: float = DEFAULT_TOL):
 # of every frame a random structure can produce, so downstream solves lose at
 # most ~4 digits instead of an unbounded amount on unlucky seeds.
 _RANDOM_FRAME_TOL = 1e-2
+_MAX_DRAWS = 64  # redraws per generator before it counts as exhausted
 
 
-def draws_exhausted(n: int, max_attempts: int = 64) -> StructureDegenerateError:
-    """The error for a generator that gave no valid frame in max_attempts draws."""
+def draws_exhausted(n: int) -> StructureDegenerateError:
+    """The error for a generator that gave no valid frame in _MAX_DRAWS draws."""
     return StructureDegenerateError(
-        f"no valid period matrix of half rank {n} found in {max_attempts} draws"
+        f"no valid period matrix of half rank {n} found in {_MAX_DRAWS} draws"
     )
 
 
-def random_periods(n: int, rngs, max_attempts: int = 64):
+def random_periods(n: int, rngs):
     """Stacked random period matrices, one per generator in rngs.
 
     Returns (periods, valid): periods has shape (len(rngs), 2n, n) and
     valid[a] tells whether generator a produced an acceptable frame within
-    max_attempts draws.  Each generator is used exactly as random_structure
+    _MAX_DRAWS draws.  Each generator is used exactly as random_structure
     uses it -- the real part of a draw, then its imaginary part, redrawn
     while the frame is nearly singular -- so entry a equals
     random_structure(n, rngs[a]) bit for bit.  Every round of draws is
@@ -124,7 +133,7 @@ def random_periods(n: int, rngs, max_attempts: int = 64):
     periods = np.empty((len(rngs), 2 * n, n), dtype=complex)
     valid = np.zeros(len(rngs), dtype=bool)
     pending = np.arange(len(rngs))
-    for _ in range(max_attempts):
+    for _ in range(_MAX_DRAWS):
         if not pending.size:
             break
         draws = np.array([rngs[a].standard_normal((2 * n, n))
@@ -138,7 +147,7 @@ def random_periods(n: int, rngs, max_attempts: int = 64):
     return periods, valid
 
 
-def random_structure(n: int, seed, max_attempts: int = 64) -> ComplexStructure:
+def random_structure(n: int, seed) -> ComplexStructure:
     """Deterministic random structure of half rank n.
 
     seed may be anything np.random.default_rng accepts, including an
@@ -148,9 +157,9 @@ def random_structure(n: int, seed, max_attempts: int = 64) -> ComplexStructure:
     nearly singular (the subspace almost meets its conjugate) are redrawn.
     This is the one-generator case of random_periods.
     """
-    periods, valid = random_periods(n, [np.random.default_rng(seed)], max_attempts)
+    periods, valid = random_periods(n, [np.random.default_rng(seed)])
     if not valid[0]:
-        raise draws_exhausted(n, max_attempts)
+        raise draws_exhausted(n)
     return ComplexStructure(periods[0])
 
 

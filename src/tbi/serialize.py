@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormInvalidError, ParseError, StructureDegenerateError
+from .errors import FormInvalidError, ParseError
 from .lattices import INT64_BOUND, ExtensionForm, validate_form
-from .periods import ComplexStructure, DEFAULT_TOL, validate_structure
+from .periods import ComplexStructure, DEFAULT_TOL, require_structure
 
 
 # ---------------------------------------------------------------------------
@@ -144,10 +144,22 @@ class InputDocument:
         return self.base is not None and self.fibre is not None
 
 
-def _require_positive_int(raw, key) -> int:
-    value = raw.get(key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ParseError(f"'{key}' must be a positive integer")
+def require_int(value, name: str, minimum: int) -> int:
+    """value when it is an int of at least minimum (0 or 1), else ParseError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        kind = "positive" if minimum else "non-negative"
+        raise ParseError(f"{name} must be a {kind} integer")
+    return value
+
+
+def check_tol(value, name: str) -> float | None:
+    """value as a positive finite float (None when not given), else
+    ParseError naming it."""
+    if value is None:
+        return None
+    value = _finite(value)
+    if value is None or value <= 0:
+        raise ParseError(f"{name} must be a positive finite number")
     return value
 
 
@@ -171,8 +183,8 @@ def parse_input(text: str, require_structures: bool = True,
     if not isinstance(raw, dict):
         raise ParseError("top level must be a JSON object")
 
-    m = _require_positive_int(raw, "m")
-    d = _require_positive_int(raw, "d")
+    m = require_int(raw.get("m"), "'m'", 1)
+    d = require_int(raw.get("d"), "'d'", 1)
 
     if "A" not in raw:
         raise ParseError("missing required key 'A'")
@@ -210,11 +222,7 @@ def parse_input(text: str, require_structures: bool = True,
         base = ComplexStructure(_pairs_to_complex(raw["V"], 2 * m, m, "V"))
         fibre = ComplexStructure(_pairs_to_complex(raw["U"], 2 * d, d, "U"))
 
-    doc_tol = raw.get("tol")
-    if doc_tol is not None:
-        doc_tol = _finite(doc_tol)
-        if doc_tol is None or doc_tol <= 0:
-            raise ParseError("'tol' must be a positive finite number")
+    doc_tol = check_tol(raw.get("tol"), "'tol'")
     if tol_override is not None:
         effective = tol_override
     elif doc_tol is not None:
@@ -224,19 +232,15 @@ def parse_input(text: str, require_structures: bool = True,
 
     if base is not None:
         for name, structure in (("V", base), ("U", fibre)):
-            if not validate_structure(structure, effective):
-                raise StructureDegenerateError(
-                    f"period matrix '{name}' is degenerate: its columns and their "
-                    f"conjugates do not span the ambient space at tolerance {effective:g}"
-                )
+            require_structure(structure, effective, name)
 
     translation = None
     if raw.get("phi") is not None:
         translation = _pairs_to_complex(raw["phi"], d, 2 * m, "phi")
 
     seed = raw.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-        raise ParseError("'seed' must be a non-negative integer")
+    if seed is not None:
+        require_int(seed, "'seed'", 0)
 
     return InputDocument(m, d, form, base, fibre, translation, doc_tol, seed, effective)
 

@@ -32,6 +32,8 @@ from .lattices import ExtensionForm
 from .periods import (ComplexStructure, DEFAULT_TOL, draws_exhausted, random_periods,
                       validate_structure)
 
+_MAX_BATCH = 256  # attempts per screened batch, so memory does not grow with max_attempts
+
 
 @dataclass(frozen=True)
 class LocalEquations:
@@ -166,14 +168,14 @@ def _seed_prefix(seed) -> list:
 
 
 def _chunks(max_attempts: int):
-    """Attempt ranges of doubling length 1, 2, 4, ..., the last one cut at
-    max_attempts, so an early success costs one small batch and a full
-    search of 100 attempts takes 7 batches."""
+    """Attempt ranges of doubling length 1, 2, 4, ... up to _MAX_BATCH, the
+    last one cut at max_attempts, so an early success costs one small batch
+    and a full search of 100 attempts takes 7 batches."""
     start, size = 1, 1
     while start <= max_attempts:
         stop = min(start + size, max_attempts + 1)
         yield range(start, stop)
-        start, size = stop, 2 * size
+        start, size = stop, min(2 * size, _MAX_BATCH)
 
 
 def sample_point(form: ExtensionForm, seed=0, max_attempts: int = 100,
@@ -189,7 +191,7 @@ def sample_point(form: ExtensionForm, seed=0, max_attempts: int = 100,
     (lowest attempt index) is returned deterministically.
 
     Attempts are screened in batches of doubling size (1, 2, 4, ... up to
-    max_attempts): each batch draws its bases with random_periods, takes the
+    _MAX_BATCH): each batch draws its bases with random_periods, takes the
     pairwise values of all of them in one einsum and their ranks from one
     stacked SVD.  Only the attempts whose rank is at most d are completed and
     checked, one by one in attempt order.  Every attempt keeps its own
@@ -220,10 +222,11 @@ def sample_point(form: ExtensionForm, seed=0, max_attempts: int = 100,
             # the span of the pairwise values.
             q, _ = np.linalg.qr(candidate)
             fibre = ComplexStructure(q)
-            if not validate_structure(fibre, tol):
-                continue
             base = ComplexStructure(periods[a])
-            verdict = riemann_check(form, base, fibre, tol)
+            try:  # the split's basis change tests the fibre frame at tol
+                verdict = riemann_check(form, base, fibre, tol)
+            except StructureDegenerateError:
+                continue
             if best_residual is None or verdict.residual < best_residual:
                 best_residual = verdict.residual
             if verdict.member:

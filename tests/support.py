@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import sys
 
 import numpy as np
 
@@ -16,6 +17,22 @@ def subprocess_env():
     root = str(pathlib.Path(tbi.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     return env
+
+
+def count_calls(monkeypatch, function) -> list:
+    """Route every tbi module's reference to function through a recorder and
+    return the list that gets one entry per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "tbi" or name.startswith("tbi.")) \
+                and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counting)
+    return calls
 
 
 def random_alternating_form(rng, m, d, span=3):

@@ -1,19 +1,24 @@
+import contextlib
 import hashlib
+import io
 import json
 import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tbi
 from tbi import ToleranceAmbiguityError, dumps, input_document, iwasawa_datum, sample_point
 from tbi import cli
 
-from support import random_alternating_form, subprocess_env
+from support import count_calls, random_alternating_form, subprocess_env
 
 try:
     import tomllib
@@ -55,6 +60,18 @@ def test_validate_ok(tmp_path, capsys):
     assert (payload["m"], payload["d"]) == (2, 1)
     assert payload["riemann_residual"] == 0.0
     assert payload["scale"] == 2.0
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants"])
+def test_document_checks_run_once(tmp_path, capsys, monkeypatch, command):
+    # parse_input tests the form once and each period matrix once; the split's
+    # basis change tests the fibre frame once more before membership.
+    path = _write(tmp_path, "iwasawa.json", _iwasawa_doc())
+    form_checks = count_calls(monkeypatch, tbi.lattices.validate_form)
+    frame_checks = count_calls(monkeypatch, tbi.periods.validate_structure)
+    code, _, _ = _run(capsys, [command, path])
+    assert code == 0
+    assert (len(form_checks), len(frame_checks)) == (1, 3)
 
 
 def test_validate_not_json(tmp_path, capsys):
@@ -472,6 +489,22 @@ def test_sample_reports_failures(tmp_path, capsys):
     assert payload["failures"][0]["best_residual"] is None
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--count", "--max-attempts"])
+def test_sample_rejects_negative_flag(tmp_path, capsys, flag):
+    path = _write(tmp_path, "form.json", _form_only_doc())
+    code, out, err = _run(capsys, ["sample", path, flag, "-1"])
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} must be a non-negative integer\n"
+
+
+def test_sample_accepts_zero_flags(tmp_path, capsys):
+    path = _write(tmp_path, "form.json", _form_only_doc())
+    code, out, _ = _run(capsys, ["sample", path, "--seed", "0", "--count", "0",
+                                 "--max-attempts", "0"])
+    assert code == 0
+    assert json.loads(out)["attempts"] == []
+
+
 # ---------------------------------------------------------------------------
 # group
 
@@ -572,6 +605,14 @@ def test_catalog_product_dimensions(capsys):
     assert (payload["m"], payload["d"]) == (3, 2)
 
 
+@pytest.mark.parametrize("flag", ["--base-dim", "--fibre-dim"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_catalog_product_rejects_non_positive_dimensions(capsys, flag, value):
+    code, out, err = _run(capsys, ["catalog", "product", flag, value])
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} must be a positive integer\n"
+
+
 def test_catalog_unknown_name_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["catalog", "unknown"])
@@ -657,3 +698,102 @@ def test_version_flag():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--version"])
     assert excinfo.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# Property: every argv ends on a documented exit code
+
+
+@st.composite
+def _small_documents(draw):
+    """JSON text of a document with m, d <= 2: an alternating, zero or
+    arbitrary form, standard or random structures or none, and valid or
+    arbitrary tol and seed."""
+    m, d = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    size = 2 * d * (2 * m) ** 2
+    a = np.array(draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)))
+    a = a.reshape(2 * d, 2 * m, 2 * m)
+    if draw(st.booleans()):
+        a = a - a.transpose(0, 2, 1)
+    if draw(st.booleans()):
+        a = np.zeros_like(a)
+    doc = {"m": m, "d": d, "A": a.tolist()}
+    for key, n in (("V", m), ("U", d)) if draw(st.booleans()) else ():
+        if draw(st.booleans()):
+            doc[key] = tbi.complex_to_pairs(tbi.standard_structure(n).period)
+        else:
+            pair = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+            doc[key] = [[draw(pair) for _ in range(n)] for _ in range(2 * n)]
+    for key, valid in (("tol", st.floats(1e-12, 1e-3)), ("seed", st.integers(0, 9))):
+        if draw(st.booleans()):
+            doc[key] = draw(st.one_of(valid, st.none(), st.integers(), st.floats()))
+    return json.dumps(doc)
+
+
+# Each value is drawn half the time from values the checks accept, so that
+# every subcommand also reaches its computation.
+_ELEMENTS = st.one_of(st.sampled_from(["e1", "e2", "f1", "f2", "0,0/0,0", "1,2/3,4,5,6"]),
+                      st.text(max_size=6))
+_TOLS = st.one_of(st.floats(1e-12, 1e-3), st.floats())
+_SMALL = st.one_of(st.integers(0, 5), st.integers(max_value=5))
+
+
+@st.composite
+def _argvs(draw, path):
+    command = draw(st.sampled_from(["validate", "invariants", "decompose", "sample",
+                                    "group", "catalog", "curve"]))
+    argv = [command]
+    if command in ("validate", "invariants", "decompose", "sample", "group"):
+        argv.append(path)
+    if command in ("validate", "invariants", "decompose", "sample") and draw(st.booleans()):
+        argv += ["--tol", repr(draw(_TOLS))]
+    if command == "invariants":
+        argv += ["--format", draw(st.sampled_from(["json", "table"]))]
+    elif command == "sample":
+        if draw(st.booleans()):
+            argv += ["--seed", str(draw(st.one_of(st.integers(0, 9), st.integers())))]
+        argv += ["--count", str(draw(_SMALL)), "--max-attempts", str(draw(_SMALL))]
+    elif command == "group":
+        argv += ["--", draw(_ELEMENTS), draw(_ELEMENTS)]
+    elif command == "catalog":
+        # Dimensions stay small: a size bound for large n is a separate matter.
+        argv += [draw(st.sampled_from(["iwasawa", "product"])),
+                 "--base-dim", str(draw(st.one_of(st.integers(1, 3), st.integers(max_value=3)))),
+                 "--fibre-dim", str(draw(st.one_of(st.integers(1, 2), st.integers(max_value=2))))]
+    elif command == "curve":
+        argv += ["--genus", str(draw(st.one_of(st.integers(2, 5), st.integers()))),
+                 "--fibre-dim", str(draw(st.one_of(st.integers(1, 3), st.integers())))]
+        if draw(st.booleans()):
+            chern = draw(st.lists(st.integers(), max_size=4))
+            argv += ["--chern", ",".join(map(str, chern))]
+    return argv
+
+
+def _flag(argv, name):
+    return int(argv[argv.index(name) + 1]) if name in argv else 0
+
+
+def _exit_code(argv):
+    """cli.main's return value, or the code of the SystemExit argparse raises."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 1)
+            return exc.code
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), text=_small_documents())
+def test_every_argv_ends_on_a_documented_exit_code(data, text):
+    with tempfile.TemporaryDirectory() as directory:
+        path = pathlib.Path(directory, "doc.json")
+        path.write_text(text)
+        argv = data.draw(_argvs(str(path)))
+        code = _exit_code(argv)
+    assert code in range(6)
+    if argv[0] == "sample" and min(_flag(argv, flag) for flag in
+                                   ("--seed", "--count", "--max-attempts")) < 0:
+        assert code == 1
+    if argv[0] == "catalog" and min(_flag(argv, "--base-dim"), _flag(argv, "--fibre-dim")) < 1:
+        assert code == 1

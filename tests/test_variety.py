@@ -8,11 +8,12 @@ from tbi import (BundleDatum, ComplexStructure, ExtensionForm,
                  graph_chart, iwasawa_form, local_equations, pairwise_values,
                  product_form, random_structure, riemann_check, sample_point,
                  standard_structure)
+from tbi import periods, variety
 from tbi.periods import random_periods
 from tbi.serialize import dumps, input_document
-from tbi.variety import _chunks, _pair_values
+from tbi.variety import _MAX_BATCH, _chunks, _pair_values
 
-from support import random_alternating_form
+from support import count_calls, random_alternating_form
 
 
 # ---------------------------------------------------------------------------
@@ -553,3 +554,40 @@ def test_chunks_double_up_to_max_attempts():
     assert [len(c) for c in _chunks(100)] == [1, 2, 4, 8, 16, 32, 37]
     assert [c[0] for c in _chunks(100)] == [1, 2, 4, 8, 16, 32, 64]
     assert list(_chunks(0)) == []
+
+
+@pytest.mark.parametrize("max_attempts", [1, 127, 128, 256, 511, 1000, 4096])
+def test_chunks_cover_every_attempt_in_capped_batches(max_attempts):
+    chunks = list(_chunks(max_attempts))
+    assert [a for c in chunks for a in c] == list(range(1, max_attempts + 1))
+    assert all(len(c) <= _MAX_BATCH for c in chunks)
+
+
+def test_chunks_stop_doubling_at_the_cap():
+    assert _MAX_BATCH == 256
+    assert [len(c) for c in _chunks(127)] == [1, 2, 4, 8, 16, 32, 64]
+    assert [len(c) for c in _chunks(1000)] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 256, 233]
+
+
+def test_sample_point_tests_each_fibre_frame_once(monkeypatch):
+    frame_checks = count_calls(monkeypatch, periods.validate_structure)
+    checks = count_calls(monkeypatch, variety.riemann_check)
+    for seed in range(5):
+        assert sample_point(iwasawa_form(), seed=seed, max_attempts=10).found
+    assert len(checks) == 5
+    assert len(frame_checks) == len(checks)
+
+
+def test_sample_point_skips_a_degenerate_fibre_frame(monkeypatch):
+    # The first candidate's fibre frame fails its test; the search goes on to
+    # the next attempt, which succeeds as every Iwasawa attempt does.
+    verdicts = iter([False])
+    original = periods.validate_structure
+
+    def first_fails(structure, tol):
+        return next(verdicts, True) and original(structure, tol)
+
+    monkeypatch.setattr(periods, "validate_structure", first_fails)
+    monkeypatch.setattr(variety, "validate_structure", first_fails)
+    result = sample_point(iwasawa_form(), seed=0, max_attempts=5)
+    assert (result.found, result.attempts) == (True, 2)
