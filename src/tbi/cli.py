@@ -27,8 +27,8 @@ from .cohomology import SpectralTable, bundle_report, leray_table
 from .curves import divisibility_index, kuranishi_dim
 from .decomposition import BundleDatum
 from .errors import ParseError, TbiError, ToleranceAmbiguityError
-from .lattices import (INT64_BOUND, GroupElement, basis_lift, central_lift, commutator,
-                       group_inverse, group_multiply)
+from .lattices import (GroupElement, basis_lift, central_lift, commutator, group_inverse,
+                       group_multiply)
 from .periods import DEFAULT_TOL
 from .serialize import (InputDocument, check_tol, complex_to_pairs, dumps, input_document,
                         parse_input, require_int, sha256_hex)
@@ -264,18 +264,13 @@ _ELEMENT_RE = re.compile(r"^([ef])(\d+)$")
 
 
 def _parse_vector(text, length, name):
-    parts = [p.strip() for p in text.split(",")] if text else []
-    if text.strip() == "":
-        parts = []
+    parts = [p.strip() for p in text.split(",")] if text.strip() else []
     if len(parts) != length:
         raise ParseError(f"{name} must have {length} comma-separated integers")
     try:
-        values = [int(p) for p in parts]
+        return [int(p) for p in parts]
     except ValueError:
         raise ParseError(f"{name} entries must be integers") from None
-    if not all(-INT64_BOUND <= v < INT64_BOUND for v in values):
-        raise ParseError(f"{name} entries must lie in the int64 range [-2**63, 2**63)")
-    return values
 
 
 def _parse_element(text, form):
@@ -297,10 +292,12 @@ def _parse_element(text, form):
             f"cannot parse group element {text!r}: use 'eK', 'fK' or "
             f"'l1,..,l{form.fibre_rank}/g1,..,g{form.base_rank}'")
     fibre_text, base_text = text.split("/", 1)
-    return GroupElement(
-        _parse_vector(fibre_text, form.fibre_rank, "fibre part"),
-        _parse_vector(base_text, form.base_rank, "base part"),
-    )
+    fibre = _parse_vector(fibre_text, form.fibre_rank, "fibre part")
+    base = _parse_vector(base_text, form.base_rank, "base part")
+    try:
+        return GroupElement(fibre, base)
+    except ValueError as exc:  # coordinates outside the int64 range
+        raise ParseError(str(exc)) from None
 
 
 def _element_doc(element) -> dict:
@@ -361,6 +358,12 @@ def cmd_curve(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    # '-' or '-.' then a digit is a negative number, not an option: argparse's
+    # own matcher misses -1e-05, -1,0/0,0 and -2,4 and reports a missing value.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits with status 2 on usage errors, which collides with the
     # form-invalid exit code; route usage problems to the parse-error code.
     def error(self, message):

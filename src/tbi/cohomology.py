@@ -69,8 +69,7 @@ def numerical_rank(matrix, tol, scale, label, decisions=None) -> int:
     split tensor) keeps a block of pure roundoff at rank zero instead of
     letting its own largest singular value promote noise to full rank.
     """
-    matrix = np.asarray(matrix)
-    sing = np.linalg.svd(matrix, compute_uv=False) if matrix.size else np.zeros(0)
+    sing = np.linalg.svd(np.asarray(matrix), compute_uv=False)
     return _rank_from_singular_values(sing, tol, scale, label, decisions)
 
 
@@ -203,7 +202,7 @@ class SpectralTable:
     degree).  d2 maps are stored by source block; representatives holds an
     orthonormal basis of the surviving subspace (kernel intersected with the
     orthogonal complement of the image) per block, and images the orthonormal
-    image bases used for that choice.
+    image bases used for that choice (no columns where no d2 arrives).
     """
 
     e2: np.ndarray
@@ -269,9 +268,9 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
 
         e3[i,j] = e2[i,j] - rank(out of (i,j)) - rank(into (i,j)),
 
-    and the representative count must agree with it; a mismatch means the
-    tolerance cannot separate the kernel from the image and is reported as
-    ToleranceAmbiguityError.
+    which holds when the image into (i, j) lies in the kernel out of it; an
+    image/kernel overlap of lower rank than the image means the tolerance
+    cannot separate the two and is reported as ToleranceAmbiguityError.
     """
     split = datum.split
     m, d = split.base_half_rank, split.fibre_half_rank
@@ -285,7 +284,7 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     d2 = {}
     ranks = {}
     kernels = {}
-    incoming = {}
+    images = {}
     for i in range(m - 1):
         for j in range(1, d + 1):
             block = _d2_block(conj_two_forms, m, d, i, j)
@@ -295,32 +294,18 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
             d2[(i, j)] = block
             ranks[(i, j)] = rank
             kernels[(i, j)] = vh[rank:].conj().T
-            incoming[(i + 2, j - 1)] = u[:, :rank]
+            images[(i + 2, j - 1)] = u[:, :rank]
 
     e3 = np.zeros_like(e2)
     representatives = {}
-    images = {}
     for i in range(m + 1):
         for j in range(d + 1):
             dim = int(e2[i, j])
-            rank_out = ranks.get((i, j), 0)
             rank_in = ranks.get((i - 2, j + 1), 0)
-            survivors = dim - rank_out - rank_in
-            if survivors < 0:
-                raise ToleranceAmbiguityError(
-                    f"spectral block ({i},{j}): rank bookkeeping gives negative "
-                    f"dimension {survivors}"
-                )
-            e3[i, j] = survivors
-
             kernel = kernels.get((i, j))
             if kernel is None:
                 kernel = np.eye(dim, dtype=complex)
-            image = incoming.get((i, j))
-            if image is None:
-                image = np.zeros((dim, 0), dtype=complex)
-            images[(i, j)] = image
-
+            image = images.setdefault((i, j), np.zeros((dim, 0), dtype=complex))
             overlap = image.conj().T @ kernel
             if overlap.size:
                 _, sing, vh_overlap = _svd(overlap)
@@ -335,12 +320,8 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
                     f"image rank {rank_in})"
                 )
             reps = kernel @ vh_overlap[overlap_rank:].conj().T if overlap.size else kernel
-            if reps.shape[1] != survivors:
-                raise ToleranceAmbiguityError(
-                    f"spectral block ({i},{j}): {reps.shape[1]} representatives "
-                    f"for reported dimension {survivors}"
-                )
             representatives[(i, j)] = reps
+            e3[i, j] = reps.shape[1]
 
     return SpectralTable(e2, d2, e3, representatives, images, tuple(decisions))
 
@@ -369,12 +350,18 @@ def _wedge_one_form(one_form, reps, m, i):
 
 @dataclass(frozen=True, eq=False)
 class TangentTable:
-    """Tangent-sheaf dimensions with the level-map ranks behind them."""
+    """Tangent-sheaf dimensions, per degree the cokernel of the incoming
+    level map plus the kernel of the outgoing one, with the ranks behind them."""
 
-    dims: tuple
+    coker: tuple
+    ker: tuple
     level_ranks: tuple
     twist_residual: float
     decisions: tuple
+
+    @property
+    def dims(self) -> tuple:
+        return tuple(c + k for c, k in zip(self.coker, self.ker))
 
 
 def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> TangentTable:
@@ -396,17 +383,12 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     total = m + d
 
     decisions: list = []
-    h = table.total_dims(3)
+    h = table.total_dims(3) + [0]  # nothing above the top degree
     reps = table.representatives
 
     level_ranks = []
     twist = 0.0
     for p in range(total + 1):
-        label = f"level map at degree {p}"
-        if p + 1 > total or h[p] == 0:
-            level_ranks.append(_rank_from_singular_values(np.zeros(0), tol, scale, label,
-                                                          decisions))
-            continue
         # The level map keeps the fibre degree j, so up to a permutation of
         # rows and columns its matrix is a direct sum of one piece per j, from
         # block (i, j) to block (i+1, j): the singular values of the whole are
@@ -443,13 +425,12 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
         if singular_values:
             merged = np.sort(np.concatenate(singular_values))[::-1]
             sing[:merged.size] = merged
-        level_ranks.append(_rank_from_singular_values(sing, tol, scale, label, decisions))
+        level_ranks.append(_rank_from_singular_values(
+            sing, tol, scale, f"level map at degree {p}", decisions))
 
-    dims = []
-    for p in range(total + 1):
-        from_below = level_ranks[p - 1] if p >= 1 else 0
-        dims.append((d * h[p] - from_below) + (m * h[p] - level_ranks[p]))
-    return TangentTable(tuple(dims), tuple(level_ranks), twist, tuple(decisions))
+    coker = tuple(d * h[p] - (level_ranks[p - 1] if p else 0) for p in range(total + 1))
+    ker = tuple(m * h[p] - level_ranks[p] for p in range(total + 1))
+    return TangentTable(coker, ker, tuple(level_ranks), twist, tuple(decisions))
 
 
 @dataclass(frozen=True)
@@ -470,15 +451,9 @@ def theta_cohomology(datum: BundleDatum, degree: int,
     total = split.base_half_rank + split.fibre_half_rank
     if not 0 <= degree <= total:
         raise ValueError(f"degree must lie in 0..{total}, got {degree}")
-    if table is None:
-        table = leray_table(datum)
     if tangent is None:
         tangent = tangent_table(datum, table)
-    h = table.total_dims(3)
-    from_below = tangent.level_ranks[degree - 1] if degree >= 1 else 0
-    coker = split.fibre_half_rank * h[degree] - from_below
-    ker = split.base_half_rank * h[degree] - tangent.level_ranks[degree]
-    return ThetaCohomology(coker + ker, coker, ker)
+    return ThetaCohomology(tangent.dims[degree], tangent.coker[degree], tangent.ker[degree])
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +492,9 @@ class KodairaSpencerReport:
 
 
 def kodaira_spencer_report(datum: BundleDatum) -> KodairaSpencerReport:
-    split = datum.split
-    m = split.base_half_rank
-    h1 = theta_cohomology(datum, 1).dim
-    return KodairaSpencerReport(h1, m * m + m, classify_blocks(datum))
+    m = datum.split.base_half_rank
+    return KodairaSpencerReport(tangent_table(datum).dims[1], m * m + m,
+                                classify_blocks(datum))
 
 
 @dataclass(frozen=True, eq=False)

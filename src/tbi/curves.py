@@ -26,7 +26,7 @@ class CurveBundleClass:
             raise ValueError("genus must be non-negative")
         if self.fibre_dim < 1:
             raise ValueError("fibre dimension must be positive")
-        vector = tuple(int(x) for x in self.chern_vector)
+        vector = tuple(_exact_integers(self.chern_vector))
         if len(vector) != 2 * self.fibre_dim:
             raise ValueError(
                 f"chern vector must have length {2 * self.fibre_dim}, got {len(vector)}"
@@ -49,17 +49,22 @@ def kuranishi_dim(genus: int, fibre_dim: int) -> int:
     return 3 * genus - 3 + fibre_dim * genus + fibre_dim ** 2
 
 
-def divisibility_index(chern_vector) -> int:
-    """Non-negative gcd of the entries, with the convention that the zero
-    vector has index 0."""
+def _exact_integers(chern_vector) -> list:
+    """The entries as exact Python ints (no int64 bound), or ValueError."""
     entries = np.asarray(chern_vector)
     if entries.ndim != 1:
         raise ValueError("chern vector must be one-dimensional")
     values = entries.tolist()
     try:
-        exact = [int(x) for x in values]  # Python ints: no int64 bound
+        exact = [int(x) for x in values]
     except (TypeError, ValueError, OverflowError):
         exact = None
     if exact != values:
         raise ValueError("chern vector entries must be integers")
-    return math.gcd(*exact)
+    return exact
+
+
+def divisibility_index(chern_vector) -> int:
+    """Non-negative gcd of the entries, with the convention that the zero
+    vector has index 0."""
+    return math.gcd(*_exact_integers(chern_vector))

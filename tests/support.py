@@ -35,6 +35,21 @@ def count_calls(monkeypatch, function) -> list:
     return calls
 
 
+def skew_d2_image(monkeypatch):
+    """Patch the spectral table so that, for m = 4 and d = 2, d2 out of block
+    (2,1) is the adjoint of d2 out of block (0,2).  The image into (2,1) then
+    lies in the orthogonal complement of the kernel out of it, so a member
+    with a non-zero holomorphic block gives overlap rank 0 for image rank 1."""
+    d2_block = tbi.cohomology._d2_block
+
+    def skewed(conj_two_forms, m, d, i, j):
+        if (m, d, i, j) == (4, 2, 2, 1):
+            return d2_block(conj_two_forms, m, d, 0, 2).conj().T
+        return d2_block(conj_two_forms, m, d, i, j)
+
+    monkeypatch.setattr(tbi.cohomology, "_d2_block", skewed)
+
+
 def random_alternating_form(rng, m, d, span=3):
     """Random integer extension form with entries in [-span, span]."""
     raw = rng.integers(-span, span + 1, size=(2 * d, 2 * m, 2 * m))

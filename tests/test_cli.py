@@ -18,7 +18,8 @@ import tbi
 from tbi import ToleranceAmbiguityError, dumps, input_document, iwasawa_datum, sample_point
 from tbi import cli
 
-from support import count_calls, random_alternating_form, subprocess_env
+from support import (count_calls, gaussian_member, random_alternating_form, skew_d2_image,
+                     subprocess_env)
 
 try:
     import tomllib
@@ -125,6 +126,18 @@ def test_tolerance_ambiguity_exits_5(tmp_path, capsys, monkeypatch):
     assert "synthetic" in err
 
 
+def test_image_outside_kernel_exits_5(tmp_path, capsys, monkeypatch):
+    datum = gaussian_member(np.random.default_rng(62), "mixed", 4, 2)
+    path = _write(tmp_path, "mixed.json", input_document(datum.form, datum.base, datum.fibre))
+    skew_d2_image(monkeypatch)
+    code, out, err = _run(capsys, ["invariants", path])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: spectral block (2,1): ")
+    assert err.endswith("(overlap rank 0, image rank 1)\n")
+    assert err.count("\n") == 1
+
+
 def test_unconverged_svd_exits_5(tmp_path, capsys, monkeypatch):
     def raiser(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -212,6 +225,14 @@ def test_flag_beats_document_tolerance(tmp_path, capsys):
     path = _write(tmp_path, "nudged.json", _nudged_doc() | {"tol": 1e-3})
     code, _, _ = _run(capsys, ["validate", path, "--tol", "1e-12"])
     assert code == 4
+
+
+@pytest.mark.parametrize("value", ["-3", "-0.5", "-.5", "-1e-05"])
+def test_negative_flag_tolerance_reaches_the_tolerance_check(tmp_path, capsys, value):
+    path = _write(tmp_path, "iwasawa.json", _iwasawa_doc())
+    code, out, err = _run(capsys, ["validate", path, "--tol", value])
+    assert (code, out) == (1, "")
+    assert err == "error: --tol must be a positive finite number\n"
 
 
 def test_document_beats_env_tolerance(tmp_path, capsys, monkeypatch):
@@ -537,6 +558,15 @@ def test_group_product_and_inverse(tmp_path, capsys):
     assert payload["inverse_g1"]["base"] == [-1, 0, 0, 0]
 
 
+def test_group_element_may_start_with_a_negative_number(tmp_path, capsys):
+    path = _write(tmp_path, "form.json", _form_only_doc())
+    code, out, _ = _run(capsys, ["group", path, "-1,0/0,0,0,0", "e1"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["g1"] == {"fibre": [-1, 0], "base": [0, 0, 0, 0]}
+    assert payload["product"] == {"fibre": [-1, 0], "base": [1, 0, 0, 0]}
+
+
 def test_group_takes_no_tol(tmp_path, capsys):
     path = _write(tmp_path, "form.json", _form_only_doc())
     with pytest.raises(SystemExit) as excinfo:
@@ -638,6 +668,17 @@ def test_curve_without_chern(capsys):
     payload = json.loads(out)
     assert payload["kuranishi_dim"] == 10
     assert "divisibility_index" not in payload
+
+
+@pytest.mark.parametrize("chern,gcd", [("-2,4", 2),
+                                       ("99999999999999999999,0", 99999999999999999999)])
+def test_curve_chern_negative_or_beyond_int64_is_exact(capsys, chern, gcd):
+    code, out, err = _run(capsys, ["curve", "--genus", "2", "--fibre-dim", "1",
+                                   "--chern", chern])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["chern"] == [int(x) for x in chern.split(",")]
+    assert payload["divisibility_index"] == gcd
 
 
 def test_curve_low_genus_exits_1(capsys):

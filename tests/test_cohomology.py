@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import tbi.cohomology
-from tbi import (BundleDatum, ComplexStructure, ExtensionForm, bundle_report,
-                 classify_blocks, closed_forms_dim, h0_forms, h1_structure_sheaf,
-                 is_parallelizable, kodaira_spencer_report, leray_table, numerical_rank,
-                 product_datum, random_structure, sample_point,
+from tbi import (BundleDatum, ComplexStructure, ExtensionForm, ToleranceAmbiguityError,
+                 bundle_report, classify_blocks, closed_forms_dim, h0_forms,
+                 h1_structure_sheaf, is_parallelizable, kodaira_spencer_report, leray_table,
+                 numerical_rank, product_datum, random_structure, sample_point,
                  structure_sheaf_dims, tangent_table, theta_cohomology)
 
 from tbi.cohomology import _svd, _wedge_map, _wedge_one_form
 
-from support import gaussian_member, random_alternating_form, transported_case1
+from support import gaussian_member, random_alternating_form, skew_d2_image, transported_case1
 
 
 def _random_datum(seed, m, d):
@@ -374,6 +374,14 @@ def test_representative_counts_match_e3():
     table = leray_table(_random_datum(85, 3, 2))
     for (i, j), reps in table.representatives.items():
         assert reps.shape[1] == table.e3[i, j]
+
+
+@pytest.mark.parametrize("kind", ["mixed", "zero_hermitian"])
+def test_image_outside_kernel_is_tolerance_ambiguity(monkeypatch, kind):
+    datum = gaussian_member(np.random.default_rng(62), kind, 4, 2)
+    skew_d2_image(monkeypatch)
+    with pytest.raises(ToleranceAmbiguityError, match=r"\(overlap rank 0, image rank 1\)"):
+        leray_table(datum)
 
 
 # ---------------------------------------------------------------------------

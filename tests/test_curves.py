@@ -84,6 +84,12 @@ def test_curve_bundle_class():
     assert kuranishi_dim(bundle.genus, bundle.fibre_dim) == 6
 
 
+@pytest.mark.parametrize("chern_vector", [(1.5, 2), ("3", 2)])
+def test_curve_bundle_class_rejects_non_integer_chern(chern_vector):
+    with pytest.raises(ValueError, match="chern vector entries must be integers"):
+        CurveBundleClass(genus=2, fibre_dim=1, chern_vector=chern_vector)
+
+
 def test_curve_bundle_class_validates():
     # genus only needs to be non-negative at the class level
     assert CurveBundleClass(genus=0, fibre_dim=1, chern_vector=(0, 0)).divisibility == 0
