@@ -17,15 +17,16 @@ from .cohomology import (CohomologyReport, KodairaSpencerReport, OneFormsSpace,
                          RankDecision, SpectralTable, TangentTable, ThetaCohomology,
                          bundle_report, classify_blocks, closed_forms_dim, h0_forms,
                          h1_structure_sheaf, is_parallelizable, kodaira_spencer_report,
-                         leray_table, numerical_rank, structure_sheaf_dims,
-                         tangent_table, theta_cohomology)
+                         leray_table, numerical_rank, require_table_fits,
+                         structure_sheaf_dims, tangent_table, theta_cohomology)
 from .curves import CurveBundleClass, divisibility_index, kuranishi_dim
 from .decomposition import (BundleDatum, DecomposedForm, MembershipResult,
                             cocycle_defect, cocycle_eval, decompose,
                             lattice_vector_from_fibre, reconstruct, riemann_check,
                             split_form)
 from .errors import (FormInvalidError, MembershipError, ParseError,
-                     StructureDegenerateError, TbiError, ToleranceAmbiguityError)
+                     StructureDegenerateError, TableTooLargeError, TbiError,
+                     ToleranceAmbiguityError)
 from .lattices import (ExtensionForm, GroupElement, basis_lift, central_lift,
                        commutator, extension_cocycle, group_inverse, group_multiply,
                        validate_form)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import CATALOG_NAMES, catalog_datum
-from .cohomology import SpectralTable, bundle_report, leray_table
+from .cohomology import SpectralTable, bundle_report, leray_table, require_table_fits
 from .curves import divisibility_index, kuranishi_dim
 from .decomposition import BundleDatum
 from .errors import ParseError, TbiError, ToleranceAmbiguityError
@@ -178,6 +178,7 @@ def _print_grid(title, grid):
 def cmd_invariants(args) -> int:
     data, document = _parse_file(args.file, args)
     datum = _datum_from_document(document).require_member()
+    require_table_fits(datum)
     table = leray_table(datum)
     report = _report_document(datum, _input_echo(data, document), table)
     if args.format == "json":

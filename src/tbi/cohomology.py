@@ -8,9 +8,15 @@ maps that wedge a hermitian-block one-form into the chosen representatives.
 
 Wedging a basis one-form into a wedge monomial, and contracting one out of
 it, are signed index permutations of subsets.  _wedge_map caches them as
-integer arrays: each d2 block is one scatter through them, and each level
-map is applied to the representatives by gathers, block by block, so no
-operator on a whole degree space is ever built.
+integer arrays, and each d2 block is one scatter through them.  The level
+maps are built by base direction: _wedge_directions regroups the maps by the
+wedged direction k, and one GEMM per k pairs the target representatives
+with e_k ∧ (source representatives); one more GEMM against the hermitian
+block gives every (fibre, base) block of a level piece at once.  The part
+of an image that the representatives drop is read on the row space of the
+outgoing d2 (SpectralTable.coimages), and the image norm comes from the
+m x m Gram of the e_k ∧ source, so no operator on a whole degree space and
+no image vector is ever built.
 
 Every rank decision is one RankDecision record: the smallest singular value
 kept, the largest discarded, the threshold, and how many singular values lie
@@ -38,9 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import BundleDatum
-from .errors import ToleranceAmbiguityError
+from .errors import TableTooLargeError, ToleranceAmbiguityError
 
 _NEAR_FACTOR = 10.0  # singular values within this factor of the cut are flagged
+TABLE_BYTES_LIMIT = 2**33  # fixed: no option or environment variable moves it
 
 
 @dataclass(frozen=True)
@@ -201,8 +208,11 @@ class SpectralTable:
     e2/e3 are (m+1) x (d+1) integer grids indexed by (base degree, fibre
     degree).  d2 maps are stored by source block; representatives holds an
     orthonormal basis of the surviving subspace (kernel intersected with the
-    orthogonal complement of the image) per block, and images the orthonormal
-    image bases used for that choice (no columns where no d2 arrives).
+    orthogonal complement of the image) per block, images the orthonormal
+    image bases used for that choice (no columns where no d2 arrives), and
+    coimages orthonormal bases of the row space of the outgoing d2 (no
+    columns where none leaves).  Per block, [representatives, images,
+    coimages] is unitary.
     """
 
     e2: np.ndarray
@@ -210,6 +220,7 @@ class SpectralTable:
     e3: np.ndarray
     representatives: dict
     images: dict
+    coimages: dict
     decisions: tuple
 
     @property
@@ -258,6 +269,21 @@ def _d2_block(conj_two_forms, m, d, i, j):
     return matrix
 
 
+def require_table_fits(datum: BundleDatum) -> None:
+    """Refuse a datum whose tables would be too large, before allocating.
+
+    With n = m + d, the largest dense matrix of the tables has about
+    C(n, n//2)^2 complex entries of 16 bytes; above TABLE_BYTES_LIMIT
+    (n >= 17) the datum is refused with TableTooLargeError.
+    """
+    n = datum.split.base_half_rank + datum.split.fibre_half_rank
+    estimate = 16 * math.comb(n, n // 2) ** 2
+    if estimate > TABLE_BYTES_LIMIT:
+        raise TableTooLargeError(
+            f"cohomology tables for n = m + d = {n} need an estimated {estimate} bytes "
+            f"(16*C({n},{n // 2})**2), above the fixed limit of {TABLE_BYTES_LIMIT} bytes")
+
+
 def leray_table(datum: BundleDatum) -> SpectralTable:
     """Build the spectral table for the structure sheaf of the bundle.
 
@@ -271,7 +297,9 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     which holds when the image into (i, j) lies in the kernel out of it; an
     image/kernel overlap of lower rank than the image means the tolerance
     cannot separate the two and is reported as ToleranceAmbiguityError.
+    require_table_fits runs first.
     """
+    require_table_fits(datum)
     split = datum.split
     m, d = split.base_half_rank, split.fibre_half_rank
     tol, scale = datum.tol, split.scale
@@ -285,6 +313,7 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     ranks = {}
     kernels = {}
     images = {}
+    coimages = {}
     for i in range(m - 1):
         for j in range(1, d + 1):
             block = _d2_block(conj_two_forms, m, d, i, j)
@@ -294,7 +323,8 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
             d2[(i, j)] = block
             ranks[(i, j)] = rank
             kernels[(i, j)] = vh[rank:].conj().T
-            images[(i + 2, j - 1)] = u[:, :rank]
+            coimages[(i, j)] = vh[:rank].conj().T
+            images[(i + 2, j - 1)] = u[:, :rank].copy()  # not a view that keeps all of u
 
     e3 = np.zeros_like(e2)
     representatives = {}
@@ -306,6 +336,7 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
             if kernel is None:
                 kernel = np.eye(dim, dtype=complex)
             image = images.setdefault((i, j), np.zeros((dim, 0), dtype=complex))
+            coimages.setdefault((i, j), np.zeros((dim, 0), dtype=complex))
             overlap = image.conj().T @ kernel
             if overlap.size:
                 _, sing, vh_overlap = _svd(overlap)
@@ -323,7 +354,8 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
             representatives[(i, j)] = reps
             e3[i, j] = reps.shape[1]
 
-    return SpectralTable(e2, d2, e3, representatives, images, tuple(decisions))
+    return SpectralTable(e2, d2, e3, representatives, images, coimages,
+                         tuple(decisions))
 
 
 def structure_sheaf_dims(datum: BundleDatum) -> list:
@@ -335,17 +367,87 @@ def structure_sheaf_dims(datum: BundleDatum) -> list:
 # Tangent-sheaf dimensions via level maps on representatives
 
 
-def _wedge_one_form(one_form, reps, m, i):
-    """Left-wedge a conjugated base one-form into the columns of a block
-    (i, j) matrix, giving their block (i+1, j) images.  Rows are S-major, so
-    the gather acts on the base index and carries the fibre index along."""
+@functools.cache
+def _wedge_directions(count, size):
+    """_wedge_map(count, size) regrouped by the wedged base direction.
+
+    Returns read-only int arrays (dst, src, sign) of shape
+    (count, C(count - 1, size)).  Row k lists, in ascending order, the
+    (size+1)-subsets R that contain k, the number of R minus k, and the sign
+    with e_k ∧ e_src = sign · e_R.
+    """
+    index, src, sign = _wedge_map(count, size)
+    dst, pos = zip(*(np.nonzero(index.T == k) for k in range(count)))
+    dst, pos = np.array(dst), np.array(pos)
+    arrays = (dst, src[pos, dst], sign[pos, dst])
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _wedge_products(frame, source, m, i):
+    """products[x, k, w] = <frame[:, x], e_k ∧ source[:, w]>, with frame
+    columns in block (i+1, j) and source columns in block (i, j): one GEMM
+    per base direction k, on the rows R of frame that contain k against the
+    signed rows R minus k of source.  Rows are S-major, so the gathers act
+    on the base index and carry the fibre index along."""
+    dst, src, sign = _wedge_directions(m, i)
+    height, width = frame.shape[1], source.shape[1]
+    fibre = source.shape[0] // math.comb(m, i)
+    adjoint = frame.conj().reshape(math.comb(m, i + 1), fibre, height)
+    rows = source.reshape(math.comb(m, i), fibre, width)
+    length = dst.shape[1] * fibre
+    products = np.empty((height, m, width), dtype=complex)
+    for k in range(m):
+        pushed = rows[src[k]]
+        pushed *= sign[k][:, None, None]
+        np.matmul(adjoint[dst[k]].reshape(length, height).T,
+                  pushed.reshape(length, width), out=products[:, k])
+    return products
+
+
+def _wedge_gram(source, m, i):
+    """gram[k, l] = <e_k ∧ source, e_l ∧ source>, summed over the columns of
+    source (a block (i, j) matrix), accumulated one pair of wedge positions
+    at a time: positions p <= q of each (i+1)-subset R hold k < l (or k = l
+    when p = q) and take the rows R minus k and R minus l of source."""
     index, src, sign = _wedge_map(m, i)
-    weights = one_form[index] * sign
-    rows = reps.reshape(math.comb(m, i), -1)
-    pushed = np.zeros((index.shape[1], rows.shape[1]), dtype=complex)
-    for weight, source in zip(weights, src):
-        pushed += weight[:, None] * rows[source]
-    return pushed.reshape(-1, reps.shape[1])
+    rows = source.reshape(math.comb(m, i), -1)
+    gram = np.zeros((m, m), dtype=complex)
+    for p in range(i + 1):
+        left = rows[src[p]].conj()
+        for q in range(p, i + 1):
+            values = np.einsum("rx,rx->r", left, rows[src[q]]) * (sign[p] * sign[q])
+            np.add.at(gram, (index[p], index[q]), values)
+    upper = np.triu(gram, 1)
+    return gram + upper.conj().T
+
+
+def _level_piece(one_forms, source, target, coimage, m, i):
+    """The level-map piece from block (i, j) to (i+1, j), by base direction.
+
+    Returns its singular values (None when it is empty) and, per row (a, s)
+    of one_forms, the squared norm of the image W_{a,s} source on the
+    coimage of the outgoing differential, a quadratic form in one_forms of
+    an m x m Gram.  The coimage products are released before the piece is
+    built, so the peak memory is that of the piece and its SVD."""
+    dropped_sq = np.zeros(one_forms.shape[0])
+    if coimage.shape[1]:
+        dropped = _wedge_products(coimage, source, m, i)
+        gram = np.matmul(dropped.conj(), dropped.transpose(0, 2, 1)).sum(axis=0)
+        dropped_sq = _quadratic_norms(one_forms, gram)
+        del dropped
+    height, width = target.shape[1], source.shape[1]
+    blocks = np.matmul(one_forms, _wedge_products(target, source, m, i))  # (x, a·s, w)
+    piece = blocks.reshape(height * (one_forms.shape[0] // m), m * width)
+    return (_svd(piece, compute_uv=False) if piece.size else None), dropped_sq
+
+
+def _quadratic_norms(one_forms, gram):
+    """Per row f of one_forms, f^H gram f for a positive semidefinite gram,
+    clamped at 0 against roundoff."""
+    values = np.einsum("ak,kl,al->a", one_forms.conj(), gram, one_forms).real
+    return np.maximum(values, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,11 +471,24 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
 
     In degree p the space splits into the cokernel of the level-(p-1) map
     and the kernel of the level-p map, where the level map pairs a base
-    frame direction with a representative by wedging the hermitian one-form
-    of that direction into the representative and reading the result in fibre
-    components.  The part of the image falling outside kernel+image of the
-    differential (which the representative projection drops) is reported as
-    twist_residual.
+    frame direction s with a representative by wedging the hermitian
+    one-form of s into the representative and reading the result in fibre
+    components a.  The map keeps the fibre degree j, so up to a permutation
+    of rows and columns it is a direct sum of one piece per block (i, j) to
+    (i+1, j), and its singular values are those of the pieces together.
+
+    Each piece is built by base direction k, not by (a, s): one GEMM per k
+    pairs the target representatives with e_k ∧ source (_wedge_products),
+    and one GEMM against the (d·m) x m hermitian block then gives every
+    (a, s) block at once, laid out (x, a) x (s, w) for target column x and
+    source column w, so the piece is used as computed.  The part of each
+    image outside the kernel of the outgoing differential, which the
+    representative projection drops, is read on that differential's row
+    space (SpectralTable.coimages) by the same per-direction gathers, and
+    reported relative to the image norm as twist_residual.  Both squared
+    norms are quadratic forms of the hermitian block in m x m Grams; the
+    image norm comes from the Gram of the e_k ∧ source (_wedge_gram), so no
+    image vector is formed.
     """
     if table is None:
         table = leray_table(datum)
@@ -381,6 +496,7 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     m, d = split.base_half_rank, split.fibre_half_rank
     tol, scale = datum.tol, split.scale
     total = m + d
+    one_forms = split.hermitian.reshape(d * m, m)  # row (a, s), column k
 
     decisions: list = []
     h = table.total_dims(3) + [0]  # nothing above the top degree
@@ -389,37 +505,25 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     level_ranks = []
     twist = 0.0
     for p in range(total + 1):
-        # The level map keeps the fibre degree j, so up to a permutation of
-        # rows and columns its matrix is a direct sum of one piece per j, from
-        # block (i, j) to block (i+1, j): the singular values of the whole are
-        # those of the pieces taken together.
         singular_values = []
-        pushed_sq = np.zeros((d, m))
-        dropped_sq = np.zeros((d, m))
+        dropped_sq = np.zeros(d * m)
+        sources = []
         for i, j in _degree_blocks(m, d, p):
             source = reps[(i, j)]
             if i == m or source.shape[1] == 0:
                 continue
-            target = reps[(i + 1, j)]
-            # Orthonormal columns spanning the kernel of the outgoing d2.
-            basis = np.hstack([target, table.images[(i + 1, j)]])
-            adjoint = basis.conj().T
-            width, height = source.shape[1], target.shape[1]
-            piece = np.zeros((d * height, m * width), dtype=complex)
-            for s in range(m):
-                for a in range(d):
-                    pushed = _wedge_one_form(split.hermitian[a, s, :], source, m, i)
-                    projection = adjoint @ pushed
-                    piece[a * height:(a + 1) * height,
-                          s * width:(s + 1) * width] = projection[:height]
-                    pushed_sq[a, s] += np.linalg.norm(pushed) ** 2
-                    dropped_sq[a, s] += np.linalg.norm(pushed - basis @ projection) ** 2
-            if piece.size:
-                singular_values.append(_svd(piece, compute_uv=False))
-        pushed_norm = np.sqrt(pushed_sq)
-        moved = pushed_norm > tol * scale
-        if np.any(moved):
-            twist = max(twist, float(np.max(np.sqrt(dropped_sq[moved]) / pushed_norm[moved])))
+            sing, dropped = _level_piece(one_forms, source, reps[(i + 1, j)],
+                                         table.coimages[(i + 1, j)], m, i)
+            if sing is not None:
+                singular_values.append(sing)
+            dropped_sq += dropped
+            sources.append((source, i))
+        if np.any(dropped_sq):  # the image norms matter only where a part was dropped
+            pushed_norm = np.sqrt(sum(_quadratic_norms(one_forms, _wedge_gram(source, m, i))
+                                      for source, i in sources))
+            moved = pushed_norm > tol * scale
+            if np.any(moved):
+                twist = max(twist, float(np.max(np.sqrt(dropped_sq[moved]) / pushed_norm[moved])))
         # Padded with the exact zeros of the rows and columns no piece covers.
         sing = np.zeros(min(d * h[p + 1], m * h[p]))
         if singular_values:

@@ -18,6 +18,13 @@ class ParseError(TbiError):
     exit_code = 1
 
 
+class TableTooLargeError(TbiError):
+    """The cohomology tables of the datum are larger than the fixed memory
+    limit, so they are refused before anything is allocated."""
+
+    exit_code = 1
+
+
 class FormInvalidError(TbiError):
     """The integer extension form violates alternation or shape constraints."""
 

@@ -21,6 +21,7 @@ which is integral for every alternating A.  Group elements are pairs
 All arithmetic in this module is exact over the integers.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,14 @@ class ExtensionForm:
         coeff = _int64_array(coeff, "coefficients", FormInvalidError)
         coeff.setflags(write=False)
         object.__setattr__(self, "coefficients", coeff)
+
+    @functools.cached_property
+    def upper(self) -> np.ndarray:
+        """The strict upper triangle of coefficients (the cocycle c), taken
+        on first use and kept read-only."""
+        upper = np.triu(self.coefficients, k=1)
+        upper.setflags(write=False)
+        return upper
 
     @property
     def base_rank(self) -> int:
@@ -161,8 +170,7 @@ def extension_cocycle(form: ExtensionForm, g1_base, g2_base) -> np.ndarray:
     """
     g1 = _int_vector(g1_base, form.base_rank, "g1_base")
     g2 = _int_vector(g2_base, form.base_rank, "g2_base")
-    upper = np.triu(form.coefficients, k=1)
-    return np.einsum("kij,i,j->k", upper, g1, g2)
+    return np.einsum("kij,i,j->k", form.upper, g1, g2)
 
 
 def group_multiply(form: ExtensionForm, g1: GroupElement, g2: GroupElement) -> GroupElement:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import pathlib
 import shutil
 import subprocess
@@ -149,6 +150,54 @@ def test_unconverged_svd_exits_5(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert err == "error: SVD did not converge\n"
     assert "Traceback" not in err
+
+
+def test_oversized_tables_exit_1_before_any_table(tmp_path, capsys, monkeypatch):
+    """n = 20 would need about 546 GB of tables: refused with exit 1 and one
+    error line naming n and the estimate, before leray_table is reached."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("leray_table called for an oversized datum")
+
+    datum = tbi.product_datum(16, 4)
+    path = _write(tmp_path, "product.json", input_document(datum.form, datum.base, datum.fibre))
+    monkeypatch.setattr(tbi.cli, "leray_table", unreachable)
+    monkeypatch.setattr(tbi.cohomology, "leray_table", unreachable)
+    code, out, err = _run(capsys, ["invariants", path])
+    assert (code, out) == (1, "")
+    assert err == ("error: cohomology tables for n = m + d = 20 need an estimated "
+                   f"{16 * math.comb(20, 10) ** 2} bytes (16*C(20,10)**2), above the "
+                   "fixed limit of 8589934592 bytes\n")
+
+
+def test_table_size_limit_refuses_n_17_and_above():
+    tbi.require_table_fits(tbi.product_datum(15, 1))
+    with pytest.raises(tbi.TableTooLargeError, match=r"n = m \+ d = 17 ") as caught:
+        tbi.leray_table(tbi.product_datum(16, 1))
+    assert caught.value.exit_code == 1
+
+
+def test_invariants_takes_one_upper_triangle_per_form(tmp_path, capsys, monkeypatch):
+    """The group spot checks read the form's cached strict upper triangle,
+    so a report takes at most one np.triu per extension form (other np.triu
+    calls, on other arrays, are not counted)."""
+    path = _write(tmp_path, "iwasawa.json", _iwasawa_doc())
+    forms, triangles = [], []
+    post_init, triu = tbi.ExtensionForm.__post_init__, np.triu
+
+    def counting_post_init(self):
+        forms.append(self)
+        post_init(self)
+
+    def counting_triu(*args, **kwargs):
+        triangles.append(args)
+        return triu(*args, **kwargs)
+
+    monkeypatch.setattr(tbi.ExtensionForm, "__post_init__", counting_post_init)
+    monkeypatch.setattr(np, "triu", counting_triu)
+    code, _, _ = _run(capsys, ["invariants", path])
+    assert code == 0
+    per_form = [sum(args[0] is form.coefficients for args in triangles) for form in forms]
+    assert per_form and max(per_form) == 1
 
 
 def _nan_in_v(doc):

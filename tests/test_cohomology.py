@@ -12,7 +12,7 @@ from tbi import (BundleDatum, ComplexStructure, ExtensionForm, ToleranceAmbiguit
                  numerical_rank, product_datum, random_structure, sample_point,
                  structure_sheaf_dims, tangent_table, theta_cohomology)
 
-from tbi.cohomology import _svd, _wedge_map, _wedge_one_form
+from tbi.cohomology import _svd, _wedge_gram, _wedge_map, _wedge_products
 
 from support import gaussian_member, random_alternating_form, skew_d2_image, transported_case1
 
@@ -190,12 +190,23 @@ def _level_map_reference(one_form, m, i, fibre_count):
 
 
 @pytest.mark.parametrize("m,i,fibre_count", [(1, 0, 1), (3, 1, 2), (4, 2, 3), (5, 2, 1)])
-def test_wedge_one_form_matches_dense_reference(m, i, fibre_count):
+def test_wedge_products_match_dense_reference(m, i, fibre_count):
+    """The direction-grouped gather gives frame^H (e_k ∧ reps) for every base
+    direction k, and the Gram of those wedges, as the dense wedge matrix does."""
     rng = np.random.default_rng([90, m, i])
     one_form = rng.normal(size=m) + 1j * rng.normal(size=m)
     reps = rng.normal(size=(math.comb(m, i) * fibre_count, 3)) + 0j
-    expected = _level_map_reference(one_form, m, i, fibre_count) @ reps
-    assert np.allclose(_wedge_one_form(one_form, reps, m, i), expected, rtol=0, atol=1e-13)
+    frame = (rng.normal(size=(math.comb(m, i + 1) * fibre_count, 2))
+             + 1j * rng.normal(size=(math.comb(m, i + 1) * fibre_count, 2)))
+    products = _wedge_products(frame, reps, m, i)
+    wedges = [_level_map_reference(unit, m, i, fibre_count) @ reps for unit in np.eye(m)]
+    for k, wedge in enumerate(wedges):
+        assert np.allclose(products[:, k], frame.conj().T @ wedge, rtol=0, atol=1e-13)
+    expected = frame.conj().T @ _level_map_reference(one_form, m, i, fibre_count) @ reps
+    assert np.allclose(np.einsum("xkw,k->xw", products, one_form), expected,
+                       rtol=0, atol=1e-13)
+    gram = [[np.vdot(left, right) for right in wedges] for left in wedges]
+    assert np.allclose(_wedge_gram(reps, m, i), gram, rtol=0, atol=1e-13)
 
 
 def _d2_reference(conj_two_forms, m, d, i, j):
@@ -416,6 +427,57 @@ def test_parallelizable_tangent_is_frame_multiple(seed, m):
     assert is_parallelizable(datum)
     report = bundle_report(datum)
     assert report.h_tangent == tuple((m + 1) * h for h in report.h_structure)
+
+
+SMALL_MEMBERS = [(kind, m, d) for kind in ("mixed", "pure_hermitian", "zero_hermitian")
+                 for m in range(2, 6) for d in (1, 2)]
+
+
+def _small_member(kind, m, d):
+    return gaussian_member(np.random.default_rng([103, m, d]), kind, m, d)
+
+
+@pytest.mark.parametrize("kind,m,d", SMALL_MEMBERS)
+def test_level_decisions_match_dense_pieces(kind, m, d):
+    """Each level piece built densely, block (a, s) by block (a, s), from the
+    wedge matrix of the hermitian one-form and the representatives, gives
+    the singular values behind every level-map decision."""
+    datum = _small_member(kind, m, d)
+    table = leray_table(datum)
+    tangent = tangent_table(datum, table)
+    reps, hermitian = table.representatives, datum.split.hermitian
+    h = table.total_dims(3) + [0]
+    assert len(tangent.decisions) == m + d + 1
+    for p, decision in enumerate(tangent.decisions):
+        assert decision.label == f"level map at degree {p}"
+        sing = np.zeros(min(d * h[p + 1], m * h[p]))
+        pieces = [np.block([[reps[(i + 1, j)].conj().T
+                             @ _level_map_reference(hermitian[a, s], m, i, math.comb(d, j))
+                             @ reps[(i, j)] for s in range(m)] for a in range(d)])
+                  for i, j in tbi.cohomology._degree_blocks(m, d, p)
+                  if i < m and reps[(i, j)].shape[1]]
+        merged = np.sort(np.concatenate([np.linalg.svd(piece, compute_uv=False)
+                                         for piece in pieces if piece.size] + [[]]))[::-1]
+        sing[:merged.size] = merged
+        rank = decision.rank
+        assert rank == int(np.sum(sing > decision.threshold))
+        expected = (sing[rank - 1] if rank else 0.0, sing[rank] if rank < sing.size else 0.0)
+        np.testing.assert_allclose((decision.smallest_kept, decision.largest_dropped),
+                                   expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind,m,d", SMALL_MEMBERS)
+def test_representatives_images_coimages_are_unitary(kind, m, d):
+    """Where a d2 leaves a block, its representatives, the image of the
+    incoming d2 and the coimage of the outgoing one together are a unitary
+    basis of the block."""
+    table = leray_table(_small_member(kind, m, d))
+    for key in table.d2:
+        frame = np.hstack([table.representatives[key], table.images[key],
+                           table.coimages[key]])
+        assert frame.shape == (table.e2[key],) * 2
+        np.testing.assert_allclose(frame.conj().T @ frame, np.eye(frame.shape[0]),
+                                   rtol=0, atol=1e-12)
 
 
 def _report_labels(m, d):
