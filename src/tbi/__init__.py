@@ -13,10 +13,9 @@ __version__ = "0.1.0"
 
 from .catalog import (catalog_datum, iwasawa_datum, iwasawa_form, product_datum,
                       product_form)
-from .cohomology import (CohomologyReport, KodairaSpencerReport, OneFormsSpace,
-                         RankDecision, SpectralTable, TangentTable, ThetaCohomology,
-                         bundle_report, classify_blocks, closed_forms_dim, h0_forms,
-                         h1_structure_sheaf, is_parallelizable, kodaira_spencer_report,
+from .cohomology import (CohomologyReport, OneFormsSpace, RankDecision, SpectralTable,
+                         TangentTable, ThetaCohomology, bundle_report, classify_blocks,
+                         closed_forms_dim, h0_forms, h1_structure_sheaf, is_parallelizable,
                          leray_table, numerical_rank, require_table_fits,
                          structure_sheaf_dims, tangent_table, theta_cohomology)
 from .curves import CurveBundleClass, divisibility_index, kuranishi_dim

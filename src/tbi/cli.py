@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import CATALOG_NAMES, catalog_datum
-from .cohomology import SpectralTable, bundle_report, leray_table, require_table_fits
+from .cohomology import CohomologyReport, bundle_report
 from .curves import divisibility_index, kuranishi_dim
 from .decomposition import BundleDatum
 from .errors import ParseError, TbiError, ToleranceAmbiguityError
@@ -102,10 +102,9 @@ def _input_echo(data: bytes, document: InputDocument) -> dict:
             "tol": document.effective_tol}
 
 
-def _report_document(datum: BundleDatum, echo: dict, table: SpectralTable) -> dict:
+def _report_document(datum: BundleDatum, echo: dict, report: CohomologyReport) -> dict:
     split = datum.split
     verdict = datum.membership
-    report = bundle_report(datum, table)
     return {
         "input": echo,
         "riemann": {
@@ -178,9 +177,8 @@ def _print_grid(title, grid):
 def cmd_invariants(args) -> int:
     data, document = _parse_file(args.file, args)
     datum = _datum_from_document(document).require_member()
-    require_table_fits(datum)
-    table = leray_table(datum)
-    report = _report_document(datum, _input_echo(data, document), table)
+    cohomology_report = bundle_report(datum)
+    report = _report_document(datum, _input_echo(data, document), cohomology_report)
     if args.format == "json":
         print(dumps(report))
         return 0
@@ -189,8 +187,8 @@ def cmd_invariants(args) -> int:
     print(f"m = {document.m}, d = {document.d}, tol = {datum.tol:.3e}")
     print(f"riemann member: {report['riemann']['member']} "
           f"(residual {report['riemann']['residual']:.3e})")
-    _print_grid("first-page dimensions (base degree i, fibre degree j):", table.e2)
-    _print_grid("surviving dimensions:", table.e3)
+    _print_grid("first-page dimensions (base degree i, fibre degree j):", cohomology_report.e2)
+    _print_grid("surviving dimensions:", cohomology_report.e3)
     print(f"structure sheaf dimensions: {cohomology['h_structure']}")
     print(f"global 1-forms: {cohomology['h0_one_forms']} "
           f"(closed: {cohomology['closed_one_forms']})")

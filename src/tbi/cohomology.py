@@ -32,8 +32,14 @@ its adjoint, whose factors are those of the matrix with u and vh swapped
 first reduced to a small triangular factor (Chan, ACM TOMS 1982), and
 numpy's SVD of a wide C-ordered complex matrix takes about twice as long as
 that of its transpose.  Square and tall matrices go through unchanged.  The
-d-row flats of the annihilator counts are left as they are: they cost
+d-row flats of the one-form counts are left as they are: they cost
 microseconds.
+
+The spectral table keeps only what a later reader reads: the page grids,
+the representatives and coimages that the tangent table consumes, and the
+rank decisions.  The d2 blocks and their image bases are locals of
+leray_table and are freed when it returns.  bundle_report is the one entry
+point that computes every dimension from one build of each table.
 """
 
 import functools
@@ -115,23 +121,18 @@ def _rank_from_singular_values(sing, tol, scale, label, decisions=None) -> int:
 
 @dataclass(frozen=True)
 class OneFormsSpace:
-    """Dimension of the global holomorphic 1-forms, with the fibre-functional
-    annihilator that produced the fibre contribution (rows are orthonormal
-    functionals killing the image of the hermitian block)."""
+    """Dimension of the global holomorphic 1-forms."""
 
     dim: int
-    annihilator: np.ndarray
 
 
 def h0_forms(datum: BundleDatum, decisions=None) -> OneFormsSpace:
     """Global 1-forms: the m base forms always survive; a fibre functional
     survives exactly when it annihilates the image of the hermitian block."""
     split = datum.split
-    u, sing, _ = np.linalg.svd(split.hermitian.reshape(split.fibre_half_rank, -1))
-    rank = _rank_from_singular_values(sing, datum.tol, split.scale, "hermitian block",
-                                      decisions)
-    annihilator = u[:, rank:].conj().T
-    return OneFormsSpace(split.base_half_rank + split.fibre_half_rank - rank, annihilator)
+    rank = numerical_rank(split.hermitian.reshape(split.fibre_half_rank, -1), datum.tol,
+                          split.scale, "hermitian block", decisions)
+    return OneFormsSpace(split.base_half_rank + split.fibre_half_rank - rank)
 
 
 def closed_forms_dim(datum: BundleDatum, decisions=None) -> int:
@@ -203,23 +204,19 @@ def _degree_blocks(m, d, p):
 
 @dataclass(frozen=True, eq=False)
 class SpectralTable:
-    """First page dimensions, the differential, and the second page.
+    """First and second page dimensions, with the bases the tangent table reads.
 
     e2/e3 are (m+1) x (d+1) integer grids indexed by (base degree, fibre
-    degree).  d2 maps are stored by source block; representatives holds an
-    orthonormal basis of the surviving subspace (kernel intersected with the
-    orthogonal complement of the image) per block, images the orthonormal
-    image bases used for that choice (no columns where no d2 arrives), and
-    coimages orthonormal bases of the row space of the outgoing d2 (no
-    columns where none leaves).  Per block, [representatives, images,
-    coimages] is unitary.
+    degree).  representatives holds, per block, an orthonormal basis of the
+    surviving subspace (the kernel of the outgoing d2 intersected with the
+    orthogonal complement of the incoming image), and coimages an
+    orthonormal basis of the row space of the outgoing d2 (no columns where
+    none leaves).  The d2 blocks and the image bases are not kept.
     """
 
     e2: np.ndarray
-    d2: dict
     e3: np.ndarray
     representatives: dict
-    images: dict
     coimages: dict
     decisions: tuple
 
@@ -309,7 +306,6 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
                    for i in range(m + 1)], dtype=np.int64)
 
     decisions: list = []
-    d2 = {}
     ranks = {}
     kernels = {}
     images = {}
@@ -320,7 +316,6 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
             u, sing, vh = _svd(block)
             rank = _rank_from_singular_values(
                 sing, tol, scale, f"d2 out of ({i},{j})", decisions)
-            d2[(i, j)] = block
             ranks[(i, j)] = rank
             kernels[(i, j)] = vh[rank:].conj().T
             coimages[(i, j)] = vh[:rank].conj().T
@@ -335,7 +330,7 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
             kernel = kernels.get((i, j))
             if kernel is None:
                 kernel = np.eye(dim, dtype=complex)
-            image = images.setdefault((i, j), np.zeros((dim, 0), dtype=complex))
+            image = images.get((i, j), np.zeros((dim, 0), dtype=complex))
             coimages.setdefault((i, j), np.zeros((dim, 0), dtype=complex))
             overlap = image.conj().T @ kernel
             if overlap.size:
@@ -354,8 +349,7 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
             representatives[(i, j)] = reps
             e3[i, j] = reps.shape[1]
 
-    return SpectralTable(e2, d2, e3, representatives, images, coimages,
-                         tuple(decisions))
+    return SpectralTable(e2, e3, representatives, coimages, tuple(decisions))
 
 
 def structure_sheaf_dims(datum: BundleDatum) -> list:
@@ -544,19 +538,14 @@ class ThetaCohomology:
     ker_dim: int
 
 
-def theta_cohomology(datum: BundleDatum, degree: int,
-                     table: SpectralTable | None = None,
-                     tangent: TangentTable | None = None) -> ThetaCohomology:
+def theta_cohomology(datum: BundleDatum, degree: int) -> ThetaCohomology:
     """Tangent-sheaf cohomology in one degree, split into the cokernel of the
-    incoming level map and the kernel of the outgoing one.  table and
-    tangent, when given, are leray_table(datum) and tangent_table(datum,
-    table) already built."""
+    incoming level map and the kernel of the outgoing one."""
     split = datum.split
     total = split.base_half_rank + split.fibre_half_rank
     if not 0 <= degree <= total:
         raise ValueError(f"degree must lie in 0..{total}, got {degree}")
-    if tangent is None:
-        tangent = tangent_table(datum, table)
+    tangent = tangent_table(datum)
     return ThetaCohomology(tangent.dims[degree], tangent.coker[degree], tangent.ker[degree])
 
 
@@ -566,45 +555,29 @@ def theta_cohomology(datum: BundleDatum, degree: int,
 
 def classify_blocks(datum: BundleDatum) -> str | None:
     """Coarse label by which blocks vanish; only defined for one-dimensional
-    fibres (d=1), None otherwise."""
+    fibres (d=1), None otherwise.  "abelian" is decided exactly on the
+    integer form, the other labels relative to the split's scale."""
     split = datum.split
     if split.fibre_half_rank != 1:
         return None
-    tol, scale = datum.tol, split.scale
-    if scale <= tol:
+    if not np.any(datum.form.coefficients):
         return "abelian"
     if is_parallelizable(datum):
         return "zero_hermitian"
-    if np.max(np.abs(split.holomorphic)) <= tol * scale:
+    if np.max(np.abs(split.holomorphic)) <= datum.tol * split.scale:
         return "pure_hermitian"
     return "mixed"
 
 
-@dataclass(frozen=True)
-class KodairaSpencerReport:
-    """First tangent cohomology against the dimension count of the family of
-    deformations obtained by moving the structure pair (m^2 base moduli plus
-    m fibre-direction moduli per base dimension when d = 1)."""
-
-    h1_tangent: int
-    target: int
-    classification: str | None
-
-    @property
-    def matches_target(self) -> bool:
-        return self.h1_tangent == self.target
-
-
-def kodaira_spencer_report(datum: BundleDatum) -> KodairaSpencerReport:
-    m = datum.split.base_half_rank
-    return KodairaSpencerReport(tangent_table(datum).dims[1], m * m + m,
-                                classify_blocks(datum))
-
-
 @dataclass(frozen=True, eq=False)
 class CohomologyReport:
-    """Everything the report command prints for one bundle datum."""
+    """Everything the report command prints for one bundle datum.  e2 and e3
+    are the first and second page grids of the spectral table.  The
+    deformation count m^2 + m is that of the family obtained by moving the
+    structure pair; h_tangent[1] is compared against it."""
 
+    e2: np.ndarray
+    e3: np.ndarray
     h_structure: tuple
     h0_one_forms: int
     closed_one_forms: int
@@ -617,18 +590,20 @@ class CohomologyReport:
     decisions: tuple
 
 
-def bundle_report(datum: BundleDatum, table: SpectralTable | None = None) -> CohomologyReport:
-    """Run every dimension computation once and collect the audit trail;
-    table, when given, is leray_table(datum) already built."""
+def bundle_report(datum: BundleDatum) -> CohomologyReport:
+    """Run every dimension computation once and collect the audit trail.
+    An oversized datum is refused by require_table_fits before any work."""
+    require_table_fits(datum)
     decisions: list = []
     forms = h0_forms(datum, decisions)
     closed = closed_forms_dim(datum, decisions)
     h1 = h1_structure_sheaf(datum, decisions)
-    if table is None:
-        table = leray_table(datum)
+    table = leray_table(datum)
     tangent = tangent_table(datum, table)
     m = datum.split.base_half_rank
     return CohomologyReport(
+        e2=table.e2,
+        e3=table.e3,
         h_structure=tuple(table.total_dims(3)),
         h0_one_forms=forms.dim,
         closed_one_forms=closed,

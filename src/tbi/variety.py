@@ -106,11 +106,13 @@ def chart_structure(chart) -> ComplexStructure:
 def graph_chart(fibre: ComplexStructure, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Express a fibre structure in the graph chart: the d x d matrix U* with
     column span { (u', U* u') }.  Fails when the subspace does not project
-    onto the first d coordinates (the point is outside this chart)."""
+    onto the first d coordinates (the point is outside this chart).  The
+    rank of the top rows is cut relative to the whole period matrix, so the
+    test does not depend on how the period columns are scaled."""
     d = fibre.half_rank
     top = fibre.period[:d, :]
     bottom = fibre.period[d:, :]
-    if np.linalg.matrix_rank(top, tol=tol * max(1.0, float(np.max(np.abs(top))))) < d:
+    if np.linalg.matrix_rank(top, tol=tol * float(np.max(np.abs(fibre.period)))) < d:
         raise StructureDegenerateError("fibre subspace is outside the graph chart")
     return np.linalg.solve(top.T, bottom.T).T
 

@@ -1,5 +1,6 @@
 """Shared construction helpers for the test suite."""
 
+import math
 import os
 import pathlib
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 
 import tbi
 from tbi import BundleDatum, ComplexStructure, ExtensionForm, standard_structure
+from tbi.cohomology import _d2_block, _rank_from_singular_values, _svd
 
 
 def subprocess_env():
@@ -48,6 +50,27 @@ def skew_d2_image(monkeypatch):
         return d2_block(conj_two_forms, m, d, i, j)
 
     monkeypatch.setattr(tbi.cohomology, "_d2_block", skewed)
+
+
+def d2_blocks(datum):
+    """The d2 blocks of leray_table(datum) and the image bases it chose, as
+    leray_table builds them: d2 keyed by source block, and per block (i, j)
+    an orthonormal basis of the image of the d2 arriving there (no columns
+    where none arrives)."""
+    split = datum.split
+    m, d = split.base_half_rank, split.fibre_half_rank
+    conj_two_forms = np.conj(split.holomorphic)
+    d2 = {}
+    images = {(i, j): np.zeros((math.comb(m, i) * math.comb(d, j), 0), dtype=complex)
+              for i in range(m + 1) for j in range(d + 1)}
+    for i in range(m - 1):
+        for j in range(1, d + 1):
+            block = _d2_block(conj_two_forms, m, d, i, j)
+            u, sing, _ = _svd(block)
+            rank = _rank_from_singular_values(sing, datum.tol, split.scale, "")
+            d2[(i, j)] = block
+            images[(i + 2, j - 1)] = u[:, :rank]
+    return d2, images
 
 
 def random_alternating_form(rng, m, d, span=3):
@@ -120,6 +143,15 @@ def gaussian_member(rng, kind, m, d) -> BundleDatum:
     tensor[1::2] = holomorphic.imag
     form = ExtensionForm(np.rint(tensor).astype(np.int64))
     return BundleDatum.checked(form, standard_structure(m), standard_structure(d))
+
+
+SMALL_MEMBERS = [(kind, m, d) for kind in ("mixed", "pure_hermitian", "zero_hermitian")
+                 for m in range(2, 6) for d in (1, 2)]
+
+
+def small_member(kind, m, d) -> BundleDatum:
+    """The gaussian_member of SMALL_MEMBERS slot (kind, m, d)."""
+    return gaussian_member(np.random.default_rng([103, m, d]), kind, m, d)
 
 
 def unimodular_matrix(rng, n, steps=None) -> np.ndarray:

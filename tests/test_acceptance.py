@@ -18,13 +18,12 @@ from tbi import (BundleDatum, ExtensionForm, GroupElement,
                  StructureDegenerateError, bundle_report, classify_blocks,
                  cocycle_defect, commutator, dumps, graph_chart, h0_forms,
                  input_document, is_parallelizable, iwasawa_datum, iwasawa_form,
-                 kuranishi_dim, lattice_vector_from_fibre, leray_table,
-                 local_equations, product_datum, random_structure, reconstruct,
-                 sample_point, structure_sheaf_dims, tangent_table,
-                 theta_cohomology)
+                 kuranishi_dim, lattice_vector_from_fibre, local_equations,
+                 product_datum, random_structure, reconstruct, sample_point,
+                 structure_sheaf_dims, tangent_table, theta_cohomology)
 from tbi import cli
 
-from support import (random_alternating_form, random_group_element_parts,
+from support import (d2_blocks, random_alternating_form, random_group_element_parts,
                      subprocess_env, transported_case1)
 
 
@@ -134,9 +133,9 @@ def test_criterion_5_property_suite():
         assert np.array_equal(recovered, form(gamma2, gamma1))
 
         # (d) the spectral differential squares to zero
-        table = leray_table(datum)
-        for (i, j), outgoing in table.d2.items():
-            incoming = table.d2.get((i - 2, j + 1))
+        d2, _ = d2_blocks(datum)
+        for (i, j), outgoing in d2.items():
+            incoming = d2.get((i - 2, j + 1))
             if incoming is not None:
                 residual = np.max(np.abs(outgoing @ incoming))
                 assert residual < 1e-8 * scale * scale

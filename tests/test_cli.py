@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 import tbi
 from tbi import ToleranceAmbiguityError, dumps, input_document, iwasawa_datum, sample_point
 from tbi import cli
+from tbi.catalog import CATALOG_NAMES
 
 from support import (count_calls, gaussian_member, random_alternating_form, skew_d2_image,
-                     subprocess_env)
+                     small_member, subprocess_env)
 
 try:
     import tomllib
@@ -160,7 +161,6 @@ def test_oversized_tables_exit_1_before_any_table(tmp_path, capsys, monkeypatch)
 
     datum = tbi.product_datum(16, 4)
     path = _write(tmp_path, "product.json", input_document(datum.form, datum.base, datum.fibre))
-    monkeypatch.setattr(tbi.cli, "leray_table", unreachable)
     monkeypatch.setattr(tbi.cohomology, "leray_table", unreachable)
     code, out, err = _run(capsys, ["invariants", path])
     assert (code, out) == (1, "")
@@ -357,7 +357,6 @@ def test_invariants_table_format_builds_spectral_table_once(tmp_path, capsys, mo
         calls.append(datum)
         return original(datum)
 
-    monkeypatch.setattr("tbi.cli.leray_table", counting)
     monkeypatch.setattr("tbi.cohomology.leray_table", counting)
     path = _write(tmp_path, "iwasawa.json", _iwasawa_doc())
     code, out, _ = _run(capsys, ["invariants", path, "--format", "table"])
@@ -411,6 +410,59 @@ def test_invariants_near_threshold_stdout_frozen(tmp_path, capsys, name, tol, co
     assert (code, err) == (0, "")
     assert sum(line.startswith("warning: ") for line in out.splitlines()) == count
     assert hashlib.sha256(out.encode()).hexdigest() == table_digest
+
+
+# sha256 of `tbi invariants --format table` stdout on the catalog documents,
+# the Kodaira surface and the SMALL_MEMBERS slots (kind.m.d), recorded when the
+# table format still built its own spectral table.  The format prints no
+# float beyond .3e, so the digests do not move with the last bits of an SVD.
+TABLE_FORMAT_DIGESTS = {
+    "iwasawa": "1402e71ee93bd97e3632efe89a2d5ba9f37619d6b1ce01fdf690963b9e542ac2",
+    "product": "fd3ab546c90d1675792e59663fdae7f03cd641eb75955e3a788aa87b1c68f6ba",
+    "kodaira": "b6dce454b4835265b3b64f463060954ae297d75fb479ba054b05f78267d340a9",
+    "mixed.2.1": "8784c2763c4c6fe5c64734dad789b20ddbe3a05f6a06571468f7c2403719e550",
+    "mixed.2.2": "71f109fb552515f0c5289a80869c020a96fa570b20add852677695edcc90e31a",
+    "mixed.3.1": "edc511c4e91bc05dca5f90d9aaa6488652a062aed1eb04b773ab7842b7ae063d",
+    "mixed.3.2": "de939639dbeb71de262fc1aad5519bba70a3549b53fd37c4659b36e935128346",
+    "mixed.4.1": "005c40949af0e341cba8c837b3de05e2fb1fc15b2460d3152f5b99b88a98ca39",
+    "mixed.4.2": "f1d240de2c86083f21baa342be9a6fe22be9f42486e0cf7386351677316ef203",
+    "mixed.5.1": "87131f208b1fe213956935db8223adf57ba9f202644aadb2bb2105515adf1b33",
+    "mixed.5.2": "5595fbbcc4c6d68a8fe5ab387871ec3b98e6740dc8b91e5a261cc02bd8bd11b6",
+    "pure_hermitian.2.1": "469a3df0a067809723611500f9f74f35c9f554de30fae367b72fbffcb49bd23d",
+    "pure_hermitian.2.2": "c1348db97646724234b1f7d7ced733a10b1dbc171e84ba6e763b2700cdcd3b43",
+    "pure_hermitian.3.1": "c2b8ad3b1ef02b63b4e4beceb093df4a54b1a102a076b6c497824b8892878ac1",
+    "pure_hermitian.3.2": "1ed9b5c1954c8ad9084675cc6e0b86ad94f64c5c5cb9dbd3543855a2aadc284b",
+    "pure_hermitian.4.1": "ae590bf5410c2839e312855613b53c10dbacf24293582bad4a89f179765db992",
+    "pure_hermitian.4.2": "ae12b28b25d4da5e1b472914c8943d95cf258a93f6d638b62d95abca725ffbaf",
+    "pure_hermitian.5.1": "bf21e1890a2da26142c7855f377cbaaf942c08750e63f95d817c38294ea4cf1f",
+    "pure_hermitian.5.2": "ee9254354881d4e2256485b21dd0e8c5c29f5694ff39fe1d3de6113a48780582",
+    "zero_hermitian.2.1": "f631221a523b4bc3c0d38d1373ac030c2ceb5748b4ff0f214669ab6df82c4023",
+    "zero_hermitian.2.2": "0ac2c699bca622880df18260a6e3df75742b6e3bbf2afc49f487371a81c763f7",
+    "zero_hermitian.3.1": "1edf1d3af80efaac6bc4f1e5be162f7145b99ca1f089248496af5e99a93129c3",
+    "zero_hermitian.3.2": "ef18d124d2d52f1d3161c56c1862b54af81104d3980ecad45181ab9e7e3f34bb",
+    "zero_hermitian.4.1": "e647eead408b53c2154f1a22d9092cb106e7f6b8bb533e7f9b5af8d31f056a35",
+    "zero_hermitian.4.2": "a2a43875033f90efc402dea31e1a69181019fe12155b4a82048acebc8b67627a",
+    "zero_hermitian.5.1": "cccdd1b50d93b7a8c15a4b73eb3e8d4e634a1abc5dae886e43727c5882e3979c",
+    "zero_hermitian.5.2": "9ef27aeb13c684957f6ad262b6f72755db5f6bb7bcbd1554203b9aeffd6671e3",
+}
+
+
+def _frozen_datum(request, name):
+    if name == "kodaira":
+        return request.getfixturevalue("kodaira_surface")
+    if name in CATALOG_NAMES:
+        return tbi.catalog_datum(name)
+    kind, m, d = name.split(".")
+    return small_member(kind, int(m), int(d))
+
+
+@pytest.mark.parametrize("name", TABLE_FORMAT_DIGESTS)
+def test_invariants_table_stdout_frozen(tmp_path, capsys, request, name):
+    datum = _frozen_datum(request, name)
+    path = _write(tmp_path, "doc.json", input_document(datum.form, datum.base, datum.fibre))
+    code, out, err = _run(capsys, ["invariants", path, "--format", "table"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_FORMAT_DIGESTS[name]
 
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -1,20 +1,23 @@
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+import tbi.cli
 import tbi.cohomology
 from tbi import (BundleDatum, ComplexStructure, ExtensionForm, ToleranceAmbiguityError,
                  bundle_report, classify_blocks, closed_forms_dim, h0_forms,
-                 h1_structure_sheaf, is_parallelizable, kodaira_spencer_report, leray_table,
-                 numerical_rank, product_datum, random_structure, sample_point,
-                 structure_sheaf_dims, tangent_table, theta_cohomology)
+                 h1_structure_sheaf, is_parallelizable, leray_table, numerical_rank,
+                 product_datum, random_structure, sample_point, structure_sheaf_dims,
+                 tangent_table, theta_cohomology)
 
 from tbi.cohomology import _svd, _wedge_gram, _wedge_map, _wedge_products
 
-from support import gaussian_member, random_alternating_form, skew_d2_image, transported_case1
+from support import (SMALL_MEMBERS, d2_blocks, gaussian_member, random_alternating_form,
+                     skew_d2_image, small_member, transported_case1)
 
 
 def _random_datum(seed, m, d):
@@ -235,10 +238,10 @@ def _d2_reference(conj_two_forms, m, d, i, j):
 @pytest.mark.parametrize("seed,m,d", [(91, 3, 1), (92, 4, 2), (93, 4, 3), (94, 5, 2)])
 def test_d2_blocks_match_entrywise_reference(seed, m, d):
     datum = _random_datum(seed, m, d)
-    table = leray_table(datum)
+    d2, _ = d2_blocks(datum)
     conj_two_forms = np.conj(datum.split.holomorphic)
-    assert sorted(table.d2) == [(i, j) for i in range(m - 1) for j in range(1, d + 1)]
-    for (i, j), block in table.d2.items():
+    assert sorted(d2) == [(i, j) for i in range(m - 1) for j in range(1, d + 1)]
+    for (i, j), block in d2.items():
         assert np.array_equal(block, _d2_reference(conj_two_forms, m, d, i, j))
 
 
@@ -249,25 +252,13 @@ def test_d2_blocks_match_entrywise_reference(seed, m, d):
 def test_h0_forms_fixtures(iwasawa, kodaira_surface):
     space = h0_forms(iwasawa)
     assert space.dim == 3
-    assert space.annihilator.shape == (1, 1)
     surface = h0_forms(kodaira_surface)
     assert surface.dim == 1
-    assert surface.annihilator.shape == (0, 1)
 
 
 def test_h0_forms_product_keeps_everything():
     datum = product_datum(2, 1)
     assert h0_forms(datum).dim == 3
-
-
-def test_annihilator_kills_hermitian_image():
-    datum = _sampled_member(71)
-    space = h0_forms(datum)
-    flat = datum.split.hermitian.reshape(datum.split.fibre_half_rank, -1)
-    if space.annihilator.size:
-        assert np.max(np.abs(space.annihilator @ flat)) < 1e-9 * max(1.0, datum.split.scale)
-        gram = space.annihilator @ space.annihilator.conj().T
-        assert np.allclose(gram, np.eye(space.annihilator.shape[0]), atol=1e-10)
 
 
 def test_closed_forms_fixtures(iwasawa, kodaira_surface):
@@ -313,14 +304,14 @@ def test_leray_iwasawa_frozen(iwasawa):
 
 
 def test_leray_iwasawa_d2_entry(iwasawa):
-    table = leray_table(iwasawa)
-    assert set(table.d2) == {(0, 1)}
-    assert np.allclose(table.d2[(0, 1)], [[2.0]], atol=1e-12)
+    d2, _ = d2_blocks(iwasawa)
+    assert set(d2) == {(0, 1)}
+    assert np.allclose(d2[(0, 1)], [[2.0]], atol=1e-12)
 
 
 def test_leray_kodaira_no_differential(kodaira_surface):
     table = leray_table(kodaira_surface)
-    assert table.d2 == {}
+    assert d2_blocks(kodaira_surface)[0] == {}
     assert np.array_equal(table.e3, table.e2)
     assert structure_sheaf_dims(kodaira_surface) == [1, 2, 1]
 
@@ -339,12 +330,12 @@ def test_e3_never_exceeds_e2():
 
 def test_d2_squares_to_zero_off_variety():
     datum = _random_datum(79, 4, 2)
-    table = leray_table(datum)
+    d2, _ = d2_blocks(datum)
     scale = max(1.0, datum.split.scale)
-    composed = table.d2[(2, 1)] @ table.d2[(0, 2)]
+    composed = d2[(2, 1)] @ d2[(0, 2)]
     assert np.max(np.abs(composed)) < 1e-10 * scale**2
-    for (i, j), outgoing in table.d2.items():
-        inner = table.d2.get((i - 2, j + 1))
+    for (i, j), outgoing in d2.items():
+        inner = d2.get((i - 2, j + 1))
         if inner is not None:
             assert np.max(np.abs(outgoing @ inner)) < 1e-10 * scale**2
 
@@ -372,11 +363,12 @@ def test_h1_two_paths_agree(seed):
 
 def test_representatives_orthonormal_and_clear_images(iwasawa):
     table = leray_table(iwasawa)
+    _, images = d2_blocks(iwasawa)
     for key, reps in table.representatives.items():
         if reps.shape[1]:
             gram = reps.conj().T @ reps
             assert np.allclose(gram, np.eye(reps.shape[1]), atol=1e-10)
-        image = table.images[key]
+        image = images[key]
         if image.size and reps.size:
             assert np.max(np.abs(image.conj().T @ reps)) < 1e-10
 
@@ -429,20 +421,12 @@ def test_parallelizable_tangent_is_frame_multiple(seed, m):
     assert report.h_tangent == tuple((m + 1) * h for h in report.h_structure)
 
 
-SMALL_MEMBERS = [(kind, m, d) for kind in ("mixed", "pure_hermitian", "zero_hermitian")
-                 for m in range(2, 6) for d in (1, 2)]
-
-
-def _small_member(kind, m, d):
-    return gaussian_member(np.random.default_rng([103, m, d]), kind, m, d)
-
-
 @pytest.mark.parametrize("kind,m,d", SMALL_MEMBERS)
 def test_level_decisions_match_dense_pieces(kind, m, d):
     """Each level piece built densely, block (a, s) by block (a, s), from the
     wedge matrix of the hermitian one-form and the representatives, gives
     the singular values behind every level-map decision."""
-    datum = _small_member(kind, m, d)
+    datum = small_member(kind, m, d)
     table = leray_table(datum)
     tangent = tangent_table(datum, table)
     reps, hermitian = table.representatives, datum.split.hermitian
@@ -471,9 +455,11 @@ def test_representatives_images_coimages_are_unitary(kind, m, d):
     """Where a d2 leaves a block, its representatives, the image of the
     incoming d2 and the coimage of the outgoing one together are a unitary
     basis of the block."""
-    table = leray_table(_small_member(kind, m, d))
-    for key in table.d2:
-        frame = np.hstack([table.representatives[key], table.images[key],
+    datum = small_member(kind, m, d)
+    table = leray_table(datum)
+    d2, images = d2_blocks(datum)
+    for key in d2:
+        frame = np.hstack([table.representatives[key], images[key],
                            table.coimages[key]])
         assert frame.shape == (table.e2[key],) * 2
         np.testing.assert_allclose(frame.conj().T @ frame, np.eye(frame.shape[0]),
@@ -519,9 +505,10 @@ def test_tables_frozen(make, h_tangent, level_ranks, e3, ranks):
     assert tangent.level_ranks == level_ranks
     assert table.e3.tolist() == e3
     labels = _report_labels(datum.split.base_half_rank, datum.split.fibre_half_rank)
-    report = bundle_report(datum, table)
+    report = bundle_report(datum)
     assert [(x.label, x.rank) for x in report.decisions] == list(zip(labels, ranks))
     assert report.h_tangent == h_tangent
+    assert report.e3.tolist() == e3
 
 
 @pytest.mark.parametrize("seed,m,d", [(97, 3, 2), (98, 4, 1), (99, 4, 3)])
@@ -530,7 +517,7 @@ def test_d2_decisions_match_numerical_rank(seed, m, d):
     table = leray_table(datum)
     recorded = [x for x in table.decisions if x.label.startswith("d2 ")]
     again = []
-    for (i, j), block in table.d2.items():
+    for (i, j), block in d2_blocks(datum)[0].items():
         numerical_rank(block, datum.tol, datum.split.scale, f"d2 out of ({i},{j})", again)
     assert [(x.label, x.rank) for x in recorded] == [(x.label, x.rank) for x in again]
     for first, second in zip(recorded, again):
@@ -546,42 +533,9 @@ def test_theta_cohomology_fixtures(iwasawa, kodaira_surface):
 
 
 def test_theta_cohomology_matches_table(iwasawa):
-    table = leray_table(iwasawa)
-    tangent = tangent_table(iwasawa, table)
+    tangent = tangent_table(iwasawa)
     for degree, dim in enumerate(tangent.dims):
-        assert theta_cohomology(iwasawa, degree, table).dim == dim
-
-
-def _count_table_builds(monkeypatch):
-    builds = {"leray_table": 0, "tangent_table": 0}
-    for name in builds:
-        original = getattr(tbi.cohomology, name)
-
-        def counting(*args, _name=name, _original=original, **kwargs):
-            builds[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(tbi.cohomology, name, counting)
-    return builds
-
-
-def test_theta_cohomology_takes_built_tables(iwasawa, monkeypatch):
-    table = leray_table(iwasawa)
-    tangent = tangent_table(iwasawa, table)
-    builds = _count_table_builds(monkeypatch)
-    dims = [theta_cohomology(iwasawa, degree, table, tangent).dim for degree in range(4)]
-    assert dims == list(tangent.dims) == [3, 6, 6, 3]
-    assert builds == {"leray_table": 0, "tangent_table": 0}
-    # given only the spectral table, each degree builds the tangent table
-    for degree in range(4):
-        theta_cohomology(iwasawa, degree, table)
-    assert builds == {"leray_table": 0, "tangent_table": 4}
-
-
-def test_kodaira_spencer_report_builds_each_table_once(iwasawa, monkeypatch):
-    builds = _count_table_builds(monkeypatch)
-    assert kodaira_spencer_report(iwasawa).h1_tangent == 6
-    assert builds == {"leray_table": 1, "tangent_table": 1}
+        assert theta_cohomology(iwasawa, degree).dim == dim
 
 
 @pytest.mark.parametrize("degree", [-1, 4])
@@ -600,6 +554,25 @@ def test_classify_fixtures(iwasawa, kodaira_surface):
     assert classify_blocks(product_datum(2, 1)) == "abelian"
 
 
+@pytest.mark.parametrize("fixture,label,h_tangent", [
+    ("kodaira_surface", "pure_hermitian", (1, 2, 1)),
+    ("iwasawa", "zero_hermitian", (3, 6, 6, 3)),
+])
+def test_classify_ignores_the_scale_of_the_base(tmp_path, capsys, request, fixture, label,
+                                                h_tangent):
+    """A non-zero form is never "abelian", however small the base periods
+    make its split blocks."""
+    datum = request.getfixturevalue(fixture)
+    scaled = BundleDatum.checked(datum.form, ComplexStructure(datum.base.period * 1e-5),
+                                 datum.fibre)
+    assert classify_blocks(scaled) == label
+    path = tmp_path / "scaled.json"
+    path.write_text(tbi.dumps(tbi.input_document(scaled.form, scaled.base, scaled.fibre)))
+    assert tbi.cli.main(["invariants", str(path)]) == 0
+    cohomology = json.loads(capsys.readouterr().out)["cohomology"]
+    assert (cohomology["classification"], tuple(cohomology["h_tangent"])) == (label, h_tangent)
+
+
 def test_classify_mixed_and_undefined():
     datum = _random_datum(86, 2, 1)
     split = datum.split
@@ -609,22 +582,7 @@ def test_classify_mixed_and_undefined():
     assert classify_blocks(_random_datum(87, 2, 2)) is None
 
 
-def test_kodaira_spencer_fixtures(iwasawa, kodaira_surface):
-    report = kodaira_spencer_report(iwasawa)
-    assert (report.h1_tangent, report.target) == (6, 6)
-    assert report.matches_target
-    assert report.classification == "zero_hermitian"
-
-    surface = kodaira_spencer_report(kodaira_surface)
-    assert (surface.h1_tangent, surface.target) == (2, 2)
-    assert surface.matches_target
-
-    product = kodaira_spencer_report(product_datum(2, 1))
-    assert (product.h1_tangent, product.target) == (9, 6)
-    assert not product.matches_target
-
-
-def test_bundle_report_fields(iwasawa):
+def test_bundle_report_fields(iwasawa, kodaira_surface):
     report = bundle_report(iwasawa)
     assert report.h_structure == (1, 2, 2, 1)
     assert report.h0_one_forms == 3
@@ -639,6 +597,15 @@ def test_bundle_report_fields(iwasawa):
     labels = [decision.label for decision in report.decisions]
     assert "hermitian block" in labels
     assert "holomorphic block" in labels
+    assert report.decisions[0].rank == 0  # the hermitian block vanishes
+    assert report.e2.tolist() == [[1, 1], [2, 2], [1, 1]]
+
+    surface = bundle_report(kodaira_surface)
+    assert (surface.h_tangent[1], surface.deformation_target) == (2, 2)
+    assert (surface.decisions[0].label, surface.decisions[0].rank) == ("hermitian block", 1)
+
+    product = bundle_report(product_datum(2, 1))
+    assert (product.h_tangent[1], product.deformation_target) == (9, 6)
 
 
 def test_bundle_report_endpoints_are_one():

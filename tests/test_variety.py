@@ -53,6 +53,14 @@ def test_graph_chart_outside_chart_raises():
         graph_chart(sideways)
 
 
+def test_graph_chart_ignores_the_scale_of_the_fibre_periods(iwasawa):
+    """Scaling the fibre periods changes neither the subspace nor its chart."""
+    scaled = ComplexStructure(iwasawa.fibre.period * 1e-10)
+    assert riemann_check(iwasawa.form, iwasawa.base, scaled).member
+    np.testing.assert_allclose(graph_chart(scaled), graph_chart(iwasawa.fibre), rtol=1e-12)
+    assert local_equations(iwasawa.form, iwasawa.base, scaled).member
+
+
 def test_chart_structure_rejects_nonsquare():
     with pytest.raises(ValueError):
         chart_structure(np.zeros((1, 2)))
