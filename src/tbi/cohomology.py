@@ -22,8 +22,13 @@ Every rank decision is one RankDecision record: the smallest singular value
 kept, the largest discarded, the threshold, and how many singular values lie
 within a factor 10 of the threshold, so a dimension jump can be traced to the
 singular value that caused it and a borderline cut is flagged by its own
-record.  Every matrix is decomposed once: its rank, kernel and image come
-from the same SVD.
+record.  Every distinct matrix is decomposed once: the rank, kernel, image
+and coimage of a d2 block come from one SVD.  A block that no d2 of rank > 0
+leaves keeps the whole block as kernel, so its representatives are the rest
+of that SVD's u, and no overlap is decomposed for it.  Between two whole
+blocks (no d2 of rank > 0 enters or leaves either) every level piece is, up
+to a permutation, I ⊗ Q_i with Q_i the piece at fibre count 1, so Q_i is
+decomposed once per base degree i.
 
 Every table matrix (d2 block, image/kernel overlap, level-map piece) is
 decomposed in its tall orientation by _svd: a wide matrix goes to LAPACK as
@@ -39,7 +44,8 @@ The spectral table keeps only what a later reader reads: the page grids,
 the representatives and coimages that the tangent table consumes, and the
 rank decisions.  The d2 blocks and their image bases are locals of
 leray_table and are freed when it returns.  bundle_report is the one entry
-point that computes every dimension from one build of each table.
+point that computes every dimension from one build of each table, and it
+refuses a report that breaks a duality identity.
 """
 
 import functools
@@ -211,7 +217,8 @@ class SpectralTable:
     surviving subspace (the kernel of the outgoing d2 intersected with the
     orthogonal complement of the incoming image), and coimages an
     orthonormal basis of the row space of the outgoing d2 (no columns where
-    none leaves).  The d2 blocks and the image bases are not kept.
+    no d2 of rank > 0 leaves).  A whole block, one with e3 == e2, holds
+    exactly the identity.  The d2 blocks and the image bases are not kept.
     """
 
     e2: np.ndarray
@@ -294,7 +301,10 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     which holds when the image into (i, j) lies in the kernel out of it; an
     image/kernel overlap of lower rank than the image means the tolerance
     cannot separate the two and is reported as ToleranceAmbiguityError.
-    require_table_fits runs first.
+    Where no d2 of rank > 0 leaves (i, j), the kernel is the whole block and
+    holds the orthonormal image exactly: the overlap is recorded with
+    singular values 1 and not decomposed, and the representatives are the
+    rest of the incoming d2's u.  require_table_fits runs first.
     """
     require_table_fits(datum)
     split = datum.split
@@ -309,17 +319,31 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     ranks = {}
     kernels = {}
     images = {}
+    complements = {}
     coimages = {}
-    for i in range(m - 1):
-        for j in range(1, d + 1):
+    # Descending, so the outgoing rank of each target block is known when the
+    # d2 arriving there is decomposed; the decisions are put back in
+    # ascending order after the loop.
+    for i in reversed(range(m - 1)):
+        for j in reversed(range(1, d + 1)):
             block = _d2_block(conj_two_forms, m, d, i, j)
             u, sing, vh = _svd(block)
             rank = _rank_from_singular_values(
                 sing, tol, scale, f"d2 out of ({i},{j})", decisions)
             ranks[(i, j)] = rank
+            if not rank:
+                continue
             kernels[(i, j)] = vh[rank:].conj().T
             coimages[(i, j)] = vh[:rank].conj().T
-            images[(i + 2, j - 1)] = u[:, :rank].copy()  # not a view that keeps all of u
+            target = (i + 2, j - 1)
+            # Copies, not views that keep all of u.  A target with no outgoing
+            # rank keeps its whole block as kernel, so its representatives are
+            # the orthogonal complement of the image, the rest of u.
+            if ranks.get(target):
+                images[target] = u[:, :rank].copy()
+            else:
+                complements[target] = u[:, rank:].copy()
+    decisions.reverse()
 
     e3 = np.zeros_like(e2)
     representatives = {}
@@ -327,16 +351,20 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
         for j in range(d + 1):
             dim = int(e2[i, j])
             rank_in = ranks.get((i - 2, j + 1), 0)
-            kernel = kernels.get((i, j))
-            if kernel is None:
-                kernel = np.eye(dim, dtype=complex)
-            image = images.get((i, j), np.zeros((dim, 0), dtype=complex))
             coimages.setdefault((i, j), np.zeros((dim, 0), dtype=complex))
-            overlap = image.conj().T @ kernel
-            if overlap.size:
-                _, sing, vh_overlap = _svd(overlap)
+            vh_overlap = None
+            if (i, j) in complements:
+                # An orthonormal image inside the whole block: every overlap
+                # singular value is 1, and the rest of u spans the complement.
+                sing, reps = np.ones(rank_in), complements[(i, j)]
             else:
+                reps = kernels.get((i, j))
+                if reps is None:
+                    reps = np.eye(dim, dtype=complex)
+                overlap = images.get((i, j), np.zeros((dim, 0), dtype=complex)).conj().T @ reps
                 sing = np.zeros(0)
+                if overlap.size:
+                    _, sing, vh_overlap = _svd(overlap)
             overlap_rank = _rank_from_singular_values(
                 sing, tol, 1.0, f"image/kernel overlap at ({i},{j})", decisions)
             if overlap_rank != rank_in:
@@ -345,7 +373,8 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
                     f"at the working tolerance (overlap rank {overlap_rank}, "
                     f"image rank {rank_in})"
                 )
-            reps = kernel @ vh_overlap[overlap_rank:].conj().T if overlap.size else kernel
+            if vh_overlap is not None:
+                reps = reps @ vh_overlap[overlap_rank:].conj().T
             representatives[(i, j)] = reps
             e3[i, j] = reps.shape[1]
 
@@ -483,6 +512,12 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     norms are quadratic forms of the hermitian block in m x m Grams; the
     image norm comes from the Gram of the e_k ∧ source (_wedge_gram), so no
     image vector is formed.
+
+    Between two whole blocks (e3 == e2, identity representatives, empty
+    coimage) the piece for (i, j) is, up to a permutation, the Kronecker
+    product I_{C(d,j)} ⊗ Q_i, where Q_i is the piece between identity frames
+    at fibre count 1.  Q_i is decomposed once per base degree i, and its
+    singular values count C(d, j) times for each such (i, j).
     """
     if table is None:
         table = leray_table(datum)
@@ -496,6 +531,9 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     h = table.total_dims(3) + [0]  # nothing above the top degree
     reps = table.representatives
 
+    whole = table.e3 == table.e2
+    whole_pieces = {}  # i -> singular values of Q_i
+
     level_ranks = []
     twist = 0.0
     for p in range(total + 1):
@@ -506,8 +544,18 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
             source = reps[(i, j)]
             if i == m or source.shape[1] == 0:
                 continue
-            sing, dropped = _level_piece(one_forms, source, reps[(i + 1, j)],
-                                         table.coimages[(i + 1, j)], m, i)
+            if whole[i, j] and whole[i + 1, j]:
+                fibre = math.comb(d, j)
+                if i not in whole_pieces:
+                    # The identity frames at fibre count 1 are every fibre-th
+                    # row and column of the blocks' own identities: views.
+                    target = reps[(i + 1, j)][::fibre, ::fibre]
+                    whole_pieces[i], _ = _level_piece(one_forms, source[::fibre, ::fibre],
+                                                      target, target[:, :0], m, i)
+                sing, dropped = np.tile(whole_pieces[i], fibre), 0.0
+            else:
+                sing, dropped = _level_piece(one_forms, source, reps[(i + 1, j)],
+                                             table.coimages[(i + 1, j)], m, i)
             if sing is not None:
                 singular_values.append(sing)
             dropped_sq += dropped
@@ -590,9 +638,28 @@ class CohomologyReport:
     decisions: tuple
 
 
+def _require_identities(h_structure, h_tangent, h0_one_forms, h1_structure) -> None:
+    """Refuse a report that breaks an identity every datum satisfies: Serre
+    duality with a trivial canonical bundle (h_structure is a palindrome and
+    h^n(Θ) = h^0(Ω^1)), and h^1(O) counted two ways."""
+    n = len(h_structure) - 1
+    if h_structure != h_structure[::-1]:
+        problem = f"structure-sheaf dimensions {list(h_structure)} are not a palindrome"
+    elif h_tangent[n] != h0_one_forms:
+        problem = (f"h^{n} of the tangent sheaf is {h_tangent[n]}, "
+                   f"not the {h0_one_forms} global 1-forms")
+    elif h_structure[1] != h1_structure:
+        problem = (f"h^1 of the structure sheaf is {h_structure[1]} from the spectral "
+                   f"table, not {h1_structure} from the holomorphic block")
+    else:
+        return
+    raise ToleranceAmbiguityError(f"inconsistent report at the working tolerance: {problem}")
+
+
 def bundle_report(datum: BundleDatum) -> CohomologyReport:
     """Run every dimension computation once and collect the audit trail.
-    An oversized datum is refused by require_table_fits before any work."""
+    An oversized datum is refused by require_table_fits before any work, and
+    a report that breaks a duality identity by ToleranceAmbiguityError."""
     require_table_fits(datum)
     decisions: list = []
     forms = h0_forms(datum, decisions)
@@ -600,11 +667,13 @@ def bundle_report(datum: BundleDatum) -> CohomologyReport:
     h1 = h1_structure_sheaf(datum, decisions)
     table = leray_table(datum)
     tangent = tangent_table(datum, table)
+    h_structure = tuple(table.total_dims(3))
+    _require_identities(h_structure, tangent.dims, forms.dim, h1)
     m = datum.split.base_half_rank
     return CohomologyReport(
         e2=table.e2,
         e3=table.e3,
-        h_structure=tuple(table.total_dims(3)),
+        h_structure=h_structure,
         h0_one_forms=forms.dim,
         closed_one_forms=closed,
         h1_structure=h1,

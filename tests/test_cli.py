@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -138,6 +139,34 @@ def test_image_outside_kernel_exits_5(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: spectral block (2,1): ")
     assert err.endswith("(overlap rank 0, image rank 1)\n")
     assert err.count("\n") == 1
+
+
+# Iwasawa's tables broken so that exactly one report identity fails: its
+# structure-sheaf dimensions are (1, 2, 2, 1), h^3(Θ) = h^0(Ω^1) = 3 and h^1(O) = 2.
+IDENTITY_BREAKS = {
+    "palindrome": ("leray_table", lambda table: dataclasses.replace(
+        table, e3=table.e3 + [[0, 0], [0, 0], [0, 1]]),
+        "structure-sheaf dimensions [1, 2, 2, 2] are not a palindrome"),
+    "top tangent": ("tangent_table", lambda tangent: dataclasses.replace(
+        tangent, ker=tangent.ker[:-1] + (tangent.ker[-1] + 1,)),
+        "h^3 of the tangent sheaf is 4, not the 3 global 1-forms"),
+    "h1 two ways": ("leray_table", lambda table: dataclasses.replace(
+        table, e3=table.e3 + [[0, 0], [1, 0], [1, 0]]),
+        "h^1 of the structure sheaf is 3 from the spectral table, "
+        "not 2 from the holomorphic block"),
+}
+
+
+@pytest.mark.parametrize("name", IDENTITY_BREAKS)
+def test_broken_report_identity_exits_5(tmp_path, capsys, monkeypatch, name):
+    builder, breaking, problem = IDENTITY_BREAKS[name]
+    build = getattr(tbi.cohomology, builder)
+    monkeypatch.setattr(tbi.cohomology, builder,
+                        lambda *args: breaking(build(*args)))
+    path = _write(tmp_path, "iwasawa.json", _iwasawa_doc())
+    code, out, err = _run(capsys, ["invariants", path])
+    assert (code, out) == (5, "")
+    assert err == f"error: inconsistent report at the working tolerance: {problem}\n"
 
 
 def test_unconverged_svd_exits_5(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,8 @@ from tbi import (BundleDatum, ComplexStructure, ExtensionForm, ToleranceAmbiguit
                  product_datum, random_structure, sample_point, structure_sheaf_dims,
                  tangent_table, theta_cohomology)
 
-from tbi.cohomology import _svd, _wedge_gram, _wedge_map, _wedge_products
+from tbi.cohomology import (_level_piece, _rank_from_singular_values, _svd, _wedge_gram,
+                            _wedge_map, _wedge_products)
 
 from support import (SMALL_MEMBERS, d2_blocks, gaussian_member, random_alternating_form,
                      skew_d2_image, small_member, transported_case1)
@@ -125,8 +126,14 @@ def test_svd_matches_numpy(name):
 
 def test_table_svds_are_tall(monkeypatch):
     """Every SVD of the spectral and tangent tables sees a matrix with at
-    least as many rows as columns, and each table matrix is still decomposed
-    by one call: 35 on these two members, 22 of whose matrices are wide."""
+    least as many rows as columns, and each distinct table matrix is
+    decomposed by one call: 24 on these two members.  Pure-hermitian (6,1)
+    has 5 d2 blocks (out of (i,1), i = 0..4), no overlap (no d2 has rank)
+    and, every block being whole, one level piece per base degree i = 0..5,
+    not one per block.  Mixed (4,2) has 6 d2 blocks (i = 0..2, j = 1, 2), 1
+    overlap, at (2,1), the one block with both an incoming image and an
+    outgoing rank (the other five images arrive in blocks with no outgoing
+    rank, whose representatives come from the d2 SVD), and 6 level pieces."""
     members = [gaussian_member(np.random.default_rng(61), "pure_hermitian", 6, 1),
                gaussian_member(np.random.default_rng(62), "mixed", 4, 2)]
     shapes = []
@@ -140,7 +147,7 @@ def test_table_svds_are_tall(monkeypatch):
     for datum in members:
         tangent_table(datum, leray_table(datum))
     assert [shape for shape in shapes if shape[0] < shape[1]] == []
-    assert len(shapes) == 35
+    assert len(shapes) == 24
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +471,88 @@ def test_representatives_images_coimages_are_unitary(kind, m, d):
         assert frame.shape == (table.e2[key],) * 2
         np.testing.assert_allclose(frame.conj().T @ frame, np.eye(frame.shape[0]),
                                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,m,d", [slot for slot in SMALL_MEMBERS
+                                      if slot[0] != "zero_hermitian"])
+def test_whole_blocks_hold_the_identity(kind, m, d):
+    """A whole block (no d2 of rank > 0 enters or leaves it, e3 == e2) keeps
+    exactly the identity as its representatives, and an empty coimage."""
+    table = leray_table(small_member(kind, m, d))
+    whole = [(i, j) for i in range(m + 1) for j in range(d + 1)
+             if table.e3[i, j] == table.e2[i, j]]
+    assert (0, 0) in whole and (1, 0) in whole
+    for key in whole:
+        dim = int(table.e2[key])
+        assert np.array_equal(table.representatives[key], np.eye(dim))
+        assert table.coimages[key].shape == (dim, 0)
+
+
+def _identity_piece(one_forms, m, i):
+    """Singular values of the level piece from (i, ·) to (i+1, ·) between
+    identity frames at fibre count 1."""
+    rows, cols = math.comb(m, i + 1), math.comb(m, i)
+    sing, _ = _level_piece(one_forms, np.eye(cols, dtype=complex), np.eye(rows, dtype=complex),
+                           np.zeros((rows, 0), dtype=complex), m, i)
+    return sing
+
+
+@pytest.mark.parametrize("m,d", [(4, 2), (5, 2), (4, 3)])
+def test_whole_piece_is_the_fibre_count_one_piece_repeated(m, d):
+    """Between whole blocks the piece for (i, j) is, up to a permutation,
+    I_{C(d,j)} ⊗ Q_i, with Q_i the piece at fibre count 1: Q_i's singular
+    values repeated C(d, j) times are those of the dense piece."""
+    datum = small_member("pure_hermitian", m, d)
+    table = leray_table(datum)
+    assert np.array_equal(table.e3, table.e2)
+    reps, one_forms = table.representatives, datum.split.hermitian.reshape(d * m, m)
+    for i in range(m):
+        piece = _identity_piece(one_forms, m, i)
+        for j in range(d + 1):
+            repeated = np.sort(np.tile(piece, math.comb(d, j)))
+            dense, _ = _level_piece(one_forms, reps[(i, j)], reps[(i + 1, j)],
+                                    table.coimages[(i + 1, j)], m, i)
+            np.testing.assert_allclose(repeated, np.sort(dense), rtol=1e-12, atol=0)
+
+
+def test_whole_pieces_keep_fibre_degree_one_decisions_bit_identical():
+    """At d = 1 each whole piece is Q_i itself, so the level-map decisions of
+    a pure-hermitian member equal, float for float, the decisions on the
+    singular values of one dense piece per block."""
+    m, d = 6, 1
+    datum = gaussian_member(np.random.default_rng(61), "pure_hermitian", m, d)
+    table = leray_table(datum)
+    tangent = tangent_table(datum, table)
+    reps, h = table.representatives, table.total_dims(3) + [0]
+    one_forms = datum.split.hermitian.reshape(d * m, m)
+    for p, decision in enumerate(tangent.decisions):
+        pieces = [_level_piece(one_forms, reps[(i, j)], reps[(i + 1, j)],
+                               table.coimages[(i + 1, j)], m, i)[0]
+                  for i, j in tbi.cohomology._degree_blocks(m, d, p) if i < m]
+        sing = np.zeros(min(d * h[p + 1], m * h[p]))
+        merged = np.sort(np.concatenate(pieces + [[]]))[::-1]
+        sing[:merged.size] = merged
+        expected = []
+        _rank_from_singular_values(sing, datum.tol, datum.split.scale, decision.label, expected)
+        assert expected == [decision]
+
+
+def test_whole_pieces_are_decomposed_once_per_base_degree(monkeypatch):
+    """Pure-hermitian (6,1): every block is whole, so tangent_table
+    decomposes one piece per base degree i = 0..5 (m pieces), not one per
+    block (2m)."""
+    datum = gaussian_member(np.random.default_rng(61), "pure_hermitian", 6, 1)
+    table = leray_table(datum)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(matrix, *args, **kwargs):
+        shapes.append(np.shape(matrix))
+        return svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    tangent_table(datum, table)
+    assert len(shapes) == 6
 
 
 def _report_labels(m, d):
