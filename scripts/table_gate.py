@@ -13,13 +13,18 @@ near) sequence, e3, h_structure and h_tangent must be equal; the script prints
 the first difference and exits 1 otherwise.  For each float field (the
 smallest_kept, largest_dropped and threshold of the rank decisions, and
 twist_residual) it prints how many values moved and the largest relative
-change.  The (12,1) members take a few seconds and about 300 MB each.
+change.  It also prints, per member, the seconds of one bundle_report call on
+OTHER_CHECKOUT and on this checkout, each the median of 3 calls in that
+side's own process.  The (12,1) members take a few seconds per call and
+about 400 MB each.
 """
 
 import json
 import os
+import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FLOAT_FIELDS = ("smallest_kept", "largest_dropped", "threshold")
@@ -46,13 +51,19 @@ def members():
 
 
 def dump():
-    """One JSON line per member: its discrete facts and its float fields."""
+    """One JSON line per member: its discrete facts, its float fields and the
+    median seconds of 3 bundle_report calls."""
     import tbi
 
     for name, datum in members():
-        report = tbi.bundle_report(datum)
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            report = tbi.bundle_report(datum)
+            seconds.append(time.perf_counter() - start)
         print(json.dumps({
             "name": name,
+            "seconds": statistics.median(seconds),
             "facts": {
                 "decisions": [[x.label, x.rank, x.near] for x in report.decisions],
                 "e3": report.e3.tolist(),
@@ -95,6 +106,10 @@ def compare(other):
                 (relative_change(x, y), a["name"]) for x, y in zip(values, b["floats"][field]))
     print(f"{len(mine)} members: every (label, rank, near), e3, h_structure and "
           "h_tangent equal")
+    print("bundle_report seconds, median of 3 (other -> this checkout):")
+    for a, b in zip(mine, theirs):
+        print(f"  {a['name']}: {b['seconds']:.4f} -> {a['seconds']:.4f}")
+    print("float fields:")
     for field, moved in changes.items():
         largest, where = max(moved)
         count = sum(change > 0 for change, _ in moved)

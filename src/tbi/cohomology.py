@@ -12,23 +12,28 @@ integer arrays, and each d2 block is one scatter through them.  The level
 maps are built by base direction: _wedge_directions regroups the maps by the
 wedged direction k, and one GEMM per k pairs the target representatives
 with e_k ∧ (source representatives); one more GEMM against the hermitian
-block gives every (fibre, base) block of a level piece at once.  The part
-of an image that the representatives drop is read on the row space of the
-outgoing d2 (SpectralTable.coimages), and the image norm comes from the
-m x m Gram of the e_k ∧ source, so no operator on a whole degree space and
-no image vector is ever built.
+block gives every (fibre, base) block of a level piece at once.  Between
+identity frames the piece is known entry by entry, and _whole_piece scatters
+it through _wedge_map instead.  The part of an image that the
+representatives drop is read on the row space of the outgoing d2
+(SpectralTable.coimages), and the image norm comes from the m x m Gram of
+the e_k ∧ source, so no operator on a whole degree space and no image vector
+is ever built.
 
 Every rank decision is one RankDecision record: the smallest singular value
 kept, the largest discarded, the threshold, and how many singular values lie
 within a factor 10 of the threshold, so a dimension jump can be traced to the
 singular value that caused it and a borderline cut is flagged by its own
 record.  Every distinct matrix is decomposed once: the rank, kernel, image
-and coimage of a d2 block come from one SVD.  A block that no d2 of rank > 0
-leaves keeps the whole block as kernel, so its representatives are the rest
-of that SVD's u, and no overlap is decomposed for it.  Between two whole
-blocks (no d2 of rank > 0 enters or leaves either) every level piece is, up
-to a permutation, I ⊗ Q_i with Q_i the piece at fibre count 1, so Q_i is
-decomposed once per base degree i.
+and coimage of a d2 block come from one SVD.  Serre duality (trivial
+canonical bundle) makes the d2 out of (i, j) and out of (m-2-i, d+1-j)
+starred transposes of each other (_dual_columns), so one SVD serves both, and
+an exactly zero d2 block takes zero singular values without one.  A block
+that no d2 of rank > 0 leaves keeps the whole block as kernel, so its
+representatives are the rest of that SVD's u, and no overlap is decomposed
+for it.  Between two whole blocks (no d2 of rank > 0 enters or leaves either)
+every level piece is, up to a permutation, I ⊗ Q_i with Q_i the piece at
+fibre count 1, so Q_i is decomposed once per base degree i.
 
 Every table matrix (d2 block, image/kernel overlap, level-map piece) is
 decomposed in its tall orientation by _svd: a wide matrix goes to LAPACK as
@@ -45,7 +50,9 @@ the representatives and coimages that the tangent table consumes, and the
 rank decisions.  The d2 blocks and their image bases are locals of
 leray_table and are freed when it returns.  bundle_report is the one entry
 point that computes every dimension from one build of each table, and it
-refuses a report that breaks a duality identity.
+refuses a report that breaks a duality identity.  The palindrome of
+h_structure holds by construction of e3; the test suite checks the d2
+duality it rests on.
 """
 
 import functools
@@ -288,6 +295,35 @@ def require_table_fits(datum: BundleDatum) -> None:
             f"(16*C({n},{n // 2})**2), above the fixed limit of {TABLE_BYTES_LIMIT} bytes")
 
 
+@functools.cache
+def _star_signs(m, d, i, j):
+    """Signs of the Hodge star on block (i, j), which takes e_S ⊗ e_T to
+    ε(S, Sᶜ)·ε(T, Tᶜ)·e_{Sᶜ} ⊗ e_{Tᶜ} in block (m-i, d-j).  Complements
+    number the subsets in reverse combinations order, so on S-major vectors
+    ⋆x = (sign·x)[::-1], and ε(S, Sᶜ) = (-1)^(Σ_p S[p] - p)."""
+    def parities(count, size):
+        sums = [sum(subset) for subset in itertools.combinations(range(count), size)]
+        return 1 - 2 * ((np.array(sums, dtype=np.intp) - size * (size - 1) // 2) % 2)
+
+    sign = np.outer(parities(m, i), parities(d, j)).ravel()
+    sign.flags.writeable = False
+    return sign
+
+
+def _dual_columns(columns, m, d, i, j):
+    """⋆ᵀ conj(columns) for ⋆ the Hodge star on block (i, j): columns of block
+    (m-i, d-j) taken to block (i, j).
+
+    d2 out of (i, j) and d2 out of its dual (i', j') = (m-2-i, d+1-j) are
+    related by Serre duality, exactly: d2' = (-1)^(i(m+1)+(j-1)d) ⋆ d2ᵀ ⋆'
+    with ⋆ on (i, j) and ⋆' on (i', j').  So one SVD d2 = u·s·vh also
+    decomposes d2', with vh'ᴴ = _dual_columns(u, m, d, i', j') and
+    u' = (-1)^(d-j) _dual_columns(vhᴴ, m, d, m-i, d-j), and the same s."""
+    dual = columns[::-1].conj()
+    dual *= _star_signs(m, d, i, j)[:, None]
+    return dual
+
+
 def leray_table(datum: BundleDatum) -> SpectralTable:
     """Build the spectral table for the structure sheaf of the bundle.
 
@@ -301,10 +337,20 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     which holds when the image into (i, j) lies in the kernel out of it; an
     image/kernel overlap of lower rank than the image means the tolerance
     cannot separate the two and is reported as ToleranceAmbiguityError.
-    Where no d2 of rank > 0 leaves (i, j), the kernel is the whole block and
-    holds the orthonormal image exactly: the overlap is recorded with
-    singular values 1 and not decomposed, and the representatives are the
-    rest of the incoming d2's u.  require_table_fits runs first.
+
+    Each Serre-dual pair of d2 blocks, out of (i, j) and (m-2-i, d+1-j), is
+    built and decomposed once (_dual_columns): the dual's singular values,
+    and so its rank decision, are the same, under its own label and in its
+    own place; its kernel and coimage are read off the u of the SVD at once,
+    and the image arriving at each block off the coimage (or, for the rest,
+    the kernel) of the dual of the d2 that brings it.  Since rank(into
+    (i, j)) = rank(out of (m-i, d-j)), e3 is a Serre-dual grid by
+    construction.  An exactly zero d2 block takes exact zero singular values
+    without an SVD.  Where no d2 of rank > 0 leaves (i, j), the kernel is the
+    whole block and holds the orthonormal image exactly: the overlap is
+    recorded with singular values 1 and not decomposed, and the
+    representatives are the rest of the incoming d2's u.  require_table_fits
+    runs first.
     """
     require_table_fits(datum)
     split = datum.split
@@ -315,35 +361,31 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     e2 = np.array([[math.comb(m, i) * math.comb(d, j) for j in range(d + 1)]
                    for i in range(m + 1)], dtype=np.int64)
 
-    decisions: list = []
+    d2_decisions = {}
     ranks = {}
     kernels = {}
-    images = {}
-    complements = {}
     coimages = {}
-    # Descending, so the outgoing rank of each target block is known when the
-    # d2 arriving there is decomposed; the decisions are put back in
-    # ascending order after the loop.
-    for i in reversed(range(m - 1)):
-        for j in reversed(range(1, d + 1)):
-            block = _d2_block(conj_two_forms, m, d, i, j)
-            u, sing, vh = _svd(block)
-            rank = _rank_from_singular_values(
-                sing, tol, scale, f"d2 out of ({i},{j})", decisions)
-            ranks[(i, j)] = rank
-            if not rank:
-                continue
+    for i, j in itertools.product(range(m - 1), range(1, d + 1)):
+        dual = (m - 2 - i, d + 1 - j)
+        if dual in ranks:
+            continue
+        block = _d2_block(conj_two_forms, m, d, i, j)
+        # LAPACK returns exact zeros for an exactly zero block.
+        u, sing, vh = _svd(block) if block.any() else (None, np.zeros(min(block.shape)), None)
+        for key in {(i, j), dual}:
+            recorded = []
+            ranks[key] = _rank_from_singular_values(
+                sing, tol, scale, "d2 out of ({},{})".format(*key), recorded)
+            d2_decisions[key], = recorded
+        rank = ranks[(i, j)]
+        if rank:
             kernels[(i, j)] = vh[rank:].conj().T
             coimages[(i, j)] = vh[:rank].conj().T
-            target = (i + 2, j - 1)
-            # Copies, not views that keep all of u.  A target with no outgoing
-            # rank keeps its whole block as kernel, so its representatives are
-            # the orthogonal complement of the image, the rest of u.
-            if ranks.get(target):
-                images[target] = u[:, :rank].copy()
-            else:
-                complements[target] = u[:, rank:].copy()
-    decisions.reverse()
+            if dual != (i, j):
+                kernels[dual] = _dual_columns(u[:, rank:], m, d, *dual)
+                coimages[dual] = _dual_columns(u[:, :rank], m, d, *dual)
+        del block, u, vh  # before the next SVD
+    decisions = [d2_decisions[key] for key in sorted(d2_decisions)]
 
     e3 = np.zeros_like(e2)
     representatives = {}
@@ -352,19 +394,24 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
             dim = int(e2[i, j])
             rank_in = ranks.get((i - 2, j + 1), 0)
             coimages.setdefault((i, j), np.zeros((dim, 0), dtype=complex))
+            reps = kernels.get((i, j))
             vh_overlap = None
-            if (i, j) in complements:
-                # An orthonormal image inside the whole block: every overlap
-                # singular value is 1, and the rest of u spans the complement.
-                sing, reps = np.ones(rank_in), complements[(i, j)]
-            else:
-                reps = kernels.get((i, j))
+            sing = np.zeros(0)
+            if rank_in:
+                # The d2 arriving here is dual to d2 out of (m-i, d-j), whose
+                # coimage and kernel give, up to sign, the image and the rest
+                # of this d2's u.
+                source = (m - i, d - j)
                 if reps is None:
-                    reps = np.eye(dim, dtype=complex)
-                overlap = images.get((i, j), np.zeros((dim, 0), dtype=complex)).conj().T @ reps
-                sing = np.zeros(0)
-                if overlap.size:
-                    _, sing, vh_overlap = _svd(overlap)
+                    # An orthonormal image inside the whole block: every
+                    # overlap singular value is 1, and the rest of u spans the
+                    # complement.
+                    sing, reps = np.ones(rank_in), _dual_columns(kernels[source], m, d, i, j)
+                else:
+                    image = _dual_columns(coimages[source], m, d, i, j)
+                    _, sing, vh_overlap = _svd(image.conj().T @ reps)
+            elif reps is None:
+                reps = np.eye(dim, dtype=complex)
             overlap_rank = _rank_from_singular_values(
                 sing, tol, 1.0, f"image/kernel overlap at ({i},{j})", decisions)
             if overlap_rank != rank_in:
@@ -466,6 +513,21 @@ def _level_piece(one_forms, source, target, coimage, m, i):
     return (_svd(piece, compute_uv=False) if piece.size else None), dropped_sq
 
 
+def _whole_piece(one_forms, m, i):
+    """The level piece from block (i, ·) to (i+1, ·) between identity frames
+    at fibre count 1, laid out as _level_piece's: row (x, a), column (s, w).
+    Its entry is sign·one_forms[(a, s), k] where x = w ∪ {k} and
+    e_k ∧ e_w = sign·e_x, and 0 elsewhere, so it is scattered through
+    _wedge_map, with no GEMM against the identity."""
+    index, src, sign = _wedge_map(m, i)
+    d = one_forms.shape[0] // m
+    height, width = math.comb(m, i + 1), math.comb(m, i)
+    piece = np.zeros((height, d, m, width), dtype=complex)
+    values = one_forms.reshape(d, m, m)[:, :, index] * sign  # (a, s, pos, x)
+    piece[np.arange(height), :, :, src] = values.transpose(2, 3, 0, 1)
+    return piece.reshape(height * d, m * width)
+
+
 def _quadratic_norms(one_forms, gram):
     """Per row f of one_forms, f^H gram f for a positive semidefinite gram,
     clamped at 0 against roundoff."""
@@ -516,7 +578,8 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     Between two whole blocks (e3 == e2, identity representatives, empty
     coimage) the piece for (i, j) is, up to a permutation, the Kronecker
     product I_{C(d,j)} ⊗ Q_i, where Q_i is the piece between identity frames
-    at fibre count 1.  Q_i is decomposed once per base degree i, and its
+    at fibre count 1.  Q_i is scattered from the hermitian block
+    (_whole_piece) with no GEMM, decomposed once per base degree i, and its
     singular values count C(d, j) times for each such (i, j).
     """
     if table is None:
@@ -547,11 +610,7 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
             if whole[i, j] and whole[i + 1, j]:
                 fibre = math.comb(d, j)
                 if i not in whole_pieces:
-                    # The identity frames at fibre count 1 are every fibre-th
-                    # row and column of the blocks' own identities: views.
-                    target = reps[(i + 1, j)][::fibre, ::fibre]
-                    whole_pieces[i], _ = _level_piece(one_forms, source[::fibre, ::fibre],
-                                                      target, target[:, :0], m, i)
+                    whole_pieces[i] = _svd(_whole_piece(one_forms, m, i), compute_uv=False)
                 sing, dropped = np.tile(whole_pieces[i], fibre), 0.0
             else:
                 sing, dropped = _level_piece(one_forms, source, reps[(i + 1, j)],
@@ -641,7 +700,9 @@ class CohomologyReport:
 def _require_identities(h_structure, h_tangent, h0_one_forms, h1_structure) -> None:
     """Refuse a report that breaks an identity every datum satisfies: Serre
     duality with a trivial canonical bundle (h_structure is a palindrome and
-    h^n(Θ) = h^0(Ω^1)), and h^1(O) counted two ways."""
+    h^n(Θ) = h^0(Ω^1)), and h^1(O) counted two ways.  leray_table reads each
+    d2 off its Serre dual, so e3 is a dual grid and the palindrome holds by
+    construction; it stays as a guard on the table a report is given."""
     n = len(h_structure) - 1
     if h_structure != h_structure[::-1]:
         problem = f"structure-sheaf dimensions {list(h_structure)} are not a palindrome"

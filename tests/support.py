@@ -38,18 +38,22 @@ def count_calls(monkeypatch, function) -> list:
 
 
 def skew_d2_image(monkeypatch):
-    """Patch the spectral table so that, for m = 4 and d = 2, d2 out of block
-    (2,1) is the adjoint of d2 out of block (0,2).  The image into (2,1) then
-    lies in the orthogonal complement of the kernel out of it, so a member
-    with a non-zero holomorphic block gives overlap rank 0 for image rank 1."""
-    d2_block = tbi.cohomology._d2_block
+    """Patch the spectral table so that, for m = 4 and d = 2, the bases that
+    Serre duality carries into block (2,1) skip the Hodge star there.  d2 out
+    of (2,1) is the dual of d2 out of (0,2), the one of the pair that is
+    built, and its kernel becomes the rest of that d2's u: the orthogonal
+    complement of the image arriving at (2,1).  So a member with a non-zero
+    holomorphic block gives overlap rank 0 for image rank 1.  (No change to
+    a d2 block alone can do this: ⋆ is antisymmetric on (2,1), so the derived
+    kernel holds the image whatever d2 out of (0,2) is.)"""
+    dual_columns = tbi.cohomology._dual_columns
 
-    def skewed(conj_two_forms, m, d, i, j):
+    def skewed(columns, m, d, i, j):
         if (m, d, i, j) == (4, 2, 2, 1):
-            return d2_block(conj_two_forms, m, d, 0, 2).conj().T
-        return d2_block(conj_two_forms, m, d, i, j)
+            return columns.copy()
+        return dual_columns(columns, m, d, i, j)
 
-    monkeypatch.setattr(tbi.cohomology, "_d2_block", skewed)
+    monkeypatch.setattr(tbi.cohomology, "_dual_columns", skewed)
 
 
 def d2_blocks(datum):

@@ -14,8 +14,8 @@ from tbi import (BundleDatum, ComplexStructure, ExtensionForm, ToleranceAmbiguit
                  product_datum, random_structure, sample_point, structure_sheaf_dims,
                  tangent_table, theta_cohomology)
 
-from tbi.cohomology import (_level_piece, _rank_from_singular_values, _svd, _wedge_gram,
-                            _wedge_map, _wedge_products)
+from tbi.cohomology import (_d2_block, _dual_columns, _level_piece, _rank_from_singular_values,
+                            _svd, _wedge_gram, _wedge_map, _wedge_products, _whole_piece)
 
 from support import (SMALL_MEMBERS, d2_blocks, gaussian_member, random_alternating_form,
                      skew_d2_image, small_member, transported_case1)
@@ -127,13 +127,15 @@ def test_svd_matches_numpy(name):
 def test_table_svds_are_tall(monkeypatch):
     """Every SVD of the spectral and tangent tables sees a matrix with at
     least as many rows as columns, and each distinct table matrix is
-    decomposed by one call: 24 on these two members.  Pure-hermitian (6,1)
-    has 5 d2 blocks (out of (i,1), i = 0..4), no overlap (no d2 has rank)
-    and, every block being whole, one level piece per base degree i = 0..5,
-    not one per block.  Mixed (4,2) has 6 d2 blocks (i = 0..2, j = 1, 2), 1
-    overlap, at (2,1), the one block with both an incoming image and an
-    outgoing rank (the other five images arrive in blocks with no outgoing
-    rank, whose representatives come from the d2 SVD), and 6 level pieces."""
+    decomposed by one call: 16 on these two members.  Pure-hermitian (6,1)
+    has 0 d2 SVDs (its 5 d2 blocks, out of (i,1), i = 0..4, are exactly
+    zero), no overlap (no d2 has rank) and, every block being whole, one
+    level piece per base degree i = 0..5, not one per block: 6.  Mixed (4,2)
+    has 6 d2 blocks (i = 0..2, j = 1, 2) in 3 Serre-dual pairs, (0,1)-(2,2),
+    (0,2)-(2,1) and (1,1)-(1,2), each decomposed once: 3.  It has 1 overlap,
+    at (2,1), the one block with both an incoming image and an outgoing rank
+    (the other five images arrive in blocks with no outgoing rank, whose
+    representatives come from the d2 SVD), and 6 level pieces: 10."""
     members = [gaussian_member(np.random.default_rng(61), "pure_hermitian", 6, 1),
                gaussian_member(np.random.default_rng(62), "mixed", 4, 2)]
     shapes = []
@@ -147,7 +149,7 @@ def test_table_svds_are_tall(monkeypatch):
     for datum in members:
         tangent_table(datum, leray_table(datum))
     assert [shape for shape in shapes if shape[0] < shape[1]] == []
-    assert len(shapes) == 24
+    assert len(shapes) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +252,102 @@ def test_d2_blocks_match_entrywise_reference(seed, m, d):
     assert sorted(d2) == [(i, j) for i in range(m - 1) for j in range(1, d + 1)]
     for (i, j), block in d2.items():
         assert np.array_equal(block, _d2_reference(conj_two_forms, m, d, i, j))
+
+
+def _star_reference(m, d, i, j):
+    """Dense Hodge star from block (i, j) to block (m-i, d-j), S-major:
+    e_S ⊗ e_T goes to ε(S, Sᶜ)·ε(T, Tᶜ)·e_{Sᶜ} ⊗ e_{Tᶜ}, with ε the sign of
+    the permutation that sorts S followed by Sᶜ."""
+    def complements(count, size):
+        subsets = list(itertools.combinations(range(count), size))
+        rest = list(itertools.combinations(range(count), count - size))
+        for subset in subsets:
+            other = tuple(x for x in range(count) if x not in subset)
+            inversions = sum(1 for a in subset for b in other if a > b)
+            yield rest.index(other), (-1) ** inversions
+
+    dim = math.comb(m, i) * math.comb(d, j)
+    star = np.zeros((dim, dim))
+    fibre = math.comb(d, j)
+    for s_col, (s_row, s_sign) in enumerate(complements(m, i)):
+        for t_col, (t_row, t_sign) in enumerate(complements(d, j)):
+            star[s_row * fibre + t_row, s_col * fibre + t_col] = s_sign * t_sign
+    return star
+
+
+def _dual_pairs(m, d):
+    """Every d2 source (i, j) with its dual (m-2-i, d+1-j), each pair once."""
+    return [((i, j), (m - 2 - i, d + 1 - j)) for i in range(m - 1) for j in range(1, d + 1)
+            if (i, j) <= (m - 2 - i, d + 1 - j)]
+
+
+DUALITY_DATA = ([("small", slot) for slot in SMALL_MEMBERS]
+                + [("random", (seed, m, d)) for seed, (m, d) in enumerate(
+                    itertools.product(range(2, 7), range(1, 4)), start=110)])
+
+
+def _duality_datum(source, key):
+    return small_member(*key) if source == "small" else _random_datum(*key)
+
+
+@pytest.mark.parametrize("source,key", DUALITY_DATA)
+def test_d2_blocks_of_a_dual_pair_are_starred_transposes(source, key):
+    """Serre duality, exactly: d2 out of (m-2-i, d+1-j) equals
+    (-1)^(i(m+1)+(j-1)d) ⋆ (d2 out of (i, j))ᵀ ⋆', entry for entry, with the
+    stars built from subsets and their complements; _dual_columns is ⋆ᵀ conj."""
+    datum = _duality_datum(source, key)
+    m, d = datum.split.base_half_rank, datum.split.fibre_half_rank
+    conj_two_forms = np.conj(datum.split.holomorphic)
+    rng = np.random.default_rng([m, d])
+    for (i, j), (k, l) in _dual_pairs(m, d):
+        block = _d2_block(conj_two_forms, m, d, i, j)
+        expected = (-1) ** (i * (m + 1) + (j - 1) * d) * (
+            _star_reference(m, d, i, j) @ block.T @ _star_reference(m, d, k, l))
+        assert np.array_equal(_d2_block(conj_two_forms, m, d, k, l), expected)
+        columns = rng.normal(size=(block.shape[0], 2)) + 1j * rng.normal(size=(block.shape[0], 2))
+        assert np.array_equal(_dual_columns(columns, m, d, k, l),
+                              _star_reference(m, d, k, l).T @ columns.conj())
+
+
+@pytest.mark.parametrize("source,key", DUALITY_DATA)
+def test_dual_factors_rebuild_the_dual_block(source, key):
+    """From one SVD u·s·vh of d2 out of (i, j), u' = (-1)^(d-j) ⋆ᵀ conj(vhᴴ)
+    and vh'ᴴ = ⋆'ᵀ conj(u) (_dual_columns) are unitary and, with the same s,
+    rebuild d2 out of the dual block to 1e-12."""
+    datum = _duality_datum(source, key)
+    m, d = datum.split.base_half_rank, datum.split.fibre_half_rank
+    conj_two_forms = np.conj(datum.split.holomorphic)
+    for (i, j), (k, l) in _dual_pairs(m, d):
+        u, sing, vh = _svd(_d2_block(conj_two_forms, m, d, i, j))
+        u_dual = (-1) ** (d - j) * _dual_columns(vh.conj().T, m, d, m - i, d - j)
+        vh_dual = _dual_columns(u, m, d, k, l).conj().T
+        for factor in (u_dual, vh_dual):
+            np.testing.assert_allclose(factor.conj().T @ factor, np.eye(len(factor)),
+                                       rtol=0, atol=1e-12)
+        dual = _d2_block(conj_two_forms, m, d, k, l)
+        rebuilt = (u_dual[:, :sing.size] * sing) @ vh_dual[:sing.size]
+        assert np.abs(rebuilt - dual).max() <= 1e-12 * max(1.0, np.abs(dual).max())
+
+
+@pytest.mark.parametrize("kind,m,d", SMALL_MEMBERS)
+def test_d2_decisions_of_dual_pairs_match_numerical_rank(kind, m, d):
+    """Each pair's decisions, the dual's taken from the one SVD and zero
+    blocks decided without one, equal numerical_rank on the block itself:
+    rank and near always, and the floats bit for bit on exactly zero blocks."""
+    datum = small_member(kind, m, d)
+    table = leray_table(datum)
+    blocks = d2_blocks(datum)[0]
+    recorded = [x for x in table.decisions if x.label.startswith("d2 ")]
+    again = []
+    for (i, j), block in blocks.items():
+        numerical_rank(block, datum.tol, datum.split.scale, f"d2 out of ({i},{j})", again)
+    assert [(x.label, x.rank, x.near) for x in recorded] == \
+        [(x.label, x.rank, x.near) for x in again]
+    for first, second, block in zip(recorded, again, blocks.values()):
+        if not block.any():
+            assert first == second
+        assert first.smallest_kept == pytest.approx(second.smallest_kept, rel=1e-12)
+        assert first.threshold == pytest.approx(second.threshold, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +593,21 @@ def _identity_piece(one_forms, m, i):
     sing, _ = _level_piece(one_forms, np.eye(cols, dtype=complex), np.eye(rows, dtype=complex),
                            np.zeros((rows, 0), dtype=complex), m, i)
     return sing
+
+
+@pytest.mark.parametrize("m,d", itertools.product(range(1, 8), range(1, 4)))
+def test_whole_piece_is_the_identity_frame_piece(m, d):
+    """The scattered whole piece equals, bit for bit, the piece _level_piece
+    builds by GEMM between identity frames at fibre count 1, and so has the
+    same singular values."""
+    rng = np.random.default_rng([120, m, d])
+    one_forms = rng.normal(size=(d * m, m)) + 1j * rng.normal(size=(d * m, m))
+    for i in range(m):
+        rows, cols = math.comb(m, i + 1), math.comb(m, i)
+        piece = _whole_piece(one_forms, m, i)
+        products = _wedge_products(np.eye(rows, dtype=complex), np.eye(cols, dtype=complex), m, i)
+        assert np.array_equal(piece, np.matmul(one_forms, products).reshape(rows * d, m * cols))
+        assert np.array_equal(_svd(piece, compute_uv=False), _identity_piece(one_forms, m, i))
 
 
 @pytest.mark.parametrize("m,d", [(4, 2), (5, 2), (4, 3)])
