@@ -18,15 +18,10 @@ CATALOG_NAMES = ("iwasawa", "product")
 def iwasawa_form() -> ExtensionForm:
     """Extension form of the Iwasawa manifold in the basis
     e1=(1,0), e2=(i,0), e3=(0,1), e4=(0,i) of Z[i]^2 and f1=1, f2=i of Z[i],
-    expanded entry by entry from A((x,y),(x',y')) = x y' - x' y."""
-    generators = [(1, 0), (1j, 0), (0, 1), (0, 1j)]
-    coefficients = np.zeros((2, 4, 4), dtype=np.int64)
-    for a, (x, y) in enumerate(generators):
-        for b, (xp, yp) in enumerate(generators):
-            value = x * yp - xp * y
-            coefficients[0, a, b] = int(round(value.real))
-            coefficients[1, a, b] = int(round(value.imag))
-    return ExtensionForm(coefficients)
+    the real and imaginary parts of A((x,y),(x',y')) = x y' - x' y."""
+    x, y = np.array([(1, 0), (1j, 0), (0, 1), (0, 1j)]).T
+    values = np.outer(x, y) - np.outer(y, x)  # Gaussian integers, exact in floats
+    return ExtensionForm(np.array([values.real, values.imag]))
 
 
 def iwasawa_datum(tol: float = DEFAULT_TOL) -> BundleDatum:

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattices import exact_integers
+
 
 @dataclass(frozen=True)
 class CurveBundleClass:
@@ -51,17 +53,10 @@ def kuranishi_dim(genus: int, fibre_dim: int) -> int:
 
 def _exact_integers(chern_vector) -> list:
     """The entries as exact Python ints (no int64 bound), or ValueError."""
-    entries = np.asarray(chern_vector)
+    entries = np.asarray(chern_vector, dtype=object)
     if entries.ndim != 1:
         raise ValueError("chern vector must be one-dimensional")
-    values = entries.tolist()
-    try:
-        exact = [int(x) for x in values]
-    except (TypeError, ValueError, OverflowError):
-        exact = None
-    if exact != values:
-        raise ValueError("chern vector entries must be integers")
-    return exact
+    return exact_integers(entries.tolist(), "chern vector entries", bounded=False)
 
 
 def divisibility_index(chern_vector) -> int:

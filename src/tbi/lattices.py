@@ -118,32 +118,42 @@ class GroupElement:
         )
 
 
-def _int64_array(values, name, error=ValueError) -> np.ndarray:
-    """values as a new int64 array.  Signed-integer input is cast as it is;
-    any other entry is compared as an exact Python number, and error is
-    raised unless it is an integer in [-2**63, 2**63)."""
-    arr = np.asarray(values)
-    if np.issubdtype(arr.dtype, np.signedinteger):
-        return arr.astype(np.int64)
+def exact_integers(entries, name, error=ValueError, bounded=True) -> list:
+    """The flat list entries as exact Python ints.  Each entry is compared as
+    an exact Python number, and error is raised unless it is an integer and,
+    when bounded, lies in the int64 range [-2**63, 2**63)."""
     out_of_range = f"{name} must lie in the int64 range [-2**63, 2**63)"
-    entries = arr.ravel().tolist()
     try:
         exact = [int(x) for x in entries]
     except OverflowError:  # an infinity
-        raise error(out_of_range) from None
+        if bounded:
+            raise error(out_of_range) from None
+        exact = None
     except (TypeError, ValueError):  # NaN, strings, complex numbers
         exact = None
     if exact != entries:
         raise error(f"{name} must be integers")
-    if not all(-INT64_BOUND <= x < INT64_BOUND for x in exact):
+    if bounded and not all(-INT64_BOUND <= x < INT64_BOUND for x in exact):
         raise error(out_of_range)
+    return exact
+
+
+def _int64_array(values, name, error=ValueError) -> np.ndarray:
+    """values as a new int64 array.  Signed-integer input is cast as it is;
+    any other input goes through exact_integers as the Python objects it
+    holds, so a list mixing ints and floats is not rounded through float64."""
+    arr = np.asarray(values)
+    if np.issubdtype(arr.dtype, np.signedinteger):
+        return arr.astype(np.int64)
+    exact = exact_integers(np.asarray(values, dtype=object).ravel().tolist(), name, error)
     return np.array(exact, dtype=np.int64).reshape(arr.shape)
 
 
 def _int_vector(v, length, name):
     arr = _int64_array(v, name)
     if arr.ndim != 1 or (length is not None and arr.shape[0] != length):
-        raise ValueError(f"{name} must be a vector of length {length}, got shape {arr.shape}")
+        size = "" if length is None else f" of length {length}"
+        raise ValueError(f"{name} must be a vector{size}, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -173,14 +183,23 @@ def extension_cocycle(form: ExtensionForm, g1_base, g2_base) -> np.ndarray:
     return np.einsum("kij,i,j->k", form.upper, g1, g2)
 
 
+def _cocycle(form: ExtensionForm, g1: GroupElement, g2: GroupElement) -> np.ndarray:
+    """c(g1.base, g2.base), once both operands' lengths match the form."""
+    for g in (g1, g2):
+        if g.fibre.shape != (form.fibre_rank,) or g.base.shape != (form.base_rank,):
+            raise ValueError(f"group element lengths (fibre {g.fibre.size}, base {g.base.size}) "
+                             f"do not match the form's ranks ({form.fibre_rank}, {form.base_rank})")
+    return np.einsum("kij,i,j->k", form.upper, g1.base, g2.base)
+
+
 def group_multiply(form: ExtensionForm, g1: GroupElement, g2: GroupElement) -> GroupElement:
-    c = extension_cocycle(form, g1.base, g2.base)
+    c = _cocycle(form, g1, g2)
     return GroupElement(g1.fibre + g2.fibre + c, g1.base + g2.base)
 
 
 def group_inverse(form: ExtensionForm, g: GroupElement) -> GroupElement:
     # (l, g)^-1 = (-l + c(g, g), -g); c(g, -g) = -c(g, g) makes both sides check out.
-    c = extension_cocycle(form, g.base, g.base)
+    c = _cocycle(form, g, g)
     return GroupElement(-g.fibre + c, -g.base)
 
 

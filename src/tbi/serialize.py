@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormInvalidError, ParseError
-from .lattices import INT64_BOUND, ExtensionForm, validate_form
+from .lattices import INT64_BOUND, ExtensionForm, exact_integers, validate_form
 from .periods import ComplexStructure, DEFAULT_TOL, require_structure
 
 
@@ -198,18 +198,11 @@ def parse_input(text: str, require_structures: bool = True,
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                for x in coefficients.flat):
         raise ParseError("'A' entries must be numbers")
-    try:
-        numeric = coefficients.astype(float)
-    except OverflowError:
-        raise ParseError("'A' entries must be finite numbers") from None
-    # JSON integers are range-checked and stored exactly, not through float;
-    # NaN and the infinities fail the range test too.
-    exact = all(isinstance(x, int) for x in coefficients.flat)
-    values = coefficients if exact else numeric
-    if not all(-INT64_BOUND <= x < INT64_BOUND for x in values.flat):
+    # Python compares ints with floats exactly, and NaN fails every comparison.
+    if not all(-INT64_BOUND <= x < INT64_BOUND for x in coefficients.flat):
         raise ParseError("'A' entries must be finite numbers in the int64 range "
                          "[-2**63, 2**63)")
-    form = ExtensionForm(values.astype(np.int64) if exact else numeric)
+    form = ExtensionForm(coefficients)
     violations = validate_form(form)
     if violations:
         raise FormInvalidError("; ".join(violations))
@@ -263,5 +256,5 @@ def input_document(form: ExtensionForm, base: ComplexStructure | None = None,
     if tol is not None:
         doc["tol"] = float(tol)
     if seed is not None:
-        doc["seed"] = int(seed)
+        [doc["seed"]] = exact_integers([seed], "seed", bounded=False)
     return doc

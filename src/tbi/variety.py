@@ -28,7 +28,7 @@ import numpy as np
 
 from .decomposition import riemann_check
 from .errors import StructureDegenerateError
-from .lattices import ExtensionForm
+from .lattices import ExtensionForm, exact_integers
 from .periods import (ComplexStructure, DEFAULT_TOL, draws_exhausted, random_periods,
                       validate_structure)
 
@@ -163,12 +163,6 @@ class SampleResult:
         return self.found
 
 
-def _seed_prefix(seed) -> list:
-    if np.ndim(seed) == 0:
-        return [int(seed)]
-    return [int(x) for x in seed]
-
-
 def _chunks(max_attempts: int):
     """Attempt ranges of doubling length 1, 2, 4, ... up to _MAX_BATCH, the
     last one cut at max_attempts, so an early success costs one small batch
@@ -202,7 +196,8 @@ def sample_point(form: ExtensionForm, seed=0, max_attempts: int = 100,
     """
     d = form.fibre_rank // 2
     m = form.base_rank // 2
-    prefix = _seed_prefix(seed)
+    prefix = exact_integers(np.array(seed, dtype=object, ndmin=1).tolist(), "seed",
+                            bounded=False)
     coeff = form.coefficients.astype(complex)
     best_residual = None
     for chunk in _chunks(max_attempts):

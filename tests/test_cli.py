@@ -91,6 +91,16 @@ def test_validate_missing_file(tmp_path, capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("value", [1.5, -0.5])
+def test_fractional_form_entry_exits_2(tmp_path, capsys, value):
+    doc = _iwasawa_doc()
+    doc["A"][0][0][1], doc["A"][0][1][0] = value, -value
+    path = _write(tmp_path, "fractional.json", doc)
+    code, out, err = _run(capsys, ["invariants", path])
+    assert (code, out) == (2, "")
+    assert err == "error: coefficients must be integers\n"
+
+
 def test_validate_bad_form_exits_2(tmp_path, capsys):
     doc = _iwasawa_doc()
     doc["A"][0][0][1] = 5
@@ -245,9 +255,14 @@ def _int64_overflow_in_a(doc):
     doc["A"][0][0][1], doc["A"][0][1][0] = 2 ** 63, -2 ** 63
 
 
+def _nan_in_a(doc):
+    doc["A"][0][0][1], doc["A"][0][1][0] = float("nan"), float("nan")
+
+
 @pytest.mark.parametrize("corrupt,needle", [
     (_nan_in_v, "'V'"), (_infinite_tol, "'tol'"),
     (_huge_float_in_a, "int64 range"), (_int64_overflow_in_a, "int64 range"),
+    (_nan_in_a, "int64 range"),
 ])
 def test_non_finite_numbers_exit_1(tmp_path, capsys, corrupt, needle):
     code, out, _ = _run(capsys, ["catalog", "iwasawa"])

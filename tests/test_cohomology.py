@@ -586,6 +586,15 @@ def test_whole_blocks_hold_the_identity(kind, m, d):
         assert table.coimages[key].shape == (dim, 0)
 
 
+@pytest.mark.parametrize("kind,m,d", SMALL_MEMBERS)
+def test_twist_residual_is_roundoff(kind, m, d):
+    """d2 = Σ_t ω̄_t ∧ ι_t contracts a fibre index, and a level map wedges a
+    base one-form h.  h∧ commutes with ω̄_t∧ and anticommutes with ι_t, so
+    d2(h∧x) = −h∧d2(x).  Level maps therefore carry kernels into kernels,
+    and any value above roundoff means the representatives left the kernel."""
+    assert bundle_report(small_member(kind, m, d)).twist_residual <= 1e-12
+
+
 def _identity_piece(one_forms, m, i):
     """Singular values of the level piece from (i, ·) to (i+1, ·) between
     identity frames at fibre count 1."""

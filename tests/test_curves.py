@@ -78,6 +78,20 @@ def test_divisibility_rejects_non_integers_with_value_error(entries):
         divisibility_index(entries)
 
 
+def test_chern_vector_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="chern vector must be one-dimensional"):
+        CurveBundleClass(genus=2, fibre_dim=1, chern_vector=[[1, 2]])
+    with pytest.raises(ValueError, match="chern vector must be one-dimensional"):
+        divisibility_index([[1, 2]])
+
+
+@pytest.mark.parametrize("entries,expected", [
+    ([2 ** 62 + 1, 0.0], 2 ** 62 + 1), ([3 * (2 ** 60 + 1), 6.0], 3),
+])
+def test_divisibility_keeps_big_ints_exact_beside_floats(entries, expected):
+    assert divisibility_index(entries) == expected
+
+
 def test_curve_bundle_class():
     bundle = CurveBundleClass(genus=2, fibre_dim=1, chern_vector=(2, -4))
     assert bundle.divisibility == 2

@@ -133,6 +133,35 @@ def test_element_rejects_entries_outside_int64(fibre, message):
 
 
 @pytest.mark.filterwarnings("error")
+def test_element_rejects_non_vectors():
+    with pytest.raises(ValueError, match=r"^fibre must be a vector, got shape \(1, 2\)$"):
+        GroupElement([[1, 0]], [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("fibre,base", [
+    ([5], [1, 0, 0, 0]), ([0, 0, 0], [1, 0, 0, 0]), ([0, 0], [1, 0]), ([0, 0], [1, 0, 0, 0, 0]),
+])
+def test_group_operations_reject_operands_of_the_wrong_length(fibre, base):
+    form = iwasawa_form()
+    bad, good = GroupElement(fibre, base), basis_lift(form, 2)
+    message = (rf"lengths \(fibre {len(fibre)}, base {len(base)}\) do not match the "
+               r"form's ranks \(2, 4\)")
+    for operation in (lambda: group_multiply(form, bad, good),
+                      lambda: group_multiply(form, good, bad),
+                      lambda: group_inverse(form, bad),
+                      lambda: commutator(form, bad, good),
+                      lambda: commutator(form, good, bad)):
+        with pytest.raises(ValueError, match=message):
+            operation()
+
+
+@pytest.mark.parametrize("coordinates", [[2 ** 62 + 1, 0.0], [2 ** 63 - 1, -0.0], [1.0, -2 ** 63]])
+def test_element_keeps_ints_exact_beside_floats(coordinates):
+    g = GroupElement(coordinates, [0, 0, 0, 0])
+    assert g.fibre.tolist() == coordinates and g.fibre.dtype == np.int64
+
+
+@pytest.mark.filterwarnings("error")
 def test_element_keeps_int64_extremes():
     g = GroupElement([2 ** 63 - 1, -2 ** 63], np.array([1.0, 0.0, -3.0, 2.0 ** 62]))
     assert g.fibre.tolist() == [2 ** 63 - 1, -2 ** 63]

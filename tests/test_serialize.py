@@ -5,7 +5,7 @@ import pytest
 
 from tbi import (FormInvalidError, ParseError, StructureDegenerateError,
                  complex_to_pairs, dumps, input_document, parse_input,
-                 sha256_hex)
+                 product_form, sha256_hex)
 
 
 def _zero_doc(**extra):
@@ -203,8 +203,9 @@ def test_parse_rejects_bad_tol(tol):
     ("A", [[[0, -2 ** 63 - 1], [2 ** 63 + 1, 0]], [[0, 0], [0, 0]]], "int64 range"),
     ("A", [[[0, 2.0 ** 63], [-2.0 ** 63, 0]], [[0, 0], [0, 0]]], "int64 range"),
     ("A", [[[0, 1e300], [-1e300, 0]], [[0, 0], [0, 0]]], "int64 range"),
+    ("A", [[[0, float("nan")], [float("nan"), 0]], [[0, 0], [0, 0]]], "int64 range"),
 ], ids=["V-nan", "U-infinity", "V-huge-int", "A-infinity", "A-huge-int",
-        "A-int-2**63", "A-int-below-int64", "A-float-2**63", "A-float-1e300"])
+        "A-int-2**63", "A-int-below-int64", "A-float-2**63", "A-float-1e300", "A-nan"])
 def test_parse_rejects_non_finite_numbers(key, value, needle):
     with pytest.raises(ParseError, match=needle):
         parse_input(json.dumps(_zero_doc(**{key: value})))
@@ -216,10 +217,36 @@ def test_parse_keeps_int64_extremes_exact():
     assert int(document.form.coefficients[0, 0, 1]) == top
 
 
+@pytest.mark.parametrize("zero", [0, 0.0, -0.0])
+def test_parse_keeps_int64_top_exact_beside_integral_floats(zero):
+    top = 2 ** 63 - 1
+    entries = [[[zero, top], [-top, zero]], [[zero, 2.0], [-2, 0]]]
+    document = parse_input(json.dumps(_zero_doc(A=entries)))
+    assert document.form.coefficients.tolist() == [[[0, top], [-top, 0]], [[0, 2], [-2, 0]]]
+
+
+@pytest.mark.parametrize("value", [1.5, -0.5, 1e-300])
+def test_parse_rejects_fractional_form_entries_as_invalid_form(value):
+    doc = _zero_doc(A=[[[0, value], [-value, 0]], [[0, 0], [0, 0]]])
+    with pytest.raises(FormInvalidError, match="coefficients must be integers"):
+        parse_input(json.dumps(doc))
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_parse_rejects_bad_seed(seed):
     with pytest.raises(ParseError, match="'seed'"):
         parse_input(json.dumps(_zero_doc(seed=seed)))
+
+
+@pytest.mark.parametrize("seed,emitted", [(7, 7), (np.int64(7), 7), (7.0, 7), (2 ** 70, 2 ** 70),
+                                          (1.5, None), ("7", None)])
+def test_input_document_emits_integer_seeds_only(seed, emitted):
+    if emitted is None:
+        with pytest.raises(ValueError, match="seed must be integers"):
+            input_document(product_form(2, 1), seed=seed)
+    else:
+        doc = input_document(product_form(2, 1), seed=seed)
+        assert doc["seed"] == emitted and type(doc["seed"]) is int
 
 
 def test_parse_rejects_degenerate_structure():

@@ -171,6 +171,12 @@ def test_sample_sequence_seed():
                               sample_point(form, seed=[14, 1]).base.period)
 
 
+@pytest.mark.parametrize("seed", [1.5, [14, 0.5], "3", [[14, 0]]])
+def test_sample_point_refuses_non_integer_seeds(seed):
+    with pytest.raises(ValueError, match="seed must be integers"):
+        sample_point(product_form(2, 1), seed=seed)
+
+
 def test_sample_failure_reports_attempts():
     rng = np.random.default_rng(61)
     form = random_alternating_form(rng, 3, 1)
