@@ -14,7 +14,11 @@ compares the stdout, stderr and exit code of every run.  The corpus:
   case (1, 1.0, 0.5, NaN, inf, 1e300, 10**400, 2**63, 2**63 - 1 beside 0 and
   beside 0.0, "1", true, 2.0**63), under invariants and group;
 - eight group-element spellings on Iwasawa, five curve --chern vectors and two
-  sample runs.
+  sample runs;
+- invariants near the rank cuts: support.near_threshold_member (its own tol),
+  and the SMALL_MEMBERS documents and the points sample_point finds for
+  Iwasawa and three random forms (seeds 0 and 1), each at --tol 1e-3, 0.05,
+  0.2 and 0.45.
 
 The documents are written once, by this checkout's tbi and tests/support.py,
 into a temporary directory that both runs read.  Every differing run is
@@ -41,11 +45,13 @@ EDGE_VALUES = {
 ELEMENTS = ("e1", "f2", "1,0/0,0,1,0", "-1,2/3,-4,5,-6", "9223372036854775807,0/1,0,0,0",
             "0,0/9223372036854775808,0,0,0", "e9", "1,2/3")
 CHERN_VECTORS = ("2,-4", "0,0", "99999999999999999999,0", "1.5,2", "1,2,3")
+NEAR_TOLS = ("1e-3", "0.05", "0.2", "0.45")
 
 
 def write_corpus(workdir) -> list:
     """Write the corpus documents into workdir and return the argv lists."""
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+    import numpy as np
     import support
     import tbi
     from tbi.catalog import CATALOG_NAMES
@@ -67,6 +73,22 @@ def write_corpus(workdir) -> list:
         path = write(name, document(datum))
         argvs += [["invariants", path], ["invariants", path, "--format", "table"],
                   ["validate", path], ["decompose", path]]
+        if name.startswith("small."):
+            argvs += [["invariants", path, "--tol", tol] for tol in NEAR_TOLS]
+
+    near = support.near_threshold_member()
+    path = write("near-threshold", tbi.dumps(tbi.input_document(
+        near.form, near.base, near.fibre, tol=near.tol)))
+    argvs += [["invariants", path], ["invariants", path, "--format", "table"]]
+    rng = np.random.default_rng(7)
+    forms = [tbi.iwasawa_form()] + [support.random_alternating_form(rng, 2, 1) for _ in range(3)]
+    for number, form in enumerate(forms):
+        for seed in (0, 1):
+            result = tbi.sample_point(form, seed=seed, max_attempts=50)
+            if result.found:
+                path = write(f"sampled.{number}.{seed}",
+                             tbi.dumps(tbi.input_document(form, result.base, result.fibre)))
+                argvs += [["invariants", path, "--tol", tol] for tol in NEAR_TOLS]
 
     iwasawa = json.loads(document(tbi.iwasawa_datum()))
     edge_cases = [(label, value, 0) for label, value in EDGE_VALUES.items()]

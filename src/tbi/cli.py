@@ -155,10 +155,7 @@ def cmd_validate(args) -> int:
     verdict = datum.membership
     print(dumps({
         "ok": True,
-        "sha256": sha256_hex(data),
-        "m": document.m,
-        "d": document.d,
-        "tol": datum.tol,
+        **_input_echo(data, document),
         "riemann_residual": verdict.residual,
         "scale": verdict.scale,
     }))
@@ -324,10 +321,7 @@ def cmd_group(args) -> int:
 def cmd_catalog(args) -> int:
     require_int(args.base_dim, "--base-dim", 1)
     require_int(args.fibre_dim, "--fibre-dim", 1)
-    try:
-        datum = catalog_datum(args.name, m=args.base_dim, d=args.fibre_dim)
-    except KeyError as exc:
-        raise ParseError(str(exc.args[0])) from None
+    datum = catalog_datum(args.name, m=args.base_dim, d=args.fibre_dim)
     print(dumps(input_document(datum.form, datum.base, datum.fibre)))
     return 0
 

@@ -171,9 +171,10 @@ def h1_structure_sheaf(datum: BundleDatum, decisions=None) -> int:
 
 def is_parallelizable(datum: BundleDatum) -> bool:
     """The bundle's total space is parallelizable exactly when the hermitian
-    block vanishes (then all m + d frame forms are global)."""
+    block vanishes, that is when its rank decision ("hermitian block") gives
+    rank 0: then all m + d frame forms are global."""
     split = datum.split
-    return bool(np.max(np.abs(split.hermitian)) <= datum.tol * split.scale)
+    return h0_forms(datum).dim == split.base_half_rank + split.fibre_half_rank
 
 
 # ---------------------------------------------------------------------------
@@ -663,17 +664,20 @@ def theta_cohomology(datum: BundleDatum, degree: int) -> ThetaCohomology:
 def classify_blocks(datum: BundleDatum) -> str | None:
     """Coarse label by which blocks vanish; only defined for one-dimensional
     fibres (d=1), None otherwise.  "abelian" is decided exactly on the
-    integer form, the other labels relative to the split's scale."""
+    integer form; "zero_hermitian" (parallelizable) and "pure_hermitian"
+    (h^1(O) = m + 1, not parallelizable) on the blocks' rank decisions."""
+    return _classification(datum, is_parallelizable(datum), h1_structure_sheaf(datum))
+
+
+def _classification(datum: BundleDatum, parallelizable: bool, h1: int) -> str | None:
     split = datum.split
     if split.fibre_half_rank != 1:
         return None
     if not np.any(datum.form.coefficients):
         return "abelian"
-    if is_parallelizable(datum):
+    if parallelizable:
         return "zero_hermitian"
-    if np.max(np.abs(split.holomorphic)) <= datum.tol * split.scale:
-        return "pure_hermitian"
-    return "mixed"
+    return "pure_hermitian" if h1 == split.base_half_rank + 1 else "mixed"
 
 
 @dataclass(frozen=True, eq=False)
@@ -718,7 +722,8 @@ def _require_identities(h_structure, h_tangent, h0_one_forms, h1_structure) -> N
 
 
 def bundle_report(datum: BundleDatum) -> CohomologyReport:
-    """Run every dimension computation once and collect the audit trail.
+    """Run every dimension computation once and collect the audit trail;
+    parallelizable and classification read its block rank decisions.
     An oversized datum is refused by require_table_fits before any work, and
     a report that breaks a duality identity by ToleranceAmbiguityError."""
     require_table_fits(datum)
@@ -730,7 +735,8 @@ def bundle_report(datum: BundleDatum) -> CohomologyReport:
     tangent = tangent_table(datum, table)
     h_structure = tuple(table.total_dims(3))
     _require_identities(h_structure, tangent.dims, forms.dim, h1)
-    m = datum.split.base_half_rank
+    m, d = datum.split.base_half_rank, datum.split.fibre_half_rank
+    parallelizable = forms.dim == m + d
     return CohomologyReport(
         e2=table.e2,
         e3=table.e3,
@@ -738,10 +744,10 @@ def bundle_report(datum: BundleDatum) -> CohomologyReport:
         h0_one_forms=forms.dim,
         closed_one_forms=closed,
         h1_structure=h1,
-        parallelizable=is_parallelizable(datum),
+        parallelizable=parallelizable,
         h_tangent=tangent.dims,
         deformation_target=m * m + m,
-        classification=classify_blocks(datum),
+        classification=_classification(datum, parallelizable, h1),
         twist_residual=tangent.twist_residual,
         decisions=tuple(decisions) + table.decisions + tangent.decisions,
     )

@@ -209,7 +209,7 @@ def _eval_at_point(datum: BundleDatum, gamma, point) -> np.ndarray:
 
 def cocycle_eval(datum: BundleDatum, gamma, z) -> np.ndarray:
     """Value of the classifying cocycle for lattice element gamma at the base
-    point z (holomorphic base coordinates, length m).
+    point z (holomorphic base coordinates, length m), by _eval_at_point.
 
     The linear part contracts z into the first slot of the holomorphic block
     and gamma -- split into its (V, Vbar) halves -- into the remaining slots
@@ -218,11 +218,7 @@ def cocycle_eval(datum: BundleDatum, gamma, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if z.shape != (datum.base.half_rank,):
         raise ValueError(f"z must have length {datum.base.half_rank}")
-    holomorphic, antiholomorphic = split_coordinates(datum.base, gamma, datum.tol)
-    split = datum.split
-    linear = np.einsum("ahl,h,l->a", split.holomorphic, z, holomorphic) \
-        + np.einsum("ahl,h,l->a", split.hermitian, z, antiholomorphic)
-    return -linear + datum.translation_value(gamma)
+    return _eval_at_point(datum, gamma, datum.base.period @ z)
 
 
 def cocycle_defect(datum: BundleDatum, gamma1, gamma2, z) -> np.ndarray:

@@ -137,6 +137,15 @@ def gaussian_member(rng, kind, m, d) -> BundleDatum:
     while kind != "zero_hermitian" and any(np.linalg.matrix_rank(x) < m for x in h):
         upper = np.triu(gaussian((d, m, m)), 1)
         h = upper + upper.conj().transpose(0, 2, 1) + np.diag(rng.integers(-2, 3, size=m))
+    return BundleDatum.checked(form_from_blocks(b, h), standard_structure(m),
+                               standard_structure(d))
+
+
+def form_from_blocks(b, h) -> ExtensionForm:
+    """The integer form whose fibre component c is x^T B_c y + Im(x* H_c y)
+    in the real coordinate of that component, on Z[i]^m over Z[i]^d, for
+    d x m x m Gaussian-integer arrays b (antisymmetric) and h (hermitian)."""
+    d, m, _ = b.shape
     units = np.zeros((2 * m, m), dtype=complex)  # row k: the k-th real generator
     units[0::2] = np.eye(m)
     units[1::2] = 1j * np.eye(m)
@@ -145,8 +154,19 @@ def gaussian_member(rng, kind, m, d) -> BundleDatum:
     tensor = np.zeros((2 * d, 2 * m, 2 * m))
     tensor[0::2] = holomorphic.real + hermitian
     tensor[1::2] = holomorphic.imag
-    form = ExtensionForm(np.rint(tensor).astype(np.int64))
-    return BundleDatum.checked(form, standard_structure(m), standard_structure(d))
+    return ExtensionForm(np.rint(tensor).astype(np.int64))
+
+
+def near_threshold_member() -> BundleDatum:
+    """m = 3, d = 1 at tol 0.015, with B = 40 (E01 - E10 + E12 - E21) and
+    H = I: the split's scale is 80, so the cut is 1.2, and the hermitian
+    block has max-norm 1 below it but singular value (Frobenius norm) sqrt(3)
+    above it.  Its rank decision is 1: the datum is not parallelizable."""
+    b = np.zeros((1, 3, 3), dtype=complex)
+    b[0, 0, 1] = b[0, 1, 2] = 40
+    b -= b.transpose(0, 2, 1)
+    return BundleDatum.checked(form_from_blocks(b, np.eye(3)[None]), standard_structure(3),
+                               standard_structure(1), tol=0.015)
 
 
 SMALL_MEMBERS = [(kind, m, d) for kind in ("mixed", "pure_hermitian", "zero_hermitian")

@@ -21,8 +21,8 @@ from tbi import ToleranceAmbiguityError, dumps, input_document, iwasawa_datum, s
 from tbi import cli
 from tbi.catalog import CATALOG_NAMES
 
-from support import (count_calls, gaussian_member, random_alternating_form, skew_d2_image,
-                     small_member, subprocess_env)
+from support import (count_calls, gaussian_member, near_threshold_member,
+                     random_alternating_form, skew_d2_image, small_member, subprocess_env)
 
 try:
     import tomllib
@@ -456,6 +456,26 @@ def test_invariants_near_threshold_stdout_frozen(tmp_path, capsys, name, tol, co
     assert hashlib.sha256(out.encode()).hexdigest() == table_digest
 
 
+def test_invariants_parallelizable_follows_the_hermitian_rank(tmp_path, capsys):
+    """The hermitian block of near_threshold_member has max-norm below the cut
+    and rank 1: the report says not parallelizable, and mixed."""
+    datum = near_threshold_member()
+    path = _write(tmp_path, "near.json",
+                  input_document(datum.form, datum.base, datum.fibre, tol=datum.tol))
+    code, out, err = _run(capsys, ["invariants", path])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    hermitian = next(entry for entry in payload["rank_decisions"]
+                     if entry["label"] == "hermitian block")
+    assert hermitian["rank"] == 1 and payload["norms"]["hermitian"] < hermitian["threshold"]
+    cohomology = payload["cohomology"]
+    assert (cohomology["parallelizable"], cohomology["classification"]) == (False, "mixed")
+    assert cohomology["h0_one_forms"] == 3
+    code, out, err = _run(capsys, ["invariants", path, "--format", "table"])
+    assert (code, err) == (0, "")
+    assert "parallelizable: False\n" in out and "classification: mixed\n" in out
+
+
 # sha256 of `tbi invariants --format table` stdout on the catalog documents,
 # the Kodaira surface and the SMALL_MEMBERS slots (kind.m.d), recorded when the
 # table format still built its own spectral table.  The format prints no
@@ -837,6 +857,16 @@ def test_curve_wrong_chern_length_exits_1(capsys):
                                  "--chern", "1,2"])
     assert code == 1
     assert "--chern" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["curve", "--genus", "2", "--fibre-dim", "1", "--chern", "1.5,2"], "--chern"),
+    (["group", None, "1.5,0/0,0,0,0", "e1"], "fibre part"),
+], ids=["curve-chern", "group-fibre-part"])
+def test_non_integer_vector_entries_exit_1(tmp_path, capsys, argv, message):
+    path = _write(tmp_path, "form.json", _form_only_doc())
+    argv = [path if arg is None else arg for arg in argv]
+    assert _run(capsys, argv) == (1, "", f"error: {message} entries must be integers\n")
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from tbi import (BundleDatum, ComplexStructure, ExtensionForm, ToleranceAmbiguit
 from tbi.cohomology import (_d2_block, _dual_columns, _level_piece, _rank_from_singular_values,
                             _svd, _wedge_gram, _wedge_map, _wedge_products, _whole_piece)
 
-from support import (SMALL_MEMBERS, d2_blocks, gaussian_member, random_alternating_form,
-                     skew_d2_image, small_member, transported_case1)
+from support import (SMALL_MEMBERS, d2_blocks, gaussian_member, near_threshold_member,
+                     random_alternating_form, skew_d2_image, small_member, transported_case1)
 
 
 def _random_datum(seed, m, d):
@@ -791,6 +791,38 @@ def test_classify_mixed_and_undefined():
     assert np.max(np.abs(split.hermitian)) > 1e-6
     assert classify_blocks(datum) == "mixed"
     assert classify_blocks(_random_datum(87, 2, 2)) is None
+
+
+SWEEP_TOLS = (1e-9, 1e-6, 1e-3, 1e-2, 0.05, 0.1, 0.2, 0.3, 0.45)
+
+
+@pytest.mark.parametrize("slot", [None] + SMALL_MEMBERS,
+                         ids=lambda slot: "near-threshold" if slot is None
+                         else "{}-{}-{}".format(*slot))
+def test_block_verdicts_follow_the_rank_decisions(slot):
+    """parallelizable and the classification say what the report's own
+    "hermitian block" and "holomorphic block" decisions say, at every
+    tolerance of the sweep: near a cut the block's max-norm and its singular
+    value can fall on opposite sides."""
+    if slot is None:
+        data = [near_threshold_member()]
+    else:
+        member = small_member(*slot)
+        data = [BundleDatum(member.form, member.base, member.fibre, tol=tol)
+                for tol in SWEEP_TOLS]
+    for datum in data:
+        m, d = datum.split.base_half_rank, datum.split.fibre_half_rank
+        report = bundle_report(datum)
+        ranks = {decision.label: decision.rank for decision in report.decisions}
+        assert report.parallelizable == (report.h0_one_forms == m + d) \
+            == (ranks["hermitian block"] == 0) == is_parallelizable(datum)
+        assert report.classification == classify_blocks(datum)
+        if d == 1:
+            assert (report.classification == "zero_hermitian") == report.parallelizable
+        assert (report.classification == "pure_hermitian") == \
+            (d == 1 and ranks["holomorphic block"] == 0 and not report.parallelizable)
+        if d == 1 and report.parallelizable:
+            assert report.h_tangent == tuple((m + 1) * h for h in report.h_structure)
 
 
 def test_bundle_report_fields(iwasawa, kodaira_surface):

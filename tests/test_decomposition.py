@@ -7,7 +7,9 @@ from tbi import (BundleDatum, ComplexStructure, ExtensionForm, FormInvalidError,
                  product_datum, random_structure, reconstruct, riemann_check,
                  split_form, standard_structure)
 
-from support import random_alternating_form, transported_case1
+from tbi.periods import split_coordinates
+
+from support import random_alternating_form, small_member, transported_case1
 
 
 def _random_datum(seed, m, d):
@@ -149,6 +151,18 @@ def test_checked_rejects_nonmember(iwasawa):
         BundleDatum.checked(iwasawa.form, iwasawa.base, swapped)
 
 
+@pytest.mark.parametrize("make,message", [
+    (lambda x: BundleDatum(x.form, standard_structure(1), x.fibre),
+     "base structure rank does not match the form"),
+    (lambda x: BundleDatum(x.form, x.base, standard_structure(2)),
+     "fibre structure rank does not match the form"),
+    (lambda x: cocycle_eval(x, [1, 0, 0, 0], [1.0]), "z must have length 2"),
+], ids=["base-rank", "fibre-rank", "z-length"])
+def test_mismatched_shapes_raise_value_error(iwasawa, make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(iwasawa)
+
+
 def test_translation_shape_checked(iwasawa):
     with pytest.raises(ValueError):
         BundleDatum(iwasawa.form, iwasawa.base, iwasawa.fibre,
@@ -181,6 +195,34 @@ def test_cocycle_eval_translation_only():
     gamma = [2, 0, -1, 1]
     value = cocycle_eval(datum, gamma, [0.3, -0.7])
     assert np.allclose(value, translation @ gamma)
+
+
+def _contracted_blocks(datum, gamma, z):
+    """The classifying cocycle contracted on the split blocks: z into the
+    first slot of the holomorphic block, the (V, Vbar) halves of gamma into
+    the second slot of the holomorphic and hermitian blocks."""
+    holomorphic, antiholomorphic = split_coordinates(datum.base, gamma, datum.tol)
+    split = datum.split
+    linear = np.einsum("ahl,h,l->a", split.holomorphic, z, holomorphic) \
+        + np.einsum("ahl,h,l->a", split.hermitian, z, antiholomorphic)
+    return -linear + datum.translation_value(gamma)
+
+
+@pytest.mark.parametrize("name", ["iwasawa", "kodaira_surface", "mixed-3-1",
+                                  "pure_hermitian-2-2", "zero_hermitian-4-1"])
+def test_cocycle_eval_matches_block_contraction(request, name):
+    if "-" in name:
+        kind, m, d = name.split("-")
+        datum = small_member(kind, int(m), int(d))
+    else:
+        datum = request.getfixturevalue(name)
+    rng = np.random.default_rng(list(name.encode()))
+    m = datum.base.half_rank
+    for _ in range(5):
+        gamma = rng.integers(-5, 6, size=2 * m)
+        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        assert np.allclose(cocycle_eval(datum, gamma, z), _contracted_blocks(datum, gamma, z),
+                           rtol=0, atol=1e-12)
 
 
 def test_defect_z_independent_and_lattice_valued(iwasawa):

@@ -34,6 +34,13 @@ def test_dumps_nested_indentation():
     assert text == '{\n  "outer": {\n    "inner": [1, 2]\n  }\n}'
 
 
+@pytest.mark.parametrize("value,text", [
+    ({}, "{}"), ([], "[]"), ({"a": {}}, '{\n  "a": {}\n}'),
+])
+def test_dumps_empty_containers(value, text):
+    assert dumps(value) == text
+
+
 def test_dumps_float_has_seventeen_digits():
     assert dumps(0.1) == "0.10000000000000001"
     assert dumps(2.5) == "2.5"
