@@ -18,7 +18,8 @@ compares the stdout, stderr and exit code of every run.  The corpus:
 - invariants near the rank cuts: support.near_threshold_member (its own tol),
   and the SMALL_MEMBERS documents and the points sample_point finds for
   Iwasawa and three random forms (seeds 0 and 1), each at --tol 1e-3, 0.05,
-  0.2 and 0.45.
+  0.1, 0.2 and 0.45.  At 0.1, ten times a rank cut is the largest value it
+  can meet, so the near-threshold count is tested on that edge.
 
 The documents are written once, by this checkout's tbi and tests/support.py,
 into a temporary directory that both runs read.  Every differing run is
@@ -45,7 +46,7 @@ EDGE_VALUES = {
 ELEMENTS = ("e1", "f2", "1,0/0,0,1,0", "-1,2/3,-4,5,-6", "9223372036854775807,0/1,0,0,0",
             "0,0/9223372036854775808,0,0,0", "e9", "1,2/3")
 CHERN_VECTORS = ("2,-4", "0,0", "99999999999999999999,0", "1.5,2", "1,2,3")
-NEAR_TOLS = ("1e-3", "0.05", "0.2", "0.45")
+NEAR_TOLS = ("1e-3", "0.05", "0.1", "0.2", "0.45")
 
 
 def write_corpus(workdir) -> list:

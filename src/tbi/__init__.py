@@ -18,7 +18,7 @@ from .cohomology import (CohomologyReport, OneFormsSpace, RankDecision, Spectral
                          closed_forms_dim, h0_forms, h1_structure_sheaf, is_parallelizable,
                          leray_table, numerical_rank, require_table_fits,
                          structure_sheaf_dims, tangent_table, theta_cohomology)
-from .curves import CurveBundleClass, divisibility_index, kuranishi_dim
+from .curves import divisibility_index, kuranishi_dim
 from .decomposition import (BundleDatum, DecomposedForm, MembershipResult,
                             cocycle_defect, cocycle_eval, decompose,
                             lattice_vector_from_fibre, reconstruct, riemann_check,
@@ -33,5 +33,5 @@ from .periods import (ComplexStructure, DEFAULT_TOL, basis_change, random_struct
                       split_coordinates, standard_structure, validate_structure)
 from .serialize import (InputDocument, complex_to_pairs, dumps, input_document,
                         parse_input, sha256_hex)
-from .variety import (LocalEquations, SampleResult, chart_structure, codim_bound,
-                      graph_chart, local_equations, pairwise_values, sample_point)
+from .variety import (LocalEquations, SampleResult, chart_structure, graph_chart,
+                      local_equations, pairwise_values, sample_point)

@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 parse/usage error, 2 invalid extension form,
 tolerance ambiguity.  The default tolerance is overridden by the TBI_TOL
 environment variable, the document's "tol" key, and the --tol flag, in
 increasing order of precedence.  --tol is taken by validate, invariants,
-decompose and sample; group does exact integer arithmetic and has none.
+decompose and sample; group does int64 integer arithmetic, which is exact
+inside the int64 range and wraps silently past it, and has no tolerance.
 """
 
 import argparse
@@ -64,10 +65,6 @@ def _parse_file(path: str, args, require_structures: bool = True) -> tuple:
         tol_override=tol_override,
     )
     return data, document
-
-
-def _tensor_to_pairs(tensor) -> list:
-    return [complex_to_pairs(layer) for layer in np.asarray(tensor, dtype=complex)]
 
 
 def _bracket(form, g1, g2) -> tuple:
@@ -211,9 +208,9 @@ def cmd_decompose(args) -> int:
         "residual": verdict.residual,
         "scale": verdict.scale,
         "blocks": {
-            "holomorphic": _tensor_to_pairs(split.holomorphic),
-            "hermitian": _tensor_to_pairs(split.hermitian),
-            "antiholomorphic": _tensor_to_pairs(split.antiholomorphic),
+            "holomorphic": complex_to_pairs(split.holomorphic),
+            "hermitian": complex_to_pairs(split.hermitian),
+            "antiholomorphic": complex_to_pairs(split.antiholomorphic),
         },
         "norms": _norms(split),
     }))

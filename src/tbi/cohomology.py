@@ -22,7 +22,7 @@ is ever built.
 
 Every rank decision is one RankDecision record: the smallest singular value
 kept, the largest discarded, the threshold, and how many singular values lie
-within a factor 10 of the threshold, so a dimension jump can be traced to the
+near the threshold (RankDecision), so a dimension jump can be traced to the
 singular value that caused it and a borderline cut is flagged by its own
 record.  Every distinct matrix is decomposed once: the rank, kernel, image
 and coimage of a d2 block come from one SVD.  Serre duality (trivial
@@ -72,8 +72,10 @@ TABLE_BYTES_LIMIT = 2**33  # fixed: no option or environment variable moves it
 @dataclass(frozen=True)
 class RankDecision:
     """Audit record for one numerical rank determination.  near counts the
-    singular values strictly within a factor _NEAR_FACTOR of the threshold
-    (0 when there are none or the threshold is 0)."""
+    singular values above threshold / _NEAR_FACTOR and, when tol *
+    _NEAR_FACTOR < 1, below threshold * _NEAR_FACTOR (0 when there are none
+    or the threshold is 0).  From tol * _NEAR_FACTOR = 1 up that upper limit
+    is at or above every singular value, and is not tested."""
 
     label: str
     rank: int
@@ -122,7 +124,10 @@ def _rank_from_singular_values(sing, tol, scale, label, decisions=None) -> int:
     if decisions is not None:
         smallest_kept = float(sing[rank - 1]) if rank else 0.0
         largest_dropped = float(sing[rank]) if rank < sing.size else 0.0
-        near = int(np.sum((sing > threshold / _NEAR_FACTOR) & (sing < threshold * _NEAR_FACTOR)))
+        # No value exceeds max(scale, sing[0]), so from tol * _NEAR_FACTOR = 1 up
+        # the band is open at the top and rounding cannot drop a value on its edge.
+        upper = threshold * _NEAR_FACTOR if tol * _NEAR_FACTOR < 1 else np.inf
+        near = int(np.sum((sing > threshold / _NEAR_FACTOR) & (sing < upper)))
         decisions.append(RankDecision(label, rank, smallest_kept, largest_dropped,
                                       threshold, near))
     return rank
@@ -139,34 +144,34 @@ class OneFormsSpace:
     dim: int
 
 
+def _corank(datum: BundleDatum, blocks, label, decisions) -> int:
+    """m + d minus the numerical rank of the blocks' d-row flats side by side:
+    the m base forms plus the fibre functionals that annihilate every block."""
+    split = datum.split
+    d = split.fibre_half_rank
+    flats = np.concatenate([block.reshape(d, -1) for block in blocks], axis=1)
+    return split.base_half_rank + d - numerical_rank(flats, datum.tol, split.scale, label,
+                                                     decisions)
+
+
 def h0_forms(datum: BundleDatum, decisions=None) -> OneFormsSpace:
     """Global 1-forms: the m base forms always survive; a fibre functional
     survives exactly when it annihilates the image of the hermitian block."""
-    split = datum.split
-    rank = numerical_rank(split.hermitian.reshape(split.fibre_half_rank, -1), datum.tol,
-                          split.scale, "hermitian block", decisions)
-    return OneFormsSpace(split.base_half_rank + split.fibre_half_rank - rank)
+    return OneFormsSpace(_corank(datum, [datum.split.hermitian], "hermitian block", decisions))
 
 
 def closed_forms_dim(datum: BundleDatum, decisions=None) -> int:
     """Closed global 1-forms: the fibre functional must annihilate both the
     holomorphic and the hermitian block images."""
     split = datum.split
-    d = split.fibre_half_rank
-    combined = np.concatenate([split.holomorphic.reshape(d, -1),
-                               split.hermitian.reshape(d, -1)], axis=1)
-    rank = numerical_rank(combined, datum.tol, split.scale,
-                          "holomorphic+hermitian blocks", decisions)
-    return split.base_half_rank + split.fibre_half_rank - rank
+    return _corank(datum, [split.holomorphic, split.hermitian],
+                   "holomorphic+hermitian blocks", decisions)
 
 
 def h1_structure_sheaf(datum: BundleDatum, decisions=None) -> int:
     """First cohomology of the structure sheaf: m plus the corank of the
     holomorphic block as a map from fibre functionals to base two-forms."""
-    split = datum.split
-    rank = numerical_rank(split.holomorphic.reshape(split.fibre_half_rank, -1), datum.tol,
-                          split.scale, "holomorphic block", decisions)
-    return split.base_half_rank + split.fibre_half_rank - rank
+    return _corank(datum, [datum.split.holomorphic], "holomorphic block", decisions)
 
 
 def is_parallelizable(datum: BundleDatum) -> bool:
@@ -235,17 +240,9 @@ class SpectralTable:
     coimages: dict
     decisions: tuple
 
-    @property
-    def base_degrees(self) -> int:
-        return self.e2.shape[0] - 1
-
-    @property
-    def fibre_degrees(self) -> int:
-        return self.e2.shape[1] - 1
-
     def total_dims(self, page) -> list:
         grid = self.e2 if page == 2 else self.e3
-        m, d = self.base_degrees, self.fibre_degrees
+        m, d = (size - 1 for size in grid.shape)
         return [int(sum(grid[i, j] for i, j in _degree_blocks(m, d, p)))
                 for p in range(m + d + 1)]
 

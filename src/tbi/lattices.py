@@ -18,7 +18,8 @@ which is integral for every alternating A.  Group elements are pairs
 
     (l1, g1) * (l2, g2) = (l1 + l2 + c(g1, g2), g1 + g2).
 
-All arithmetic in this module is exact over the integers.
+All arithmetic in this module is int64: exact while every value stays
+inside [-2**63, 2**63), and silently wrapping past that bound.
 """
 
 import functools

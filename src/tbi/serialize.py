@@ -85,8 +85,9 @@ def sha256_hex(data: bytes) -> str:
 
 
 def complex_to_pairs(matrix) -> list:
+    """A complex array of any shape as nested lists of [re, im] float pairs."""
     matrix = np.asarray(matrix, dtype=complex)
-    return [[[float(entry.real), float(entry.imag)] for entry in row] for row in matrix]
+    return np.stack([matrix.real, matrix.imag], axis=-1).tolist()
 
 
 def _finite(value) -> float | None:
@@ -135,13 +136,8 @@ class InputDocument:
     base: ComplexStructure | None
     fibre: ComplexStructure | None
     translation: np.ndarray | None
-    tol: float | None
     seed: int | None
     effective_tol: float = DEFAULT_TOL
-
-    @property
-    def has_structures(self) -> bool:
-        return self.base is not None and self.fibre is not None
 
 
 def require_int(value, name: str, minimum: int) -> int:
@@ -235,7 +231,7 @@ def parse_input(text: str, require_structures: bool = True,
     if seed is not None:
         require_int(seed, "'seed'", 0)
 
-    return InputDocument(m, d, form, base, fibre, translation, doc_tol, seed, effective)
+    return InputDocument(m, d, form, base, fibre, translation, seed, effective)
 
 
 def input_document(form: ExtensionForm, base: ComplexStructure | None = None,

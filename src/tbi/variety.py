@@ -143,14 +143,6 @@ def local_equations(form: ExtensionForm, base: ComplexStructure, chart=None,
     return LocalEquations(pairs, values, chart, residuals, tol)
 
 
-def codim_bound(m: int, d: int) -> int:
-    """Upper bound for the codimension of the compatible locus inside the
-    product of Grassmannians: one fibre-coordinate equation per pair h < l."""
-    if m < 1 or d < 1:
-        raise ValueError("ranks must be positive")
-    return d * m * (m - 1) // 2
-
-
 @dataclass(frozen=True)
 class SampleResult:
     found: bool

@@ -71,6 +71,41 @@ def test_rank_decision_near_counts_strictly_within_the_factor():
         [(3, cut, 1), (0, 0.0, 0), (0, 0.0, 0)]
 
 
+def test_near_band_is_open_at_the_top_from_tol_one_tenth():
+    # At tol 0.1 ten times the threshold is max(scale, largest value) itself:
+    # the largest value counts as near, and so does a value above the scale.
+    decisions = []
+    numerical_rank(np.diag([1.0, 0.5, 1e-3]), 0.1, 1.0, "top on the edge", decisions)
+    numerical_rank(np.diag([1.0 + 2.0 ** -52, 0.5]), 0.1, 1.0, "above the scale", decisions)
+    numerical_rank(np.diag([1.0, 0.3]), 0.05, 1.0, "closed band", decisions)
+    assert [(x.rank, x.near) for x in decisions] == [(2, 2), (2, 2), (2, 1)]
+
+
+SCALED_MEMBERS = {"iwasawa": tbi.iwasawa_datum} | {
+    f"small.{kind}.{m}.{d}": functools.partial(small_member, kind, m, d)
+    for kind, m, d in SMALL_MEMBERS}
+
+
+@pytest.mark.parametrize("name", SCALED_MEMBERS)
+def test_near_counts_survive_a_last_bit_rescaling_of_v(name):
+    """Scaling V by 1 + 2**-52, 1 - 2**-53 or 1 + 2**-51 moves the split in its
+    last bits.  At tol 0.1 and 0.3 no (label, rank, near) may change: no
+    singular value may sit on an edge of the near band where rounding decides
+    its side.  At tol 0.1 the upper edge is max(scale, largest value), where
+    the largest value of a block and overlap cosines of 1 sit."""
+    datum = SCALED_MEMBERS[name]()
+
+    def facts(tol, factor):
+        base = ComplexStructure(datum.base.period * factor)
+        report = bundle_report(BundleDatum(datum.form, base, datum.fibre, tol=tol))
+        return [(x.label, x.rank, x.near) for x in report.decisions]
+
+    for tol in (0.1, 0.3):
+        expected = facts(tol, 1.0)
+        for factor in (1 + 2.0 ** -52, 1 - 2.0 ** -53, 1 + 2.0 ** -51):
+            assert facts(tol, factor) == expected, (tol, factor)
+
+
 def test_numerical_rank_external_scale_suppresses_noise():
     noise = np.full((2, 2), 1e-12)
     assert numerical_rank(noise, 1e-9, 1.0, "noise") == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tbi import CurveBundleClass, divisibility_index, kuranishi_dim
+from tbi import divisibility_index, kuranishi_dim
 
 
 @pytest.mark.parametrize("genus,fibre_dim,expected", [
@@ -66,8 +66,6 @@ def test_divisibility_beyond_int64_is_exact():
     assert divisibility_index([2 ** 70, 4]) == 4
     assert divisibility_index([3 * 2 ** 70, -6 * 2 ** 70]) == 3 * 2 ** 70
     assert divisibility_index([2.0 ** 70, 2.0 ** 69]) == 2 ** 69
-    bundle = CurveBundleClass(genus=2, fibre_dim=1, chern_vector=(2 ** 70, 0))
-    assert bundle.divisibility == 2 ** 70
 
 
 @pytest.mark.filterwarnings("error")
@@ -80,8 +78,6 @@ def test_divisibility_rejects_non_integers_with_value_error(entries):
 
 def test_chern_vector_must_be_one_dimensional():
     with pytest.raises(ValueError, match="chern vector must be one-dimensional"):
-        CurveBundleClass(genus=2, fibre_dim=1, chern_vector=[[1, 2]])
-    with pytest.raises(ValueError, match="chern vector must be one-dimensional"):
         divisibility_index([[1, 2]])
 
 
@@ -91,25 +87,3 @@ def test_chern_vector_must_be_one_dimensional():
 def test_divisibility_keeps_big_ints_exact_beside_floats(entries, expected):
     assert divisibility_index(entries) == expected
 
-
-def test_curve_bundle_class():
-    bundle = CurveBundleClass(genus=2, fibre_dim=1, chern_vector=(2, -4))
-    assert bundle.divisibility == 2
-    assert kuranishi_dim(bundle.genus, bundle.fibre_dim) == 6
-
-
-@pytest.mark.parametrize("chern_vector", [(1.5, 2), ("3", 2)])
-def test_curve_bundle_class_rejects_non_integer_chern(chern_vector):
-    with pytest.raises(ValueError, match="chern vector entries must be integers"):
-        CurveBundleClass(genus=2, fibre_dim=1, chern_vector=chern_vector)
-
-
-def test_curve_bundle_class_validates():
-    # genus only needs to be non-negative at the class level
-    assert CurveBundleClass(genus=0, fibre_dim=1, chern_vector=(0, 0)).divisibility == 0
-    with pytest.raises(ValueError):
-        CurveBundleClass(genus=-1, fibre_dim=1, chern_vector=(0, 0))
-    with pytest.raises(ValueError):
-        CurveBundleClass(genus=2, fibre_dim=1, chern_vector=(1, 2, 3))
-    with pytest.raises(ValueError):
-        CurveBundleClass(genus=2, fibre_dim=0, chern_vector=())

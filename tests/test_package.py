@@ -7,7 +7,7 @@ import sys
 from support import subprocess_env
 
 PUBLIC_NAMES = [
-    "BundleDatum", "CohomologyReport", "ComplexStructure", "CurveBundleClass",
+    "BundleDatum", "CohomologyReport", "ComplexStructure",
     "DEFAULT_TOL", "DecomposedForm", "ExtensionForm", "FormInvalidError",
     "GroupElement", "InputDocument", "LocalEquations", "MembershipError",
     "MembershipResult", "OneFormsSpace", "ParseError", "RankDecision", "SampleResult",
@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "TbiError", "ThetaCohomology", "ToleranceAmbiguityError", "basis_change",
     "basis_lift", "bundle_report", "catalog", "catalog_datum", "central_lift",
     "chart_structure", "classify_blocks", "closed_forms_dim", "cocycle_defect",
-    "cocycle_eval", "codim_bound", "cohomology", "commutator", "complex_to_pairs",
+    "cocycle_eval", "cohomology", "commutator", "complex_to_pairs",
     "curves", "decompose", "decomposition", "divisibility_index", "dumps", "errors",
     "extension_cocycle", "graph_chart", "group_inverse", "group_multiply", "h0_forms",
     "h1_structure_sheaf", "input_document", "is_parallelizable", "iwasawa_datum",

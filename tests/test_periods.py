@@ -4,6 +4,8 @@ import pytest
 from tbi import (ComplexStructure, StructureDegenerateError, basis_change,
                  random_structure, split_coordinates, standard_structure,
                  validate_structure)
+from tbi import periods
+from tbi.periods import random_periods
 
 
 def test_valid_structure():
@@ -74,3 +76,17 @@ def test_random_structure_accepts_generator():
     first = random_structure(1, rng)
     second = random_structure(1, rng)  # consumes the stream, so it differs
     assert not np.array_equal(first.period, second.period)
+
+
+def test_random_periods_refuse_zero_half_rank():
+    with pytest.raises(ValueError, match="half rank must be positive"):
+        random_periods(0, [])
+
+
+def test_random_structure_gives_up_after_its_draws(monkeypatch):
+    # Every frame rejected: the generator is exhausted after _MAX_DRAWS draws.
+    monkeypatch.setattr(periods, "_frames_invertible",
+                        lambda frames, tol: np.zeros(frames.shape[:-2], dtype=bool))
+    with pytest.raises(StructureDegenerateError,
+                       match="no valid period matrix of half rank 2 found in 64 draws"):
+        random_structure(2, 0)

@@ -83,8 +83,6 @@ def test_sha256_hex_frozen():
 def test_parse_minimal_document():
     document = parse_input(json.dumps(_zero_doc()))
     assert (document.m, document.d) == (1, 1)
-    assert document.has_structures
-    assert document.tol is None
     assert document.seed is None
     assert document.effective_tol == pytest.approx(1e-9)
     assert np.allclose(document.base.period, [[1.0], [1j]])
@@ -93,7 +91,6 @@ def test_parse_minimal_document():
 def test_parse_form_only_document():
     raw = {"m": 1, "d": 1, "A": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], "seed": 7}
     document = parse_input(json.dumps(raw), require_structures=False)
-    assert not document.has_structures
     assert document.base is None and document.fibre is None
     assert document.seed == 7
 
@@ -115,7 +112,6 @@ def test_input_document_round_trip(iwasawa):
     assert np.allclose(document.base.period, iwasawa.base.period)
     assert np.allclose(document.fibre.period, iwasawa.fibre.period)
     assert np.allclose(document.translation, translation)
-    assert document.tol == pytest.approx(1e-8)
     assert document.effective_tol == pytest.approx(1e-8)
     assert document.seed == 4
 
@@ -123,6 +119,9 @@ def test_input_document_round_trip(iwasawa):
 def test_complex_to_pairs_shape():
     pairs = complex_to_pairs(np.array([[1 + 2j, 3.0]]))
     assert pairs == [[[1.0, 2.0], [3.0, 0.0]]]
+    tensor = complex_to_pairs(np.array([[[1j, -0.5]], [[2.0, 0.0]]]))
+    assert tensor == [[[[0.0, 1.0], [-0.5, 0.0]]], [[[2.0, 0.0], [0.0, 0.0]]]]
+    assert type(tensor[1][0][1][0]) is float
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +268,12 @@ def test_parse_rejects_degenerate_structure():
 def test_document_tol_beats_ambient_tol():
     document = parse_input(json.dumps(_zero_doc(tol=1e-3)), tol=1e-9)
     assert document.effective_tol == pytest.approx(1e-3)
-    assert document.tol == pytest.approx(1e-3)
 
 
 def test_override_beats_document_tol():
     document = parse_input(json.dumps(_zero_doc(tol=1e-3)), tol=1e-9,
                            tol_override=1e-6)
     assert document.effective_tol == pytest.approx(1e-6)
-    # the document's own value is still reported
-    assert document.tol == pytest.approx(1e-3)
 
 
 def test_ambient_tol_used_without_document_tol():

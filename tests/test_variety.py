@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from tbi import (BundleDatum, ComplexStructure, ExtensionForm,
-                 StructureDegenerateError, chart_structure, cli, codim_bound,
-                 graph_chart, iwasawa_form, local_equations, pairwise_values,
-                 product_form, random_structure, riemann_check, sample_point,
-                 standard_structure)
+                 StructureDegenerateError, chart_structure, cli, graph_chart,
+                 iwasawa_form, local_equations, pairwise_values, product_form,
+                 random_structure, riemann_check, sample_point, standard_structure)
 from tbi import periods, variety
 from tbi.periods import random_periods
 from tbi.serialize import dumps, input_document
@@ -111,20 +110,6 @@ def test_verdicts_agree_on_sampled_members(seed):
     equations = local_equations(form, result.base, result.fibre)
     assert equations.member
     assert riemann_check(form, result.base, result.fibre).member
-
-
-# ---------------------------------------------------------------------------
-# Codimension bound
-
-
-@pytest.mark.parametrize("m,d,expected", [(2, 1, 1), (1, 4, 0), (3, 2, 6), (4, 1, 6)])
-def test_codim_bound(m, d, expected):
-    assert codim_bound(m, d) == expected
-
-
-def test_codim_bound_rejects_zero_rank():
-    with pytest.raises(ValueError):
-        codim_bound(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +575,14 @@ def test_sample_point_tests_each_fibre_frame_once(monkeypatch):
         assert sample_point(iwasawa_form(), seed=seed, max_attempts=10).found
     assert len(checks) == 5
     assert len(frame_checks) == len(checks)
+
+
+def test_sample_point_refuses_an_exhausted_base_draw(monkeypatch):
+    monkeypatch.setattr(periods, "_frames_invertible",
+                        lambda frames, tol: np.zeros(frames.shape[:-2], dtype=bool))
+    with pytest.raises(StructureDegenerateError,
+                       match="no valid period matrix of half rank 2 found in 64 draws"):
+        sample_point(iwasawa_form(), seed=0, max_attempts=5)
 
 
 def test_sample_point_skips_a_degenerate_fibre_frame(monkeypatch):
