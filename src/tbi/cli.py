@@ -10,8 +10,8 @@ Exit codes: 0 success, 1 parse/usage error, 2 invalid extension form,
 tolerance ambiguity.  The default tolerance is overridden by the TBI_TOL
 environment variable, the document's "tol" key, and the --tol flag, in
 increasing order of precedence.  --tol is taken by validate, invariants,
-decompose and sample; group does int64 integer arithmetic, which is exact
-inside the int64 range and wraps silently past it, and has no tolerance.
+decompose and sample; group does exact integer arithmetic and has no
+tolerance.
 """
 
 import argparse
@@ -287,10 +287,7 @@ def _parse_element(text, form):
     fibre_text, base_text = text.split("/", 1)
     fibre = _parse_vector(fibre_text, form.fibre_rank, "fibre part")
     base = _parse_vector(base_text, form.base_rank, "base part")
-    try:
-        return GroupElement(fibre, base)
-    except ValueError as exc:  # coordinates outside the int64 range
-        raise ParseError(str(exc)) from None
+    return GroupElement(fibre, base)
 
 
 def _element_doc(element) -> dict:

@@ -703,7 +703,8 @@ def _require_identities(h_structure, h_tangent, h0_one_forms, h1_structure) -> N
     duality with a trivial canonical bundle (h_structure is a palindrome and
     h^n(Θ) = h^0(Ω^1)), and h^1(O) counted two ways.  leray_table reads each
     d2 off its Serre dual, so e3 is a dual grid and the palindrome holds by
-    construction; it stays as a guard on the table a report is given."""
+    construction; the check guards that construction, in the table
+    bundle_report has just built, against a change to leray_table."""
     n = len(h_structure) - 1
     if h_structure != h_structure[::-1]:
         problem = f"structure-sheaf dimensions {list(h_structure)} are not a palindrome"

@@ -18,8 +18,9 @@ which is integral for every alternating A.  Group elements are pairs
 
     (l1, g1) * (l2, g2) = (l1 + l2 + c(g1, g2), g1 + g2).
 
-All arithmetic in this module is int64: exact while every value stays
-inside [-2**63, 2**63), and silently wrapping past that bound.
+The group law is exact.  Form coefficients are int64; group coordinates are
+int64 while they lie in [-2**63, 2**63) and Python ints past that, and each
+operation stays in int64 while a bound on its result keeps it there.
 """
 
 import functools
@@ -31,6 +32,11 @@ from .errors import FormInvalidError
 
 # Coefficients are stored as int64; entries must lie in [-INT64_BOUND, INT64_BOUND).
 INT64_BOUND = 2**63
+
+
+def _max_abs(v) -> int:
+    """max |v_i| as a Python int, 0 for an empty vector."""
+    return max(map(abs, v.tolist()), default=0)
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,7 @@ class ExtensionForm:
             raise FormInvalidError(
                 f"lattice ranks must be even and positive, got shape {coeff.shape}"
             )
-        coeff = _int64_array(coeff, "coefficients", FormInvalidError)
+        coeff = _int_array(coeff, "coefficients", FormInvalidError)
         coeff.setflags(write=False)
         object.__setattr__(self, "coefficients", coeff)
 
@@ -64,6 +70,13 @@ class ExtensionForm:
         upper = np.triu(self.coefficients, k=1)
         upper.setflags(write=False)
         return upper
+
+    @functools.cached_property
+    def _weight(self) -> int:
+        """max over k of sum_ij |coefficients[k, i, j]|, exact: A(x, y) and
+        c(x, y) are at most _weight * max|x| * max|y| in size."""
+        return max(sum(map(abs, layer)) for layer in self.coefficients.reshape(
+            self.fibre_rank, -1).tolist())
 
     @property
     def base_rank(self) -> int:
@@ -77,7 +90,7 @@ class ExtensionForm:
         """Full bilinear value A(g1, g2) as an integer fibre vector."""
         g1 = _int_vector(g1, self.base_rank, "g1")
         g2 = _int_vector(g2, self.base_rank, "g2")
-        return np.einsum("kij,i,j->k", self.coefficients, g1, g2)
+        return _bilinear(self.coefficients, self._weight * _max_abs(g1) * _max_abs(g2), g1, g2)[0]
 
 
 def validate_form(form: ExtensionForm) -> list[str]:
@@ -102,7 +115,9 @@ def validate_form(form: ExtensionForm) -> list[str]:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element (fibre, base) of the central extension of the base lattice."""
+    """Element (fibre, base) of the central extension of the base lattice.
+    Each part is an int64 array when every entry lies in [-2**63, 2**63),
+    and an object array of Python ints otherwise."""
 
     fibre: np.ndarray
     base: np.ndarray
@@ -110,6 +125,11 @@ class GroupElement:
     def __post_init__(self):
         object.__setattr__(self, "fibre", _int_vector(self.fibre, None, "fibre"))
         object.__setattr__(self, "base", _int_vector(self.base, None, "base"))
+
+    @functools.cached_property
+    def _largest(self) -> int:
+        """The largest |entry| of both parts, as a Python int."""
+        return _max_abs(np.concatenate([self.fibre, self.base]))
 
     def __eq__(self, other):
         return (
@@ -139,19 +159,23 @@ def exact_integers(entries, name, error=ValueError, bounded=True) -> list:
     return exact
 
 
-def _int64_array(values, name, error=ValueError) -> np.ndarray:
-    """values as a new int64 array.  Signed-integer input is cast as it is;
-    any other input goes through exact_integers as the Python objects it
-    holds, so a list mixing ints and floats is not rounded through float64."""
+def _int_array(values, name, error=ValueError, bounded=True) -> np.ndarray:
+    """values as a new integer array: int64 when every entry lies in the int64
+    range, else (only when not bounded) an object array of Python ints.
+    Signed-integer input is cast as it is; any other input goes through
+    exact_integers as the Python objects it holds, so a list mixing ints and
+    floats is not rounded through float64."""
     arr = np.asarray(values)
-    if np.issubdtype(arr.dtype, np.signedinteger):
+    if arr.dtype.kind == "i":  # signed integers
         return arr.astype(np.int64)
-    exact = exact_integers(np.asarray(values, dtype=object).ravel().tolist(), name, error)
-    return np.array(exact, dtype=np.int64).reshape(arr.shape)
+    exact = exact_integers(np.asarray(values, dtype=object).ravel().tolist(), name, error,
+                           bounded)
+    fits = all(-INT64_BOUND <= x < INT64_BOUND for x in exact)
+    return np.array(exact, dtype=np.int64 if fits else object).reshape(arr.shape)
 
 
 def _int_vector(v, length, name):
-    arr = _int64_array(v, name)
+    arr = _int_array(v, name, bounded=False)
     if arr.ndim != 1 or (length is not None and arr.shape[0] != length):
         size = "" if length is None else f" of length {length}"
         raise ValueError(f"{name} must be a vector{size}, got shape {arr.shape}")
@@ -181,27 +205,43 @@ def extension_cocycle(form: ExtensionForm, g1_base, g2_base) -> np.ndarray:
     """
     g1 = _int_vector(g1_base, form.base_rank, "g1_base")
     g2 = _int_vector(g2_base, form.base_rank, "g2_base")
-    return np.einsum("kij,i,j->k", form.upper, g1, g2)
+    return _bilinear(form.upper, form._weight * _max_abs(g1) * _max_abs(g2), g1, g2)[0]
 
 
-def _cocycle(form: ExtensionForm, g1: GroupElement, g2: GroupElement) -> np.ndarray:
-    """c(g1.base, g2.base), once both operands' lengths match the form."""
-    for g in (g1, g2):
+def _bilinear(tensor, size, x, y, *more) -> tuple:
+    """(sum_ij tensor[k, i, j] x_i y_j for every k, x, y, *more), exactly.
+
+    The vectors stay as they are while size, the caller's bound on every
+    value it computes from them, is below 2**63: int64 arithmetic wraps
+    modulo 2**64, so an int64 result known to lie in range is exact whatever
+    its partial sums did.  Past the bound they become object arrays of
+    Python ints, and so does the value."""
+    if size >= INT64_BOUND:
+        x, y, *more = (v.astype(object) for v in (x, y, *more))
+    return tensor @ y @ x, x, y, *more
+
+
+def _check_lengths(form: ExtensionForm, *elements) -> None:
+    for g in elements:
         if g.fibre.shape != (form.fibre_rank,) or g.base.shape != (form.base_rank,):
             raise ValueError(f"group element lengths (fibre {g.fibre.size}, base {g.base.size}) "
                              f"do not match the form's ranks ({form.fibre_rank}, {form.base_rank})")
-    return np.einsum("kij,i,j->k", form.upper, g1.base, g2.base)
 
 
 def group_multiply(form: ExtensionForm, g1: GroupElement, g2: GroupElement) -> GroupElement:
-    c = _cocycle(form, g1, g2)
-    return GroupElement(g1.fibre + g2.fibre + c, g1.base + g2.base)
+    _check_lengths(form, g1, g2)
+    s1, s2 = g1._largest, g2._largest
+    c, base1, base2, fibre1, fibre2 = _bilinear(
+        form.upper, form._weight * s1 * s2 + s1 + s2, g1.base, g2.base, g1.fibre, g2.fibre)
+    return GroupElement(c + fibre1 + fibre2, base1 + base2)
 
 
 def group_inverse(form: ExtensionForm, g: GroupElement) -> GroupElement:
     # (l, g)^-1 = (-l + c(g, g), -g); c(g, -g) = -c(g, g) makes both sides check out.
-    c = _cocycle(form, g, g)
-    return GroupElement(-g.fibre + c, -g.base)
+    _check_lengths(form, g)
+    s = g._largest
+    c, base, _, fibre = _bilinear(form.upper, form._weight * s * s + s, g.base, g.base, g.fibre)
+    return GroupElement(c - fibre, -base)
 
 
 def commutator(form: ExtensionForm, g1: GroupElement, g2: GroupElement) -> GroupElement:

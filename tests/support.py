@@ -228,3 +228,31 @@ def transported_case1(rng, m):
     p = unimodular_matrix(rng, 2 * m)
     q = unimodular_matrix(rng, 2)
     return transport(form, standard_structure(m), standard_structure(1), p, q)
+
+
+def exact_rank(rows) -> int:
+    """Rank over Q of an integer matrix, given as rows of Python ints, by
+    fraction-free (Bareiss) elimination: every division is exact, because each
+    entry stays a minor of the original matrix."""
+    rows = [[int(x) for x in row] for row in rows]
+    rank, pivot = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        found = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if found is None:
+            continue
+        rows[rank], rows[found] = rows[found], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            rows[r] = [(top[col] * x - rows[r][col] * y) // pivot for x, y in zip(rows[r], top)]
+        pivot = top[col]
+        rank += 1
+    return rank
+
+
+def betti_one(form: ExtensionForm) -> int:
+    """b1 of the nilmanifold of form: 2m + 2d - rank_Q(A), with A read as the
+    2d x C(2m, 2) integer matrix of its values on the pairs i < j (Nomizu:
+    b1 = dim H^1 of the Lie algebra)."""
+    i, j = np.triu_indices(form.base_rank, k=1)
+    matrix = [[layer[a][b] for a, b in zip(i, j)] for layer in form.coefficients.tolist()]
+    return form.base_rank + form.fibre_rank - exact_rank(matrix)

@@ -771,13 +771,28 @@ def test_group_rejects_string_form_entries(tmp_path, capsys):
 
 @pytest.mark.parametrize("g1", ["123456789012345678901,0/1,0,0,0",
                                 "0,0/1,0,-9223372036854775809,0"])
-def test_group_rejects_out_of_range_coordinates(tmp_path, capsys, g1):
+def test_group_is_exact_beyond_int64(tmp_path, capsys, g1):
     path = _write(tmp_path, "form.json", _form_only_doc())
     code, out, err = _run(capsys, ["group", path, g1, "1,0/0,0,1,0"])
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and "int64 range" in err
-    assert "Traceback" not in err and err.count("\n") == 1
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    fibre, base = ([int(x) for x in part.split(",")] for part in g1.split("/"))
+    assert payload["g1"] == {"fibre": fibre, "base": base}
+    # e1 * e3 picks up A(e1, e3) = f1, the only cocycle term of these bases.
+    assert payload["product"] == {"fibre": [fibre[0] + 1 + base[0], fibre[1]],
+                                  "base": [base[0], 0, base[2] + 1, 0]}
+    assert payload["commutator_matches_form"] is True
+
+
+def test_group_products_past_int64_are_exact(tmp_path, capsys):
+    path = _write(tmp_path, "form.json", _form_only_doc())
+    code, out, _ = _run(capsys, ["group", path, "0,0/1099511627776,0,0,0",
+                                 "0,0/0,0,1099511627776,0"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["product"]["fibre"] == payload["commutator"]["fibre"] == [2 ** 80, 0]
+    assert payload["form_value"] == [2 ** 80, 0]
+    assert payload["commutator_matches_form"] is True
 
 
 def test_group_keeps_int64_extreme_coordinates(tmp_path, capsys):

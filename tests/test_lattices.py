@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,10 +123,20 @@ def test_element_equality():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fibre", [[2 ** 70, 0], [2 ** 63, 0], [-2 ** 63 - 1, 0], [1e300, 0]])
+def test_element_holds_integers_outside_int64(fibre):
+    g = GroupElement(fibre, [0, 0, 0, 0])
+    assert g.fibre.tolist() == [int(x) for x in fibre] and g.fibre.dtype == object
+    assert g.base.dtype == np.int64
+
+
+# Integers of any size are coordinates; what is not an integer is refused,
+# beyond the int64 range (the first five) or inside it.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("fibre,message", [
-    ([2 ** 70, 0], "int64 range"), ([2 ** 63, 0], "int64 range"),
-    ([-2 ** 63 - 1, 0], "int64 range"), ([1e300, 0], "int64 range"),
-    ([float("inf"), 0], "int64 range"), ([float("nan"), 0], "integers"),
+    ([float("inf"), 0], "integers"), ([float("-inf"), 0], "integers"),
+    ([Fraction(2 ** 64 + 1, 2), 0], "integers"), ([Fraction(-2 ** 64 - 1, 2), 0], "integers"),
+    ([complex(2 ** 70), 0], "integers"), ([float("nan"), 0], "integers"),
     ([0.5, 0], "integers"), (["1", 0], "integers"), ([1 + 1j, 0], "integers"),
 ])
 def test_element_rejects_entries_outside_int64(fibre, message):
@@ -170,12 +182,11 @@ def test_element_keeps_int64_extremes():
 
 
 @pytest.mark.filterwarnings("error")
-def test_form_call_and_cocycle_reject_entries_outside_int64():
+def test_form_call_and_cocycle_are_exact_outside_int64():
     form = iwasawa_form()
-    with pytest.raises(ValueError, match="int64 range"):
-        form([1e300, 0, 0, 0], [0, 0, 1, 0])
-    with pytest.raises(ValueError, match="int64 range"):
-        extension_cocycle(form, [0, 0, 1, 0], [2 ** 70, 0, 0, 0])
+    assert form([1e300, 0, 0, 0], [0, 0, 1, 0]).tolist() == [int(1e300), 0]
+    assert extension_cocycle(form, [2 ** 70, 0, 0, 0], [0, 0, 1, 0]).tolist() == [2 ** 70, 0]
+    assert extension_cocycle(form, [0, 0, 1, 0], [2 ** 70, 0, 0, 0]).tolist() == [0, 0]
 
 
 def test_cocycle_strictly_upper_triangular():
@@ -253,3 +264,56 @@ def test_group_law_properties(data, form_index):
     bracket = commutator(form, g1, g2)
     assert not np.any(bracket.base)
     assert np.array_equal(bracket.fibre, form(g1.base, g2.base))
+
+
+# The same laws near the int64 bounds, against a pure-Python reference: the
+# entries of each part lie within 2 of one of -2**63, 0 and 2**63, so sums,
+# negations and cocycle values cross the bound in both directions.  One form
+# has coefficients 2**63 - 1, and the zero form leaves only the fibre sums.
+
+_TOP = 2 ** 63 - 1
+_BIG_FORMS = _FORMS + [ExtensionForm([[[0, _TOP], [-_TOP, 0]], [[0, 1], [-1, 0]]]),
+                       ExtensionForm(np.zeros((2, 4, 4), dtype=np.int64))]
+
+
+def _edge_vectors(length):
+    return st.sampled_from([-2 ** 63, 0, 2 ** 63]).flatmap(lambda centre: st.lists(
+        st.integers(centre - 2, centre + 2), min_size=length, max_size=length))
+
+
+def _ref_value(form, x, y, upper):
+    """sum over i < j (upper) or all i, j of A[k, i, j] x_i y_j, in Python ints."""
+    pairs = [(i, j) for i in range(len(x)) for j in range(i + 1 if upper else 0, len(x))]
+    return [sum(layer[i][j] * x[i] * y[j] for i, j in pairs)
+            for layer in form.coefficients.tolist()]
+
+
+def _ref_multiply(form, a, b):
+    c = _ref_value(form, a[1], b[1], upper=True)
+    return [p + q + r for p, q, r in zip(a[0], b[0], c)], [p + q for p, q in zip(a[1], b[1])]
+
+
+def _ref_inverse(form, a):
+    c = _ref_value(form, a[1], a[1], upper=True)
+    return [r - p for p, r in zip(a[0], c)], [-p for p in a[1]]
+
+
+def _parts(g):
+    for part in (g.fibre, g.base):  # int64 exactly when every entry fits
+        fits = all(-2 ** 63 <= x < 2 ** 63 for x in part.tolist())
+        assert part.dtype == (np.int64 if fits else object)
+    return g.fibre.tolist(), g.base.tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), form_index=st.integers(min_value=0, max_value=len(_BIG_FORMS) - 1))
+def test_group_law_is_exact_near_the_int64_bounds(data, form_index):
+    form = _BIG_FORMS[form_index]
+    a, b = [(data.draw(_edge_vectors(form.fibre_rank)), data.draw(_edge_vectors(form.base_rank)))
+            for _ in range(2)]
+    g1, g2 = GroupElement(*a), GroupElement(*b)
+    assert _parts(group_multiply(form, g1, g2)) == _ref_multiply(form, a, b)
+    assert _parts(group_inverse(form, g1)) == _ref_inverse(form, a)
+    product = _ref_multiply(form, _ref_multiply(form, a, b), _ref_inverse(form, a))
+    assert _parts(commutator(form, g1, g2)) == _ref_multiply(form, product, _ref_inverse(form, b))
+    assert form(a[1], b[1]).tolist() == _ref_value(form, a[1], b[1], upper=False)
