@@ -21,8 +21,7 @@ from .cohomology import (CohomologyReport, OneFormsSpace, RankDecision, Spectral
 from .curves import divisibility_index, kuranishi_dim
 from .decomposition import (BundleDatum, DecomposedForm, MembershipResult,
                             cocycle_defect, cocycle_eval, decompose,
-                            lattice_vector_from_fibre, reconstruct, riemann_check,
-                            split_form)
+                            lattice_vector_from_fibre, reconstruct, riemann_check)
 from .errors import (FormInvalidError, MembershipError, ParseError,
                      StructureDegenerateError, TableTooLargeError, TbiError,
                      ToleranceAmbiguityError)

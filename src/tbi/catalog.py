@@ -10,7 +10,7 @@ import numpy as np
 
 from .decomposition import BundleDatum
 from .lattices import ExtensionForm
-from .periods import DEFAULT_TOL, standard_structure
+from .periods import standard_structure
 
 CATALOG_NAMES = ("iwasawa", "product")
 
@@ -24,25 +24,23 @@ def iwasawa_form() -> ExtensionForm:
     return ExtensionForm(np.array([values.real, values.imag]))
 
 
-def iwasawa_datum(tol: float = DEFAULT_TOL) -> BundleDatum:
+def iwasawa_datum() -> BundleDatum:
     """The Iwasawa manifold with the standard structures on both lattices."""
-    return BundleDatum.checked(
-        iwasawa_form(), standard_structure(2), standard_structure(1), tol=tol)
+    return BundleDatum.checked(iwasawa_form(), standard_structure(2), standard_structure(1))
 
 
 def product_form(m: int = 2, d: int = 1) -> ExtensionForm:
     return ExtensionForm(np.zeros((2 * d, 2 * m, 2 * m), dtype=np.int64))
 
 
-def product_datum(m: int = 2, d: int = 1, tol: float = DEFAULT_TOL) -> BundleDatum:
+def product_datum(m: int = 2, d: int = 1) -> BundleDatum:
     """A product of two tori: zero form, standard structures."""
-    return BundleDatum.checked(
-        product_form(m, d), standard_structure(m), standard_structure(d), tol=tol)
+    return BundleDatum.checked(product_form(m, d), standard_structure(m), standard_structure(d))
 
 
-def catalog_datum(name: str, m: int = 2, d: int = 1, tol: float = DEFAULT_TOL) -> BundleDatum:
+def catalog_datum(name: str, m: int = 2, d: int = 1) -> BundleDatum:
     if name == "iwasawa":
-        return iwasawa_datum(tol)
+        return iwasawa_datum()
     if name == "product":
-        return product_datum(m, d, tol)
+        return product_datum(m, d)
     raise KeyError(f"unknown catalog name {name!r}; known: {', '.join(CATALOG_NAMES)}")

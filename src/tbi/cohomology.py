@@ -97,8 +97,11 @@ def numerical_rank(matrix, tol, scale, label, decisions=None) -> int:
     split tensor) keeps a block of pure roundoff at rank zero instead of
     letting its own largest singular value promote noise to full rank.
     """
-    sing = np.linalg.svd(np.asarray(matrix), compute_uv=False)
-    return _rank_from_singular_values(sing, tol, scale, label, decisions)
+    decision = _rank_from_singular_values(np.linalg.svd(np.asarray(matrix), compute_uv=False),
+                                          tol, scale, label)
+    if decisions is not None:
+        decisions.append(decision)
+    return decision.rank
 
 
 def _svd(matrix, compute_uv=True):
@@ -116,21 +119,18 @@ def _svd(matrix, compute_uv=True):
     return vh.T.conj(), sing, u.T.conj()
 
 
-def _rank_from_singular_values(sing, tol, scale, label, decisions=None) -> int:
+def _rank_from_singular_values(sing, tol, scale, label) -> RankDecision:
     """The rank decision of numerical_rank, on descending singular values
     that the caller already has (empty for an empty matrix)."""
     threshold = tol * max(scale, float(sing[0])) if sing.size else 0.0
     rank = int(np.sum(sing > threshold))
-    if decisions is not None:
-        smallest_kept = float(sing[rank - 1]) if rank else 0.0
-        largest_dropped = float(sing[rank]) if rank < sing.size else 0.0
-        # No value exceeds max(scale, sing[0]), so from tol * _NEAR_FACTOR = 1 up
-        # the band is open at the top and rounding cannot drop a value on its edge.
-        upper = threshold * _NEAR_FACTOR if tol * _NEAR_FACTOR < 1 else np.inf
-        near = int(np.sum((sing > threshold / _NEAR_FACTOR) & (sing < upper)))
-        decisions.append(RankDecision(label, rank, smallest_kept, largest_dropped,
-                                      threshold, near))
-    return rank
+    smallest_kept = float(sing[rank - 1]) if rank else 0.0
+    largest_dropped = float(sing[rank]) if rank < sing.size else 0.0
+    # No value exceeds max(scale, sing[0]), so from tol * _NEAR_FACTOR = 1 up
+    # the band is open at the top and rounding cannot drop a value on its edge.
+    upper = threshold * _NEAR_FACTOR if tol * _NEAR_FACTOR < 1 else np.inf
+    near = int(np.sum((sing > threshold / _NEAR_FACTOR) & (sing < upper)))
+    return RankDecision(label, rank, smallest_kept, largest_dropped, threshold, near)
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +281,21 @@ def _d2_block(conj_two_forms, m, d, i, j):
 def require_table_fits(datum: BundleDatum) -> None:
     """Refuse a datum whose tables would be too large, before allocating.
 
-    With n = m + d, the largest dense matrix of the tables has about
-    C(n, n//2)^2 complex entries of 16 bytes; above TABLE_BYTES_LIMIT
-    (n >= 17) the datum is refused with TableTooLargeError.
+    With n = m + d, a d2 block has at most about C(n, n//2)^2 complex entries
+    of 16 bytes, and the level piece from block (i, j) to (i+1, j) at most
+    d·C(m,i+1)·C(d,j) x m·C(m,i)·C(d,j).  When the larger of the two sizes is
+    above TABLE_BYTES_LIMIT (n >= 16) the datum is refused with
+    TableTooLargeError.
     """
-    n = datum.split.base_half_rank + datum.split.fibre_half_rank
-    estimate = 16 * math.comb(n, n // 2) ** 2
+    m, d = datum.split.base_half_rank, datum.split.fibre_half_rank
+    n = m + d
+    piece = d * m * max(math.comb(m, i + 1) * math.comb(m, i) * math.comb(d, j) ** 2
+                        for i in range(m) for j in range(d + 1))
+    estimate = 16 * max(math.comb(n, n // 2) ** 2, piece)
     if estimate > TABLE_BYTES_LIMIT:
         raise TableTooLargeError(
-            f"cohomology tables for n = m + d = {n} need an estimated {estimate} bytes "
-            f"(16*C({n},{n // 2})**2), above the fixed limit of {TABLE_BYTES_LIMIT} bytes")
+            f"cohomology tables for n = m + d = {n} need an estimated {estimate} bytes, "
+            f"above the fixed limit of {TABLE_BYTES_LIMIT} bytes")
 
 
 @functools.cache
@@ -360,22 +365,19 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
                    for i in range(m + 1)], dtype=np.int64)
 
     d2_decisions = {}
-    ranks = {}
     kernels = {}
     coimages = {}
     for i, j in itertools.product(range(m - 1), range(1, d + 1)):
         dual = (m - 2 - i, d + 1 - j)
-        if dual in ranks:
+        if dual in d2_decisions:
             continue
         block = _d2_block(conj_two_forms, m, d, i, j)
         # LAPACK returns exact zeros for an exactly zero block.
         u, sing, vh = _svd(block) if block.any() else (None, np.zeros(min(block.shape)), None)
         for key in {(i, j), dual}:
-            recorded = []
-            ranks[key] = _rank_from_singular_values(
-                sing, tol, scale, "d2 out of ({},{})".format(*key), recorded)
-            d2_decisions[key], = recorded
-        rank = ranks[(i, j)]
+            d2_decisions[key] = _rank_from_singular_values(
+                sing, tol, scale, "d2 out of ({},{})".format(*key))
+        rank = d2_decisions[(i, j)].rank
         if rank:
             kernels[(i, j)] = vh[rank:].conj().T
             coimages[(i, j)] = vh[:rank].conj().T
@@ -390,7 +392,7 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     for i in range(m + 1):
         for j in range(d + 1):
             dim = int(e2[i, j])
-            rank_in = ranks.get((i - 2, j + 1), 0)
+            rank_in = d2_decisions[(i - 2, j + 1)].rank if (i - 2, j + 1) in d2_decisions else 0
             coimages.setdefault((i, j), np.zeros((dim, 0), dtype=complex))
             reps = kernels.get((i, j))
             vh_overlap = None
@@ -410,16 +412,17 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
                     _, sing, vh_overlap = _svd(image.conj().T @ reps)
             elif reps is None:
                 reps = np.eye(dim, dtype=complex)
-            overlap_rank = _rank_from_singular_values(
-                sing, tol, 1.0, f"image/kernel overlap at ({i},{j})", decisions)
-            if overlap_rank != rank_in:
+            overlap = _rank_from_singular_values(sing, tol, 1.0,
+                                                 f"image/kernel overlap at ({i},{j})")
+            decisions.append(overlap)
+            if overlap.rank != rank_in:
                 raise ToleranceAmbiguityError(
                     f"spectral block ({i},{j}): image does not lie in the kernel "
-                    f"at the working tolerance (overlap rank {overlap_rank}, "
+                    f"at the working tolerance (overlap rank {overlap.rank}, "
                     f"image rank {rank_in})"
                 )
             if vh_overlap is not None:
-                reps = reps @ vh_overlap[overlap_rank:].conj().T
+                reps = reps @ vh_overlap[overlap.rank:].conj().T
             representatives[(i, j)] = reps
             e3[i, j] = reps.shape[1]
 
@@ -595,7 +598,6 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     whole = table.e3 == table.e2
     whole_pieces = {}  # i -> singular values of Q_i
 
-    level_ranks = []
     twist = 0.0
     for p in range(total + 1):
         singular_values = []
@@ -628,9 +630,9 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
         if singular_values:
             merged = np.sort(np.concatenate(singular_values))[::-1]
             sing[:merged.size] = merged
-        level_ranks.append(_rank_from_singular_values(
-            sing, tol, scale, f"level map at degree {p}", decisions))
+        decisions.append(_rank_from_singular_values(sing, tol, scale, f"level map at degree {p}"))
 
+    level_ranks = [decision.rank for decision in decisions]
     coker = tuple(d * h[p] - (level_ranks[p - 1] if p else 0) for p in range(total + 1))
     ker = tuple(m * h[p] - level_ranks[p] for p in range(total + 1))
     return TangentTable(coker, ker, tuple(level_ranks), twist, tuple(decisions))

@@ -12,8 +12,8 @@ subspace U or its conjugate).  The three U-valued blocks are::
 The pair of structures is compatible with the form exactly when the
 antiholomorphic block vanishes; that is the membership test for the
 parameter variety of bundle structures.  The three conjugate (Ubar-valued)
-blocks are determined by reality of the integer form, so they are not kept:
-reconstruct derives them from the U-valued blocks.
+blocks are determined by reality of the integer form, so decompose neither
+computes nor keeps them: reconstruct derives them from the U-valued blocks.
 """
 
 from dataclasses import dataclass
@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import FormInvalidError, MembershipError
-from .lattices import ExtensionForm, validate_form
+from .errors import MembershipError
+from .lattices import ExtensionForm, _int_array, require_form
 from .periods import (ComplexStructure, DEFAULT_TOL, basis_change, require_structure,
                       split_coordinates)
 
@@ -31,8 +31,9 @@ from .periods import (ComplexStructure, DEFAULT_TOL, basis_change, require_struc
 class DecomposedForm:
     """The three U-valued blocks of a split extension form, plus bookkeeping.
 
-    scale is the max-norm of the full split tensor and is the reference
-    against which all residual norms on this datum are measured.
+    scale is the max-norm of the U-valued half, which by reality of the form
+    is that of the full split tensor, and is the reference against which all
+    residual norms on this datum are measured.
     """
 
     holomorphic: np.ndarray
@@ -63,37 +64,26 @@ class MembershipResult:
         return self.member
 
 
-def split_form(form: ExtensionForm, base: ComplexStructure, fibre: ComplexStructure,
-               tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Full split tensor of shape (2d, 2m, 2m).
-
-    Output index blocks: [:d] U-coordinates, [d:] conjugate coordinates.
-    Each input index: [:m] V-slots, [m:] conjugate slots.
-    """
+def decompose(form: ExtensionForm, base: ComplexStructure, fibre: ComplexStructure,
+              tol: float = DEFAULT_TOL) -> DecomposedForm:
+    """The U-valued blocks of the form split along the structure pair: the
+    output index runs over the U-coordinates alone, each input index over the
+    V-slots [:m] and the conjugate slots [m:].  The Ubar-valued half is their
+    conjugate (reconstruct derives it), so it is not contracted."""
     if base.full_rank != form.base_rank or fibre.full_rank != form.fibre_rank:
         raise ValueError(
             f"rank mismatch: form is {form.fibre_rank}x{form.base_rank}^2, "
             f"structures are {fibre.full_rank} and {base.full_rank}"
         )
-    c_fibre = basis_change(fibre, tol)
-    frame_base = base.frame
-    return np.einsum(
-        "ak,kij,ir,js->ars", c_fibre, form.coefficients.astype(complex),
-        frame_base, frame_base,
-    )
-
-
-def decompose(form: ExtensionForm, base: ComplexStructure, fibre: ComplexStructure,
-              tol: float = DEFAULT_TOL) -> DecomposedForm:
-    full = split_form(form, base, fibre, tol)
     m = base.half_rank
-    d = fibre.half_rank
+    half = np.einsum("ak,kij,ir,js->ars", basis_change(fibre, tol)[:fibre.half_rank],
+                     form.coefficients.astype(complex), base.frame, base.frame)
     return DecomposedForm(
-        holomorphic=full[:d, :m, :m],
-        hermitian=full[:d, :m, m:],
-        antiholomorphic=full[:d, m:, m:],
+        holomorphic=half[:, :m, :m],
+        hermitian=half[:, :m, m:],
+        antiholomorphic=half[:, m:, m:],
         tol=tol,
-        scale=float(np.max(np.abs(full))) if full.size else 0.0,
+        scale=float(np.max(np.abs(half))) if half.size else 0.0,
     )
 
 
@@ -157,14 +147,12 @@ class BundleDatum:
             object.__setattr__(self, "translation", t)
 
     @classmethod
-    def checked(cls, form, base, fibre, translation=None, tol=DEFAULT_TOL):
+    def checked(cls, form, base, fibre, tol=DEFAULT_TOL):
         """Construct and validate: alternation, non-degeneracy, membership."""
-        violations = validate_form(form)
-        if violations:
-            raise FormInvalidError("; ".join(violations))
+        require_form(form)
         for name, structure in (("V", base), ("U", fibre)):
             require_structure(structure, tol, name)
-        return cls(form, base, fibre, translation, tol).require_member()
+        return cls(form, base, fibre, tol=tol).require_member()
 
     def require_member(self) -> "BundleDatum":
         """This datum, or MembershipError when the pair is not compatible."""
@@ -247,12 +235,15 @@ def lattice_vector_from_fibre(datum: BundleDatum, value, tol: float | None = Non
 
     A real vector with holomorphic coordinates w is P w + conj(P w); rounding
     that to integers and projecting back gives the verification residual.
+    The vector is exact: int64 while every entry fits, Python ints past that.
     """
-    if tol is None:
-        tol = datum.tol
+    tol = datum.tol if tol is None else tol
     value = np.asarray(value, dtype=complex)
-    real = datum.fibre.period @ value
-    candidate = np.rint((real + np.conj(real)).real).astype(np.int64)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite: no vector
+        real = 2 * (datum.fibre.period @ value).real
+    if not np.all(np.isfinite(real)):
+        return None
+    candidate = _int_array(np.rint(real), "fibre vector", bounded=False)
     back, _ = split_coordinates(datum.fibre, candidate, datum.tol)
     scale = max(1.0, float(np.max(np.abs(value))))
     if np.max(np.abs(back - value)) <= tol * scale:

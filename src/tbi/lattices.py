@@ -113,6 +113,13 @@ def validate_form(form: ExtensionForm) -> list[str]:
     return violations
 
 
+def require_form(form: ExtensionForm) -> None:
+    """FormInvalidError listing the alternation violations, if there are any."""
+    violations = validate_form(form)
+    if violations:
+        raise FormInvalidError("; ".join(violations))
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Element (fibre, base) of the central extension of the base lattice.

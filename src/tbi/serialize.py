@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormInvalidError, ParseError
-from .lattices import INT64_BOUND, ExtensionForm, exact_integers, validate_form
+from .errors import ParseError
+from .lattices import INT64_BOUND, ExtensionForm, exact_integers, require_form
 from .periods import ComplexStructure, DEFAULT_TOL, require_structure
 
 
@@ -199,9 +199,7 @@ def parse_input(text: str, require_structures: bool = True,
         raise ParseError("'A' entries must be finite numbers in the int64 range "
                          "[-2**63, 2**63)")
     form = ExtensionForm(coefficients)
-    violations = validate_form(form)
-    if violations:
-        raise FormInvalidError("; ".join(violations))
+    require_form(form)
 
     base = fibre = None
     if "V" in raw or "U" in raw or require_structures:

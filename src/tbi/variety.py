@@ -41,29 +41,26 @@ class LocalEquations:
 
     pairs holds the 1-based index pairs (h, l) with h < l; w_vectors the
     corresponding values in ambient fibre coordinates (one row per pair);
-    residuals the per-pair defects w'' - U* w'.  chart is None when only the
-    values were requested.
+    residuals the per-pair defects w'' - U* w'; member compares their
+    max-norm with DEFAULT_TOL times that of the values.
     """
 
     pairs: tuple
     w_vectors: np.ndarray
-    chart: np.ndarray | None
-    residuals: np.ndarray | None
-    tol: float
+    chart: np.ndarray
+    residuals: np.ndarray
 
     @property
     def max_residual(self) -> float:
-        if self.residuals is None or self.residuals.size == 0:
-            return 0.0
-        return float(np.max(np.abs(self.residuals)))
+        return float(np.max(np.abs(self.residuals), initial=0.0))
 
     @property
     def scale(self) -> float:
-        return float(np.max(np.abs(self.w_vectors))) if self.w_vectors.size else 0.0
+        return float(np.max(np.abs(self.w_vectors), initial=0.0))
 
     @property
     def member(self) -> bool:
-        return self.max_residual <= self.tol * self.scale
+        return self.max_residual <= DEFAULT_TOL * self.scale
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +100,7 @@ def chart_structure(chart) -> ComplexStructure:
     return ComplexStructure(np.vstack([np.eye(d), chart]))
 
 
-def graph_chart(fibre: ComplexStructure, tol: float = DEFAULT_TOL) -> np.ndarray:
+def graph_chart(fibre: ComplexStructure) -> np.ndarray:
     """Express a fibre structure in the graph chart: the d x d matrix U* with
     column span { (u', U* u') }.  Fails when the subspace does not project
     onto the first d coordinates (the point is outside this chart).  The
@@ -112,35 +109,27 @@ def graph_chart(fibre: ComplexStructure, tol: float = DEFAULT_TOL) -> np.ndarray
     d = fibre.half_rank
     top = fibre.period[:d, :]
     bottom = fibre.period[d:, :]
-    if np.linalg.matrix_rank(top, tol=tol * float(np.max(np.abs(fibre.period)))) < d:
+    if np.linalg.matrix_rank(top, tol=DEFAULT_TOL * float(np.max(np.abs(fibre.period)))) < d:
         raise StructureDegenerateError("fibre subspace is outside the graph chart")
     return np.linalg.solve(top.T, bottom.T).T
 
 
-def local_equations(form: ExtensionForm, base: ComplexStructure, chart=None,
-                    tol: float = DEFAULT_TOL) -> LocalEquations:
+def local_equations(form: ExtensionForm, base: ComplexStructure, chart) -> LocalEquations:
     """Evaluate the chart equations w'' = U* w' at a (base, chart) point.
-
-    chart may be a d x d matrix, a ComplexStructure (converted via
-    graph_chart), or None to record the pairwise values alone.
+    chart may be a d x d matrix or a ComplexStructure (converted via
+    graph_chart); the values alone are pairwise_values.
     """
     pairs, values = pairwise_values(form, base)
-    if chart is None:
-        return LocalEquations(pairs, values, None, None, tol)
     if isinstance(chart, ComplexStructure):
-        chart = graph_chart(chart, tol)
+        chart = graph_chart(chart)
     chart = np.asarray(chart, dtype=complex)
     structure = chart_structure(chart)
-    if not validate_structure(structure, tol):
+    if not validate_structure(structure):
         raise StructureDegenerateError(
             "chart does not describe a complex structure (graph meets its conjugate)"
         )
     d = chart.shape[0]
-    if values.size:
-        residuals = values[:, d:] - values[:, :d] @ chart.T
-    else:
-        residuals = np.zeros((0, d), dtype=complex)
-    return LocalEquations(pairs, values, chart, residuals, tol)
+    return LocalEquations(pairs, values, chart, values[:, d:] - values[:, :d] @ chart.T)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 import tbi
-from tbi import BundleDatum, ComplexStructure, ExtensionForm, standard_structure
+from tbi import BundleDatum, ComplexStructure, ExtensionForm, basis_change, standard_structure
 from tbi.cohomology import _d2_block, _rank_from_singular_values, _svd
 
 
@@ -56,6 +56,16 @@ def skew_d2_image(monkeypatch):
     monkeypatch.setattr(tbi.cohomology, "_dual_columns", skewed)
 
 
+def full_split(datum) -> np.ndarray:
+    """The whole split tensor of shape (2d, 2m, 2m), the reference for
+    decompose, which contracts only its U-valued half.  Output index blocks:
+    [:d] U-coordinates, [d:] conjugate coordinates.  Each input index: [:m]
+    V-slots, [m:] conjugate slots."""
+    frame_base = datum.base.frame
+    return np.einsum("ak,kij,ir,js->ars", basis_change(datum.fibre, datum.tol),
+                     datum.form.coefficients.astype(complex), frame_base, frame_base)
+
+
 def d2_blocks(datum):
     """The d2 blocks of leray_table(datum) and the image bases it chose, as
     leray_table builds them: d2 keyed by source block, and per block (i, j)
@@ -71,7 +81,7 @@ def d2_blocks(datum):
         for j in range(1, d + 1):
             block = _d2_block(conj_two_forms, m, d, i, j)
             u, sing, _ = _svd(block)
-            rank = _rank_from_singular_values(sing, datum.tol, split.scale, "")
+            rank = _rank_from_singular_values(sing, datum.tol, split.scale, "").rank
             d2[(i, j)] = block
             images[(i + 2, j - 1)] = u[:, :rank]
     return d2, images

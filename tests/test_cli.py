@@ -193,8 +193,9 @@ def test_unconverged_svd_exits_5(tmp_path, capsys, monkeypatch):
 
 
 def test_oversized_tables_exit_1_before_any_table(tmp_path, capsys, monkeypatch):
-    """n = 20 would need about 546 GB of tables: refused with exit 1 and one
-    error line naming n and the estimate, before leray_table is reached."""
+    """n = 20 would need about 5.4 TB for its largest level piece: refused
+    with exit 1 and one error line naming n and the estimate, before
+    leray_table is reached."""
     def unreachable(*args, **kwargs):
         raise AssertionError("leray_table called for an oversized datum")
 
@@ -203,16 +204,27 @@ def test_oversized_tables_exit_1_before_any_table(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(tbi.cohomology, "leray_table", unreachable)
     code, out, err = _run(capsys, ["invariants", path])
     assert (code, out) == (1, "")
+    # The level piece from (7, 2) to (8, 2): 4·C(16,8)·C(4,2) x 16·C(16,7)·C(4,2).
+    estimate = 16 * 4 * 16 * math.comb(16, 8) * math.comb(16, 7) * math.comb(4, 2) ** 2
     assert err == ("error: cohomology tables for n = m + d = 20 need an estimated "
-                   f"{16 * math.comb(20, 10) ** 2} bytes (16*C(20,10)**2), above the "
-                   "fixed limit of 8589934592 bytes\n")
+                   f"{estimate} bytes, above the fixed limit of 8589934592 bytes\n")
 
 
-def test_table_size_limit_refuses_n_17_and_above():
-    tbi.require_table_fits(tbi.product_datum(15, 1))
-    with pytest.raises(tbi.TableTooLargeError, match=r"n = m \+ d = 17 ") as caught:
-        tbi.leray_table(tbi.product_datum(16, 1))
-    assert caught.value.exit_code == 1
+def test_table_size_limit_accepts_n_15():
+    """Every split of n = 15 fits: (9, 6) has the largest estimate, its level
+    piece from (4, 3) to (5, 3), at 5.49e9 bytes."""
+    for m in range(1, 15):
+        tbi.require_table_fits(tbi.product_datum(m, 15 - m))
+
+
+def test_table_size_limit_refuses_n_16_and_above():
+    """(15, 1) is refused on its level piece from (7, 1) to (8, 1), 6435 x
+    96525 complex entries, although its largest d2 block would fit.  No
+    table is built: leray_table runs the check first."""
+    for m, d in [(m, 16 - m) for m in range(1, 16)] + [(16, 1)]:
+        with pytest.raises(tbi.TableTooLargeError, match=rf"n = m \+ d = {m + d} ") as caught:
+            tbi.leray_table(tbi.product_datum(m, d))
+        assert caught.value.exit_code == 1
 
 
 def test_invariants_takes_one_upper_triangle_per_form(tmp_path, capsys, monkeypatch):

@@ -690,9 +690,8 @@ def test_whole_pieces_keep_fibre_degree_one_decisions_bit_identical():
         sing = np.zeros(min(d * h[p + 1], m * h[p]))
         merged = np.sort(np.concatenate(pieces + [[]]))[::-1]
         sing[:merged.size] = merged
-        expected = []
-        _rank_from_singular_values(sing, datum.tol, datum.split.scale, decision.label, expected)
-        assert expected == [decision]
+        assert _rank_from_singular_values(sing, datum.tol, datum.split.scale,
+                                          decision.label) == decision
 
 
 def test_whole_pieces_are_decomposed_once_per_base_degree(monkeypatch):

@@ -4,12 +4,13 @@ import pytest
 from tbi import (BundleDatum, ComplexStructure, ExtensionForm, FormInvalidError,
                  MembershipError, StructureDegenerateError, cocycle_defect,
                  cocycle_eval, decompose, iwasawa_form, lattice_vector_from_fibre,
-                 product_datum, random_structure, reconstruct, riemann_check,
-                 split_form, standard_structure)
+                 iwasawa_datum, product_datum, random_structure, reconstruct,
+                 riemann_check, standard_structure)
 
 from tbi.periods import split_coordinates
 
-from support import random_alternating_form, small_member, transported_case1
+from support import (SMALL_MEMBERS, full_split, near_threshold_member, random_alternating_form,
+                     small_member, transported_case1)
 
 
 def _random_datum(seed, m, d):
@@ -46,11 +47,42 @@ def test_reconstruct_roundtrip(seed, m, d):
     assert np.max(np.abs(rebuilt - datum.form.coefficients)) < 1e-9 * scale
 
 
+def _scrambled_datum(seed):
+    return BundleDatum(*transported_case1(np.random.default_rng([17, seed]), 2 + seed % 4))
+
+
+SPLIT_CORPUS = {f"small.{kind}.{m}.{d}": (small_member, kind, m, d)
+                for kind, m, d in SMALL_MEMBERS} | {
+    "iwasawa": (iwasawa_datum,), "near-threshold": (near_threshold_member,)} | {
+    f"random.{seed}": (_random_datum, seed, 1 + seed % 4, 1 + seed % 3)
+    for seed in range(20, 30)} | {
+    f"scrambled.{seed}": (_scrambled_datum, seed) for seed in range(10)}
+
+
+@pytest.mark.parametrize("name", SPLIT_CORPUS)
+def test_decompose_is_the_u_valued_half_of_the_full_split(name):
+    """decompose contracts only the U-coordinates: its blocks are those of
+    the full contraction bit for bit, its scale is the full max-norm to
+    roundoff, and the Ubar half it leaves out is the conjugate of the U half
+    with V and Vbar slots exchanged."""
+    make, *args = SPLIT_CORPUS[name]
+    datum = make(*args)
+    split, full = datum.split, full_split(datum)
+    m, d = split.base_half_rank, split.fibre_half_rank
+    assert np.array_equal(split.holomorphic, full[:d, :m, :m])
+    assert np.array_equal(split.hermitian, full[:d, :m, m:])
+    assert np.array_equal(split.antiholomorphic, full[:d, m:, m:])
+    assert split.scale == pytest.approx(np.max(np.abs(full)), rel=1e-15, abs=0)
+    swap = np.r_[m:2 * m, 0:m]
+    np.testing.assert_allclose(full[d:], np.conj(full[:d][:, swap][:, :, swap]),
+                               rtol=0, atol=1e-13 * split.scale)
+
+
 @pytest.mark.parametrize("seed,m,d", [(5, 2, 1), (6, 3, 2)])
 def test_conjugate_blocks_are_conjugates(seed, m, d):
     datum = _random_datum(seed, m, d)
     split = datum.split
-    conj = split_form(datum.form, datum.base, datum.fibre)[d:]
+    conj = full_split(datum)[d:]
     assert np.allclose(conj[:, :m, :m], np.conj(split.antiholomorphic), atol=1e-10)
     assert np.allclose(conj[:, m:, m:], np.conj(split.holomorphic), atol=1e-10)
     assert np.allclose(conj[:, :m, m:],
@@ -63,9 +95,9 @@ def test_paired_blocks_antisymmetric():
     assert np.allclose(split.antiholomorphic, -split.antiholomorphic.transpose(0, 2, 1))
 
 
-def test_split_form_rank_mismatch():
+def test_decompose_rank_mismatch():
     with pytest.raises(ValueError):
-        split_form(iwasawa_form(), standard_structure(1), standard_structure(1))
+        decompose(iwasawa_form(), standard_structure(1), standard_structure(1))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +314,20 @@ def test_defect_unchanged_by_translation(iwasawa):
 
 def test_lattice_recovery_rejects_non_lattice_value(iwasawa):
     assert lattice_vector_from_fibre(iwasawa, [0.3]) is None
+
+
+@pytest.mark.parametrize("vector", [[2**63 + 2**20, 1], [2**62 + 2**12, -3]],
+                         ids=["past-2**63", "near-2**62"])
+def test_lattice_recovery_is_exact_past_int64(iwasawa, vector):
+    """Both vectors are exact in float64; the first is past the int64 range,
+    where an int64 cast would wrap (and warn)."""
+    value, _ = split_coordinates(iwasawa.fibre, np.array(vector, dtype=float))
+    assert lattice_vector_from_fibre(iwasawa, value).tolist() == vector
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+def test_lattice_recovery_of_a_non_finite_value_is_none(iwasawa, value):
+    assert lattice_vector_from_fibre(iwasawa, [value]) is None
 
 
 def test_decompose_matches_datum_split(iwasawa):

@@ -1,6 +1,9 @@
-"""The public names of the tbi package, pinned: an addition to or a removal
-from the API shows up here as a change to one reviewed list."""
+"""The public names of the tbi package and the parameters of its callables,
+pinned: an addition to or a removal from the API, or a parameter added,
+removed or given another default, shows up here as a change to one reviewed
+line."""
 
+import json
 import subprocess
 import sys
 
@@ -23,7 +26,7 @@ PUBLIC_NAMES = [
     "leray_table", "local_equations", "numerical_rank", "pairwise_values",
     "parse_input", "periods", "product_datum", "product_form", "random_structure",
     "reconstruct", "require_table_fits", "riemann_check", "sample_point", "serialize",
-    "sha256_hex", "split_coordinates", "split_form", "standard_structure",
+    "sha256_hex", "split_coordinates", "standard_structure",
     "structure_sheaf_dims", "tangent_table", "theta_cohomology", "validate_form",
     "validate_structure", "variety",
 ]
@@ -37,3 +40,105 @@ def test_public_names_are_pinned():
          "import tbi; print(*sorted(n for n in dir(tbi) if not n.startswith('_')))"],
         capture_output=True, text=True, check=True, env=subprocess_env())
     assert listed.stdout.split() == PUBLIC_NAMES
+
+
+# Name and default of each parameter of every public function and class, and
+# of the public methods those classes define; exception classes are left out.
+SIGNATURES = {
+    "BundleDatum": "(form, base, fibre, translation=None, tol=1e-09)",
+    "BundleDatum.checked": "(form, base, fibre, tol=1e-09)",
+    "BundleDatum.require_member": "(self)",
+    "BundleDatum.translation_value": "(self, gamma)",
+    "CohomologyReport": "(e2, e3, h_structure, h0_one_forms, closed_one_forms, h1_structure, "
+                        "parallelizable, h_tangent, deformation_target, classification, "
+                        "twist_residual, decisions)",
+    "ComplexStructure": "(period)",
+    "DecomposedForm": "(holomorphic, hermitian, antiholomorphic, tol, scale)",
+    "ExtensionForm": "(coefficients)",
+    "GroupElement": "(fibre, base)",
+    "InputDocument": "(m, d, form, base, fibre, translation, seed, effective_tol=1e-09)",
+    "LocalEquations": "(pairs, w_vectors, chart, residuals)",
+    "MembershipResult": "(member, residual, scale, tol)",
+    "OneFormsSpace": "(dim)",
+    "RankDecision": "(label, rank, smallest_kept, largest_dropped, threshold, near)",
+    "SampleResult": "(found, base, fibre, attempts, best_residual)",
+    "SpectralTable": "(e2, e3, representatives, coimages, decisions)",
+    "SpectralTable.total_dims": "(self, page)",
+    "TangentTable": "(coker, ker, level_ranks, twist_residual, decisions)",
+    "ThetaCohomology": "(dim, coker_dim, ker_dim)",
+    "basis_change": "(structure, tol=1e-09)",
+    "basis_lift": "(form, index)",
+    "bundle_report": "(datum)",
+    "catalog_datum": "(name, m=2, d=1)",
+    "central_lift": "(form, index)",
+    "chart_structure": "(chart)",
+    "classify_blocks": "(datum)",
+    "closed_forms_dim": "(datum, decisions=None)",
+    "cocycle_defect": "(datum, gamma1, gamma2, z)",
+    "cocycle_eval": "(datum, gamma, z)",
+    "commutator": "(form, g1, g2)",
+    "complex_to_pairs": "(matrix)",
+    "decompose": "(form, base, fibre, tol=1e-09)",
+    "divisibility_index": "(chern_vector)",
+    "dumps": "(value)",
+    "extension_cocycle": "(form, g1_base, g2_base)",
+    "graph_chart": "(fibre)",
+    "group_inverse": "(form, g)",
+    "group_multiply": "(form, g1, g2)",
+    "h0_forms": "(datum, decisions=None)",
+    "h1_structure_sheaf": "(datum, decisions=None)",
+    "input_document": "(form, base=None, fibre=None, translation=None, tol=None, seed=None)",
+    "is_parallelizable": "(datum)",
+    "iwasawa_datum": "()",
+    "iwasawa_form": "()",
+    "kuranishi_dim": "(genus, fibre_dim)",
+    "lattice_vector_from_fibre": "(datum, value, tol=None)",
+    "leray_table": "(datum)",
+    "local_equations": "(form, base, chart)",
+    "numerical_rank": "(matrix, tol, scale, label, decisions=None)",
+    "pairwise_values": "(form, base)",
+    "parse_input": "(text, require_structures=True, tol=1e-09, tol_override=None)",
+    "product_datum": "(m=2, d=1)",
+    "product_form": "(m=2, d=1)",
+    "random_structure": "(n, seed)",
+    "reconstruct": "(split, base, fibre)",
+    "require_table_fits": "(datum)",
+    "riemann_check": "(form, base, fibre, tol=1e-09)",
+    "sample_point": "(form, seed=0, max_attempts=100, tol=1e-09)",
+    "sha256_hex": "(data)",
+    "split_coordinates": "(structure, x, tol=1e-09)",
+    "standard_structure": "(n)",
+    "structure_sheaf_dims": "(datum)",
+    "tangent_table": "(datum, table=None)",
+    "theta_cohomology": "(datum, degree)",
+    "validate_form": "(form)",
+    "validate_structure": "(structure, tol=1e-09)",
+}
+
+_LIST_SIGNATURES = """
+import inspect, json, tbi
+
+def parameters(obj):
+    sig = inspect.signature(obj)
+    return str(sig.replace(parameters=[p.replace(annotation=p.empty)
+                                       for p in sig.parameters.values()],
+                           return_annotation=sig.empty))
+
+listed = {}
+for name in dir(tbi):
+    obj = getattr(tbi, name)
+    if name.startswith("_") or not callable(obj) \\
+            or isinstance(obj, type) and issubclass(obj, Exception):
+        continue
+    listed[name] = parameters(obj)
+    for attr, value in vars(obj).items() if isinstance(obj, type) else ():
+        if not attr.startswith("_") and inspect.isfunction(getattr(value, "__func__", value)):
+            listed[f"{name}.{attr}"] = parameters(getattr(obj, attr))
+print(json.dumps(listed))
+"""
+
+
+def test_public_signatures_are_pinned():
+    listed = subprocess.run([sys.executable, "-c", _LIST_SIGNATURES], capture_output=True,
+                            text=True, check=True, env=subprocess_env())
+    assert json.loads(listed.stdout) == SIGNATURES

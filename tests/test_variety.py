@@ -77,11 +77,12 @@ def test_iwasawa_local_equations_member(iwasawa):
     assert equations.member
 
 
-def test_local_equations_values_only(iwasawa):
-    equations = local_equations(iwasawa.form, iwasawa.base)
-    assert equations.chart is None
-    assert equations.residuals is None
-    assert equations.max_residual == 0.0
+def test_local_equations_without_pairs():
+    """m = 1 has no pairs h < l: no residuals, and the zero residual is a member."""
+    equations = local_equations(product_form(1, 2), standard_structure(1), 1j * np.eye(2))
+    assert equations.pairs == ()
+    assert equations.residuals.shape == (0, 2)
+    assert (equations.max_residual, equations.scale, equations.member) == (0.0, 0.0, True)
 
 
 def test_local_equations_rejects_real_chart():
