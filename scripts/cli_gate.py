@@ -10,9 +10,12 @@ and table), validate and decompose; the bench/members.py GRID members at seed
 1 under invariants (json and table; n up to 13, about 20 s per side and 400 MB
 at the largest); Iwasawa with one pair of 'A' entries set to each of
 EDGE_VALUES under invariants and group; the group ELEMENTS, the curve
-CHERN_VECTORS and two sample runs; and invariants near the rank cuts, on
+CHERN_VECTORS and two sample runs; invariants near the rank cuts, on
 support.near_threshold_member at its own tol and, at every --tol of NEAR_TOLS,
-on SMALL_MEMBERS and the points sample_point finds for four forms.
+on SMALL_MEMBERS and the points sample_point finds for four forms; the
+OVERFLOW_SCALES documents, whose split overflows, under validate, decompose
+and invariants (json and table); and catalog product at base dimension 40.
+An exception that escapes tbi.cli.main is recorded as the run's exit code.
 
 A differing run is float-only when its exit codes agree and its stdout and
 stderr differ only in float values: the values under FLOAT_KEYS in JSON
@@ -40,6 +43,7 @@ ELEMENTS = ("e1", "f2", "1,0/0,0,1,0", "-1,2/3,-4,5,-6", "9223372036854775807,0/
             "0,0/9223372036854775808,0,0,0", "e9", "1,2/3")
 CHERN_VECTORS = ("2,-4", "0,0", "99999999999999999999,0", "1.5,2", "1,2,3")
 NEAR_TOLS = ("1e-3", "0.05", "0.1", "0.2", "0.45")  # at 0.1, ten times a cut is the top
+OVERFLOW_SCALES = (("iwasawa", 1e308, 1.0), ("small.mixed.2.1", 1e100, 1e-150))  # of V, of U
 GRID = (("mixed", 4, 2, False), ("mixed", 7, 3, False), ("mixed", 8, 3, False),
         ("mixed", 10, 1, False), ("pure_hermitian", 10, 1, False), ("zero_hermitian", 9, 1, True),
         ("mixed", 12, 1, False), ("pure_hermitian", 12, 1, False))
@@ -106,6 +110,16 @@ def write_corpus(workdir) -> list:
         path = write(f"edge.{label}", json.dumps(doc))
         argvs += [["invariants", path], ["group", path, "e1", "e3"]]
 
+    datums = dict(members)
+    for name, scale_base, scale_fibre in OVERFLOW_SCALES:
+        datum = datums[name]
+        path = write(f"overflow.{name}", tbi.dumps(tbi.input_document(
+            datum.form, tbi.ComplexStructure(datum.base.period * scale_base),
+            tbi.ComplexStructure(datum.fibre.period * scale_fibre))))
+        argvs += [["validate", path], ["decompose", path], ["invariants", path],
+                  ["invariants", path, "--format", "table"]]
+    argvs.append(["catalog", "product", "--base-dim", "40"])
+
     path = write("iwasawa.group", json.dumps(iwasawa))
     argvs += [["group", path, element, "e3"] for element in ELEMENTS]
     argvs += [["curve", "--genus", "2", "--fibre-dim", "1", "--chern", vector]
@@ -128,6 +142,8 @@ def dump(argv_file):
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
+            except Exception as exc:  # a traceback on the command line
+                code = repr(exc)
         print(json.dumps([out.getvalue(), err.getvalue(), code]), flush=True)
 
 

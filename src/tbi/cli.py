@@ -15,6 +15,7 @@ tolerance.
 """
 
 import argparse
+import dataclasses
 import os
 import re
 import sys
@@ -31,8 +32,8 @@ from .errors import ParseError, TbiError, ToleranceAmbiguityError
 from .lattices import (GroupElement, basis_lift, central_lift, commutator, group_inverse,
                        group_multiply)
 from .periods import DEFAULT_TOL
-from .serialize import (InputDocument, check_tol, complex_to_pairs, dumps, input_document,
-                        parse_input, require_int, sha256_hex)
+from .serialize import (InputDocument, check_tol, dumps, input_document, parse_input,
+                        require_int, sha256_hex)
 from .variety import sample_point
 
 
@@ -99,39 +100,21 @@ def _input_echo(data: bytes, document: InputDocument) -> dict:
             "tol": document.effective_tol}
 
 
+def _record(record, *skip) -> dict:
+    """The fields of a result record in declaration order, less skip.  Only
+    dataclass fields are read, so a cached property never reaches the output."""
+    return {field.name: getattr(record, field.name) for field in dataclasses.fields(record)
+            if field.name not in skip}
+
+
 def _report_document(datum: BundleDatum, echo: dict, report: CohomologyReport) -> dict:
-    split = datum.split
-    verdict = datum.membership
     return {
         "input": echo,
-        "riemann": {
-            "member": verdict.member,
-            "residual": verdict.residual,
-            "scale": verdict.scale,
-        },
-        "norms": _norms(split),
-        "cohomology": {
-            "h_structure": list(report.h_structure),
-            "h0_one_forms": report.h0_one_forms,
-            "closed_one_forms": report.closed_one_forms,
-            "h1_structure": report.h1_structure,
-            "parallelizable": report.parallelizable,
-            "h_tangent": list(report.h_tangent),
-            "deformation_target": report.deformation_target,
-            "classification": report.classification,
-            "twist_residual": report.twist_residual,
-        },
+        "riemann": _record(datum.membership),
+        "norms": _norms(datum.split),
+        "cohomology": _record(report, "e2", "e3", "decisions"),
         "group_checks": _group_spot_checks(datum.form),
-        "rank_decisions": [
-            {
-                "label": decision.label,
-                "rank": decision.rank,
-                "smallest_kept": decision.smallest_kept,
-                "largest_dropped": decision.largest_dropped,
-                "threshold": decision.threshold,
-            }
-            for decision in report.decisions
-        ],
+        "rank_decisions": [_record(decision, "near") for decision in report.decisions],
         "warnings": [decision.warning for decision in report.decisions if decision.near],
     }
 
@@ -183,12 +166,12 @@ def cmd_invariants(args) -> int:
           f"(residual {report['riemann']['residual']:.3e})")
     _print_grid("first-page dimensions (base degree i, fibre degree j):", cohomology_report.e2)
     _print_grid("surviving dimensions:", cohomology_report.e3)
-    print(f"structure sheaf dimensions: {cohomology['h_structure']}")
+    print(f"structure sheaf dimensions: {list(cohomology['h_structure'])}")
     print(f"global 1-forms: {cohomology['h0_one_forms']} "
           f"(closed: {cohomology['closed_one_forms']})")
     print(f"h1 of structure sheaf: {cohomology['h1_structure']}")
     print(f"parallelizable: {cohomology['parallelizable']}")
-    print(f"tangent sheaf dimensions: {cohomology['h_tangent']}")
+    print(f"tangent sheaf dimensions: {list(cohomology['h_tangent'])}")
     print(f"deformation target m^2+m: {cohomology['deformation_target']}")
     if cohomology["classification"] is not None:
         print(f"classification: {cohomology['classification']}")
@@ -201,17 +184,10 @@ def cmd_decompose(args) -> int:
     data, document = _parse_file(args.file, args)
     datum = _datum_from_document(document)
     split = datum.split
-    verdict = datum.membership
     print(dumps({
         "input": _input_echo(data, document),
-        "member": verdict.member,
-        "residual": verdict.residual,
-        "scale": verdict.scale,
-        "blocks": {
-            "holomorphic": complex_to_pairs(split.holomorphic),
-            "hermitian": complex_to_pairs(split.hermitian),
-            "antiholomorphic": complex_to_pairs(split.antiholomorphic),
-        },
+        **_record(datum.membership),
+        "blocks": _record(split, "tol", "scale"),
         "norms": _norms(split),
     }))
     return 0
@@ -290,10 +266,6 @@ def _parse_element(text, form):
     return GroupElement(fibre, base)
 
 
-def _element_doc(element) -> dict:
-    return {"fibre": element.fibre.tolist(), "base": element.base.tolist()}
-
-
 def cmd_group(args) -> int:
     _, document = _parse_file(args.file, args, require_structures=False)
     form = document.form
@@ -301,11 +273,11 @@ def cmd_group(args) -> int:
     g2 = _parse_element(args.g2, form)
     bracket, expected, matches = _bracket(form, g1, g2)
     print(dumps({
-        "g1": _element_doc(g1),
-        "g2": _element_doc(g2),
-        "product": _element_doc(group_multiply(form, g1, g2)),
-        "inverse_g1": _element_doc(group_inverse(form, g1)),
-        "commutator": _element_doc(bracket),
+        "g1": _record(g1),
+        "g2": _record(g2),
+        "product": _record(group_multiply(form, g1, g2)),
+        "inverse_g1": _record(group_inverse(form, g1)),
+        "commutator": _record(bracket),
         "form_value": expected.tolist(),
         "commutator_matches_form": matches,
     }))

@@ -240,10 +240,10 @@ class SpectralTable:
     coimages: dict
     decisions: tuple
 
-    def total_dims(self, page) -> list:
-        grid = self.e2 if page == 2 else self.e3
-        m, d = (size - 1 for size in grid.shape)
-        return [int(sum(grid[i, j] for i, j in _degree_blocks(m, d, p)))
+    def total_dims(self) -> list:
+        """Surviving dimension per total degree; on the first page it is C(m+d, p)."""
+        m, d = (size - 1 for size in self.e3.shape)
+        return [int(sum(self.e3[i, j] for i, j in _degree_blocks(m, d, p)))
                 for p in range(m + d + 1)]
 
 
@@ -287,7 +287,7 @@ def require_table_fits(datum: BundleDatum) -> None:
     above TABLE_BYTES_LIMIT (n >= 16) the datum is refused with
     TableTooLargeError.
     """
-    m, d = datum.split.base_half_rank, datum.split.fibre_half_rank
+    m, d = datum.base.half_rank, datum.fibre.half_rank
     n = m + d
     piece = d * m * max(math.comb(m, i + 1) * math.comb(m, i) * math.comb(d, j) ** 2
                         for i in range(m) for j in range(d + 1))
@@ -431,7 +431,7 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
 
 def structure_sheaf_dims(datum: BundleDatum) -> list:
     """h^p of the structure sheaf for p = 0..m+d."""
-    return leray_table(datum).total_dims(3)
+    return leray_table(datum).total_dims()
 
 
 # ---------------------------------------------------------------------------
@@ -539,11 +539,11 @@ def _quadratic_norms(one_forms, gram):
 @dataclass(frozen=True, eq=False)
 class TangentTable:
     """Tangent-sheaf dimensions, per degree the cokernel of the incoming
-    level map plus the kernel of the outgoing one, with the ranks behind them."""
+    level map plus the kernel of the outgoing one, with the decisions behind
+    them: the rank of the level map at degree p is decisions[p].rank."""
 
     coker: tuple
     ker: tuple
-    level_ranks: tuple
     twist_residual: float
     decisions: tuple
 
@@ -592,7 +592,7 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     one_forms = split.hermitian.reshape(d * m, m)  # row (a, s), column k
 
     decisions: list = []
-    h = table.total_dims(3) + [0]  # nothing above the top degree
+    h = table.total_dims() + [0]  # nothing above the top degree
     reps = table.representatives
 
     whole = table.e3 == table.e2
@@ -635,7 +635,7 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     level_ranks = [decision.rank for decision in decisions]
     coker = tuple(d * h[p] - (level_ranks[p - 1] if p else 0) for p in range(total + 1))
     ker = tuple(m * h[p] - level_ranks[p] for p in range(total + 1))
-    return TangentTable(coker, ker, tuple(level_ranks), twist, tuple(decisions))
+    return TangentTable(coker, ker, twist, tuple(decisions))
 
 
 @dataclass(frozen=True)
@@ -733,7 +733,7 @@ def bundle_report(datum: BundleDatum) -> CohomologyReport:
     h1 = h1_structure_sheaf(datum, decisions)
     table = leray_table(datum)
     tangent = tangent_table(datum, table)
-    h_structure = tuple(table.total_dims(3))
+    h_structure = tuple(table.total_dims())
     _require_identities(h_structure, tangent.dims, forms.dim, h1)
     m, d = datum.split.base_half_rank, datum.split.fibre_half_rank
     parallelizable = forms.dim == m + d

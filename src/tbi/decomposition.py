@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MembershipError
+from .errors import MembershipError, StructureDegenerateError
 from .lattices import ExtensionForm, _int_array, require_form
 from .periods import (ComplexStructure, DEFAULT_TOL, basis_change, require_structure,
                       split_coordinates)
@@ -58,7 +58,6 @@ class MembershipResult:
     member: bool
     residual: float
     scale: float
-    tol: float
 
     def __bool__(self):
         return self.member
@@ -69,7 +68,8 @@ def decompose(form: ExtensionForm, base: ComplexStructure, fibre: ComplexStructu
     """The U-valued blocks of the form split along the structure pair: the
     output index runs over the U-coordinates alone, each input index over the
     V-slots [:m] and the conjugate slots [m:].  The Ubar-valued half is their
-    conjugate (reconstruct derives it), so it is not contracted."""
+    conjugate (reconstruct derives it), so it is not contracted.  A split that
+    overflows to a non-finite entry raises StructureDegenerateError."""
     if base.full_rank != form.base_rank or fibre.full_rank != form.fibre_rank:
         raise ValueError(
             f"rank mismatch: form is {form.fibre_rank}x{form.base_rank}^2, "
@@ -78,6 +78,9 @@ def decompose(form: ExtensionForm, base: ComplexStructure, fibre: ComplexStructu
     m = base.half_rank
     half = np.einsum("ak,kij,ir,js->ars", basis_change(fibre, tol)[:fibre.half_rank],
                      form.coefficients.astype(complex), base.frame, base.frame)
+    if not np.all(np.isfinite(half)):
+        raise StructureDegenerateError("the split of the form along 'V' and 'U' is not finite: "
+                                       "a period matrix is too large or too small in scale")
     return DecomposedForm(
         holomorphic=half[:, :m, :m],
         hermitian=half[:, :m, m:],
@@ -175,7 +178,6 @@ class BundleDatum:
             member=bool(residual <= self.tol * self.split.scale),
             residual=residual,
             scale=self.split.scale,
-            tol=self.tol,
         )
 
     def translation_value(self, gamma) -> np.ndarray:

@@ -32,7 +32,8 @@ class FormInvalidError(TbiError):
 
 
 class StructureDegenerateError(TbiError):
-    """A period matrix does not split the complexified lattice."""
+    """A period matrix does not split the complexified lattice, or the
+    form's split along the pair overflows the float range."""
 
     exit_code = 3
 

@@ -119,6 +119,19 @@ def test_validate_degenerate_structure_exits_3(tmp_path, capsys):
     assert "'V'" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "decompose", "invariants"])
+def test_overflowing_split_exits_3(tmp_path, capsys, command):
+    """V of size 1e308 overflows the split: one error line and exit 3, not a
+    traceback from the non-finite blocks or exit 4 on a nan residual."""
+    doc = _iwasawa_doc()
+    doc["V"] = [[[1e308 * x for x in pair] for pair in row] for row in doc["V"]]
+    path = _write(tmp_path, "overflow.json", doc)
+    code, out, err = _run(capsys, [command, path])
+    assert (code, out) == (3, "")
+    assert err == ("error: the split of the form along 'V' and 'U' is not finite: "
+                   "a period matrix is too large or too small in scale\n")
+
+
 def test_validate_incompatible_pair_exits_4(tmp_path, capsys):
     doc = _iwasawa_doc()
     doc["U"] = [[[1.0, 0.0]], [[0.0, 1.0]]]  # conjugate of a compatible fibre
@@ -847,6 +860,17 @@ def test_catalog_product_rejects_non_positive_dimensions(capsys, flag, value):
     assert err == f"error: {flag} must be a positive integer\n"
 
 
+def test_catalog_and_table_size_check_take_no_split(capsys, monkeypatch):
+    """The catalog emits its data and require_table_fits sizes a datum from
+    its structures, without splitting the form."""
+    calls = count_calls(monkeypatch, tbi.decompose)
+    assert _run(capsys, ["catalog", "product", "--base-dim", "20"])[0] == 0
+    assert _run(capsys, ["catalog", "iwasawa"])[0] == 0
+    with pytest.raises(tbi.TableTooLargeError):
+        tbi.require_table_fits(tbi.product_datum(16, 4))
+    assert calls == []
+
+
 def test_catalog_datum_refuses_an_unknown_name():
     with pytest.raises(KeyError, match="unknown catalog name 'bogus'; known: iwasawa, product"):
         tbi.catalog_datum("bogus")
@@ -967,8 +991,8 @@ def test_version_flag():
 @st.composite
 def _small_documents(draw):
     """JSON text of a document with m, d <= 2: an alternating, zero or
-    arbitrary form, standard or random structures or none, and valid or
-    arbitrary tol and seed."""
+    arbitrary form, standard or random structures or none, each scaled by a
+    power of ten up to 10**±300, and valid or arbitrary tol and seed."""
     m, d = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     size = 2 * d * (2 * m) ** 2
     a = np.array(draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)))
@@ -980,10 +1004,11 @@ def _small_documents(draw):
     doc = {"m": m, "d": d, "A": a.tolist()}
     for key, n in (("V", m), ("U", d)) if draw(st.booleans()) else ():
         if draw(st.booleans()):
-            doc[key] = tbi.complex_to_pairs(tbi.standard_structure(n).period)
+            period = tbi.standard_structure(n).period
         else:
             pair = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
-            doc[key] = [[draw(pair) for _ in range(n)] for _ in range(2 * n)]
+            period = np.array([[complex(*draw(pair)) for _ in range(n)] for _ in range(2 * n)])
+        doc[key] = tbi.complex_to_pairs(period * 10.0 ** draw(st.integers(-300, 300)))
     for key, valid in (("tol", st.floats(1e-12, 1e-3)), ("seed", st.integers(0, 9))):
         if draw(st.booleans()):
             doc[key] = draw(st.one_of(valid, st.none(), st.integers(), st.floats()))

@@ -3,7 +3,7 @@ import pytest
 
 from tbi import (BundleDatum, ComplexStructure, ExtensionForm, FormInvalidError,
                  MembershipError, StructureDegenerateError, cocycle_defect,
-                 cocycle_eval, decompose, iwasawa_form, lattice_vector_from_fibre,
+                 catalog_datum, cocycle_eval, decompose, iwasawa_form, lattice_vector_from_fibre,
                  iwasawa_datum, product_datum, random_structure, reconstruct,
                  riemann_check, standard_structure)
 
@@ -156,8 +156,7 @@ def test_riemann_check_is_the_datum_verdict(make, seed, m, member):
         verdict = riemann_check(form, base, fibre, tol=tol)
         expected = BundleDatum(form, base, fibre, tol=tol).membership
         assert verdict.member is expected.member is member
-        assert (verdict.residual, verdict.scale, verdict.tol) == \
-            (expected.residual, expected.scale, expected.tol)
+        assert verdict == expected
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +174,26 @@ def test_checked_rejects_degenerate_structure():
     real = ComplexStructure(np.array([[1.0], [2.0]]))
     with pytest.raises(StructureDegenerateError):
         BundleDatum.checked(form, real, standard_structure(1))
+
+
+@pytest.mark.parametrize("name,m,d", [("iwasawa", 2, 1)] + [
+    ("product", m, d) for m, d in [(1, 1), (2, 1), (3, 2), (5, 3)]])
+def test_checked_accepts_the_catalog(name, m, d):
+    """The catalog builds its data without the membership check; each
+    passes it."""
+    datum = catalog_datum(name, m, d)
+    assert BundleDatum.checked(datum.form, datum.base, datum.fibre).membership.member
+
+
+@pytest.mark.parametrize("scale_base,scale_fibre", [(1e100, 1e-150), (1e308, 1.0)])
+def test_split_overflow_is_a_degenerate_structure(scale_base, scale_fibre):
+    """A split with an entry past the float range raises the degenerate
+    period matrix error instead of a nan membership verdict."""
+    datum = small_member("mixed", 2, 1)
+    base = ComplexStructure(datum.base.period * scale_base)
+    fibre = ComplexStructure(datum.fibre.period * scale_fibre)
+    with pytest.raises(StructureDegenerateError, match="split of the form .* is not finite"):
+        decompose(datum.form, base, fibre)
 
 
 def test_checked_rejects_nonmember(iwasawa):

@@ -58,13 +58,13 @@ SIGNATURES = {
     "GroupElement": "(fibre, base)",
     "InputDocument": "(m, d, form, base, fibre, translation, seed, effective_tol=1e-09)",
     "LocalEquations": "(pairs, w_vectors, chart, residuals)",
-    "MembershipResult": "(member, residual, scale, tol)",
+    "MembershipResult": "(member, residual, scale)",
     "OneFormsSpace": "(dim)",
     "RankDecision": "(label, rank, smallest_kept, largest_dropped, threshold, near)",
     "SampleResult": "(found, base, fibre, attempts, best_residual)",
     "SpectralTable": "(e2, e3, representatives, coimages, decisions)",
-    "SpectralTable.total_dims": "(self, page)",
-    "TangentTable": "(coker, ker, level_ranks, twist_residual, decisions)",
+    "SpectralTable.total_dims": "(self)",
+    "TangentTable": "(coker, ker, twist_residual, decisions)",
     "ThetaCohomology": "(dim, coker_dim, ker_dim)",
     "basis_change": "(structure, tol=1e-09)",
     "basis_lift": "(form, index)",
