@@ -13,8 +13,9 @@ maps are built by base direction: _wedge_directions regroups the maps by the
 wedged direction k, and one GEMM per k pairs the target representatives
 with e_k ∧ (source representatives); one more GEMM against the hermitian
 block gives every (fibre, base) block of a level piece at once.  Between
-identity frames the piece is known entry by entry, and _whole_piece scatters
-it through _wedge_map instead.  The part of an image that the
+identity frames the piece is known entry by entry: at d = 1 its singular
+values have a closed form, and at d >= 2 _whole_piece scatters it through
+_wedge_map.  The part of an image that the
 representatives drop is read on the row space of the outgoing d2
 (SpectralTable.coimages), and the image norm comes from the m x m Gram of
 the e_k ∧ source, so no operator on a whole degree space and no image vector
@@ -33,7 +34,12 @@ that no d2 of rank > 0 leaves keeps the whole block as kernel, so its
 representatives are the rest of that SVD's u, and no overlap is decomposed
 for it.  Between two whole blocks (no d2 of rank > 0 enters or leaves either)
 every level piece is, up to a permutation, I ⊗ Q_i with Q_i the piece at
-fibre count 1, so Q_i is decomposed once per base degree i.
+fibre count 1, so Q_i is decomposed once per base degree i.  At fibre
+dimension d = 1 it is not decomposed at all: Q_i Q_iᴴ is the additive
+compound of conj(Hᴴ H) on Λ^{i+1} for H the m x m hermitian block (M. Fiedler,
+Additive compound matrices and an inequality for eigenvalues of symmetric
+stochastic matrices, Czech. Math. J. 1974), so the singular values of Q_i are
+√(Σ_{s∈x} σ_s(H)²) over the (i+1)-subsets x, and one SVD of H serves every i.
 
 Every table matrix (d2 block, image/kernel overlap, level-map piece) is
 decomposed in its tall orientation by _svd: a wide matrix goes to LAPACK as
@@ -494,19 +500,21 @@ def _wedge_gram(source, m, i):
     return gram + upper.conj().T
 
 
-def _level_piece(one_forms, source, target, coimage, m, i):
+def _level_piece(one_forms, source, target, coimage, m, i, norm_forms=None):
     """The level-map piece from block (i, j) to (i+1, j), by base direction.
 
     Returns its singular values (None when it is empty) and, per row (a, s)
-    of one_forms, the squared norm of the image W_{a,s} source on the
-    coimage of the outgoing differential, a quadratic form in one_forms of
-    an m x m Gram.  The coimage products are released before the piece is
-    built, so the peak memory is that of the piece and its SVD."""
+    of norm_forms (one_forms when not given, else one_forms times a power of
+    two that keeps the squares in range), the squared norm of the image
+    W_{a,s} source on the coimage of the outgoing differential, a quadratic
+    form in norm_forms of an m x m Gram.  The coimage products are released
+    before the piece is built, so the peak memory is that of the piece and
+    its SVD."""
     dropped_sq = np.zeros(one_forms.shape[0])
     if coimage.shape[1]:
         dropped = _wedge_products(coimage, source, m, i)
         gram = np.matmul(dropped.conj(), dropped.transpose(0, 2, 1)).sum(axis=0)
-        dropped_sq = _quadratic_norms(one_forms, gram)
+        dropped_sq = _quadratic_norms(one_forms if norm_forms is None else norm_forms, gram)
         del dropped
     height, width = target.shape[1], source.shape[1]
     blocks = np.matmul(one_forms, _wedge_products(target, source, m, i))  # (x, a·s, w)
@@ -527,6 +535,24 @@ def _whole_piece(one_forms, m, i):
     values = one_forms.reshape(d, m, m)[:, :, index] * sign  # (a, s, pos, x)
     piece[np.arange(height), :, :, src] = values.transpose(2, 3, 0, 1)
     return piece.reshape(height * d, m * width)
+
+
+def _closed_whole_pieces(one_forms, m):
+    """At d = 1, the singular values of every whole piece Q_i, i = 0..m-1,
+    descending, from one SVD of the m x m hermitian block.
+
+    Q_i Q_iᴴ is the additive compound of conj(Hᴴ H) on Λ^{i+1} (Fiedler,
+    Czech. Math. J. 1974), so Q_i has singular values √(Σ_{s∈x} σ_s(H)²)
+    over the (i+1)-subsets x, listed by the rows of _wedge_map(m, i)[0].
+    Only squares are summed, so nothing cancels.  They are taken relative
+    to the power of two just above σ_0, which is exact and keeps them in
+    range at any split scale."""
+    sing = _svd(one_forms, compute_uv=False)
+    exponent = np.frexp(sing[0])[1]
+    squares = np.ldexp(sing, -exponent) ** 2
+    return {i: np.ldexp(np.sqrt(np.sort(squares[_wedge_map(m, i)[0]].sum(axis=0))[::-1]),
+                        exponent)
+            for i in range(m)}
 
 
 def _quadratic_norms(one_forms, gram):
@@ -579,9 +605,18 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     Between two whole blocks (e3 == e2, identity representatives, empty
     coimage) the piece for (i, j) is, up to a permutation, the Kronecker
     product I_{C(d,j)} ⊗ Q_i, where Q_i is the piece between identity frames
-    at fibre count 1.  Q_i is scattered from the hermitian block
-    (_whole_piece) with no GEMM, decomposed once per base degree i, and its
-    singular values count C(d, j) times for each such (i, j).
+    at fibre count 1, and its singular values count C(d, j) times for each
+    such (i, j).  At d = 1 they are √(Σ_{s∈x} σ_s(H)²) over the
+    (i+1)-subsets x, with σ_s(H) the singular values of the m x m hermitian
+    block H, because Q_i Q_iᴴ is the additive compound of conj(Hᴴ H) on
+    Λ^{i+1} (M. Fiedler, Czech. Math. J. 1974): one SVD of H per table gives
+    every Q_i (_closed_whole_pieces).  At d >= 2 there is no such closed
+    form, and Q_i is scattered from the hermitian block (_whole_piece) with
+    no GEMM and decomposed once per base degree i.
+
+    The squared norms behind twist_residual are taken of the hermitian block
+    over the power of two at the split scale, which is exact and keeps them
+    in range at any scale; the pieces use the block as it is.
     """
     if table is None:
         table = leray_table(datum)
@@ -590,13 +625,19 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     tol, scale = datum.tol, split.scale
     total = m + d
     one_forms = split.hermitian.reshape(d * m, m)  # row (a, s), column k
+    # Squared norms are taken of the block over a power of two near the
+    # split scale: exact, and in range past a split scale of 1e154.  Below
+    # the normal range 2**1021 stands in for the reciprocal, which overflows.
+    unit = 2.0 ** -max(np.frexp(scale)[1], -1021)
+    norm_forms = one_forms * unit
 
     decisions: list = []
     h = table.total_dims() + [0]  # nothing above the top degree
     reps = table.representatives
 
     whole = table.e3 == table.e2
-    whole_pieces = {}  # i -> singular values of Q_i
+    # i -> singular values of Q_i, all in closed form at d = 1
+    whole_pieces = _closed_whole_pieces(one_forms, m) if d == 1 else {}
 
     twist = 0.0
     for p in range(total + 1):
@@ -614,15 +655,15 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
                 sing, dropped = np.tile(whole_pieces[i], fibre), 0.0
             else:
                 sing, dropped = _level_piece(one_forms, source, reps[(i + 1, j)],
-                                             table.coimages[(i + 1, j)], m, i)
+                                             table.coimages[(i + 1, j)], m, i, norm_forms)
             if sing is not None:
                 singular_values.append(sing)
             dropped_sq += dropped
             sources.append((source, i))
         if np.any(dropped_sq):  # the image norms matter only where a part was dropped
-            pushed_norm = np.sqrt(sum(_quadratic_norms(one_forms, _wedge_gram(source, m, i))
+            pushed_norm = np.sqrt(sum(_quadratic_norms(norm_forms, _wedge_gram(source, m, i))
                                       for source, i in sources))
-            moved = pushed_norm > tol * scale
+            moved = pushed_norm > tol * scale * unit
             if np.any(moved):
                 twist = max(twist, float(np.max(np.sqrt(dropped_sq[moved]) / pushed_norm[moved])))
         # Padded with the exact zeros of the rows and columns no piece covers.

@@ -90,7 +90,9 @@ class ExtensionForm:
         """Full bilinear value A(g1, g2) as an integer fibre vector."""
         g1 = _int_vector(g1, self.base_rank, "g1")
         g2 = _int_vector(g2, self.base_rank, "g2")
-        return _bilinear(self.coefficients, self._weight * _max_abs(g1) * _max_abs(g2), g1, g2)[0]
+        weight = self._weight
+        return _bilinear(self.coefficients, weight, weight * _max_abs(g1) * _max_abs(g2),
+                         g1, g2)[0]
 
 
 def validate_form(form: ExtensionForm) -> list[str]:
@@ -212,20 +214,27 @@ def extension_cocycle(form: ExtensionForm, g1_base, g2_base) -> np.ndarray:
     """
     g1 = _int_vector(g1_base, form.base_rank, "g1_base")
     g2 = _int_vector(g2_base, form.base_rank, "g2_base")
-    return _bilinear(form.upper, form._weight * _max_abs(g1) * _max_abs(g2), g1, g2)[0]
+    weight = form._weight
+    return _bilinear(form.upper, weight, weight * _max_abs(g1) * _max_abs(g2), g1, g2)[0]
 
 
-def _bilinear(tensor, size, x, y, *more) -> tuple:
+def _bilinear(tensor, weight, size, x, y, *more) -> tuple:
     """(sum_ij tensor[k, i, j] x_i y_j for every k, x, y, *more), exactly.
 
     The vectors stay as they are while size, the caller's bound on every
     value it computes from them, is below 2**63: int64 arithmetic wraps
     modulo 2**64, so an int64 result known to lie in range is exact whatever
     its partial sums did.  Past the bound they become object arrays of
-    Python ints, and so does the value."""
-    if size >= INT64_BOUND:
-        x, y, *more = (v.astype(object) for v in (x, y, *more))
-    return tensor @ y @ x, x, y, *more
+    Python ints, and so does the value.  There tensor @ y, at most
+    weight * max|y| in size for weight the form's _weight, is still taken in
+    int64 while that bound is below 2**63, and only that vector is cast:
+    casting the whole tensor to Python ints costs about four times as much."""
+    if size < INT64_BOUND:
+        return tensor @ y @ x, x, y, *more
+    narrow = y.dtype != object and weight * _max_abs(y) < INT64_BOUND
+    x, wide_y, *more = (v.astype(object) for v in (x, y, *more))
+    pushed = (tensor @ y).astype(object) if narrow else tensor @ wide_y
+    return pushed @ x, x, wide_y, *more
 
 
 def _check_lengths(form: ExtensionForm, *elements) -> None:
@@ -237,17 +246,17 @@ def _check_lengths(form: ExtensionForm, *elements) -> None:
 
 def group_multiply(form: ExtensionForm, g1: GroupElement, g2: GroupElement) -> GroupElement:
     _check_lengths(form, g1, g2)
-    s1, s2 = g1._largest, g2._largest
+    s1, s2, weight = g1._largest, g2._largest, form._weight
     c, base1, base2, fibre1, fibre2 = _bilinear(
-        form.upper, form._weight * s1 * s2 + s1 + s2, g1.base, g2.base, g1.fibre, g2.fibre)
+        form.upper, weight, weight * s1 * s2 + s1 + s2, g1.base, g2.base, g1.fibre, g2.fibre)
     return GroupElement(c + fibre1 + fibre2, base1 + base2)
 
 
 def group_inverse(form: ExtensionForm, g: GroupElement) -> GroupElement:
     # (l, g)^-1 = (-l + c(g, g), -g); c(g, -g) = -c(g, g) makes both sides check out.
     _check_lengths(form, g)
-    s = g._largest
-    c, base, _, fibre = _bilinear(form.upper, form._weight * s * s + s, g.base, g.base, g.fibre)
+    s, weight = g._largest, form._weight
+    c, base, _, fibre = _bilinear(form.upper, weight, weight * s * s + s, g.base, g.base, g.fibre)
     return GroupElement(c - fibre, -base)
 
 

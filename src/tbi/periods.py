@@ -60,7 +60,9 @@ def _frames_invertible(frames: np.ndarray, tol: float):
     # Transposed, the singular values are indexed by rank first: s[0] is
     # the largest of one frame (a scalar) or of each frame in a stack.
     s = np.linalg.svd(frames, compute_uv=False).T
-    return s[-1] > tol * s[0]
+    # A product past the float range is inf, which no singular value exceeds.
+    with np.errstate(over="ignore"):
+        return s[-1] > tol * s[0]
 
 
 def validate_structure(structure: ComplexStructure, tol: float = DEFAULT_TOL) -> bool:

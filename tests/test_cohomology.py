@@ -1,7 +1,11 @@
 import functools
+import importlib.util
 import itertools
 import json
 import math
+import pathlib
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +18,9 @@ from tbi import (BundleDatum, ComplexStructure, ExtensionForm, ToleranceAmbiguit
                  product_datum, random_structure, sample_point, structure_sheaf_dims,
                  tangent_table, theta_cohomology)
 
-from tbi.cohomology import (_d2_block, _dual_columns, _level_piece, _rank_from_singular_values,
-                            _svd, _wedge_gram, _wedge_map, _wedge_products, _whole_piece)
+from tbi.cohomology import (_closed_whole_pieces, _d2_block, _dual_columns, _level_piece,
+                            _rank_from_singular_values, _svd, _wedge_gram, _wedge_map,
+                            _wedge_products, _whole_piece)
 
 from support import (SMALL_MEMBERS, betti_one, d2_blocks, exact_rank, gaussian_member,
                      near_threshold_member, random_alternating_form, skew_d2_image, small_member,
@@ -163,10 +168,11 @@ def test_svd_matches_numpy(name):
 def test_table_svds_are_tall(monkeypatch):
     """Every SVD of the spectral and tangent tables sees a matrix with at
     least as many rows as columns, and each distinct table matrix is
-    decomposed by one call: 16 on these two members.  Pure-hermitian (6,1)
+    decomposed by one call: 11 on these two members.  Pure-hermitian (6,1)
     has 0 d2 SVDs (its 5 d2 blocks, out of (i,1), i = 0..4, are exactly
-    zero), no overlap (no d2 has rank) and, every block being whole, one
-    level piece per base degree i = 0..5, not one per block: 6.  Mixed (4,2)
+    zero), no overlap (no d2 has rank) and, every block being whole at
+    d = 1, one SVD of the 6 x 6 hermitian block, from which every level
+    piece's singular values follow in closed form: 1.  Mixed (4,2)
     has 6 d2 blocks (i = 0..2, j = 1, 2) in 3 Serre-dual pairs, (0,1)-(2,2),
     (0,2)-(2,1) and (1,1)-(1,2), each decomposed once: 3.  It has 1 overlap,
     at (2,1), the one block with both an incoming image and an outgoing rank
@@ -185,7 +191,7 @@ def test_table_svds_are_tall(monkeypatch):
     for datum in members:
         tangent_table(datum, leray_table(datum))
     assert [shape for shape in shapes if shape[0] < shape[1]] == []
-    assert len(shapes) == 16
+    assert len(shapes) == 11
 
 
 # ---------------------------------------------------------------------------
@@ -672,10 +678,11 @@ def test_whole_piece_is_the_fibre_count_one_piece_repeated(m, d):
             np.testing.assert_allclose(repeated, np.sort(dense), rtol=1e-12, atol=0)
 
 
-def test_whole_pieces_keep_fibre_degree_one_decisions_bit_identical():
+def test_whole_pieces_at_fibre_degree_one_match_the_dense_decisions():
     """At d = 1 each whole piece is Q_i itself, so the level-map decisions of
-    a pure-hermitian member equal, float for float, the decisions on the
-    singular values of one dense piece per block."""
+    a pure-hermitian member, whose singular values come in closed form, have
+    the rank and near count of the decisions on the singular values of one
+    dense piece per block, and their floats to 1e-12 relative."""
     m, d = 6, 1
     datum = gaussian_member(np.random.default_rng(61), "pure_hermitian", m, d)
     table = leray_table(datum)
@@ -689,14 +696,18 @@ def test_whole_pieces_keep_fibre_degree_one_decisions_bit_identical():
         sing = np.zeros(min(d * h[p + 1], m * h[p]))
         merged = np.sort(np.concatenate(pieces + [[]]))[::-1]
         sing[:merged.size] = merged
-        assert _rank_from_singular_values(sing, datum.tol, datum.split.scale,
-                                          decision.label) == decision
+        dense = _rank_from_singular_values(sing, datum.tol, datum.split.scale, decision.label)
+        assert (decision.label, decision.rank, decision.near) == \
+            (dense.label, dense.rank, dense.near)
+        for field in ("smallest_kept", "largest_dropped", "threshold"):
+            assert getattr(decision, field) == pytest.approx(getattr(dense, field),
+                                                             rel=1e-12, abs=0), field
 
 
-def test_whole_pieces_are_decomposed_once_per_base_degree(monkeypatch):
+def test_whole_pieces_at_fibre_degree_one_take_one_svd(monkeypatch):
     """Pure-hermitian (6,1): every block is whole, so tangent_table
-    decomposes one piece per base degree i = 0..5 (m pieces), not one per
-    block (2m)."""
+    decomposes only the 6 x 6 hermitian block, once, and reads every whole
+    piece's singular values off it: no SVD per base degree or per block."""
     datum = gaussian_member(np.random.default_rng(61), "pure_hermitian", 6, 1)
     table = leray_table(datum)
     shapes = []
@@ -708,7 +719,79 @@ def test_whole_pieces_are_decomposed_once_per_base_degree(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     tangent_table(datum, table)
-    assert len(shapes) == 6
+    assert shapes == [(6, 6)]
+
+
+def _grid_member(kind, m, d):
+    """bench/members.py slot grid.<kind>.<m>.<d> at seed 1, loaded without
+    writing its bytecode."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "members.py"
+    spec = importlib.util.spec_from_file_location("bench_members", path)
+    members = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(members)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return members.build_member(members.Slot(f"grid.{kind}.{m}.{d}", kind, m, d), 1).datum
+
+
+CLOSED_FORM_MEMBERS = {f"small.{kind}.{m}.{d}": functools.partial(small_member, kind, m, d)
+                       for kind, m, d in SMALL_MEMBERS if d == 1} | {
+    f"grid.{kind}.10.1": functools.partial(_grid_member, kind, 10, 1)
+    for kind in ("pure_hermitian", "mixed")}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_MEMBERS)
+def test_closed_form_whole_pieces_are_the_dense_singular_values(name):
+    """At d = 1 the singular values of every whole piece Q_i, read off the
+    hermitian block's in closed form, are those of the dense SVD of the
+    scattered piece, to 1e-12 relative to its largest."""
+    datum = CLOSED_FORM_MEMBERS[name]()
+    m = datum.split.base_half_rank
+    one_forms = datum.split.hermitian.reshape(m, m)
+    closed = _closed_whole_pieces(one_forms, m)
+    assert sorted(closed) == list(range(m))
+    for i in range(m):
+        dense = np.linalg.svd(_whole_piece(one_forms, m, i), compute_uv=False)
+        assert closed[i].shape == dense.shape
+        assert np.all(np.diff(closed[i]) <= 0)
+        assert np.max(np.abs(closed[i] - dense), initial=0.0) <= 1e-12 * dense[0], i
+
+
+def _scaled_v(datum, factor):
+    return BundleDatum(datum.form, ComplexStructure(datum.base.period * factor), datum.fibre)
+
+
+@pytest.mark.parametrize("factor", [1e150, 1e-150])
+def test_closed_form_whole_pieces_hold_at_extreme_split_scales(factor):
+    """With V scaled by 1e±150 the split scale is about 1e±300, where the
+    squares of the hermitian block's singular values leave the float range:
+    the closed form still gives the unscaled h_tangent and every (rank, near),
+    with no RuntimeWarning."""
+    datum = small_member("pure_hermitian", 4, 1)
+    expected = bundle_report(datum)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = bundle_report(_scaled_v(datum, factor))
+    assert report.h_tangent == expected.h_tangent
+    assert [(x.label, x.rank, x.near) for x in report.decisions] == \
+        [(x.label, x.rank, x.near) for x in expected.decisions]
+
+
+@pytest.mark.parametrize("factor", [1e150, 1e-150, 1e-156])
+def test_twist_residual_reads_at_extreme_split_scales(factor):
+    """twist_residual is a ratio of norms, so scaling V leaves it at
+    roundoff, above 0: its squared norms are taken relative to the split
+    scale, which here is about 6e300, 6e-300 and, subnormal, 6e-312."""
+    datum = small_member("mixed", 5, 2)
+    unscaled = bundle_report(datum).twist_residual
+    assert 0.0 < unscaled <= 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled = bundle_report(_scaled_v(datum, factor)).twist_residual
+    assert 0.0 < scaled <= 1e-12
 
 
 def _report_labels(m, d):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tbi.lattices as lattices
 from tbi import (ExtensionForm, FormInvalidError, GroupElement, basis_lift,
                  central_lift, commutator, extension_cocycle, group_inverse,
                  group_multiply, iwasawa_form, validate_form)
@@ -317,3 +318,31 @@ def test_group_law_is_exact_near_the_int64_bounds(data, form_index):
     product = _ref_multiply(form, _ref_multiply(form, a, b), _ref_inverse(form, a))
     assert _parts(commutator(form, g1, g2)) == _ref_multiply(form, product, _ref_inverse(form, b))
     assert form(a[1], b[1]).tolist() == _ref_value(form, a[1], b[1], upper=False)
+
+
+class _RecordingTensor(np.ndarray):
+    """An array that records the dtype of the right operand of each @."""
+
+    operands: list = []
+
+    def __matmul__(self, other):
+        self.operands.append(np.asarray(other).dtype)
+        return np.asarray(self) @ other
+
+
+@pytest.mark.parametrize("form,narrow", [(_FORMS[2], True), (_BIG_FORMS[3], False)])
+def test_bilinear_past_the_bound_pushes_a_small_y_in_int64(form, narrow):
+    """With x huge and y small the value is past the int64 bound.  Where
+    _weight·max|y| < 2**63, tensor @ y is taken in int64 and only that vector
+    becomes Python ints; against coefficients 2**63 - 1 the same y would wrap,
+    so it becomes Python ints first.  The value is exact either way."""
+    x = [2 ** 62 + 7 * k for k in range(form.base_rank)]
+    y = [2 - k % 5 for k in range(form.base_rank)]
+    assert (form._weight * max(map(abs, y)) < 2 ** 63) == narrow
+    tensor = form.coefficients.view(_RecordingTensor)
+    _RecordingTensor.operands = []
+    value, *_ = lattices._bilinear(tensor, form._weight, 2 ** 63, np.array(x, dtype=np.int64),
+                                   np.array(y, dtype=np.int64))
+    assert _RecordingTensor.operands == [np.dtype(np.int64) if narrow else np.dtype(object)]
+    assert value.tolist() == _ref_value(form, x, y, upper=False)
+    assert form(x, y).tolist() == _ref_value(form, x, y, upper=False)

@@ -21,6 +21,14 @@ def test_real_period_is_degenerate():
         basis_change(structure)
 
 
+def test_tolerance_times_a_huge_frame_is_no_overflow():
+    """tol times the largest singular value may pass the float range: the
+    frame is then degenerate at that tol, with no RuntimeWarning."""
+    structure = ComplexStructure(np.array([[1e299], [-1e299j]]))
+    assert validate_structure(structure, 0.5)
+    assert not validate_structure(structure, 1271161007.0)
+
+
 @pytest.mark.parametrize("shape", [(3, 1), (2, 2), (4, 1), (1, 1)])
 def test_bad_period_shapes(shape):
     with pytest.raises(StructureDegenerateError):
