@@ -17,11 +17,13 @@ OVERFLOW_SCALES documents, whose split overflows, under validate, decompose
 and invariants (json and table); and catalog product at base dimension 40.
 An exception that escapes tbi.cli.main is recorded as the run's exit code.
 
-A differing run is float-only when its exit codes agree and its stdout and
-stderr differ only in float values: the values under FLOAT_KEYS in JSON
-(integral ones such as "scale": 2 too) and the e-notation numbers in text.  It
-is printed with its largest relative change, any other differing run with its
-argv and both checkouts' (stdout, stderr, exit).  The script exits 1 on any
+A differing run is fields-only when its exit codes and stderr agree and its
+JSON stdout is equal once the keys present on only one side are dropped; it is
+printed with those keys.  It is float-only when its exit codes agree and its
+stdout and stderr differ only in float values: the values under FLOAT_KEYS in
+JSON (integral ones such as "scale": 2 too) and the e-notation numbers in text.
+It is printed with its largest relative change, any other differing run with
+its argv and both checkouts' (stdout, stderr, exit).  The script exits 1 on any
 difference and 0 when every run agrees.
 """
 
@@ -48,7 +50,7 @@ GRID = (("mixed", 4, 2, False), ("mixed", 7, 3, False), ("mixed", 8, 3, False),
         ("mixed", 10, 1, False), ("pure_hermitian", 10, 1, False), ("zero_hermitian", 9, 1, True),
         ("mixed", 12, 1, False), ("pure_hermitian", 12, 1, False))
 FLOAT_KEYS = {"tol", "residual", "riemann_residual", "best_residual", "scale", "holomorphic",
-              "hermitian", "antiholomorphic", "forbidden", "twist_residual", "smallest_kept",
+              "hermitian", "antiholomorphic", "forbidden", "smallest_kept",
               "largest_dropped", "threshold", "V", "U"}
 E_NUMBER = re.compile(r"-?\d+(?:\.\d+)?e[-+]\d+")
 
@@ -178,6 +180,34 @@ def cut_floats(result):
     return (cut_text(out), cut_text(err), code), values
 
 
+def one_sided_keys(result, result_after):
+    """(removed, added) key paths, as "section.key", when the two results are
+    equal once the JSON keys present on only one side are dropped, else None."""
+    (out, err, code), (out_after, err_after, code_after) = result, result_after
+    if (err, code) != (err_after, code_after):
+        return None
+    try:
+        old, new = json.loads(out), json.loads(out_after)
+    except ValueError:
+        return None
+    removed, added = [], []
+
+    def common(old, new, path):
+        if isinstance(old, dict) and isinstance(new, dict):
+            removed.extend(path + key for key in old if key not in new)
+            added.extend(path + key for key in new if key not in old)
+            pairs = {key: common(old[key], new[key], f"{path}{key}.") for key in old if key in new}
+            return ({key: a for key, (a, _) in pairs.items()},
+                    {key: b for key, (_, b) in pairs.items()})
+        if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+            pairs = [common(a, b, path) for a, b in zip(old, new)]
+            return [a for a, _ in pairs], [b for _, b in pairs]
+        return old, new
+
+    old, new = common(old, new, "")
+    return (list(dict.fromkeys(removed)), list(dict.fromkeys(added))) if old == new else None
+
+
 def compare(other):
     with tempfile.TemporaryDirectory() as workdir:
         argvs = write_corpus(workdir)
@@ -186,11 +216,17 @@ def compare(other):
             json.dump(argvs, handle)
         theirs, mine = run(other, argv_file), run(ROOT, argv_file)
         shown = [[os.path.basename(x) if x.startswith(workdir) else x for x in a] for a in argvs]
-    differ = float_only = 0
+    differ = float_only = fields_only = 0
     for argv, before, after in zip(shown, theirs, mine, strict=True):
         if before == after:
             continue
         differ += 1
+        keys = one_sided_keys(before, after)
+        if keys is not None:
+            fields_only += 1
+            removed, added = keys
+            print(f"fields only: {argv}: removed {removed}" + (f", added {added}" if added else ""))
+            continue
         (skeleton, values), (skeleton_after, values_after) = cut_floats(before), cut_floats(after)
         if skeleton != skeleton_after:
             print(f"differs: {argv}\n  other: {before}\n  this:  {after}")
@@ -200,7 +236,8 @@ def compare(other):
                       for a, b in zip(values, values_after) if a != b), default=0.0)
         print(f"float-only: {argv}: largest relative change {change:.3g}")
     if differ:
-        print(f"{differ} of {len(argvs)} runs differ, {float_only} of them float-only")
+        print(f"{differ} of {len(argvs)} runs differ, {fields_only} of them fields-only "
+              f"and {float_only} float-only")
         return 1
     print(f"{len(argvs)} runs: stdout, stderr and exit code equal")
     return 0

@@ -15,11 +15,9 @@ with e_k ∧ (source representatives); one more GEMM against the hermitian
 block gives every (fibre, base) block of a level piece at once.  Between
 identity frames the piece is known entry by entry: at d = 1 its singular
 values have a closed form, and at d >= 2 _whole_piece scatters it through
-_wedge_map.  The part of an image that the
-representatives drop is read on the row space of the outgoing d2
-(SpectralTable.coimages), and the image norm comes from the m x m Gram of
-the e_k ∧ source, so no operator on a whole degree space and no image vector
-is ever built.
+_wedge_map.  An exactly zero hermitian block makes every level piece exactly
+zero, and no piece is built.  No operator on a whole degree space is ever
+built.
 
 Every rank decision is one RankDecision record: the smallest singular value
 kept, the largest discarded, the threshold, and how many singular values lie
@@ -52,9 +50,9 @@ d-row flats of the one-form counts are left as they are: they cost
 microseconds.
 
 The spectral table keeps only what a later reader reads: the page grids,
-the representatives and coimages that the tangent table consumes, and the
-rank decisions.  The d2 blocks and their image bases are locals of
-leray_table and are freed when it returns.  bundle_report is the one entry
+the representatives that the tangent table consumes, and the rank
+decisions.  The d2 blocks, their image bases and their coimages are locals
+of leray_table and are freed when it returns.  bundle_report is the one entry
 point that computes every dimension from one build of each table, and it
 refuses a report that breaks a duality identity.  The palindrome of
 h_structure holds by construction of e3; the test suite checks the d2
@@ -234,16 +232,14 @@ class SpectralTable:
     e2/e3 are (m+1) x (d+1) integer grids indexed by (base degree, fibre
     degree).  representatives holds, per block, an orthonormal basis of the
     surviving subspace (the kernel of the outgoing d2 intersected with the
-    orthogonal complement of the incoming image), and coimages an
-    orthonormal basis of the row space of the outgoing d2 (no columns where
-    no d2 of rank > 0 leaves).  A whole block, one with e3 == e2, holds
-    exactly the identity.  The d2 blocks and the image bases are not kept.
+    orthogonal complement of the incoming image).  A whole block, one with
+    e3 == e2, holds exactly the identity.  The d2 blocks, the image bases and
+    the coimages (row spaces of the outgoing d2) are not kept.
     """
 
     e2: np.ndarray
     e3: np.ndarray
     representatives: dict
-    coimages: dict
     decisions: tuple
 
     def total_dims(self) -> list:
@@ -399,7 +395,6 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
         for j in range(d + 1):
             dim = int(e2[i, j])
             rank_in = d2_decisions[(i - 2, j + 1)].rank if (i - 2, j + 1) in d2_decisions else 0
-            coimages.setdefault((i, j), np.zeros((dim, 0), dtype=complex))
             reps = kernels.get((i, j))
             vh_overlap = None
             sing = np.zeros(0)
@@ -432,7 +427,7 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
             representatives[(i, j)] = reps
             e3[i, j] = reps.shape[1]
 
-    return SpectralTable(e2, e3, representatives, coimages, tuple(decisions))
+    return SpectralTable(e2, e3, representatives, tuple(decisions))
 
 
 def structure_sheaf_dims(datum: BundleDatum) -> list:
@@ -483,43 +478,13 @@ def _wedge_products(frame, source, m, i):
     return products
 
 
-def _wedge_gram(source, m, i):
-    """gram[k, l] = <e_k ∧ source, e_l ∧ source>, summed over the columns of
-    source (a block (i, j) matrix), accumulated one pair of wedge positions
-    at a time: positions p <= q of each (i+1)-subset R hold k < l (or k = l
-    when p = q) and take the rows R minus k and R minus l of source."""
-    index, src, sign = _wedge_map(m, i)
-    rows = source.reshape(math.comb(m, i), -1)
-    gram = np.zeros((m, m), dtype=complex)
-    for p in range(i + 1):
-        left = rows[src[p]].conj()
-        for q in range(p, i + 1):
-            values = np.einsum("rx,rx->r", left, rows[src[q]]) * (sign[p] * sign[q])
-            np.add.at(gram, (index[p], index[q]), values)
-    upper = np.triu(gram, 1)
-    return gram + upper.conj().T
-
-
-def _level_piece(one_forms, source, target, coimage, m, i, norm_forms=None):
-    """The level-map piece from block (i, j) to (i+1, j), by base direction.
-
-    Returns its singular values (None when it is empty) and, per row (a, s)
-    of norm_forms (one_forms when not given, else one_forms times a power of
-    two that keeps the squares in range), the squared norm of the image
-    W_{a,s} source on the coimage of the outgoing differential, a quadratic
-    form in norm_forms of an m x m Gram.  The coimage products are released
-    before the piece is built, so the peak memory is that of the piece and
-    its SVD."""
-    dropped_sq = np.zeros(one_forms.shape[0])
-    if coimage.shape[1]:
-        dropped = _wedge_products(coimage, source, m, i)
-        gram = np.matmul(dropped.conj(), dropped.transpose(0, 2, 1)).sum(axis=0)
-        dropped_sq = _quadratic_norms(one_forms if norm_forms is None else norm_forms, gram)
-        del dropped
+def _level_piece(one_forms, source, target, m, i):
+    """Singular values of the level-map piece from block (i, j) to (i+1, j),
+    built by base direction (None when it is empty)."""
     height, width = target.shape[1], source.shape[1]
     blocks = np.matmul(one_forms, _wedge_products(target, source, m, i))  # (x, a·s, w)
     piece = blocks.reshape(height * (one_forms.shape[0] // m), m * width)
-    return (_svd(piece, compute_uv=False) if piece.size else None), dropped_sq
+    return _svd(piece, compute_uv=False) if piece.size else None
 
 
 def _whole_piece(one_forms, m, i):
@@ -555,13 +520,6 @@ def _closed_whole_pieces(one_forms, m):
             for i in range(m)}
 
 
-def _quadratic_norms(one_forms, gram):
-    """Per row f of one_forms, f^H gram f for a positive semidefinite gram,
-    clamped at 0 against roundoff."""
-    values = np.einsum("ak,kl,al->a", one_forms.conj(), gram, one_forms).real
-    return np.maximum(values, 0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class TangentTable:
     """Tangent-sheaf dimensions, per degree the cokernel of the incoming
@@ -570,7 +528,6 @@ class TangentTable:
 
     coker: tuple
     ker: tuple
-    twist_residual: float
     decisions: tuple
 
     @property
@@ -593,30 +550,29 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     pairs the target representatives with e_k ∧ source (_wedge_products),
     and one GEMM against the (d·m) x m hermitian block then gives every
     (a, s) block at once, laid out (x, a) x (s, w) for target column x and
-    source column w, so the piece is used as computed.  The part of each
-    image outside the kernel of the outgoing differential, which the
-    representative projection drops, is read on that differential's row
-    space (SpectralTable.coimages) by the same per-direction gathers, and
-    reported relative to the image norm as twist_residual.  Both squared
-    norms are quadratic forms of the hermitian block in m x m Grams; the
-    image norm comes from the Gram of the e_k ∧ source (_wedge_gram), so no
-    image vector is formed.
+    source column w, so the piece is used as computed.  Each image is read on
+    the target representatives.  Since d2(h∧x) = −h∧d2(x), a level map
+    carries the kernel of d2 into the kernel, so in exact arithmetic no part
+    of an image is dropped.  Representatives that lie only in the numerical
+    kernel move their images out of it, relative to their size, by no more
+    than the largest largest_dropped / smallest_kept of the d2 decisions of
+    rank > 0, which the report prints; the test suite checks that bound.
 
-    Between two whole blocks (e3 == e2, identity representatives, empty
-    coimage) the piece for (i, j) is, up to a permutation, the Kronecker
-    product I_{C(d,j)} ⊗ Q_i, where Q_i is the piece between identity frames
-    at fibre count 1, and its singular values count C(d, j) times for each
-    such (i, j).  At d = 1 they are √(Σ_{s∈x} σ_s(H)²) over the
-    (i+1)-subsets x, with σ_s(H) the singular values of the m x m hermitian
-    block H, because Q_i Q_iᴴ is the additive compound of conj(Hᴴ H) on
-    Λ^{i+1} (M. Fiedler, Czech. Math. J. 1974): one SVD of H per table gives
-    every Q_i (_closed_whole_pieces).  At d >= 2 there is no such closed
-    form, and Q_i is scattered from the hermitian block (_whole_piece) with
-    no GEMM and decomposed once per base degree i.
+    Between two whole blocks (e3 == e2, identity representatives) the piece
+    for (i, j) is, up to a permutation, the Kronecker product I_{C(d,j)} ⊗
+    Q_i, where Q_i is the piece between identity frames at fibre count 1, and
+    its singular values count C(d, j) times for each such (i, j).  At d = 1
+    they are √(Σ_{s∈x} σ_s(H)²) over the (i+1)-subsets x, with σ_s(H) the
+    singular values of the m x m hermitian block H, because Q_i Q_iᴴ is the
+    additive compound of conj(Hᴴ H) on Λ^{i+1} (M. Fiedler, Czech. Math. J.
+    1974): one SVD of H per table gives every Q_i (_closed_whole_pieces).  At
+    d >= 2 there is no such closed form, and Q_i is scattered from the
+    hermitian block (_whole_piece) with no GEMM and decomposed once per base
+    degree i.
 
-    The squared norms behind twist_residual are taken of the hermitian block
-    over the power of two at the split scale, which is exact and keeps them
-    in range at any scale; the pieces use the block as it is.
+    An exactly zero hermitian block makes every piece exactly zero, so then
+    each level decision takes exact zero singular values, with no piece
+    built and no SVD, as LAPACK would return for the zero pieces.
     """
     if table is None:
         table = leray_table(datum)
@@ -625,11 +581,7 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     tol, scale = datum.tol, split.scale
     total = m + d
     one_forms = split.hermitian.reshape(d * m, m)  # row (a, s), column k
-    # Squared norms are taken of the block over a power of two near the
-    # split scale: exact, and in range past a split scale of 1e154.  Below
-    # the normal range 2**1021 stands in for the reciprocal, which overflows.
-    unit = 2.0 ** -max(np.frexp(scale)[1], -1021)
-    norm_forms = one_forms * unit
+    zero = not one_forms.any()
 
     decisions: list = []
     h = table.total_dims() + [0]  # nothing above the top degree
@@ -637,35 +589,22 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
 
     whole = table.e3 == table.e2
     # i -> singular values of Q_i, all in closed form at d = 1
-    whole_pieces = _closed_whole_pieces(one_forms, m) if d == 1 else {}
+    whole_pieces = _closed_whole_pieces(one_forms, m) if d == 1 and not zero else {}
 
-    twist = 0.0
     for p in range(total + 1):
         singular_values = []
-        dropped_sq = np.zeros(d * m)
-        sources = []
-        for i, j in _degree_blocks(m, d, p):
+        for i, j in () if zero else _degree_blocks(m, d, p):
             source = reps[(i, j)]
             if i == m or source.shape[1] == 0:
                 continue
             if whole[i, j] and whole[i + 1, j]:
-                fibre = math.comb(d, j)
                 if i not in whole_pieces:
                     whole_pieces[i] = _svd(_whole_piece(one_forms, m, i), compute_uv=False)
-                sing, dropped = np.tile(whole_pieces[i], fibre), 0.0
+                singular_values.append(np.tile(whole_pieces[i], math.comb(d, j)))
             else:
-                sing, dropped = _level_piece(one_forms, source, reps[(i + 1, j)],
-                                             table.coimages[(i + 1, j)], m, i, norm_forms)
-            if sing is not None:
-                singular_values.append(sing)
-            dropped_sq += dropped
-            sources.append((source, i))
-        if np.any(dropped_sq):  # the image norms matter only where a part was dropped
-            pushed_norm = np.sqrt(sum(_quadratic_norms(norm_forms, _wedge_gram(source, m, i))
-                                      for source, i in sources))
-            moved = pushed_norm > tol * scale * unit
-            if np.any(moved):
-                twist = max(twist, float(np.max(np.sqrt(dropped_sq[moved]) / pushed_norm[moved])))
+                sing = _level_piece(one_forms, source, reps[(i + 1, j)], m, i)
+                if sing is not None:
+                    singular_values.append(sing)
         # Padded with the exact zeros of the rows and columns no piece covers.
         sing = np.zeros(min(d * h[p + 1], m * h[p]))
         if singular_values:
@@ -676,7 +615,7 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     level_ranks = [decision.rank for decision in decisions]
     coker = tuple(d * h[p] - (level_ranks[p - 1] if p else 0) for p in range(total + 1))
     ker = tuple(m * h[p] - level_ranks[p] for p in range(total + 1))
-    return TangentTable(coker, ker, twist, tuple(decisions))
+    return TangentTable(coker, ker, tuple(decisions))
 
 
 @dataclass(frozen=True)
@@ -737,7 +676,6 @@ class CohomologyReport:
     h_tangent: tuple
     deformation_target: int
     classification: str | None
-    twist_residual: float
     decisions: tuple
 
 
@@ -789,6 +727,5 @@ def bundle_report(datum: BundleDatum) -> CohomologyReport:
         h_tangent=tangent.dims,
         deformation_target=m * m + m,
         classification=_classification(datum, parallelizable, h1),
-        twist_residual=tangent.twist_residual,
         decisions=tuple(decisions) + table.decisions + tangent.decisions,
     )

@@ -9,7 +9,8 @@ import numpy as np
 
 import tbi
 from tbi import BundleDatum, ComplexStructure, ExtensionForm, basis_change, standard_structure
-from tbi.cohomology import _d2_block, _rank_from_singular_values, _svd
+from tbi.cohomology import (_d2_block, _degree_blocks, _rank_from_singular_values, _svd,
+                            _wedge_products, leray_table)
 
 
 def subprocess_env():
@@ -22,8 +23,10 @@ def subprocess_env():
 
 
 def count_calls(monkeypatch, function) -> list:
-    """Route every tbi module's reference to function through a recorder and
-    return the list that gets one entry per call."""
+    """Route every tbi module's reference to function, and the one in the
+    module that defines it (numpy.linalg for np.linalg.svd, which tbi looks
+    up there on each call), through a recorder and return the list that
+    gets one entry per call."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -31,7 +34,7 @@ def count_calls(monkeypatch, function) -> list:
         return function(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if (name == "tbi" or name.startswith("tbi.")) \
+        if (name in ("tbi", function.__module__) or name.startswith("tbi.")) \
                 and getattr(module, function.__name__, None) is function:
             monkeypatch.setattr(module, function.__name__, counting)
     return calls
@@ -67,24 +70,60 @@ def full_split(datum) -> np.ndarray:
 
 
 def d2_blocks(datum):
-    """The d2 blocks of leray_table(datum) and the image bases it chose, as
+    """The d2 blocks of leray_table(datum) and the bases it chose, as
     leray_table builds them: d2 keyed by source block, and per block (i, j)
-    an orthonormal basis of the image of the d2 arriving there (no columns
-    where none arrives)."""
+    an orthonormal basis of the image of the d2 arriving there and one of the
+    coimage (row space) of the d2 leaving it (no columns where none arrives,
+    or none leaves)."""
     split = datum.split
     m, d = split.base_half_rank, split.fibre_half_rank
     conj_two_forms = np.conj(split.holomorphic)
     d2 = {}
-    images = {(i, j): np.zeros((math.comb(m, i) * math.comb(d, j), 0), dtype=complex)
-              for i in range(m + 1) for j in range(d + 1)}
+    empty = {(i, j): np.zeros((math.comb(m, i) * math.comb(d, j), 0), dtype=complex)
+             for i in range(m + 1) for j in range(d + 1)}
+    images, coimages = dict(empty), dict(empty)
     for i in range(m - 1):
         for j in range(1, d + 1):
             block = _d2_block(conj_two_forms, m, d, i, j)
-            u, sing, _ = _svd(block)
+            u, sing, vh = _svd(block)
             rank = _rank_from_singular_values(sing, datum.tol, split.scale, "").rank
             d2[(i, j)] = block
             images[(i + 2, j - 1)] = u[:, :rank]
-    return d2, images
+            coimages[(i, j)] = vh[:rank].conj().T
+    return d2, images, coimages
+
+
+def twist_residual(datum) -> float:
+    """Reference for the largest part of a level-map image that lies outside
+    the kernel of the outgoing d2, relative to the size of that image.
+
+    Per degree p and row (a, s) of the hermitian block, W_{a,s} wedges the
+    one-form of (a, s) into every representative of degree p; the part on
+    the coimages of the d2 out of the target blocks, over the whole image,
+    read where the image is above tol · scale.  Every image is formed
+    densely, on the identity frame of its target block.  Because
+    d2(h∧x) = −h∧d2(x) the part is zero in exact arithmetic."""
+    table = leray_table(datum)
+    coimages = d2_blocks(datum)[2]
+    split = datum.split
+    m, d = split.base_half_rank, split.fibre_half_rank
+    one_forms = split.hermitian.reshape(d * m, m)
+    twist = 0.0
+    for p in range(m + d + 1):
+        dropped_sq, image_sq = np.zeros(d * m), np.zeros(d * m)
+        for i, j in _degree_blocks(m, d, p):
+            source = table.representatives[(i, j)]
+            if i == m or source.shape[1] == 0:
+                continue
+            identity = np.eye(math.comb(m, i + 1) * math.comb(d, j), dtype=complex)
+            for frame, total in ((coimages[(i + 1, j)], dropped_sq), (identity, image_sq)):
+                parts = np.einsum("ak,xkw->axw", one_forms, _wedge_products(frame, source, m, i))
+                total += np.sum(np.abs(parts) ** 2, axis=(1, 2))
+        image = np.sqrt(image_sq)
+        moved = image > datum.tol * split.scale
+        if np.any(moved):
+            twist = max(twist, float(np.max(np.sqrt(dropped_sq[moved]) / image[moved])))
+    return twist
 
 
 def random_alternating_form(rng, m, d, span=3):

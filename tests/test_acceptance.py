@@ -133,7 +133,7 @@ def test_criterion_5_property_suite():
         assert np.array_equal(recovered, form(gamma2, gamma1))
 
         # (d) the spectral differential squares to zero
-        d2, _ = d2_blocks(datum)
+        d2 = d2_blocks(datum)[0]
         for (i, j), outgoing in d2.items():
             incoming = d2.get((i - 2, j + 1))
             if incoming is not None:

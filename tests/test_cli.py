@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tbi
-from tbi import ToleranceAmbiguityError, dumps, input_document, iwasawa_datum, sample_point
+from tbi import (ComplexStructure, ToleranceAmbiguityError, dumps, input_document,
+                 iwasawa_datum, sample_point)
 from tbi import cli
 from tbi.catalog import CATALOG_NAMES
 
@@ -460,18 +461,20 @@ NEAR_THRESHOLD_DOCS = {"iwasawa": _iwasawa_doc, "sampled-89": lambda: _sampled_m
 # The sampled-89 json row was recorded again when the whole level pieces at
 # d = 1 took their singular values in closed form: smallest_kept and threshold
 # of "level map at degree 0" and "level map at degree 2" moved in their last
-# digits, and the warnings stayed at 7.
+# digits, and the warnings stayed at 7.  The three json rows were recorded
+# again when the report dropped cohomology.twist_residual: that one line is
+# the only difference, and the table rows did not move.
 @pytest.mark.parametrize("name,tol,count,json_digest,table_digest", [
     pytest.param("iwasawa", 0.3, 4,
-                 "e3d392b81844bd82ee74e0896da0fc1eae34a7fbee01c8d43596a36b0becebb5",
+                 "34f5e895346d0898772e2bbce79837471d3eb0c6288cb6bfea8e24954c8bd239",
                  "7e445e68c386be763850248157875313f1376984622f7183dc9c1bacfa2b2df5",
                  id="iwasawa-0.3"),
     pytest.param("iwasawa", 0.1, 4,
-                 "64a52e3b318f56d2964de2199d7767ddf0dfb8a353f20e2df98b2de0db3f3edc",
+                 "1ea7a89f940784658420b868a5766332ce9b082c81b8baba850533894c42964b",
                  "ff6dda264e3e8fe54b087c6d60fe72ae933aee1c0e7498309479f9148b6ffd00",
                  id="iwasawa-0.1"),
     pytest.param("sampled-89", 0.1, 7,
-                 "86bdfbe6b46e534503137f03225e5a179b8a708d933d16b3072a8fa47b1d60d3",
+                 "08c8e9a3f949d53504213e84e006232672316af7743beae4dcd7d40eeb214327",
                  "cc557901c45920cbad622cc710e4606b4e47f6b429434dfd93ece31c4447f4ef",
                  id="sampled-89-0.1"),
 ])
@@ -1072,17 +1075,64 @@ def _exit_code(argv):
             return exc.code
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(data=st.data(), text=_small_documents())
-def test_every_argv_ends_on_a_documented_exit_code(data, text):
-    with tempfile.TemporaryDirectory() as directory:
-        path = pathlib.Path(directory, "doc.json")
-        path.write_text(text)
-        argv = data.draw(_argvs(str(path)))
-        code = _exit_code(argv)
+def _assert_documented_exit(argv):
+    """argv ends on a documented exit code, 1 for a negative sample flag or
+    a catalog dimension below 1, with no exception and no RuntimeWarning."""
+    code = _exit_code(argv)
     assert code in range(6)
     if argv[0] == "sample" and min(_flag(argv, flag) for flag in
                                    ("--seed", "--count", "--max-attempts")) < 0:
         assert code == 1
     if argv[0] == "catalog" and min(_flag(argv, "--base-dim"), _flag(argv, "--fibre-dim")) < 1:
         assert code == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), text=_small_documents())
+def test_every_argv_ends_on_a_documented_exit_code(data, text):
+    with tempfile.TemporaryDirectory() as directory:
+        path = pathlib.Path(directory, "doc.json")
+        path.write_text(text)
+        _assert_documented_exit(data.draw(_argvs(str(path))))
+
+
+def _iwasawa_doc_with_a(value, beside=0):
+    doc = json.loads(dumps(_iwasawa_doc()))
+    doc["A"][0][0][0] = beside
+    doc["A"][0][0][1], doc["A"][0][1][0] = value, -value
+    return doc
+
+
+def _scaled_doc(datum, base, fibre):
+    return input_document(datum.form, ComplexStructure(datum.base.period * base),
+                          ComplexStructure(datum.fibre.period * fibre))
+
+
+# The inputs that found defects, as fixed documents and argv lists: the
+# property above draws from a pool that Hypothesis also fills with the
+# literals of the imported source, so which inputs it tries moves with every
+# edit to src.
+DEFECT_DOCUMENTS = {
+    "A-2**63": lambda: _iwasawa_doc_with_a(2 ** 63),
+    "A-2.0**63": lambda: _iwasawa_doc_with_a(2.0 ** 63),
+    "A-2**63-1": lambda: _iwasawa_doc_with_a(2 ** 63 - 1),
+    "A-2**63-1-beside-0.0": lambda: _iwasawa_doc_with_a(2 ** 63 - 1, beside=0.0),
+    "overflow-iwasawa": lambda: _scaled_doc(iwasawa_datum(), 1e308, 1.0),
+    "overflow-small.mixed.2.1": lambda: _scaled_doc(small_member("mixed", 2, 1), 1e100, 1e-150),
+    "frame-1e299": lambda: input_document(tbi.product_form(1, 1),
+                                          ComplexStructure(np.array([[1e299], [-1e299j]])),
+                                          tbi.standard_structure(1)),
+}
+DEFECT_ARGVS = [(name, argv) for name in DEFECT_DOCUMENTS if name.startswith("A-")
+                for argv in (["invariants"], ["validate"], ["group", "--", "e1", "e3"])] + [
+    (name, [command]) for name in DEFECT_DOCUMENTS if name.startswith("overflow-")
+    for command in ("validate", "decompose", "invariants")] + [
+    ("frame-1e299", [command, "--tol", tol]) for command in ("validate", "invariants")
+    for tol in ("1e-12", "1271161007.0")]
+
+
+@pytest.mark.parametrize("name,argv", DEFECT_ARGVS,
+                         ids=[" ".join([name] + argv) for name, argv in DEFECT_ARGVS])
+def test_defect_inputs_end_on_a_documented_exit_code(tmp_path, name, argv):
+    path = _write(tmp_path, "doc.json", DEFECT_DOCUMENTS[name]())
+    _assert_documented_exit(argv[:1] + [path] + argv[1:])

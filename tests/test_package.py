@@ -51,7 +51,7 @@ SIGNATURES = {
     "BundleDatum.translation_value": "(self, gamma)",
     "CohomologyReport": "(e2, e3, h_structure, h0_one_forms, closed_one_forms, h1_structure, "
                         "parallelizable, h_tangent, deformation_target, classification, "
-                        "twist_residual, decisions)",
+                        "decisions)",
     "ComplexStructure": "(period)",
     "DecomposedForm": "(holomorphic, hermitian, antiholomorphic, tol, scale)",
     "ExtensionForm": "(coefficients)",
@@ -62,9 +62,9 @@ SIGNATURES = {
     "OneFormsSpace": "(dim)",
     "RankDecision": "(label, rank, smallest_kept, largest_dropped, threshold, near)",
     "SampleResult": "(found, base, fibre, attempts, best_residual)",
-    "SpectralTable": "(e2, e3, representatives, coimages, decisions)",
+    "SpectralTable": "(e2, e3, representatives, decisions)",
     "SpectralTable.total_dims": "(self)",
-    "TangentTable": "(coker, ker, twist_residual, decisions)",
+    "TangentTable": "(coker, ker, decisions)",
     "ThetaCohomology": "(dim, coker_dim, ker_dim)",
     "basis_change": "(structure, tol=1e-09)",
     "basis_lift": "(form, index)",
