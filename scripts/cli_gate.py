@@ -14,7 +14,9 @@ CHERN_VECTORS and two sample runs; invariants near the rank cuts, on
 support.near_threshold_member at its own tol and, at every --tol of NEAR_TOLS,
 on SMALL_MEMBERS and the points sample_point finds for four forms; the
 OVERFLOW_SCALES documents, whose split overflows, under validate, decompose
-and invariants (json and table); and catalog product at base dimension 40.
+and invariants (json and table); a seeded random document at (m, d) = LARGE,
+a size at which a term-by-term split takes about a second, under validate and
+decompose; and catalog product at base dimension 40.
 An exception that escapes tbi.cli.main is recorded as the run's exit code.
 
 A differing run is fields-only when its exit codes and stderr agree and its
@@ -46,6 +48,7 @@ ELEMENTS = ("e1", "f2", "1,0/0,0,1,0", "-1,2/3,-4,5,-6", "9223372036854775807,0/
 CHERN_VECTORS = ("2,-4", "0,0", "99999999999999999999,0", "1.5,2", "1,2,3")
 NEAR_TOLS = ("1e-3", "0.05", "0.1", "0.2", "0.45")  # at 0.1, ten times a cut is the top
 OVERFLOW_SCALES = (("iwasawa", 1e308, 1.0), ("small.mixed.2.1", 1e100, 1e-150))  # of V, of U
+LARGE = (30, 2)
 GRID = (("mixed", 4, 2, False), ("mixed", 7, 3, False), ("mixed", 8, 3, False),
         ("mixed", 10, 1, False), ("pure_hermitian", 10, 1, False), ("zero_hermitian", 9, 1, True),
         ("mixed", 12, 1, False), ("pure_hermitian", 12, 1, False))
@@ -120,6 +123,11 @@ def write_corpus(workdir) -> list:
             tbi.ComplexStructure(datum.fibre.period * scale_fibre))))
         argvs += [["validate", path], ["decompose", path], ["invariants", path],
                   ["invariants", path, "--format", "table"]]
+    rng = np.random.default_rng(LARGE)
+    path = write("random.large", tbi.dumps(tbi.input_document(
+        support.random_alternating_form(rng, *LARGE), tbi.random_structure(LARGE[0], rng),
+        tbi.random_structure(LARGE[1], rng))))
+    argvs += [["validate", path], ["decompose", path]]
     argvs.append(["catalog", "product", "--base-dim", "40"])
 
     path = write("iwasawa.group", json.dumps(iwasawa))

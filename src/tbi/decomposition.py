@@ -63,21 +63,38 @@ class MembershipResult:
         return self.member
 
 
+def _contract(left: np.ndarray, tensor: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum over k, i, j of left[a, k] tensor[k, i, j] right[i, r] right[j, s],
+    as two matrix products: left into the value index first, then right into
+    each slot, the order in which a term-by-term sum multiplies, so products
+    overflow and underflow as in that sum (only the order of the additions
+    differs, which shows at the ends of the float range).  The caller decides
+    what a non-finite entry means, so no RuntimeWarning escapes; adding 0.0
+    makes an exact zero +0.0, as that sum gives it."""
+    k, n = tensor.shape[0], tensor.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return right.T @ (left @ tensor.reshape(k, n * n)).reshape(-1, n, n) @ right + 0.0
+
+
 def decompose(form: ExtensionForm, base: ComplexStructure, fibre: ComplexStructure,
               tol: float = DEFAULT_TOL) -> DecomposedForm:
     """The U-valued blocks of the form split along the structure pair: the
     output index runs over the U-coordinates alone, each input index over the
     V-slots [:m] and the conjugate slots [m:].  The Ubar-valued half is their
-    conjugate (reconstruct derives it), so it is not contracted.  A split that
-    overflows to a non-finite entry raises StructureDegenerateError."""
+    conjugate (reconstruct derives it), so it is not contracted.
+
+    _contract takes the U rows of basis_change(fibre) into the value index,
+    then base.frame into each slot, in O(d m^2 (d + m)) operations where a
+    term-by-term sum takes O(d^2 m^4).  A split that overflows to a
+    non-finite entry raises StructureDegenerateError."""
     if base.full_rank != form.base_rank or fibre.full_rank != form.fibre_rank:
         raise ValueError(
             f"rank mismatch: form is {form.fibre_rank}x{form.base_rank}^2, "
             f"structures are {fibre.full_rank} and {base.full_rank}"
         )
     m = base.half_rank
-    half = np.einsum("ak,kij,ir,js->ars", basis_change(fibre, tol)[:fibre.half_rank],
-                     form.coefficients.astype(complex), base.frame, base.frame)
+    half = _contract(basis_change(fibre, tol)[:fibre.half_rank],
+                     form.coefficients.astype(complex), base.frame)
     if not np.all(np.isfinite(half)):
         raise StructureDegenerateError("the split of the form along 'V' and 'U' is not finite: "
                                        "a period matrix is too large or too small in scale")
@@ -93,7 +110,9 @@ def decompose(form: ExtensionForm, base: ComplexStructure, fibre: ComplexStructu
 def reconstruct(split: DecomposedForm, base: ComplexStructure,
                 fibre: ComplexStructure) -> np.ndarray:
     """Invert decompose, returning a complex tensor that should equal the
-    original integer coefficients up to roundoff."""
+    original integer coefficients up to roundoff: the whole split, rebuilt
+    from the U-valued blocks, goes through _contract with fibre.frame and
+    basis_change(base), O(d m^2 (d + m))."""
     m = split.base_half_rank
     d = split.fibre_half_rank
     full = np.zeros((2 * d, 2 * m, 2 * m), dtype=complex)
@@ -106,8 +125,7 @@ def reconstruct(split: DecomposedForm, base: ComplexStructure,
     # the U-valued half with V and Vbar slots exchanged.
     swap = np.r_[m:2 * m, 0:m]
     full[d:] = np.conj(full[:d][:, swap][:, :, swap])
-    c_base = basis_change(base, split.tol)
-    return np.einsum("ka,ars,ri,sj->kij", fibre.frame, full, c_base, c_base)
+    return _contract(fibre.frame, full, basis_change(base, split.tol))
 
 
 def riemann_check(form: ExtensionForm, base: ComplexStructure, fibre: ComplexStructure,

@@ -11,6 +11,7 @@ import tbi
 from tbi import BundleDatum, ComplexStructure, ExtensionForm, basis_change, standard_structure
 from tbi.cohomology import (_d2_block, _degree_blocks, _rank_from_singular_values, _svd,
                             _wedge_products, leray_table)
+from tbi.decomposition import _contract
 
 
 def subprocess_env():
@@ -61,12 +62,20 @@ def skew_d2_image(monkeypatch):
 
 def full_split(datum) -> np.ndarray:
     """The whole split tensor of shape (2d, 2m, 2m), the reference for
-    decompose, which contracts only its U-valued half.  Output index blocks:
-    [:d] U-coordinates, [d:] conjugate coordinates.  Each input index: [:m]
-    V-slots, [m:] conjugate slots."""
+    decompose, which contracts only its U-valued half, in the same order.
+    Output index blocks: [:d] U-coordinates, [d:] conjugate coordinates.  Each
+    input index: [:m] V-slots, [m:] conjugate slots."""
+    return _contract(basis_change(datum.fibre, datum.tol),
+                     datum.form.coefficients.astype(complex), datum.base.frame)
+
+
+def naive_split(datum) -> np.ndarray:
+    """The U-valued half of the split as one term-by-term 4-operand einsum,
+    O(d^2 m^4): the oracle for decompose's pairwise contraction."""
     frame_base = datum.base.frame
-    return np.einsum("ak,kij,ir,js->ars", basis_change(datum.fibre, datum.tol),
-                     datum.form.coefficients.astype(complex), frame_base, frame_base)
+    u_rows = basis_change(datum.fibre, datum.tol)[:datum.fibre.half_rank]
+    return np.einsum("ak,kij,ir,js->ars", u_rows, datum.form.coefficients.astype(complex),
+                     frame_base, frame_base)
 
 
 def d2_blocks(datum):

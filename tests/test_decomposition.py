@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from tbi import (BundleDatum, ComplexStructure, ExtensionForm, FormInvalidError,
 
 from tbi.periods import split_coordinates
 
-from support import (SMALL_MEMBERS, full_split, near_threshold_member, random_alternating_form,
-                     small_member, transported_case1)
+from support import (SMALL_MEMBERS, full_split, naive_split, near_threshold_member,
+                     random_alternating_form, small_member, transported_case1)
 
 
 def _random_datum(seed, m, d):
@@ -76,6 +78,76 @@ def test_decompose_is_the_u_valued_half_of_the_full_split(name):
     swap = np.r_[m:2 * m, 0:m]
     np.testing.assert_allclose(full[d:], np.conj(full[:d][:, swap][:, :, swap]),
                                rtol=0, atol=1e-13 * split.scale)
+
+
+@pytest.mark.parametrize("name", SPLIT_CORPUS)
+def test_decompose_agrees_with_the_term_by_term_einsum(name):
+    """The pairwise contraction against the 4-operand einsum: equal to
+    1e-14 * scale everywhere, and bit for bit, the sign of each zero too, on
+    the Gaussian-integer members, whose products are all exact."""
+    make, *args = SPLIT_CORPUS[name]
+    datum = make(*args)
+    split, naive = datum.split, naive_split(datum)
+    m = split.base_half_rank
+    blocks = (split.holomorphic, split.hermitian, split.antiholomorphic)
+    for block, reference in zip(blocks, (naive[:, :m, :m], naive[:, :m, m:], naive[:, m:, m:])):
+        if name.startswith(("small.", "iwasawa", "near-threshold")):
+            assert block.tobytes() == reference.tobytes()
+        np.testing.assert_allclose(block, reference, rtol=0, atol=1e-14 * split.scale)
+
+
+def _scaled(datum, k, l):
+    return BundleDatum(datum.form, ComplexStructure(datum.base.period * 10.0 ** k),
+                       ComplexStructure(datum.fibre.period * 10.0 ** l), tol=datum.tol)
+
+
+OVERFLOW_DATA = {"iwasawa": iwasawa_datum,
+                 "small.mixed.2.1": lambda: small_member("mixed", 2, 1),
+                 "small.mixed.3.2": lambda: small_member("mixed", 3, 2)}
+OVERFLOW_EXPONENTS = (-300, -200, -154, -100, 0, 100, 150, 154, 200, 300, 308)
+# At the ends of the float range the verdict follows the order of the sums:
+# the einsum overflows on a split just under the float maximum that the
+# matrix products keep finite, and on a subnormal split the two round
+# differently, and so decide membership differently.
+_ORDER_DECIDES = pytest.mark.xfail(strict=True, reason="the verdict follows the order of the sums")
+OVERFLOW_CASES = [pytest.param(OVERFLOW_DATA[name], k, l, id=f"{name}-{k}-{l}")
+                  for name in OVERFLOW_DATA for k in OVERFLOW_EXPONENTS
+                  for l in OVERFLOW_EXPONENTS] + [
+    pytest.param(lambda: _random_datum(24, 1, 1), 154, 0, id="random.24-154-0",
+                 marks=_ORDER_DECIDES),
+    pytest.param(lambda: _random_datum(5, 2, 2), -162, 1, id="random.5--162-1",
+                 marks=_ORDER_DECIDES)]
+
+
+def _einsum_verdict(datum):
+    """None when naive_split refuses or has a non-finite entry, else the
+    membership verdict it gives."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            half = naive_split(datum)
+        except StructureDegenerateError:
+            return None
+        if not np.all(np.isfinite(half)):
+            return None
+        m = datum.base.half_rank
+        return bool(np.max(np.abs(half[:, m:, m:])) <= datum.tol * np.max(np.abs(half)))
+
+
+@pytest.mark.parametrize("make,k,l", OVERFLOW_CASES)
+def test_decompose_refuses_exactly_where_the_einsum_overflows(make, k, l):
+    """V scaled by 10^k and U by 10^l: decompose raises
+    StructureDegenerateError exactly when the term-by-term einsum has a
+    non-finite entry or basis_change refuses U, otherwise gives the einsum's
+    membership verdict, and no RuntimeWarning escapes."""
+    datum = _scaled(make(), k, l)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            verdict = datum.membership.member
+        except StructureDegenerateError:
+            verdict = None
+    assert verdict == _einsum_verdict(datum)
 
 
 @pytest.mark.parametrize("seed,m,d", [(5, 2, 1), (6, 3, 2)])

@@ -183,6 +183,9 @@ def test_sample_failure_reports_attempts():
 # ("-" when nothing was found).  The coarse tolerances make the rank test and
 # the membership check pass on some attempts and not others, so successes
 # land inside later batches and failures carry a best residual.
+# best_residual was recorded again when decompose took the split as two
+# matrix products in place of a term-by-term einsum: it moved in its last
+# digits on 111 rows, and found, attempts and the period digests did not move.
 
 
 def _random_form(seed, m, d):
@@ -203,24 +206,24 @@ SAMPLER_FORMS = {
 }
 
 FROZEN_SAMPLES = """
-iwasawa 1e-09 0 1 1 1 5.773159728050814e-15 dc9f710595b68736
-iwasawa 1e-09 0 5 1 1 5.773159728050814e-15 dc9f710595b68736
-iwasawa 1e-09 0 100 1 1 5.773159728050814e-15 dc9f710595b68736
-iwasawa 1e-09 1 1 1 1 3.6427540840452094e-16 e0e94132828cc2a2
-iwasawa 1e-09 1 5 1 1 3.6427540840452094e-16 e0e94132828cc2a2
-iwasawa 1e-09 1 100 1 1 3.6427540840452094e-16 e0e94132828cc2a2
-iwasawa 1e-09 2 1 1 1 2.220446049250313e-16 fa3f700019480516
-iwasawa 1e-09 2 5 1 1 2.220446049250313e-16 fa3f700019480516
-iwasawa 1e-09 2 100 1 1 2.220446049250313e-16 fa3f700019480516
-iwasawa 1e-09 3 1 1 1 3.1646225226420963e-16 0bd5f33cb17b68a7
-iwasawa 1e-09 3 5 1 1 3.1646225226420963e-16 0bd5f33cb17b68a7
-iwasawa 1e-09 3 100 1 1 3.1646225226420963e-16 0bd5f33cb17b68a7
-iwasawa 1e-09 4 1 1 1 2.2887833992611187e-16 069950bfa828cbdd
-iwasawa 1e-09 4 5 1 1 2.2887833992611187e-16 069950bfa828cbdd
-iwasawa 1e-09 4 100 1 1 2.2887833992611187e-16 069950bfa828cbdd
-iwasawa 1e-09 5 1 1 1 3.9160205798978334e-16 a9b4569355fa7b77
-iwasawa 1e-09 5 5 1 1 3.9160205798978334e-16 a9b4569355fa7b77
-iwasawa 1e-09 5 100 1 1 3.9160205798978334e-16 a9b4569355fa7b77
+iwasawa 1e-09 0 1 1 1 2.808666774861361e-15 dc9f710595b68736
+iwasawa 1e-09 0 5 1 1 2.808666774861361e-15 dc9f710595b68736
+iwasawa 1e-09 0 100 1 1 2.808666774861361e-15 dc9f710595b68736
+iwasawa 1e-09 1 1 1 1 3.3682237275240584e-16 e0e94132828cc2a2
+iwasawa 1e-09 1 5 1 1 3.3682237275240584e-16 e0e94132828cc2a2
+iwasawa 1e-09 1 100 1 1 3.3682237275240584e-16 e0e94132828cc2a2
+iwasawa 1e-09 2 1 1 1 3.925231146709438e-16 fa3f700019480516
+iwasawa 1e-09 2 5 1 1 3.925231146709438e-16 fa3f700019480516
+iwasawa 1e-09 2 100 1 1 3.925231146709438e-16 fa3f700019480516
+iwasawa 1e-09 3 1 1 1 4.847302891456678e-16 0bd5f33cb17b68a7
+iwasawa 1e-09 3 5 1 1 4.847302891456678e-16 0bd5f33cb17b68a7
+iwasawa 1e-09 3 100 1 1 4.847302891456678e-16 0bd5f33cb17b68a7
+iwasawa 1e-09 4 1 1 1 1.2412670766236366e-16 069950bfa828cbdd
+iwasawa 1e-09 4 5 1 1 1.2412670766236366e-16 069950bfa828cbdd
+iwasawa 1e-09 4 100 1 1 1.2412670766236366e-16 069950bfa828cbdd
+iwasawa 1e-09 5 1 1 1 3.3422138886441676e-16 a9b4569355fa7b77
+iwasawa 1e-09 5 5 1 1 3.3422138886441676e-16 a9b4569355fa7b77
+iwasawa 1e-09 5 100 1 1 3.3422138886441676e-16 a9b4569355fa7b77
 product-3-1 1e-09 0 1 1 1 0.0 09ad667cb57eaab6
 product-3-1 1e-09 0 5 1 1 0.0 09ad667cb57eaab6
 product-3-1 1e-09 0 100 1 1 0.0 09ad667cb57eaab6
@@ -239,42 +242,42 @@ product-3-1 1e-09 4 100 1 1 0.0 d32c4b80ec42fe97
 product-3-1 1e-09 5 1 1 1 0.0 9360d88e2c88e851
 product-3-1 1e-09 5 5 1 1 0.0 9360d88e2c88e851
 product-3-1 1e-09 5 100 1 1 0.0 9360d88e2c88e851
-random-2-1-a 1e-09 0 1 1 1 1.4093301783636638e-15 c9c5f55dea7f5eae
-random-2-1-a 1e-09 0 5 1 1 1.4093301783636638e-15 c9c5f55dea7f5eae
-random-2-1-a 1e-09 0 100 1 1 1.4093301783636638e-15 c9c5f55dea7f5eae
-random-2-1-a 1e-09 1 1 1 1 3.241851231905457e-14 1181e2aa0f29748e
-random-2-1-a 1e-09 1 5 1 1 3.241851231905457e-14 1181e2aa0f29748e
-random-2-1-a 1e-09 1 100 1 1 3.241851231905457e-14 1181e2aa0f29748e
-random-2-1-a 1e-09 2 1 1 1 4.4914524932102225e-14 86b91fdfd89bd455
-random-2-1-a 1e-09 2 5 1 1 4.4914524932102225e-14 86b91fdfd89bd455
-random-2-1-a 1e-09 2 100 1 1 4.4914524932102225e-14 86b91fdfd89bd455
-random-2-1-a 1e-09 3 1 1 1 4.67096845156931e-16 d57a7b6ef5449ce9
-random-2-1-a 1e-09 3 5 1 1 4.67096845156931e-16 d57a7b6ef5449ce9
-random-2-1-a 1e-09 3 100 1 1 4.67096845156931e-16 d57a7b6ef5449ce9
-random-2-1-a 1e-09 4 1 1 1 2.254555974640276e-15 75ee7428a04315c5
-random-2-1-a 1e-09 4 5 1 1 2.254555974640276e-15 75ee7428a04315c5
-random-2-1-a 1e-09 4 100 1 1 2.254555974640276e-15 75ee7428a04315c5
-random-2-1-a 1e-09 5 1 1 1 5.757191532588118e-16 d5bc410a22b8c484
-random-2-1-a 1e-09 5 5 1 1 5.757191532588118e-16 d5bc410a22b8c484
-random-2-1-a 1e-09 5 100 1 1 5.757191532588118e-16 d5bc410a22b8c484
-random-2-1-b 1e-09 0 1 1 1 1.2412670766236366e-15 8c617bce2659209c
-random-2-1-b 1e-09 0 5 1 1 1.2412670766236366e-15 8c617bce2659209c
-random-2-1-b 1e-09 0 100 1 1 1.2412670766236366e-15 8c617bce2659209c
-random-2-1-b 1e-09 1 1 1 1 1.2262814116578437e-15 a267e69f79b93e3c
-random-2-1-b 1e-09 1 5 1 1 1.2262814116578437e-15 a267e69f79b93e3c
-random-2-1-b 1e-09 1 100 1 1 1.2262814116578437e-15 a267e69f79b93e3c
-random-2-1-b 1e-09 2 1 1 1 8.215650382226158e-15 55767e561bb3331a
-random-2-1-b 1e-09 2 5 1 1 8.215650382226158e-15 55767e561bb3331a
-random-2-1-b 1e-09 2 100 1 1 8.215650382226158e-15 55767e561bb3331a
-random-2-1-b 1e-09 3 1 1 1 6.955527313080394e-16 983402958c87c637
-random-2-1-b 1e-09 3 5 1 1 6.955527313080394e-16 983402958c87c637
-random-2-1-b 1e-09 3 100 1 1 6.955527313080394e-16 983402958c87c637
-random-2-1-b 1e-09 4 1 1 1 3.798687945636146e-16 d1f4473b9e994ada
-random-2-1-b 1e-09 4 5 1 1 3.798687945636146e-16 d1f4473b9e994ada
-random-2-1-b 1e-09 4 100 1 1 3.798687945636146e-16 d1f4473b9e994ada
-random-2-1-b 1e-09 5 1 1 1 1.1514383065176236e-15 8b4ea01e19ddfe2b
-random-2-1-b 1e-09 5 5 1 1 1.1514383065176236e-15 8b4ea01e19ddfe2b
-random-2-1-b 1e-09 5 100 1 1 1.1514383065176236e-15 8b4ea01e19ddfe2b
+random-2-1-a 1e-09 0 1 1 1 1.5543122344752192e-15 c9c5f55dea7f5eae
+random-2-1-a 1e-09 0 5 1 1 1.5543122344752192e-15 c9c5f55dea7f5eae
+random-2-1-a 1e-09 0 100 1 1 1.5543122344752192e-15 c9c5f55dea7f5eae
+random-2-1-a 1e-09 1 1 1 1 3.8428474007872526e-14 1181e2aa0f29748e
+random-2-1-a 1e-09 1 5 1 1 3.8428474007872526e-14 1181e2aa0f29748e
+random-2-1-a 1e-09 1 100 1 1 3.8428474007872526e-14 1181e2aa0f29748e
+random-2-1-a 1e-09 2 1 1 1 2.7056661287843684e-14 86b91fdfd89bd455
+random-2-1-a 1e-09 2 5 1 1 2.7056661287843684e-14 86b91fdfd89bd455
+random-2-1-a 1e-09 2 100 1 1 2.7056661287843684e-14 86b91fdfd89bd455
+random-2-1-a 1e-09 3 1 1 1 3.1401849173675503e-16 d57a7b6ef5449ce9
+random-2-1-a 1e-09 3 5 1 1 3.1401849173675503e-16 d57a7b6ef5449ce9
+random-2-1-a 1e-09 3 100 1 1 3.1401849173675503e-16 d57a7b6ef5449ce9
+random-2-1-a 1e-09 4 1 1 1 2.4949159465319764e-15 75ee7428a04315c5
+random-2-1-a 1e-09 4 5 1 1 2.4949159465319764e-15 75ee7428a04315c5
+random-2-1-a 1e-09 4 100 1 1 2.4949159465319764e-15 75ee7428a04315c5
+random-2-1-a 1e-09 5 1 1 1 8.082545620880531e-16 d5bc410a22b8c484
+random-2-1-a 1e-09 5 5 1 1 8.082545620880531e-16 d5bc410a22b8c484
+random-2-1-a 1e-09 5 100 1 1 8.082545620880531e-16 d5bc410a22b8c484
+random-2-1-b 1e-09 0 1 1 1 1.1673851243905792e-15 8c617bce2659209c
+random-2-1-b 1e-09 0 5 1 1 1.1673851243905792e-15 8c617bce2659209c
+random-2-1-b 1e-09 0 100 1 1 1.1673851243905792e-15 8c617bce2659209c
+random-2-1-b 1e-09 1 1 1 1 1.3506446028928517e-15 a267e69f79b93e3c
+random-2-1-b 1e-09 1 5 1 1 1.3506446028928517e-15 a267e69f79b93e3c
+random-2-1-b 1e-09 1 100 1 1 1.3506446028928517e-15 a267e69f79b93e3c
+random-2-1-b 1e-09 2 1 1 1 3.1086244689504383e-15 55767e561bb3331a
+random-2-1-b 1e-09 2 5 1 1 3.1086244689504383e-15 55767e561bb3331a
+random-2-1-b 1e-09 2 100 1 1 3.1086244689504383e-15 55767e561bb3331a
+random-2-1-b 1e-09 3 1 1 1 1.1102230246251565e-15 983402958c87c637
+random-2-1-b 1e-09 3 5 1 1 1.1102230246251565e-15 983402958c87c637
+random-2-1-b 1e-09 3 100 1 1 1.1102230246251565e-15 983402958c87c637
+random-2-1-b 1e-09 4 1 1 1 2.5018537765542007e-16 d1f4473b9e994ada
+random-2-1-b 1e-09 4 5 1 1 2.5018537765542007e-16 d1f4473b9e994ada
+random-2-1-b 1e-09 4 100 1 1 2.5018537765542007e-16 d1f4473b9e994ada
+random-2-1-b 1e-09 5 1 1 1 7.066778860128639e-16 8b4ea01e19ddfe2b
+random-2-1-b 1e-09 5 5 1 1 7.066778860128639e-16 8b4ea01e19ddfe2b
+random-2-1-b 1e-09 5 100 1 1 7.066778860128639e-16 8b4ea01e19ddfe2b
 random-3-1-a 1e-09 0 1 0 1 None -
 random-3-1-a 1e-09 0 5 0 5 None -
 random-3-1-a 1e-09 0 100 0 100 None -
@@ -311,42 +314,42 @@ random-3-1-b 1e-09 4 100 0 100 None -
 random-3-1-b 1e-09 5 1 0 1 None -
 random-3-1-b 1e-09 5 5 0 5 None -
 random-3-1-b 1e-09 5 100 0 100 None -
-random-1-2 1e-09 0 1 1 1 2.220446049250313e-16 f3cb347f12aa31f9
-random-1-2 1e-09 0 5 1 1 2.220446049250313e-16 f3cb347f12aa31f9
-random-1-2 1e-09 0 100 1 1 2.220446049250313e-16 f3cb347f12aa31f9
-random-1-2 1e-09 1 1 1 1 2.482534153247273e-16 ddb4930cc5515471
-random-1-2 1e-09 1 5 1 1 2.482534153247273e-16 ddb4930cc5515471
-random-1-2 1e-09 1 100 1 1 2.482534153247273e-16 ddb4930cc5515471
-random-1-2 1e-09 2 1 1 1 5.900916318210353e-16 7c64ebee2c74dfb1
-random-1-2 1e-09 2 5 1 1 5.900916318210353e-16 7c64ebee2c74dfb1
-random-1-2 1e-09 2 100 1 1 5.900916318210353e-16 7c64ebee2c74dfb1
-random-1-2 1e-09 3 1 1 1 1.3877787807814457e-16 d7dbb6fe72de493c
-random-1-2 1e-09 3 5 1 1 1.3877787807814457e-16 d7dbb6fe72de493c
-random-1-2 1e-09 3 100 1 1 1.3877787807814457e-16 d7dbb6fe72de493c
-random-1-2 1e-09 4 1 1 1 4.0029660424867215e-16 bd9eca4a8048d5ee
-random-1-2 1e-09 4 5 1 1 4.0029660424867215e-16 bd9eca4a8048d5ee
-random-1-2 1e-09 4 100 1 1 4.0029660424867215e-16 bd9eca4a8048d5ee
-random-1-2 1e-09 5 1 1 1 8.881784197001252e-16 a4f11ec29b76823e
-random-1-2 1e-09 5 5 1 1 8.881784197001252e-16 a4f11ec29b76823e
-random-1-2 1e-09 5 100 1 1 8.881784197001252e-16 a4f11ec29b76823e
-random-2-2 1e-09 0 1 1 1 2.8664015566558355e-15 3e3dda55953de0dc
-random-2-2 1e-09 0 5 1 1 2.8664015566558355e-15 3e3dda55953de0dc
-random-2-2 1e-09 0 100 1 1 2.8664015566558355e-15 3e3dda55953de0dc
-random-2-2 1e-09 1 1 1 1 1.9056582860357134e-15 f407599f45ba99eb
-random-2-2 1e-09 1 5 1 1 1.9056582860357134e-15 f407599f45ba99eb
-random-2-2 1e-09 1 100 1 1 1.9056582860357134e-15 f407599f45ba99eb
-random-2-2 1e-09 2 1 1 1 1.6011864169946884e-14 fddc9f273d808336
-random-2-2 1e-09 2 5 1 1 1.6011864169946884e-14 fddc9f273d808336
-random-2-2 1e-09 2 100 1 1 1.6011864169946884e-14 fddc9f273d808336
-random-2-2 1e-09 3 1 1 1 2.564134525813303e-14 6c446024d597aac1
-random-2-2 1e-09 3 5 1 1 2.564134525813303e-14 6c446024d597aac1
-random-2-2 1e-09 3 100 1 1 2.564134525813303e-14 6c446024d597aac1
-random-2-2 1e-09 4 1 1 1 3.695558742820734e-15 4903d3fc9c63242f
-random-2-2 1e-09 4 5 1 1 3.695558742820734e-15 4903d3fc9c63242f
-random-2-2 1e-09 4 100 1 1 3.695558742820734e-15 4903d3fc9c63242f
-random-2-2 1e-09 5 1 1 1 1.4041276594630607e-15 3b58a707ffd53724
-random-2-2 1e-09 5 5 1 1 1.4041276594630607e-15 3b58a707ffd53724
-random-2-2 1e-09 5 100 1 1 1.4041276594630607e-15 3b58a707ffd53724
+random-1-2 1e-09 0 1 1 1 6.291710161720984e-17 f3cb347f12aa31f9
+random-1-2 1e-09 0 5 1 1 6.291710161720984e-17 f3cb347f12aa31f9
+random-1-2 1e-09 0 100 1 1 6.291710161720984e-17 f3cb347f12aa31f9
+random-1-2 1e-09 1 1 1 1 4.237464499950498e-17 ddb4930cc5515471
+random-1-2 1e-09 1 5 1 1 4.237464499950498e-17 ddb4930cc5515471
+random-1-2 1e-09 1 100 1 1 4.237464499950498e-17 ddb4930cc5515471
+random-1-2 1e-09 2 1 1 1 9.013670239716512e-16 7c64ebee2c74dfb1
+random-1-2 1e-09 2 5 1 1 9.013670239716512e-16 7c64ebee2c74dfb1
+random-1-2 1e-09 2 100 1 1 9.013670239716512e-16 7c64ebee2c74dfb1
+random-1-2 1e-09 3 1 1 1 1.1728501268795754e-16 d7dbb6fe72de493c
+random-1-2 1e-09 3 5 1 1 1.1728501268795754e-16 d7dbb6fe72de493c
+random-1-2 1e-09 3 100 1 1 1.1728501268795754e-16 d7dbb6fe72de493c
+random-1-2 1e-09 4 1 1 1 1.0538949478213867e-16 bd9eca4a8048d5ee
+random-1-2 1e-09 4 5 1 1 1.0538949478213867e-16 bd9eca4a8048d5ee
+random-1-2 1e-09 4 100 1 1 1.0538949478213867e-16 bd9eca4a8048d5ee
+random-1-2 1e-09 5 1 1 1 9.464248880097864e-16 a4f11ec29b76823e
+random-1-2 1e-09 5 5 1 1 9.464248880097864e-16 a4f11ec29b76823e
+random-1-2 1e-09 5 100 1 1 9.464248880097864e-16 a4f11ec29b76823e
+random-2-2 1e-09 0 1 1 1 2.975418419039454e-15 3e3dda55953de0dc
+random-2-2 1e-09 0 5 1 1 2.975418419039454e-15 3e3dda55953de0dc
+random-2-2 1e-09 0 100 1 1 2.975418419039454e-15 3e3dda55953de0dc
+random-2-2 1e-09 1 1 1 1 1.3877787807814457e-15 f407599f45ba99eb
+random-2-2 1e-09 1 5 1 1 1.3877787807814457e-15 f407599f45ba99eb
+random-2-2 1e-09 1 100 1 1 1.3877787807814457e-15 f407599f45ba99eb
+random-2-2 1e-09 2 1 1 1 1.0841599276764049e-14 fddc9f273d808336
+random-2-2 1e-09 2 5 1 1 1.0841599276764049e-14 fddc9f273d808336
+random-2-2 1e-09 2 100 1 1 1.0841599276764049e-14 fddc9f273d808336
+random-2-2 1e-09 3 1 1 1 1.517719948885615e-14 6c446024d597aac1
+random-2-2 1e-09 3 5 1 1 1.517719948885615e-14 6c446024d597aac1
+random-2-2 1e-09 3 100 1 1 1.517719948885615e-14 6c446024d597aac1
+random-2-2 1e-09 4 1 1 1 5.3302268750589315e-15 4903d3fc9c63242f
+random-2-2 1e-09 4 5 1 1 5.3302268750589315e-15 4903d3fc9c63242f
+random-2-2 1e-09 4 100 1 1 5.3302268750589315e-15 4903d3fc9c63242f
+random-2-2 1e-09 5 1 1 1 1.6011864169946886e-15 3b58a707ffd53724
+random-2-2 1e-09 5 5 1 1 1.6011864169946886e-15 3b58a707ffd53724
+random-2-2 1e-09 5 100 1 1 1.6011864169946886e-15 3b58a707ffd53724
 random-4-1 1e-09 0 1 0 1 None -
 random-4-1 1e-09 0 5 0 5 None -
 random-4-1 1e-09 0 100 0 100 None -
@@ -367,13 +370,13 @@ random-4-1 1e-09 5 5 0 5 None -
 random-4-1 1e-09 5 100 0 100 None -
 random-3-1-a 0.2 0 1 0 1 None -
 random-3-1-a 0.2 0 5 0 5 None -
-random-3-1-a 0.2 0 100 0 100 0.8918835823037531 -
+random-3-1-a 0.2 0 100 0 100 0.8918835823037532 -
 random-3-1-a 0.2 1 1 0 1 None -
 random-3-1-a 0.2 1 5 0 5 None -
-random-3-1-a 0.2 1 100 1 24 1.134599004608995 718f387ac2fa56e6
+random-3-1-a 0.2 1 100 1 24 1.1345990046089944 718f387ac2fa56e6
 random-3-1-a 0.2 2 1 0 1 None -
 random-3-1-a 0.2 2 5 0 5 None -
-random-3-1-a 0.2 2 100 1 9 0.38075250086694534 1579fcb186d3a725
+random-3-1-a 0.2 2 100 1 9 0.3807525008669453 1579fcb186d3a725
 random-3-1-a 0.2 3 1 0 1 None -
 random-3-1-a 0.2 3 5 0 5 None -
 random-3-1-a 0.2 3 100 0 100 None -
@@ -383,33 +386,33 @@ random-3-1-a 0.2 4 100 0 100 None -
 random-3-1-a 0.2 5 1 0 1 None -
 random-3-1-a 0.2 5 5 0 5 None -
 random-3-1-a 0.2 5 100 0 100 1.2983499138980694 -
-random-3-1-a 0.5 0 1 1 1 1.691239484516159 8bb82f26ea6a5d38
-random-3-1-a 0.5 0 5 1 1 1.691239484516159 8bb82f26ea6a5d38
-random-3-1-a 0.5 0 100 1 1 1.691239484516159 8bb82f26ea6a5d38
+random-3-1-a 0.5 0 1 1 1 1.691239484516158 8bb82f26ea6a5d38
+random-3-1-a 0.5 0 5 1 1 1.691239484516158 8bb82f26ea6a5d38
+random-3-1-a 0.5 0 100 1 1 1.691239484516158 8bb82f26ea6a5d38
 random-3-1-a 0.5 1 1 0 1 None -
-random-3-1-a 0.5 1 5 1 3 0.7810321992123018 7d214177f05432ec
-random-3-1-a 0.5 1 100 1 3 0.7810321992123018 7d214177f05432ec
+random-3-1-a 0.5 1 5 1 3 0.7810321992123019 7d214177f05432ec
+random-3-1-a 0.5 1 100 1 3 0.7810321992123019 7d214177f05432ec
 random-3-1-a 0.5 2 1 0 1 None -
 random-3-1-a 0.5 2 5 0 5 None -
 random-3-1-a 0.5 2 100 1 7 0.840412692354727 ecd828adbc57e403
 random-3-1-a 0.5 3 1 0 1 None -
-random-3-1-a 0.5 3 5 0 5 1.9887025796091071 -
-random-3-1-a 0.5 3 100 1 8 1.3174088609227188 ff2ecfcd56f13849
+random-3-1-a 0.5 3 5 0 5 1.9887025796091078 -
+random-3-1-a 0.5 3 100 1 8 1.3174088609227186 ff2ecfcd56f13849
 random-3-1-a 0.5 4 1 0 1 None -
-random-3-1-a 0.5 4 5 1 5 2.233945991862713 53c23ac6695c18b1
-random-3-1-a 0.5 4 100 1 5 2.233945991862713 53c23ac6695c18b1
+random-3-1-a 0.5 4 5 1 5 2.2339459918627136 53c23ac6695c18b1
+random-3-1-a 0.5 4 100 1 5 2.2339459918627136 53c23ac6695c18b1
 random-3-1-a 0.5 5 1 0 1 None -
 random-3-1-a 0.5 5 5 0 5 2.465204820889548 -
-random-3-1-a 0.5 5 100 1 22 1.7093512847476735 e3313c5adba4a97e
+random-3-1-a 0.5 5 100 1 22 1.7093512847476733 e3313c5adba4a97e
 random-3-2 0.2 0 1 0 1 None -
 random-3-2 0.2 0 5 0 5 None -
-random-3-2 0.2 0 100 1 58 1.0084261332520927 54f1bccae41da208
+random-3-2 0.2 0 100 1 58 1.0084261332520925 54f1bccae41da208
 random-3-2 0.2 1 1 0 1 None -
 random-3-2 0.2 1 5 0 5 None -
-random-3-2 0.2 1 100 1 71 0.9479380661636208 f9a7713f149ffcad
+random-3-2 0.2 1 100 1 71 0.94793806616362 f9a7713f149ffcad
 random-3-2 0.2 2 1 0 1 None -
 random-3-2 0.2 2 5 0 5 None -
-random-3-2 0.2 2 100 1 11 1.5200559962098408 7dc8a1a95b0c5385
+random-3-2 0.2 2 100 1 11 1.5200559962098412 7dc8a1a95b0c5385
 random-3-2 0.2 3 1 0 1 None -
 random-3-2 0.2 3 5 0 5 None -
 random-3-2 0.2 3 100 1 39 1.0917047829339135 cceab63b3d1f2534
@@ -421,7 +424,7 @@ random-3-2 0.2 5 5 0 5 None -
 random-3-2 0.2 5 100 1 24 2.0153693966570394 c06bbd7b7315c67c
 random-3-2 0.5 0 1 0 1 None -
 random-3-2 0.5 0 5 0 5 None -
-random-3-2 0.5 0 100 1 25 1.982503001576896 693b64093bd5e64c
+random-3-2 0.5 0 100 1 25 1.9825030015768959 693b64093bd5e64c
 random-3-2 0.5 1 1 0 1 None -
 random-3-2 0.5 1 5 0 5 None -
 random-3-2 0.5 1 100 1 86 3.162945313359714 2dd1c353de1b97c9
@@ -430,10 +433,10 @@ random-3-2 0.5 2 5 0 5 None -
 random-3-2 0.5 2 100 0 100 None -
 random-3-2 0.5 3 1 0 1 None -
 random-3-2 0.5 3 5 0 5 None -
-random-3-2 0.5 3 100 1 42 2.6235058876674993 c95d34f26e3622f4
+random-3-2 0.5 3 100 1 42 2.623505887667499 c95d34f26e3622f4
 random-3-2 0.5 4 1 0 1 None -
 random-3-2 0.5 4 5 0 5 None -
-random-3-2 0.5 4 100 0 100 3.185346087627439 -
+random-3-2 0.5 4 100 0 100 3.1853460876274386 -
 random-3-2 0.5 5 1 0 1 None -
 random-3-2 0.5 5 5 0 5 None -
 random-3-2 0.5 5 100 0 100 None -
@@ -442,7 +445,7 @@ random-4-1 0.5 0 5 0 5 None -
 random-4-1 0.5 0 100 0 100 None -
 random-4-1 0.5 1 1 0 1 None -
 random-4-1 0.5 1 5 0 5 None -
-random-4-1 0.5 1 100 0 100 3.434455483931594 -
+random-4-1 0.5 1 100 0 100 3.4344554839315937 -
 random-4-1 0.5 2 1 0 1 None -
 random-4-1 0.5 2 5 0 5 None -
 random-4-1 0.5 2 100 0 100 None -
@@ -454,7 +457,7 @@ random-4-1 0.5 4 5 0 5 None -
 random-4-1 0.5 4 100 0 100 None -
 random-4-1 0.5 5 1 0 1 None -
 random-4-1 0.5 5 5 0 5 None -
-random-4-1 0.5 5 100 1 78 2.04165295694254 ca7c1da3c587ef4a
+random-4-1 0.5 5 100 1 78 2.041652956942539 ca7c1da3c587ef4a
 """
 
 
