@@ -18,6 +18,9 @@ and invariants (json and table); a seeded random document at (m, d) = LARGE,
 a size at which a term-by-term split takes about a second, under validate and
 decompose; and catalog product at base dimension 40.
 An exception that escapes tbi.cli.main is recorded as the run's exit code.
+After the corpus, each process runs every invariants argv a second time, and
+that run's stdout must equal the first one's on the same checkout, so that
+no state kept between calls can change a later report.
 
 A differing run is fields-only when its exit codes and stderr agree and its
 JSON stdout is equal once the keys present on only one side are dropped; it is
@@ -219,11 +222,20 @@ def one_sided_keys(result, result_after):
 def compare(other):
     with tempfile.TemporaryDirectory() as workdir:
         argvs = write_corpus(workdir)
+        again = [index for index, argv in enumerate(argvs) if argv[0] == "invariants"]
         argv_file = os.path.join(workdir, "argv.json")
         with open(argv_file, "w") as handle:
-            json.dump(argvs, handle)
+            json.dump(argvs + [argvs[index] for index in again], handle)
         theirs, mine = run(other, argv_file), run(ROOT, argv_file)
         shown = [[os.path.basename(x) if x.startswith(workdir) else x for x in a] for a in argvs]
+    leaks = 0
+    for side, results in (("other", theirs), ("this", mine)):
+        for index, repeat in zip(again, results[len(argvs):], strict=True):
+            if repeat[0] != results[index][0]:
+                leaks += 1
+                print(f"second run differs on {side}: {shown[index]}\n"
+                      f"  first:  {results[index]}\n  second: {repeat}")
+    theirs, mine = theirs[:len(argvs)], mine[:len(argvs)]
     differ = float_only = fields_only = 0
     for argv, before, after in zip(shown, theirs, mine, strict=True):
         if before == after:
@@ -243,11 +255,15 @@ def compare(other):
         change = max((abs(a - b) / max(abs(a), abs(b))
                       for a, b in zip(values, values_after) if a != b), default=0.0)
         print(f"float-only: {argv}: largest relative change {change:.3g}")
+    if leaks:
+        print(f"{leaks} of {2 * len(again)} second invariants runs differ from the first")
     if differ:
         print(f"{differ} of {len(argvs)} runs differ, {fields_only} of them fields-only "
               f"and {float_only} float-only")
+    if leaks or differ:
         return 1
-    print(f"{len(argvs)} runs: stdout, stderr and exit code equal")
+    print(f"{len(argvs)} runs: stdout, stderr and exit code equal; "
+          f"{len(again)} invariants runs repeated in each process, stdout equal")
     return 0
 
 

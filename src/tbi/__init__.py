@@ -14,10 +14,9 @@ __version__ = "0.1.0"
 from .catalog import (catalog_datum, iwasawa_datum, iwasawa_form, product_datum,
                       product_form)
 from .cohomology import (CohomologyReport, OneFormsSpace, RankDecision, SpectralTable,
-                         TangentTable, ThetaCohomology, bundle_report, classify_blocks,
-                         closed_forms_dim, h0_forms, h1_structure_sheaf, is_parallelizable,
-                         leray_table, numerical_rank, require_table_fits,
-                         structure_sheaf_dims, tangent_table, theta_cohomology)
+                         TangentTable, bundle_report, classify_blocks, closed_forms_dim,
+                         h0_forms, h1_structure_sheaf, is_parallelizable, leray_table,
+                         numerical_rank, require_table_fits, tangent_table)
 from .curves import divisibility_index, kuranishi_dim
 from .decomposition import (BundleDatum, DecomposedForm, MembershipResult,
                             cocycle_defect, cocycle_eval, decompose,

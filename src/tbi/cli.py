@@ -73,8 +73,8 @@ def _bracket(form, g1, g2) -> tuple:
     whether the commutator is the central element carrying that value."""
     bracket = commutator(form, g1, g2)
     expected = form(g1.base, g2.base)
-    return bracket, expected, bool(not np.any(bracket.base)
-                                   and np.array_equal(bracket.fibre, expected))
+    return bracket, expected, (not bracket.base.any()
+                               and bracket.fibre.tolist() == expected.tolist())
 
 
 def _group_spot_checks(form) -> dict:
@@ -100,11 +100,16 @@ def _input_echo(data: bytes, document: InputDocument) -> dict:
             "tol": document.effective_tol}
 
 
+@lru_cache(maxsize=None)
+def _field_names(kind) -> tuple:
+    return tuple(field.name for field in dataclasses.fields(kind))
+
+
 def _record(record, *skip) -> dict:
     """The fields of a result record in declaration order, less skip.  Only
     dataclass fields are read, so a cached property never reaches the output."""
-    return {field.name: getattr(record, field.name) for field in dataclasses.fields(record)
-            if field.name not in skip}
+    return {name: getattr(record, name) for name in _field_names(type(record))
+            if name not in skip}
 
 
 def _report_document(datum: BundleDatum, echo: dict, report: CohomologyReport) -> dict:

@@ -71,6 +71,7 @@ from .errors import TableTooLargeError, ToleranceAmbiguityError
 
 _NEAR_FACTOR = 10.0  # singular values within this factor of the cut are flagged
 TABLE_BYTES_LIMIT = 2**33  # fixed: no option or environment variable moves it
+_SHORT = 32  # up to this many singular values, a rank decision counts in Python
 
 
 @dataclass(frozen=True)
@@ -127,13 +128,19 @@ def _rank_from_singular_values(sing, tol, scale, label) -> RankDecision:
     """The rank decision of numerical_rank, on descending singular values
     that the caller already has (empty for an empty matrix)."""
     threshold = tol * max(scale, float(sing[0])) if sing.size else 0.0
-    rank = int(np.sum(sing > threshold))
-    smallest_kept = float(sing[rank - 1]) if rank else 0.0
-    largest_dropped = float(sing[rank]) if rank < sing.size else 0.0
     # No value exceeds max(scale, sing[0]), so from tol * _NEAR_FACTOR = 1 up
     # the band is open at the top and rounding cannot drop a value on its edge.
     upper = threshold * _NEAR_FACTOR if tol * _NEAR_FACTOR < 1 else np.inf
-    near = int(np.sum((sing > threshold / _NEAR_FACTOR) & (sing < upper)))
+    if sing.size <= _SHORT and sing.dtype == np.float64:
+        # The same counts on Python floats, without a numpy reduction.
+        values = sing.tolist()
+        rank = sum(value > threshold for value in values)
+        near = sum(threshold / _NEAR_FACTOR < value < upper for value in values)
+    else:
+        rank = int(np.sum(sing > threshold))
+        near = int(np.sum((sing > threshold / _NEAR_FACTOR) & (sing < upper)))
+    smallest_kept = float(sing[rank - 1]) if rank else 0.0
+    largest_dropped = float(sing[rank]) if rank < sing.size else 0.0
     return RankDecision(label, rank, smallest_kept, largest_dropped, threshold, near)
 
 
@@ -430,11 +437,6 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     return SpectralTable(e2, e3, representatives, tuple(decisions))
 
 
-def structure_sheaf_dims(datum: BundleDatum) -> list:
-    """h^p of the structure sheaf for p = 0..m+d."""
-    return leray_table(datum).total_dims()
-
-
 # ---------------------------------------------------------------------------
 # Tangent-sheaf dimensions via level maps on representatives
 
@@ -616,24 +618,6 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     coker = tuple(d * h[p] - (level_ranks[p - 1] if p else 0) for p in range(total + 1))
     ker = tuple(m * h[p] - level_ranks[p] for p in range(total + 1))
     return TangentTable(coker, ker, tuple(decisions))
-
-
-@dataclass(frozen=True)
-class ThetaCohomology:
-    dim: int
-    coker_dim: int
-    ker_dim: int
-
-
-def theta_cohomology(datum: BundleDatum, degree: int) -> ThetaCohomology:
-    """Tangent-sheaf cohomology in one degree, split into the cokernel of the
-    incoming level map and the kernel of the outgoing one."""
-    split = datum.split
-    total = split.base_half_rank + split.fibre_half_rank
-    if not 0 <= degree <= total:
-        raise ValueError(f"degree must lie in 0..{total}, got {degree}")
-    tangent = tangent_table(datum)
-    return ThetaCohomology(tangent.dims[degree], tangent.coker[degree], tangent.ker[degree])
 
 
 # ---------------------------------------------------------------------------

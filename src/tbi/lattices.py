@@ -102,6 +102,10 @@ def validate_form(form: ExtensionForm) -> list[str]:
     coordinates, e.g. ``"(k=1, i=1, j=2)"``.
     """
     coeff = form.coefficients
+    # int64 negation is exact but at -2**63, which no alternating form holds
+    # (its partner would be 2**63), so one comparison settles a valid form.
+    if coeff.min() > -INT64_BOUND and np.array_equal(coeff, -coeff.transpose(0, 2, 1)):
+        return []
     violations = []
     for k in range(coeff.shape[0]):
         block = coeff[k].astype(object)  # Python ints: -(-2**63) must not wrap
@@ -132,13 +136,7 @@ class GroupElement:
     base: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "fibre", _int_vector(self.fibre, None, "fibre"))
-        object.__setattr__(self, "base", _int_vector(self.base, None, "base"))
-
-    @functools.cached_property
-    def _largest(self) -> int:
-        """The largest |entry| of both parts, as a Python int."""
-        return _max_abs(np.concatenate([self.fibre, self.base]))
+        _store(self, _int_vector(self.fibre, None, "fibre"), _int_vector(self.base, None, "base"))
 
     def __eq__(self, other):
         return (
@@ -146,6 +144,34 @@ class GroupElement:
             and np.array_equal(self.fibre, other.fibre)
             and np.array_equal(self.base, other.base)
         )
+
+
+def _store(element: GroupElement, fibre, base) -> None:
+    """Set the read-only parts of element and its _largest, the largest
+    |entry| of both parts as a Python int, which bounds the group law."""
+    fibre.setflags(write=False)
+    base.setflags(write=False)
+    object.__setattr__(element, "fibre", fibre)
+    object.__setattr__(element, "base", base)
+    object.__setattr__(element, "_largest",
+                       max(map(abs, fibre.tolist() + base.tolist()), default=0))
+
+
+def _element(fibre, base) -> GroupElement:
+    """GroupElement(fibre, base) for parts the group law has just computed,
+    without the checks of the public constructor: each part is a new int64
+    array or, past the bound, a new object array of Python ints, which is
+    narrowed to int64 when every entry fits."""
+    element = object.__new__(GroupElement)
+    _store(element, _narrow(fibre), _narrow(base))
+    return element
+
+
+def _narrow(part):
+    """part as int64 when it is an object array whose entries all fit."""
+    if part.dtype == object and all(-INT64_BOUND <= x < INT64_BOUND for x in part.tolist()):
+        return part.astype(np.int64)
+    return part
 
 
 def exact_integers(entries, name, error=ValueError, bounded=True) -> list:
@@ -196,14 +222,14 @@ def basis_lift(form: ExtensionForm, index: int) -> GroupElement:
     """The lift (0, e_index) of a base basis vector, index 0-based."""
     base = np.zeros(form.base_rank, dtype=np.int64)
     base[index] = 1
-    return GroupElement(np.zeros(form.fibre_rank, dtype=np.int64), base)
+    return _element(np.zeros(form.fibre_rank, dtype=np.int64), base)
 
 
 def central_lift(form: ExtensionForm, index: int) -> GroupElement:
     """The central element (f_index, 0), index 0-based."""
     fibre = np.zeros(form.fibre_rank, dtype=np.int64)
     fibre[index] = 1
-    return GroupElement(fibre, np.zeros(form.base_rank, dtype=np.int64))
+    return _element(fibre, np.zeros(form.base_rank, dtype=np.int64))
 
 
 def extension_cocycle(form: ExtensionForm, g1_base, g2_base) -> np.ndarray:
@@ -238,8 +264,9 @@ def _bilinear(tensor, weight, size, x, y, *more) -> tuple:
 
 
 def _check_lengths(form: ExtensionForm, *elements) -> None:
+    fibre_shape, base_shape = (form.fibre_rank,), (form.base_rank,)
     for g in elements:
-        if g.fibre.shape != (form.fibre_rank,) or g.base.shape != (form.base_rank,):
+        if g.fibre.shape != fibre_shape or g.base.shape != base_shape:
             raise ValueError(f"group element lengths (fibre {g.fibre.size}, base {g.base.size}) "
                              f"do not match the form's ranks ({form.fibre_rank}, {form.base_rank})")
 
@@ -249,7 +276,7 @@ def group_multiply(form: ExtensionForm, g1: GroupElement, g2: GroupElement) -> G
     s1, s2, weight = g1._largest, g2._largest, form._weight
     c, base1, base2, fibre1, fibre2 = _bilinear(
         form.upper, weight, weight * s1 * s2 + s1 + s2, g1.base, g2.base, g1.fibre, g2.fibre)
-    return GroupElement(c + fibre1 + fibre2, base1 + base2)
+    return _element(c + fibre1 + fibre2, base1 + base2)
 
 
 def group_inverse(form: ExtensionForm, g: GroupElement) -> GroupElement:
@@ -257,7 +284,7 @@ def group_inverse(form: ExtensionForm, g: GroupElement) -> GroupElement:
     _check_lengths(form, g)
     s, weight = g._largest, form._weight
     c, base, _, fibre = _bilinear(form.upper, weight, weight * s * s + s, g.base, g.base, g.fibre)
-    return GroupElement(c - fibre, -base)
+    return _element(c - fibre, -base)
 
 
 def commutator(form: ExtensionForm, g1: GroupElement, g2: GroupElement) -> GroupElement:

@@ -11,6 +11,8 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+# json.dumps of a str is this function's result; calling it skips the dispatch.
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -31,18 +33,30 @@ def _format_float(value: float) -> str:
 
 
 def _emit(value, pieces, indent):
-    if isinstance(value, dict):
+    # The scalars of a report go by exact type; anything else, numpy scalars
+    # and subclasses included, goes through the isinstance chain.
+    kind = type(value)
+    if kind is float:
+        pieces.append(_format_float(value))
+    elif kind is int:
+        pieces.append(str(value))
+    elif kind is str:
+        pieces.append(_quote(value))
+    elif kind is bool:
+        pieces.append("true" if value else "false")
+    elif isinstance(value, dict):
         if not value:
             pieces.append("{}")
             return
         pieces.append("{\n")
         inner = indent + "  "
+        last = len(value) - 1
         for pos, (key, item) in enumerate(value.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {type(key).__name__}")
-            pieces.append(f"{inner}{json.dumps(key)}: ")
+            pieces.append(f"{inner}{_quote(key)}: ")
             _emit(item, pieces, inner)
-            pieces.append(",\n" if pos < len(value) - 1 else "\n")
+            pieces.append(",\n" if pos < last else "\n")
         pieces.append(indent + "}")
     elif isinstance(value, (list, tuple)):
         pieces.append("[")
@@ -52,7 +66,7 @@ def _emit(value, pieces, indent):
             _emit(item, pieces, indent)
         pieces.append("]")
     elif isinstance(value, str):
-        pieces.append(json.dumps(value))
+        pieces.append(_quote(value))
     elif value is None:
         pieces.append("null")
     elif isinstance(value, (bool, np.bool_)):
@@ -103,6 +117,18 @@ def _finite(value) -> float | None:
 
 
 def _pairs_to_complex(obj, rows, cols, name) -> np.ndarray:
+    # One pass over the entries for a well-formed matrix; the loop below
+    # runs for any other, to word the error.
+    pairs = np.asarray(obj, dtype=object)
+    if pairs.shape == (rows, cols, 2):
+        entries = pairs.ravel().tolist()
+        if all(type(x) is float or type(x) is int for x in entries):
+            try:
+                parts = np.array(entries, dtype=float)
+            except OverflowError:  # an integer beyond the float range
+                parts = None
+            if parts is not None and np.isfinite(parts).all():
+                return parts.view(complex).reshape(rows, cols)
     matrix = np.zeros((rows, cols), dtype=complex)
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(f"'{name}' must be a list of {rows} rows")
@@ -190,14 +216,19 @@ def parse_input(text: str, require_structures: bool = True,
             f"'A' must be nested lists of shape ({2 * d}, {2 * m}, {2 * m}), "
             f"got {coefficients.shape}"
         )
+    out_of_range = "'A' entries must be finite numbers in the int64 range [-2**63, 2**63)"
+    entries = coefficients.ravel().tolist()
+    if all(type(x) is int for x in entries):  # the one pass over an integer form
+        try:
+            coefficients = np.array(entries, dtype=np.int64).reshape(coefficients.shape)
+        except OverflowError:
+            raise ParseError(out_of_range) from None
     # JSON numbers only: float() would also take strings such as "1".
-    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-               for x in coefficients.flat):
+    elif not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entries):
         raise ParseError("'A' entries must be numbers")
     # Python compares ints with floats exactly, and NaN fails every comparison.
-    if not all(-INT64_BOUND <= x < INT64_BOUND for x in coefficients.flat):
-        raise ParseError("'A' entries must be finite numbers in the int64 range "
-                         "[-2**63, 2**63)")
+    elif not all(-INT64_BOUND <= x < INT64_BOUND for x in entries):
+        raise ParseError(out_of_range)
     form = ExtensionForm(coefficients)
     require_form(form)
 

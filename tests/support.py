@@ -1,5 +1,6 @@
 """Shared construction helpers for the test suite."""
 
+import json
 import math
 import os
 import pathlib
@@ -314,3 +315,55 @@ def betti_one(form: ExtensionForm) -> int:
     i, j = np.triu_indices(form.base_rank, k=1)
     matrix = [[layer[a][b] for a, b in zip(i, j)] for layer in form.coefficients.tolist()]
     return form.base_rank + form.fibre_rank - exact_rank(matrix)
+
+
+def _reference_emit(value, pieces, indent):
+    """The emitter of tbi.serialize as an isinstance chain, kept as the
+    oracle for the type-dispatched one."""
+    if isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        pieces.append("{\n")
+        inner = indent + "  "
+        for pos, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be strings, got {type(key).__name__}")
+            pieces.append(f"{inner}{json.dumps(key)}: ")
+            _reference_emit(item, pieces, inner)
+            pieces.append(",\n" if pos < len(value) - 1 else "\n")
+        pieces.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        pieces.append("[")
+        for pos, item in enumerate(value):
+            if pos:
+                pieces.append(", ")
+            _reference_emit(item, pieces, indent)
+        pieces.append("]")
+    elif isinstance(value, str):
+        pieces.append(json.dumps(value))
+    elif value is None:
+        pieces.append("null")
+    elif isinstance(value, (bool, np.bool_)):
+        pieces.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        pieces.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError("cannot serialize a non-finite float")
+        pieces.append(format(value, ".17g"))
+    elif isinstance(value, (complex, np.complexfloating)):
+        _reference_emit([value.real, value.imag], pieces, indent)
+    elif isinstance(value, np.ndarray):
+        _reference_emit(value.tolist(), pieces, indent)
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_dumps(value) -> str:
+    """tbi.dumps as an isinstance chain: the oracle for its byte layout and
+    for the errors it raises."""
+    pieces: list = []
+    _reference_emit(value, pieces, "")
+    return "".join(pieces)

@@ -18,9 +18,8 @@ from tbi import (BundleDatum, ExtensionForm, GroupElement,
                  StructureDegenerateError, bundle_report, classify_blocks,
                  cocycle_defect, commutator, dumps, graph_chart, h0_forms,
                  input_document, is_parallelizable, iwasawa_datum, iwasawa_form,
-                 kuranishi_dim, lattice_vector_from_fibre, local_equations,
-                 product_datum, random_structure, reconstruct, sample_point,
-                 structure_sheaf_dims, tangent_table, theta_cohomology)
+                 kuranishi_dim, lattice_vector_from_fibre, leray_table, local_equations,
+                 product_datum, random_structure, reconstruct, sample_point, tangent_table)
 from tbi import cli
 
 from support import (d2_blocks, random_alternating_form, random_group_element_parts,
@@ -44,7 +43,7 @@ def test_criterion_1_iwasawa_reference_values():
 
 
 def test_criterion_2_iwasawa_structure_dims():
-    dims = structure_sheaf_dims(iwasawa_datum())
+    dims = leray_table(iwasawa_datum()).total_dims()
     assert dims == [1, 2, 2, 1]
     assert all(dims[p] == dims[3 - p] for p in range(4))
     assert sum((-1) ** p * dims[p] for p in range(4)) == 0
@@ -55,7 +54,7 @@ def test_criterion_3_product_closed_forms():
     for m, d in itertools.product(range(1, 5), range(1, 5)):
         datum = product_datum(m, d)
         n = m + d
-        assert structure_sheaf_dims(datum) == [math.comb(n, p) for p in range(n + 1)]
+        assert leray_table(datum).total_dims() == [math.comb(n, p) for p in range(n + 1)]
         assert h0_forms(datum).dim == n
         assert tangent_table(datum).dims == \
             tuple(n * math.comb(n, i) for i in range(n + 1))
@@ -169,8 +168,8 @@ def test_criterion_6_case_checks():
         form, base, fibre = transported_case1(rng, m)
         datum = BundleDatum.checked(form, base, fibre)
         assert classify_blocks(datum) == "zero_hermitian"
-        h1 = structure_sheaf_dims(datum)[1]
-        assert theta_cohomology(datum, 1).dim == (m + 1) * h1
+        h1 = leray_table(datum).total_dims()[1]
+        assert tangent_table(datum).dims[1] == (m + 1) * h1
         zero_hermitian_points += 1
 
     mixed_points = 0
@@ -180,7 +179,7 @@ def test_criterion_6_case_checks():
         assert result.found
         datum = BundleDatum.checked(form, result.base, result.fibre)
         assert classify_blocks(datum) == "mixed"
-        assert theta_cohomology(datum, 1).dim <= 2 * (2 + 1)
+        assert tangent_table(datum).dims[1] <= 2 * (2 + 1)
         mixed_points += 1
 
     assert zero_hermitian_points == 25 and mixed_points == 25

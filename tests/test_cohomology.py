@@ -15,8 +15,7 @@ import tbi.cohomology
 from tbi import (BundleDatum, ComplexStructure, ExtensionForm, ToleranceAmbiguityError,
                  bundle_report, classify_blocks, closed_forms_dim, h0_forms,
                  h1_structure_sheaf, is_parallelizable, leray_table, numerical_rank,
-                 product_datum, random_structure, sample_point, structure_sheaf_dims,
-                 tangent_table, theta_cohomology)
+                 product_datum, random_structure, sample_point, tangent_table)
 
 from tbi.cohomology import (_closed_whole_pieces, _d2_block, _dual_columns, _level_piece,
                             _rank_from_singular_values, _svd, _wedge_map, _wedge_products,
@@ -444,7 +443,6 @@ def test_leray_iwasawa_frozen(iwasawa):
     assert np.array_equal(table.e2, [[1, 1], [2, 2], [1, 1]])
     assert np.array_equal(table.e3, [[1, 0], [2, 2], [0, 1]])
     assert table.total_dims() == [1, 2, 2, 1]
-    assert structure_sheaf_dims(iwasawa) == [1, 2, 2, 1]
 
 
 def test_leray_iwasawa_d2_entry(iwasawa):
@@ -457,12 +455,12 @@ def test_leray_kodaira_no_differential(kodaira_surface):
     table = leray_table(kodaira_surface)
     assert d2_blocks(kodaira_surface)[0] == {}
     assert np.array_equal(table.e3, table.e2)
-    assert structure_sheaf_dims(kodaira_surface) == [1, 2, 1]
+    assert table.total_dims() == [1, 2, 1]
 
 
 @pytest.mark.parametrize("m,d", [(1, 1), (2, 1), (2, 2), (3, 2)])
 def test_leray_product_is_binomial(m, d):
-    dims = structure_sheaf_dims(product_datum(m, d))
+    dims = leray_table(product_datum(m, d)).total_dims()
     assert dims == [math.comb(m + d, p) for p in range(m + d + 1)]
 
 
@@ -494,7 +492,7 @@ def test_euler_characteristic_preserved():
 
 def test_dimension_symmetry_on_members(iwasawa, kodaira_surface):
     for datum in (iwasawa, kodaira_surface, _sampled_member(82)):
-        dims = structure_sheaf_dims(datum)
+        dims = leray_table(datum).total_dims()
         assert dims == dims[::-1]
         assert dims[0] == 1
 
@@ -502,7 +500,7 @@ def test_dimension_symmetry_on_members(iwasawa, kodaira_surface):
 @pytest.mark.parametrize("seed", [83, 84])
 def test_h1_two_paths_agree(seed):
     datum = _sampled_member(seed)
-    assert structure_sheaf_dims(datum)[1] == h1_structure_sheaf(datum)
+    assert leray_table(datum).total_dims()[1] == h1_structure_sheaf(datum)
 
 
 def test_representatives_orthonormal_and_clear_images(iwasawa):
@@ -900,23 +898,11 @@ def test_d2_decisions_match_numerical_rank(seed, m, d):
         assert first.smallest_kept == pytest.approx(second.smallest_kept, rel=1e-12)
 
 
-def test_theta_cohomology_fixtures(iwasawa, kodaira_surface):
-    middle = theta_cohomology(iwasawa, 1)
-    assert (middle.dim, middle.coker_dim, middle.ker_dim) == (6, 2, 4)
-    surface = theta_cohomology(kodaira_surface, 1)
-    assert (surface.dim, surface.coker_dim, surface.ker_dim) == (2, 1, 1)
-
-
-def test_theta_cohomology_matches_table(iwasawa):
-    tangent = tangent_table(iwasawa)
-    for degree, dim in enumerate(tangent.dims):
-        assert theta_cohomology(iwasawa, degree).dim == dim
-
-
-@pytest.mark.parametrize("degree", [-1, 4])
-def test_theta_cohomology_rejects_bad_degree(iwasawa, degree):
-    with pytest.raises(ValueError):
-        theta_cohomology(iwasawa, degree)
+def test_tangent_table_coker_ker_fixtures(iwasawa, kodaira_surface):
+    middle = tangent_table(iwasawa)
+    assert (middle.dims[1], middle.coker[1], middle.ker[1]) == (6, 2, 4)
+    surface = tangent_table(kodaira_surface)
+    assert (surface.dims[1], surface.coker[1], surface.ker[1]) == (2, 1, 1)
 
 
 # ---------------------------------------------------------------------------

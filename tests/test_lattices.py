@@ -346,3 +346,45 @@ def test_bilinear_past_the_bound_pushes_a_small_y_in_int64(form, narrow):
     assert _RecordingTensor.operands == [np.dtype(np.int64) if narrow else np.dtype(object)]
     assert value.tolist() == _ref_value(form, x, y, upper=False)
     assert form(x, y).tolist() == _ref_value(form, x, y, upper=False)
+
+
+# The law on random forms, against the Python-int reference above: entries
+# small, near the int64 bounds (the edges of the command-line group corpus,
+# 2**63 - 1 and 2**63) or far past them.
+
+_EDGES = [2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1]
+
+
+def _entries(length):
+    entry = st.one_of(st.integers(-6, 6), st.sampled_from(_EDGES),
+                      st.integers(-2 ** 70, 2 ** 70))
+    return st.lists(entry, min_size=length, max_size=length)
+
+
+def _caller_array(values):
+    """values as the writable array a caller would pass: int64 when they fit."""
+    fits = all(-2 ** 63 <= x < 2 ** 63 for x in values)
+    return np.array(values, dtype=np.int64 if fits else object)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 3),
+       d=st.integers(1, 2), span=st.sampled_from([1, 3, 2 ** 40]))
+def test_group_law_on_random_forms_matches_python_ints(data, seed, m, d, span):
+    form = random_alternating_form(np.random.default_rng(seed), m, d, span)
+    a, b = [(data.draw(_entries(form.fibre_rank)), data.draw(_entries(form.base_rank)))
+            for _ in range(2)]
+    arrays = [_caller_array(part) for part in a]
+    g1 = GroupElement(*arrays)
+    for array, part, values in zip(arrays, (g1.fibre, g1.base), a):
+        assert array.flags.writeable and not np.shares_memory(array, part)
+        array[:] = 0
+        assert part.tolist() == values
+    g2 = GroupElement(*b)
+    product = _ref_multiply(form, _ref_multiply(form, a, b), _ref_inverse(form, a))
+    results = [(group_multiply(form, g1, g2), _ref_multiply(form, a, b)),
+               (group_inverse(form, g1), _ref_inverse(form, a)),
+               (commutator(form, g1, g2), _ref_multiply(form, product, _ref_inverse(form, b)))]
+    for result, expected in results:
+        assert _parts(result) == expected
+        assert not result.fibre.flags.writeable and not result.base.flags.writeable

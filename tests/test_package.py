@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "GroupElement", "InputDocument", "LocalEquations", "MembershipError",
     "MembershipResult", "OneFormsSpace", "ParseError", "RankDecision", "SampleResult",
     "SpectralTable", "StructureDegenerateError", "TableTooLargeError", "TangentTable",
-    "TbiError", "ThetaCohomology", "ToleranceAmbiguityError", "basis_change",
+    "TbiError", "ToleranceAmbiguityError", "basis_change",
     "basis_lift", "bundle_report", "catalog", "catalog_datum", "central_lift",
     "chart_structure", "classify_blocks", "closed_forms_dim", "cocycle_defect",
     "cocycle_eval", "cohomology", "commutator", "complex_to_pairs",
@@ -27,7 +27,7 @@ PUBLIC_NAMES = [
     "parse_input", "periods", "product_datum", "product_form", "random_structure",
     "reconstruct", "require_table_fits", "riemann_check", "sample_point", "serialize",
     "sha256_hex", "split_coordinates", "standard_structure",
-    "structure_sheaf_dims", "tangent_table", "theta_cohomology", "validate_form",
+    "tangent_table", "validate_form",
     "validate_structure", "variety",
 ]
 
@@ -65,7 +65,6 @@ SIGNATURES = {
     "SpectralTable": "(e2, e3, representatives, decisions)",
     "SpectralTable.total_dims": "(self)",
     "TangentTable": "(coker, ker, decisions)",
-    "ThetaCohomology": "(dim, coker_dim, ker_dim)",
     "basis_change": "(structure, tol=1e-09)",
     "basis_lift": "(form, index)",
     "bundle_report": "(datum)",
@@ -108,9 +107,7 @@ SIGNATURES = {
     "sha256_hex": "(data)",
     "split_coordinates": "(structure, x, tol=1e-09)",
     "standard_structure": "(n)",
-    "structure_sheaf_dims": "(datum)",
     "tangent_table": "(datum, table=None)",
-    "theta_cohomology": "(datum, degree)",
     "validate_form": "(form)",
     "validate_structure": "(structure, tol=1e-09)",
 }

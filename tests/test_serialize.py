@@ -2,10 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tbi import (FormInvalidError, ParseError, StructureDegenerateError,
                  complex_to_pairs, dumps, input_document, parse_input,
                  product_form, sha256_hex)
+
+from support import reference_dumps
 
 
 def _zero_doc(**extra):
@@ -64,6 +68,51 @@ def test_dumps_rejects_bad_types():
         dumps({1: "non-string key"})
     with pytest.raises(TypeError):
         dumps(object())
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 64, 2 ** 64),
+    st.floats(), st.text(), st.complex_numbers(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.sampled_from([object(), {1, 2}, b"bytes"]))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.lists(st.integers(-9, 9), max_size=4).map(np.array),
+    st.dictionaries(st.one_of(st.text(), st.integers(), st.none()), inner, max_size=4)),
+    max_leaves=12)
+
+
+def _emitted(dump, value):
+    """dump(value), or the type and message of the ValueError or TypeError it raises."""
+    try:
+        return dump(value)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(value=_VALUES)
+@example(-0.0)
+@example(5e-324)
+@example(1.7976931348623157e308)
+@example(2 ** 63)
+@example(np.float64(0.1))
+@example(np.int64(-2 ** 63))
+@example(np.bool_(False))
+@example(1.5 - 0.0j)
+@example({})
+@example([])
+@example((1, "a", None))
+@example({"k\u00e9y \"\\\n": "\u2028 \x00 \ud800 caf\u00e9"})
+@example([float("nan")])
+@example({"a": float("-inf")})
+@example({1: "a"})
+@example({"a": {None: 1}})
+@example([object()])
+@example({"a": [1.0, {"b": {2, 3}}]})
+def test_dumps_matches_the_isinstance_chain(value):
+    assert _emitted(dumps, value) == _emitted(reference_dumps, value)
 
 
 def test_dumps_round_trips_through_json():
