@@ -86,6 +86,28 @@ def test_near_band_is_open_at_the_top_from_tol_one_tenth():
     assert [(x.rank, x.near) for x in decisions] == [(2, 2), (2, 2), (2, 1)]
 
 
+@pytest.mark.parametrize("size", [1, tbi.cohomology._SHORT, tbi.cohomology._SHORT + 1])
+def test_short_and_long_rank_counts_match_numpy(size):
+    """Up to _SHORT values the decision counts on Python floats, above it with
+    numpy; both must give the numpy counts, with values on the threshold and
+    on both edges of the near band, at a closed band (tol 1e-3) and an open
+    one (tol 0.1), and with a NaN among the values."""
+    rng = np.random.default_rng([97, size])
+    scale = 4.0
+    for tol in (1e-3, 0.1):
+        cut = tol * scale
+        edges = [cut, cut / 10, cut * 10, scale, 0.0]
+        values = np.concatenate([edges, scale * rng.random(size)])[:size]
+        for sing in (np.sort(values)[::-1].copy(), np.where(values == cut, np.nan, values)):
+            decision = _rank_from_singular_values(sing, tol, scale, "probe")
+            threshold = tol * max(scale, float(sing[0]))
+            upper = threshold * 10 if tol * 10 < 1 else np.inf
+            rank = int(np.sum(sing > threshold))
+            near = int(np.sum((sing > threshold / 10) & (sing < upper)))
+            assert (decision.rank, decision.near, decision.threshold) == \
+                (rank, near, threshold), (tol, sing)
+
+
 SCALED_MEMBERS = {"iwasawa": tbi.iwasawa_datum} | {
     f"small.{kind}.{m}.{d}": functools.partial(small_member, kind, m, d)
     for kind, m, d in SMALL_MEMBERS}
