@@ -10,7 +10,8 @@ and table), validate and decompose; the bench/members.py GRID members at seed
 1 under invariants (json and table; n up to 13, about 20 s per side and 400 MB
 at the largest); Iwasawa with one pair of 'A' entries set to each of
 EDGE_VALUES under invariants and group; the group ELEMENTS, the curve
-CHERN_VECTORS and two sample runs; invariants near the rank cuts, on
+CHERN_VECTORS; sample on Iwasawa, also at each --tol of SAMPLE_TOLS, on the
+zero (3,1) form and on two random (3,1) forms; invariants near the rank cuts, on
 support.near_threshold_member at its own tol and, at every --tol of NEAR_TOLS,
 on SMALL_MEMBERS and the points sample_point finds for four forms; the
 OVERFLOW_SCALES documents, whose split overflows, under validate, decompose
@@ -52,6 +53,8 @@ CHERN_VECTORS = ("2,-4", "0,0", "99999999999999999999,0", "1.5,2", "1,2,3")
 NEAR_TOLS = ("1e-3", "0.05", "0.1", "0.2", "0.45")  # at 0.1, ten times a cut is the top
 OVERFLOW_SCALES = (("iwasawa", 1e308, 1.0), ("small.mixed.2.1", 1e100, 1e-150))  # of V, of U
 LARGE = (30, 2)
+SAMPLE_TOLS = ("1e-300", "0.5", "10")  # sample on Iwasawa: tol tiny, middling and past 1
+SAMPLE_FORMS_SEED = 31  # two random (3,1) forms on which every sample attempt fails
 GRID = (("mixed", 4, 2, False), ("mixed", 7, 3, False), ("mixed", 8, 3, False),
         ("mixed", 10, 1, False), ("pure_hermitian", 10, 1, False), ("zero_hermitian", 9, 1, True),
         ("mixed", 12, 1, False), ("pure_hermitian", 12, 1, False))
@@ -140,6 +143,12 @@ def write_corpus(workdir) -> list:
     argvs += [["sample", path, "--count", "2", "--seed", "3"],
               ["sample", write("zero.3.1", tbi.dumps(tbi.input_document(tbi.product_form(3, 1)))),
                "--count", "2", "--max-attempts", "5"]]
+    argvs += [["sample", path, "--count", "3", "--tol", tol] for tol in SAMPLE_TOLS]
+    rng = np.random.default_rng(SAMPLE_FORMS_SEED)
+    for number in range(2):
+        form = support.random_alternating_form(rng, 3, 1)
+        argvs.append(["sample", write(f"random.3.1.{number}", tbi.dumps(tbi.input_document(form))),
+                      "--count", "3"])
     return argvs
 
 

@@ -71,8 +71,8 @@ def _parse_file(path: str, args, require_structures: bool = True) -> tuple:
 def _bracket(form, g1, g2) -> tuple:
     """The commutator of g1 and g2, the form's value on their base parts, and
     whether the commutator is the central element carrying that value."""
-    bracket = commutator(form, g1, g2)
-    expected = form(g1.base, g2.base)
+    bracket = commutator(form, g1, g2)  # checks that the parts fit the form
+    expected = form._value(g1.base, g2.base)
     return bracket, expected, (not bracket.base.any()
                                and bracket.fibre.tolist() == expected.tolist())
 

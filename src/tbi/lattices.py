@@ -88,11 +88,13 @@ class ExtensionForm:
 
     def __call__(self, g1, g2):
         """Full bilinear value A(g1, g2) as an integer fibre vector."""
-        g1 = _int_vector(g1, self.base_rank, "g1")
-        g2 = _int_vector(g2, self.base_rank, "g2")
+        return self._value(_int_vector(g1, self.base_rank, "g1"),
+                           _int_vector(g2, self.base_rank, "g2"))
+
+    def _value(self, x, y):
+        """A(x, y) for base vectors already checked as _int_vector checks them."""
         weight = self._weight
-        return _bilinear(self.coefficients, weight, weight * _max_abs(g1) * _max_abs(g2),
-                         g1, g2)[0]
+        return _bilinear(self.coefficients, weight, weight * _max_abs(x) * _max_abs(y), x, y)[0]
 
 
 def validate_form(form: ExtensionForm) -> list[str]:

@@ -119,16 +119,39 @@ def draws_exhausted(n: int) -> StructureDegenerateError:
     )
 
 
+def _orthonormal_frames_invertible(periods: np.ndarray, tol: float):
+    """_frames_invertible for the frames (P | conj P) of a stack of period
+    matrices P with orthonormal columns, from one stacked n x n SVD.
+
+    For such P the frame has singular values sqrt(1 +- s_k), s_k those of
+    the complex-symmetric P^T P, so the test reads
+    sqrt((1 - s_max) / (1 + s_max)) > tol.  A ratio within 1e-6 * tol of
+    tol, where the rounding of either computation might decide, is settled
+    by _frames_invertible itself, so every verdict is the one it gives.
+    """
+    s = np.linalg.svd(np.swapaxes(periods, -1, -2) @ periods, compute_uv=False)[..., 0]
+    # Rounding may put s_max of a nearly real subspace just above 1.
+    ratio = np.sqrt(np.maximum(1.0 - s, 0.0) / (1.0 + s))
+    accepted = ratio > tol
+    close = np.abs(ratio - tol) <= 1e-6 * tol
+    if close.any():
+        near = periods[close]
+        accepted[close] = _frames_invertible(np.concatenate([near, np.conj(near)], axis=-1),
+                                             tol)
+    return accepted
+
+
 def random_periods(n: int, rngs):
     """Stacked random period matrices, one per generator in rngs.
 
     Returns (periods, valid): periods has shape (len(rngs), 2n, n) and
     valid[a] tells whether generator a produced an acceptable frame within
     _MAX_DRAWS draws.  Each generator is used exactly as random_structure
-    uses it -- the real part of a draw, then its imaginary part, redrawn
-    while the frame is nearly singular -- so entry a equals
-    random_structure(n, rngs[a]) bit for bit.  Every round of draws is
-    orthonormalised by one stacked QR and screened by one stacked SVD.
+    uses it -- one normal draw of shape (2, 2n, n), the real part and then
+    the imaginary part, redrawn while the frame is nearly singular -- so
+    entry a equals random_structure(n, rngs[a]) bit for bit.  Every round
+    of draws is orthonormalised by one stacked QR, and its frames are tested
+    by _orthonormal_frames_invertible, one stacked n x n SVD.
     """
     if n < 1:
         raise ValueError("half rank must be positive")
@@ -138,11 +161,9 @@ def random_periods(n: int, rngs):
     for _ in range(_MAX_DRAWS):
         if not pending.size:
             break
-        draws = np.array([rngs[a].standard_normal((2 * n, n))
-                          + 1j * rngs[a].standard_normal((2 * n, n)) for a in pending])
-        fresh = np.linalg.qr(draws)[0]
-        accepted = _frames_invertible(np.concatenate([fresh, np.conj(fresh)], axis=-1),
-                                      _RANDOM_FRAME_TOL)
+        draws = np.array([rngs[a].standard_normal((2, 2 * n, n)) for a in pending])
+        fresh = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])[0]
+        accepted = _orthonormal_frames_invertible(fresh, _RANDOM_FRAME_TOL)
         periods[pending] = fresh
         valid[pending] = accepted
         pending = pending[~accepted]

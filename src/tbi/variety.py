@@ -12,13 +12,15 @@ where the subspace is { (u', U* u') }, this reads w'' = U* w' per pair, which
 is what LocalEquations records.
 
 sample_point is a rejection search over random base structures.  Its attempts
-are screened in batches of doubling size on stacked arrays: one QR and one
-frame SVD for the bases (random_periods), one einsum for the pairwise values
-and one SVD for their ranks per batch.  Only attempts that pass the rank test
-are completed one at a time, so the result -- found, attempts, residual and
-period bytes -- equals that of trying the attempts one by one.
-pairwise_values and random_structure are the one-element case of the same
-kernels.
+run in batches of doubling size on stacked arrays.  Per batch, random_periods
+draws the bases (one QR and one n x n SVD for their frames), and a screen
+takes the pairwise values as matrix products and only their singular values.
+A batch in which no attempt can pass the rank test is done at that point.
+Any other batch is ranked exactly: one einsum for the pairwise values and one
+SVD with vectors, and the attempts that pass are completed one at a time.  So
+the result -- found, attempts, residual and period bytes -- equals that of
+trying the attempts one by one.  pairwise_values and random_structure are the
+one-element case of the same kernels.
 """
 
 from dataclasses import dataclass
@@ -81,6 +83,27 @@ def _pair_values(coeff: np.ndarray, periods: np.ndarray) -> np.ndarray:
     """
     h, l = _pair_index(periods.shape[-1])
     return np.einsum("aih,kij,ajl->akhl", periods, coeff, periods)[:, :, h, l]
+
+
+def _may_have_low_rank(coeff: np.ndarray, periods: np.ndarray, d: int, tol: float,
+                       slack: float) -> np.ndarray:
+    """For each period matrix of the stack, whether its pairwise values can
+    have rank at most d at tol, from matrix products and values-only
+    singular values s: False only when s_d > max(2 tol, 1e-12) s_0 + slack.
+
+    The exact ranks (_pair_values and an SVD with vectors) differ from these
+    values and singular values by rounding alone.  The factor 2 covers it
+    relative to s_0, 1e-12 does at a tiny tol, and slack, the caller's
+    margin, does when s_0 is tiny beside the form's coefficients.  So no
+    attempt that the exact test passes is ruled out here.
+    """
+    h, l = _pair_index(periods.shape[-1])
+    values = (np.swapaxes(periods, -1, -2)[:, None] @ coeff @ periods[:, None])[:, :, h, l]
+    sing = np.linalg.svd(values, compute_uv=False)
+    # A huge tol passes every attempt: a product past the float range is inf,
+    # and inf times zero values is nan, which no singular value exceeds.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ~(sing[:, d] > max(2 * tol, 1e-12) * sing[:, 0] + slack)
 
 
 def pairwise_values(form: ExtensionForm, base: ComplexStructure):
@@ -167,28 +190,38 @@ def sample_point(form: ExtensionForm, seed=0, max_attempts: int = 100,
     per-attempt derived seeds, so they are independent and the first success
     (lowest attempt index) is returned deterministically.
 
-    Attempts are screened in batches of doubling size (1, 2, 4, ... up to
-    _MAX_BATCH): each batch draws its bases with random_periods, takes the
-    pairwise values of all of them in one einsum and their ranks from one
-    stacked SVD.  Only the attempts whose rank is at most d are completed and
-    checked, one by one in attempt order.  Every attempt keeps its own
-    generator, so the result is the same as trying the attempts one at a
-    time.
+    Attempts run in batches of doubling size (1, 2, 4, ... up to
+    _MAX_BATCH), and each batch draws its bases with random_periods.  When
+    the values can have rank above d (there are more than d pairs), a screen
+    (_may_have_low_rank) first rules out the attempts whose values are
+    clearly of higher rank; a batch with no attempt left, and no exhausted
+    draw, is done.  Any other batch takes the pairwise values of all its
+    attempts in one einsum and their ranks from one stacked SVD, and the
+    attempts whose rank is at most d are completed and checked, one by one in
+    attempt order.  Every attempt keeps its own generator, so the result is
+    the same as trying the attempts one at a time.
     """
     d = form.fibre_rank // 2
     m = form.base_rank // 2
     prefix = exact_integers(np.array(seed, dtype=object, ndmin=1).tolist(), "seed",
                             bounded=False)
     coeff = form.coefficients.astype(complex)
+    # Entries of orthonormal periods are at most 1 in size, so no pairwise
+    # value exceeds the form's weight; 1e-9 of it is far above their rounding.
+    screened, slack = m * (m - 1) // 2 > d, 1e-9 * float(form._weight)
     best_residual = None
     for chunk in _chunks(max_attempts):
         rngs = [np.random.default_rng(prefix + [attempt]) for attempt in chunk]
         periods, valid = random_periods(m, rngs)
+        if screened and valid.all() \
+                and not _may_have_low_rank(coeff, periods, d, tol, slack).any():
+            continue
         values = _pair_values(coeff, periods)  # (attempt, ambient row, pair)
         # With no pairs (m = 1) every rank is 0 and u_svd is the identity.
         # Singular values come sorted, so all-zero values have rank 0 too.
         u_svd, sing, _ = np.linalg.svd(values, full_matrices=True)
-        ranks = (sing > tol * sing[:, :1]).sum(axis=1)
+        with np.errstate(over="ignore"):  # past the float range, as in the screen
+            ranks = (sing > tol * sing[:, :1]).sum(axis=1)
         for a in ((ranks <= d) | ~valid).nonzero()[0]:
             if not valid[a]:
                 raise draws_exhausted(m)

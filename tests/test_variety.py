@@ -12,7 +12,7 @@ from tbi.periods import random_periods
 from tbi.serialize import dumps, input_document
 from tbi.variety import _MAX_BATCH, _chunks, _pair_values
 
-from support import count_calls, random_alternating_form
+from support import count_calls, random_alternating_form, reference_sample_point
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +582,37 @@ def test_sample_point_tests_each_fibre_frame_once(monkeypatch):
 
 
 def test_sample_point_refuses_an_exhausted_base_draw(monkeypatch):
-    monkeypatch.setattr(periods, "_frames_invertible",
-                        lambda frames, tol: np.zeros(frames.shape[:-2], dtype=bool))
+    monkeypatch.setattr(periods, "_orthonormal_frames_invertible",
+                        lambda stack, tol: np.zeros(len(stack), dtype=bool))
     with pytest.raises(StructureDegenerateError,
                        match="no valid period matrix of half rank 2 found in 64 draws"):
         sample_point(iwasawa_form(), seed=0, max_attempts=5)
+
+
+def _result_fields(result):
+    return (result.found, result.attempts, result.best_residual,
+            *(None if s is None else s.period.tobytes() for s in (result.base, result.fibre)))
+
+
+@pytest.mark.parametrize("tol", [1e-300, 1e-9, 0.2, 0.5, 1, 10, 1e308])
+@pytest.mark.parametrize("name", ["iwasawa", "product-3-1", "random-2-1-a", "random-3-1-a",
+                                  "random-3-2", "random-4-1"])
+def test_screened_search_matches_the_unscreened_loop(name, tol):
+    form = SAMPLER_FORMS[name]()
+    for max_attempts in (1, 100, 300):
+        assert _result_fields(sample_point(form, seed=7, max_attempts=max_attempts, tol=tol)) \
+            == _result_fields(reference_sample_point(form, seed=7, max_attempts=max_attempts,
+                                                     tol=tol))
+
+
+def test_a_failing_search_takes_only_small_values_only_svds(monkeypatch):
+    # The bases' frames are tested from P^T P (3 x 3), and the values only
+    # screened (2 x 3): no SVD with vectors and no 6 x 6 frame SVD.
+    svds = count_calls(monkeypatch, np.linalg.svd)
+    result = sample_point(SAMPLER_FORMS["random-3-1-a"](), seed=0, max_attempts=100)
+    assert (result.found, result.attempts) == (False, 100)
+    assert {args[0].shape[1:] for args, _ in svds} == {(3, 3), (2, 3)}
+    assert all(kwargs == {"compute_uv": False} for _, kwargs in svds)
 
 
 def test_sample_point_skips_a_degenerate_fibre_frame(monkeypatch):
