@@ -11,7 +11,9 @@ and table), validate and decompose; the bench/members.py GRID members at seed
 at the largest); Iwasawa with one pair of 'A' entries set to each of
 EDGE_VALUES under invariants and group; the group ELEMENTS, the curve
 CHERN_VECTORS; sample on Iwasawa, also at each --tol of SAMPLE_TOLS, on the
-zero (3,1) form and on two random (3,1) forms; invariants near the rank cuts, on
+zero (3,1) form and on two random (3,1) forms, on Iwasawa and the second
+random form at each --seed of WIDE_SEEDS, and on that form with 600 attempts,
+which fill two batches of the largest size; invariants near the rank cuts, on
 support.near_threshold_member at its own tol and, at every --tol of NEAR_TOLS,
 on SMALL_MEMBERS and the points sample_point finds for four forms; the
 OVERFLOW_SCALES documents, whose split overflows, under validate, decompose
@@ -55,6 +57,7 @@ OVERFLOW_SCALES = (("iwasawa", 1e308, 1.0), ("small.mixed.2.1", 1e100, 1e-150)) 
 LARGE = (30, 2)
 SAMPLE_TOLS = ("1e-300", "0.5", "10")  # sample on Iwasawa: tol tiny, middling and past 1
 SAMPLE_FORMS_SEED = 31  # two random (3,1) forms on which every sample attempt fails
+WIDE_SEEDS = ("4294967296", "18446744073709551617")  # 2**32 and 2**64 + 1: 2 and 3 seed words
 GRID = (("mixed", 4, 2, False), ("mixed", 7, 3, False), ("mixed", 8, 3, False),
         ("mixed", 10, 1, False), ("pure_hermitian", 10, 1, False), ("zero_hermitian", 9, 1, True),
         ("mixed", 12, 1, False), ("pure_hermitian", 12, 1, False))
@@ -147,8 +150,11 @@ def write_corpus(workdir) -> list:
     rng = np.random.default_rng(SAMPLE_FORMS_SEED)
     for number in range(2):
         form = support.random_alternating_form(rng, 3, 1)
-        argvs.append(["sample", write(f"random.3.1.{number}", tbi.dumps(tbi.input_document(form))),
-                      "--count", "3"])
+        form_path = write(f"random.3.1.{number}", tbi.dumps(tbi.input_document(form)))
+        argvs.append(["sample", form_path, "--count", "3"])
+    argvs += [["sample", sample_path, "--count", "2", "--seed", seed]
+              for seed in WIDE_SEEDS for sample_path in (path, form_path)]
+    argvs.append(["sample", form_path, "--count", "1", "--max-attempts", "600"])
     return argvs
 
 

@@ -53,6 +53,12 @@ class ComplexStructure:
         """The square matrix (P | conj P) pairing the subspace with its conjugate."""
         return np.hstack([self.period, np.conj(self.period)])
 
+    @cached_property
+    def _verdicts(self) -> dict:
+        """validate_structure's verdict at each tol it was asked for; the
+        period matrix is read-only, so a verdict never changes."""
+        return {}
+
 
 def _frames_invertible(frames: np.ndarray, tol: float):
     """Whether each frame (the last two axes) has its smallest singular value
@@ -70,9 +76,14 @@ def validate_structure(structure: ComplexStructure, tol: float = DEFAULT_TOL) ->
 
     The test compares the smallest singular value of the frame against
     tol times the largest, so rescaling the period matrix does not change
-    the verdict.
+    the verdict.  The verdict is kept on the structure, so a period matrix
+    tested when a document is parsed is not decomposed again when the split
+    tests it at the same tol.
     """
-    return bool(_frames_invertible(structure.frame, tol))
+    verdicts = structure._verdicts
+    if tol not in verdicts:
+        verdicts[tol] = bool(_frames_invertible(structure.frame, tol))
+    return verdicts[tol]
 
 
 def require_structure(structure: ComplexStructure, tol: float = DEFAULT_TOL,

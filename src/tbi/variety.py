@@ -12,9 +12,11 @@ where the subspace is { (u', U* u') }, this reads w'' = U* w' per pair, which
 is what LocalEquations records.
 
 sample_point is a rejection search over random base structures.  Its attempts
-run in batches of doubling size on stacked arrays.  Per batch, random_periods
-draws the bases (one QR and one n x n SVD for their frames), and a screen
-takes the pairwise values as matrix products and only their singular values.
+run in batches of growing size (1, 4, 16, ...) on stacked arrays.  Per batch,
+_generators builds the attempts' generators with one stacked hash of their
+seed pools, random_periods draws the bases (one QR and one n x n SVD for their
+frames), and a screen takes the pairwise values as matrix products and only
+their singular values.
 A batch in which no attempt can pass the rank test is done at that point.
 Any other batch is ranked exactly: one einsum for the pairwise values and one
 SVD with vectors, and the attempts that pass are completed one at a time.  So
@@ -35,6 +37,15 @@ from .periods import (ComplexStructure, DEFAULT_TOL, draws_exhausted, random_per
                       validate_structure)
 
 _MAX_BATCH = 256  # attempts per screened batch, so memory does not grow with max_attempts
+_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence hashes its 4-word pool, read cyclically, into output
+# word i of a state by a xor with INIT_B * MULT_B**i, a product with
+# INIT_B * MULT_B**(i + 1) (mod 2**32) and a xorshift by 16, with INIT_B =
+# 0x8B51F9DD and MULT_B = 0x58F38DED.  PCG64 takes 8 such words as 4
+# little-endian uint64.
+_HASH = np.array([0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) & _MASK32 for i in range(9)],
+                 dtype=np.uint32)
+_STATE_XOR, _STATE_MUL = _HASH[:8].reshape(2, 4), _HASH[1:].reshape(2, 4)
 
 
 @dataclass(frozen=True)
@@ -168,14 +179,65 @@ class SampleResult:
 
 
 def _chunks(max_attempts: int):
-    """Attempt ranges of doubling length 1, 2, 4, ... up to _MAX_BATCH, the
-    last one cut at max_attempts, so an early success costs one small batch
-    and a full search of 100 attempts takes 7 batches."""
+    """Attempt ranges of length 1, 4, 16, ... up to _MAX_BATCH, the last one
+    cut at max_attempts, so an early success costs one small batch and a
+    full search of 100 attempts takes 5 batches."""
     start, size = 1, 1
     while start <= max_attempts:
         stop = min(start + size, max_attempts + 1)
         yield range(start, stop)
-        start, size = stop, min(2 * size, _MAX_BATCH)
+        start, size = stop, min(4 * size, _MAX_BATCH)
+
+
+def _seed_words(value: int) -> list:
+    """numpy's split of a seed integer into uint32 words: lowest word first,
+    and 0 as one word; a negative one is refused with numpy's message."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+@lru_cache(maxsize=None)
+def _fixed_state_type():
+    """A SeedSequence stand-in that gives PCG64 a state computed beforehand.
+    PCG64 accepts only an ISeedSequence, and numpy.random is imported here,
+    on the first search, because it costs a cold process several ms."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedState(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state  # PCG64 asks for 4 uint64 words
+
+    return FixedState
+
+
+def _generators(words: list, attempts: range) -> list:
+    """np.random.default_rng(prefix + [attempt]) for each attempt, stream for
+    stream, where words holds the _seed_words of the prefix's entries.
+
+    SeedSequence mixes each attempt's uint32 entropy (the prefix's words, then
+    the attempt's) into its pool, as it does for the list of ints, without
+    coercing Python ints.  The pools of all attempts are then hashed into
+    PCG64 states together, a few operations on one (attempts, 2, 4) array,
+    where generate_state loops over the words of one pool at a time."""
+    random = np.random
+    entropy = [np.array(words + _seed_words(a), dtype=np.uint32) for a in attempts]
+    pools = np.array([random.SeedSequence(row).pool for row in entropy])
+    states = pools[:, None, :] ^ _STATE_XOR
+    states *= _STATE_MUL
+    states ^= states >> 16
+    states = states.reshape(len(pools), 8).astype("<u4", copy=False).view("<u8")
+    fixed_state = _fixed_state_type()
+    return [random.Generator(random.PCG64(fixed_state(state)))
+            for state in states.astype(np.uint64, copy=False)]
 
 
 def sample_point(form: ExtensionForm, seed=0, max_attempts: int = 100,
@@ -186,12 +248,14 @@ def sample_point(form: ExtensionForm, seed=0, max_attempts: int = 100,
     and -- when their span fits inside a d-dimensional subspace -- completes
     that span with random directions to a candidate fibre structure.  The
     candidate is kept if it is a valid structure and the membership check
-    passes.  seed is a non-negative integer or sequence of them; attempts use
-    per-attempt derived seeds, so they are independent and the first success
-    (lowest attempt index) is returned deterministically.
+    passes.  seed is a non-negative integer or sequence of them; attempt k
+    draws from np.random.default_rng(seed + [k]) (seed as a list), so attempts
+    are independent and the first success (lowest attempt index) is returned
+    deterministically.
 
-    Attempts run in batches of doubling size (1, 2, 4, ... up to
-    _MAX_BATCH), and each batch draws its bases with random_periods.  When
+    Attempts run in batches of size 1, 4, 16, ... up to _MAX_BATCH.  Each
+    batch builds its generators with _generators, from the seed's words
+    split once per search, and draws its bases with random_periods.  When
     the values can have rank above d (there are more than d pairs), a screen
     (_may_have_low_rank) first rules out the attempts whose values are
     clearly of higher rank; a batch with no attempt left, and no exhausted
@@ -205,13 +269,14 @@ def sample_point(form: ExtensionForm, seed=0, max_attempts: int = 100,
     m = form.base_rank // 2
     prefix = exact_integers(np.array(seed, dtype=object, ndmin=1).tolist(), "seed",
                             bounded=False)
+    words = [word for value in prefix for word in _seed_words(value)]
     coeff = form.coefficients.astype(complex)
     # Entries of orthonormal periods are at most 1 in size, so no pairwise
     # value exceeds the form's weight; 1e-9 of it is far above their rounding.
     screened, slack = m * (m - 1) // 2 > d, 1e-9 * float(form._weight)
     best_residual = None
     for chunk in _chunks(max_attempts):
-        rngs = [np.random.default_rng(prefix + [attempt]) for attempt in chunk]
+        rngs = _generators(words, chunk)
         periods, valid = random_periods(m, rngs)
         if screened and valid.all() \
                 and not _may_have_low_rank(coeff, periods, d, tol, slack).any():

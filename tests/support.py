@@ -16,7 +16,7 @@ from tbi.decomposition import _contract, riemann_check
 from tbi.errors import StructureDegenerateError
 from tbi.lattices import exact_integers
 from tbi.periods import _MAX_DRAWS, _RANDOM_FRAME_TOL, _frames_invertible, draws_exhausted
-from tbi.variety import SampleResult, _chunks, _pair_values
+from tbi.variety import SampleResult, _pair_values
 
 
 def subprocess_env():
@@ -68,39 +68,40 @@ def reference_random_periods(n: int, rngs):
 
 
 def reference_sample_point(form, seed=0, max_attempts=100, tol=tbi.DEFAULT_TOL) -> SampleResult:
-    """tbi.sample_point with no rank screen: every batch of attempts takes
-    the einsum values and a full SVD, on reference_random_periods.  The
-    oracle for the screened search, which must return the same result."""
+    """tbi.sample_point as its docstring states it: the attempts tried one
+    at a time, each with its own np.random.default_rng(seed + [attempt]), with
+    no rank screen (the einsum values and a full SVD every attempt) and on
+    reference_random_periods.  The oracle for the screened, batched search,
+    which must return the same result."""
     d = form.fibre_rank // 2
     m = form.base_rank // 2
     prefix = exact_integers(np.array(seed, dtype=object, ndmin=1).tolist(), "seed",
                             bounded=False)
     coeff = form.coefficients.astype(complex)
     best_residual = None
-    for chunk in _chunks(max_attempts):
-        rngs = [np.random.default_rng(prefix + [attempt]) for attempt in chunk]
-        periods, valid = reference_random_periods(m, rngs)
-        values = _pair_values(coeff, periods)
-        u_svd, sing, _ = np.linalg.svd(values, full_matrices=True)
+    for attempt in range(1, max_attempts + 1):
+        rng = np.random.default_rng(prefix + [attempt])
+        periods, valid = reference_random_periods(m, [rng])
+        if not valid[0]:
+            raise draws_exhausted(m)
+        u_svd, sing, _ = np.linalg.svd(_pair_values(coeff, periods)[0], full_matrices=True)
         with np.errstate(over="ignore"):
-            ranks = (sing > tol * sing[:, :1]).sum(axis=1)
-        for a in ((ranks <= d) | ~valid).nonzero()[0]:
-            if not valid[a]:
-                raise draws_exhausted(m)
-            rng, rank = rngs[a], int(ranks[a])
-            padding = rng.standard_normal((2 * d, d - rank)) \
-                + 1j * rng.standard_normal((2 * d, d - rank))
-            q, _ = np.linalg.qr(np.hstack([u_svd[a, :, :rank], padding]))
-            fibre = ComplexStructure(q)
-            base = ComplexStructure(periods[a])
-            try:
-                verdict = riemann_check(form, base, fibre, tol)
-            except StructureDegenerateError:
-                continue
-            if best_residual is None or verdict.residual < best_residual:
-                best_residual = verdict.residual
-            if verdict.member:
-                return SampleResult(True, base, fibre, chunk[a], verdict.residual)
+            rank = int((sing > tol * sing[:1]).sum())
+        if rank > d:
+            continue
+        padding = rng.standard_normal((2 * d, d - rank)) \
+            + 1j * rng.standard_normal((2 * d, d - rank))
+        q, _ = np.linalg.qr(np.hstack([u_svd[:, :rank], padding]))
+        fibre = ComplexStructure(q)
+        base = ComplexStructure(periods[0])
+        try:
+            verdict = riemann_check(form, base, fibre, tol)
+        except StructureDegenerateError:
+            continue
+        if best_residual is None or verdict.residual < best_residual:
+            best_residual = verdict.residual
+        if verdict.member:
+            return SampleResult(True, base, fibre, attempt, verdict.residual)
     return SampleResult(False, None, None, max_attempts, best_residual)
 
 

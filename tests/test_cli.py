@@ -67,16 +67,20 @@ def test_validate_ok(tmp_path, capsys):
     assert payload["scale"] == 2.0
 
 
-@pytest.mark.parametrize("command", ["validate", "invariants"])
+@pytest.mark.parametrize("command", ["validate", "invariants", "decompose"])
 def test_document_checks_run_once(tmp_path, capsys, monkeypatch, command):
     # parse_input tests the form once and each period matrix once; the split's
-    # basis change tests the fibre frame once more before membership.
+    # basis change asks for the fibre frame's verdict once more before
+    # membership and reads the one parse_input left: one frame SVD of V
+    # (4 x 4) and one of U (2 x 2).
     path = _write(tmp_path, "iwasawa.json", _iwasawa_doc())
     form_checks = count_calls(monkeypatch, tbi.lattices.validate_form)
     frame_checks = count_calls(monkeypatch, tbi.periods.validate_structure)
+    frame_svds = count_calls(monkeypatch, tbi.periods._frames_invertible)
     code, _, _ = _run(capsys, [command, path])
     assert code == 0
     assert (len(form_checks), len(frame_checks)) == (1, 3)
+    assert [args[0].shape for args, _ in frame_svds] == [(4, 4), (2, 2)]
 
 
 def test_validate_not_json(tmp_path, capsys):
@@ -616,6 +620,12 @@ def test_cli_import_loads_no_scipy(tmp_path):
     code = ("import sys, tbi.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'concurrent')))")
     assert _stdout([sys.executable, "-c", code], tmp_path) == b"[]\n"
+
+
+def test_cli_import_leaves_numpy_random_unloaded(tmp_path):
+    # tbi sample imports it on its first search.
+    code = "import sys, tbi.cli; print('numpy.random' in sys.modules)"
+    assert _stdout([sys.executable, "-c", code], tmp_path) == b"False\n"
 
 
 @pytest.mark.skipif(shutil.which("tbi") is None,

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from tbi import (BundleDatum, ComplexStructure, ExtensionForm,
 from tbi import periods, variety
 from tbi.periods import random_periods
 from tbi.serialize import dumps, input_document
-from tbi.variety import _MAX_BATCH, _chunks, _pair_values
+from tbi.variety import _MAX_BATCH, _chunks, _generators, _pair_values, _seed_words
 
 from support import count_calls, random_alternating_form, reference_sample_point
 
@@ -552,10 +553,10 @@ def test_stacked_draws_continue_each_generator():
         assert a.standard_normal() == b.standard_normal()
 
 
-def test_chunks_double_up_to_max_attempts():
+def test_chunks_grow_by_four_up_to_max_attempts():
     assert [list(c) for c in _chunks(1)] == [[1]]
-    assert [len(c) for c in _chunks(100)] == [1, 2, 4, 8, 16, 32, 37]
-    assert [c[0] for c in _chunks(100)] == [1, 2, 4, 8, 16, 32, 64]
+    assert [len(c) for c in _chunks(100)] == [1, 4, 16, 64, 15]
+    assert [c[0] for c in _chunks(100)] == [1, 2, 6, 22, 86]
     assert list(_chunks(0)) == []
 
 
@@ -566,19 +567,58 @@ def test_chunks_cover_every_attempt_in_capped_batches(max_attempts):
     assert all(len(c) <= _MAX_BATCH for c in chunks)
 
 
-def test_chunks_stop_doubling_at_the_cap():
+def test_chunks_stop_growing_at_the_cap():
     assert _MAX_BATCH == 256
-    assert [len(c) for c in _chunks(127)] == [1, 2, 4, 8, 16, 32, 64]
-    assert [len(c) for c in _chunks(1000)] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 256, 233]
+    assert [len(c) for c in _chunks(127)] == [1, 4, 16, 64, 42]
+    assert [len(c) for c in _chunks(1000)] == [1, 4, 16, 64, 256, 256, 256, 147]
+
+
+def test_seed_words_split_as_numpy_does():
+    assert _seed_words(0) == [0]
+    assert _seed_words(2**32 - 1) == [2**32 - 1]
+    assert _seed_words(2**32) == [0, 1]
+    assert _seed_words(2**64 + 1) == [1, 0, 1]
+
+
+@pytest.mark.parametrize("prefix,attempts", [
+    ([0], range(1, 6)),
+    ([2**32 - 1, 0], range(1, 5)),
+    ([2**32], range(1, 17)),
+    ([2**64 + 1, 0], range(1, 5)),
+    ([1, 2, 3, 4, 5], range(1, 5)),  # six words with the attempt's, past the 4-word pool
+    ([2**100 + 3], range(60, 65)),
+    ([3, 1], range(2**32 - 3, 2**32 + 3)),  # the attempt's own words go from one to two
+    ([0], range(2**32 - 1, 2**32 + 1)),
+    ([2**64 + 1, 0], range(2**64 - 2, 2**64 + 2)),
+])
+def test_generators_match_default_rng_stream_for_stream(prefix, attempts):
+    words = [word for value in prefix for word in _seed_words(value)]
+    rngs = _generators(words, attempts)
+    assert len(rngs) == len(attempts)
+    for attempt, rng in zip(attempts, rngs):
+        reference = np.random.default_rng(prefix + [attempt])
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.standard_normal(9).tobytes() == reference.standard_normal(9).tobytes()
+        assert rng.integers(2**62, size=3).tolist() == reference.integers(2**62, size=3).tolist()
+
+
+@pytest.mark.parametrize("seed", [-1, [3, -1], [2**64, -(2**70)]])
+def test_sample_point_refuses_a_negative_seed_as_numpy_does(seed):
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.default_rng(np.array(seed, dtype=object, ndmin=1).tolist() + [1])
+    with pytest.raises(ValueError, match=f"^{numpy_error.value}$"):
+        sample_point(product_form(2, 1), seed=seed)
 
 
 def test_sample_point_tests_each_fibre_frame_once(monkeypatch):
     frame_checks = count_calls(monkeypatch, periods.validate_structure)
+    frame_svds = count_calls(monkeypatch, periods._frames_invertible)
     checks = count_calls(monkeypatch, variety.riemann_check)
     for seed in range(5):
         assert sample_point(iwasawa_form(), seed=seed, max_attempts=10).found
     assert len(checks) == 5
     assert len(frame_checks) == len(checks)
+    assert [args[0].shape for args, _ in frame_svds] == [(2, 2)] * len(checks)
 
 
 def test_sample_point_refuses_an_exhausted_base_draw(monkeypatch):
@@ -599,9 +639,9 @@ def _result_fields(result):
                                   "random-3-2", "random-4-1"])
 def test_screened_search_matches_the_unscreened_loop(name, tol):
     form = SAMPLER_FORMS[name]()
-    for max_attempts in (1, 100, 300):
-        assert _result_fields(sample_point(form, seed=7, max_attempts=max_attempts, tol=tol)) \
-            == _result_fields(reference_sample_point(form, seed=7, max_attempts=max_attempts,
+    for seed, max_attempts in itertools.product([7, 2**40 + 7, [2**64 + 1, 0]], (1, 100, 300)):
+        assert _result_fields(sample_point(form, seed=seed, max_attempts=max_attempts, tol=tol)) \
+            == _result_fields(reference_sample_point(form, seed=seed, max_attempts=max_attempts,
                                                      tol=tol))
 
 
