@@ -11,15 +11,16 @@ and table), validate and decompose; the bench/members.py GRID members at seed
 at the largest); Iwasawa with one pair of 'A' entries set to each of
 EDGE_VALUES under invariants and group; the group ELEMENTS, the curve
 CHERN_VECTORS; sample on Iwasawa, also at each --tol of SAMPLE_TOLS, on the
-zero (3,1) form and on two random (3,1) forms, on Iwasawa and the second
-random form at each --seed of WIDE_SEEDS, and on that form with 600 attempts,
-which fill two batches of the largest size; invariants near the rank cuts, on
-support.near_threshold_member at its own tol and, at every --tol of NEAR_TOLS,
-on SMALL_MEMBERS and the points sample_point finds for four forms; the
-OVERFLOW_SCALES documents, whose split overflows, under validate, decompose
-and invariants (json and table); a seeded random document at (m, d) = LARGE,
-a size at which a term-by-term split takes about a second, under validate and
-decompose; and catalog product at base dimension 40.
+zero (3,1) form, on two random (3,1) forms and on a random (3,2) form, on
+Iwasawa and the second random (3,1) form at each --seed of WIDE_SEEDS, and on
+the (3,2) form, on which every attempt fails, also with 600 attempts;
+invariants near the rank cuts, on support.near_threshold_member at its own
+tol and, at every --tol of NEAR_TOLS, on SMALL_MEMBERS and the points
+sample_point finds for four forms; the OVERFLOW_SCALES documents, whose
+split overflows, under validate, decompose and invariants (json and table); a
+seeded random document at (m, d) = LARGE, a size at which a term-by-term
+split takes about a second, under validate and decompose; and catalog product
+at base dimension 40.
 An exception that escapes tbi.cli.main is recorded as the run's exit code.
 After the corpus, each process runs every invariants argv a second time, and
 that run's stdout must equal the first one's on the same checkout, so that
@@ -56,7 +57,7 @@ NEAR_TOLS = ("1e-3", "0.05", "0.1", "0.2", "0.45")  # at 0.1, ten times a cut is
 OVERFLOW_SCALES = (("iwasawa", 1e308, 1.0), ("small.mixed.2.1", 1e100, 1e-150))  # of V, of U
 LARGE = (30, 2)
 SAMPLE_TOLS = ("1e-300", "0.5", "10")  # sample on Iwasawa: tol tiny, middling and past 1
-SAMPLE_FORMS_SEED = 31  # two random (3,1) forms on which every sample attempt fails
+SAMPLE_FORMS_SEED = 31  # two random (3,1) forms, then a (3,2) form that no attempt solves
 WIDE_SEEDS = ("4294967296", "18446744073709551617")  # 2**32 and 2**64 + 1: 2 and 3 seed words
 GRID = (("mixed", 4, 2, False), ("mixed", 7, 3, False), ("mixed", 8, 3, False),
         ("mixed", 10, 1, False), ("pure_hermitian", 10, 1, False), ("zero_hermitian", 9, 1, True),
@@ -154,7 +155,10 @@ def write_corpus(workdir) -> list:
         argvs.append(["sample", form_path, "--count", "3"])
     argvs += [["sample", sample_path, "--count", "2", "--seed", seed]
               for seed in WIDE_SEEDS for sample_path in (path, form_path)]
-    argvs.append(["sample", form_path, "--count", "1", "--max-attempts", "600"])
+    hopeless = write("random.3.2", tbi.dumps(tbi.input_document(
+        support.random_alternating_form(rng, 3, 2))))
+    argvs += [["sample", hopeless, "--count", "3"],
+              ["sample", hopeless, "--count", "1", "--max-attempts", "600"]]
     return argvs
 
 

@@ -60,15 +60,13 @@ class ComplexStructure:
         return {}
 
 
-def _frames_invertible(frames: np.ndarray, tol: float):
-    """Whether each frame (the last two axes) has its smallest singular value
-    above tol times its largest; a stack of frames takes one SVD call."""
-    # Transposed, the singular values are indexed by rank first: s[0] is
-    # the largest of one frame (a scalar) or of each frame in a stack.
-    s = np.linalg.svd(frames, compute_uv=False).T
+def _frames_invertible(frame: np.ndarray, tol: float) -> bool:
+    """Whether the square frame has its smallest singular value above tol
+    times its largest."""
+    s = np.linalg.svd(frame, compute_uv=False)
     # A product past the float range is inf, which no singular value exceeds.
     with np.errstate(over="ignore"):
-        return s[-1] > tol * s[0]
+        return bool(s[-1] > tol * s[0])
 
 
 def validate_structure(structure: ComplexStructure, tol: float = DEFAULT_TOL) -> bool:
@@ -82,7 +80,7 @@ def validate_structure(structure: ComplexStructure, tol: float = DEFAULT_TOL) ->
     """
     verdicts = structure._verdicts
     if tol not in verdicts:
-        verdicts[tol] = bool(_frames_invertible(structure.frame, tol))
+        verdicts[tol] = _frames_invertible(structure.frame, tol)
     return verdicts[tol]
 
 
@@ -116,69 +114,12 @@ def split_coordinates(structure: ComplexStructure, x, tol: float = DEFAULT_TOL):
     return coords[:n], coords[n:]
 
 
-# Frames this close to singular get redrawn: it bounds the condition number
-# of every frame a random structure can produce, so downstream solves lose at
-# most ~4 digits instead of an unbounded amount on unlucky seeds.
+# Random frames this close to singular are redrawn here and fail their
+# attempt in sample_point: it bounds the condition number of every frame a
+# random structure can produce, so downstream solves lose at most ~4 digits
+# instead of an unbounded amount on unlucky seeds.
 _RANDOM_FRAME_TOL = 1e-2
-_MAX_DRAWS = 64  # redraws per generator before it counts as exhausted
-
-
-def draws_exhausted(n: int) -> StructureDegenerateError:
-    """The error for a generator that gave no valid frame in _MAX_DRAWS draws."""
-    return StructureDegenerateError(
-        f"no valid period matrix of half rank {n} found in {_MAX_DRAWS} draws"
-    )
-
-
-def _orthonormal_frames_invertible(periods: np.ndarray, tol: float):
-    """_frames_invertible for the frames (P | conj P) of a stack of period
-    matrices P with orthonormal columns, from one stacked n x n SVD.
-
-    For such P the frame has singular values sqrt(1 +- s_k), s_k those of
-    the complex-symmetric P^T P, so the test reads
-    sqrt((1 - s_max) / (1 + s_max)) > tol.  A ratio within 1e-6 * tol of
-    tol, where the rounding of either computation might decide, is settled
-    by _frames_invertible itself, so every verdict is the one it gives.
-    """
-    s = np.linalg.svd(np.swapaxes(periods, -1, -2) @ periods, compute_uv=False)[..., 0]
-    # Rounding may put s_max of a nearly real subspace just above 1.
-    ratio = np.sqrt(np.maximum(1.0 - s, 0.0) / (1.0 + s))
-    accepted = ratio > tol
-    close = np.abs(ratio - tol) <= 1e-6 * tol
-    if close.any():
-        near = periods[close]
-        accepted[close] = _frames_invertible(np.concatenate([near, np.conj(near)], axis=-1),
-                                             tol)
-    return accepted
-
-
-def random_periods(n: int, rngs):
-    """Stacked random period matrices, one per generator in rngs.
-
-    Returns (periods, valid): periods has shape (len(rngs), 2n, n) and
-    valid[a] tells whether generator a produced an acceptable frame within
-    _MAX_DRAWS draws.  Each generator is used exactly as random_structure
-    uses it -- one normal draw of shape (2, 2n, n), the real part and then
-    the imaginary part, redrawn while the frame is nearly singular -- so
-    entry a equals random_structure(n, rngs[a]) bit for bit.  Every round
-    of draws is orthonormalised by one stacked QR, and its frames are tested
-    by _orthonormal_frames_invertible, one stacked n x n SVD.
-    """
-    if n < 1:
-        raise ValueError("half rank must be positive")
-    periods = np.empty((len(rngs), 2 * n, n), dtype=complex)
-    valid = np.zeros(len(rngs), dtype=bool)
-    pending = np.arange(len(rngs))
-    for _ in range(_MAX_DRAWS):
-        if not pending.size:
-            break
-        draws = np.array([rngs[a].standard_normal((2, 2 * n, n)) for a in pending])
-        fresh = np.linalg.qr(draws[:, 0] + 1j * draws[:, 1])[0]
-        accepted = _orthonormal_frames_invertible(fresh, _RANDOM_FRAME_TOL)
-        periods[pending] = fresh
-        valid[pending] = accepted
-        pending = pending[~accepted]
-    return periods, valid
+_MAX_DRAWS = 64  # redraws before random_structure gives up
 
 
 def random_structure(n: int, seed) -> ComplexStructure:
@@ -186,15 +127,22 @@ def random_structure(n: int, seed) -> ComplexStructure:
 
     seed may be anything np.random.default_rng accepts, including an
     existing Generator (used when several draws must share one stream).
-    The period matrix is the orthonormalisation of a complex Gaussian draw,
-    so the subspace is uniform on the Grassmannian; draws whose frame is
-    nearly singular (the subspace almost meets its conjugate) are redrawn.
-    This is the one-generator case of random_periods.
+    The period matrix is the orthonormalisation of a complex Gaussian draw
+    (one normal draw of shape (2, 2n, n): the real part, then the imaginary
+    part), so the subspace is uniform on the Grassmannian; draws whose frame
+    is nearly singular (the subspace almost meets its conjugate) are redrawn.
     """
-    periods, valid = random_periods(n, [np.random.default_rng(seed)])
-    if not valid[0]:
-        raise draws_exhausted(n)
-    return ComplexStructure(periods[0])
+    if n < 1:
+        raise ValueError("half rank must be positive")
+    rng = np.random.default_rng(seed)
+    for _ in range(_MAX_DRAWS):
+        draw = rng.standard_normal((2, 2 * n, n))
+        structure = ComplexStructure(np.linalg.qr(draw[0] + 1j * draw[1])[0])
+        if validate_structure(structure, _RANDOM_FRAME_TOL):
+            return structure
+    raise StructureDegenerateError(
+        f"no valid period matrix of half rank {n} found in {_MAX_DRAWS} draws"
+    )
 
 
 def standard_structure(n: int) -> ComplexStructure:

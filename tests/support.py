@@ -12,11 +12,7 @@ import tbi
 from tbi import BundleDatum, ComplexStructure, ExtensionForm, basis_change, standard_structure
 from tbi.cohomology import (_d2_block, _degree_blocks, _rank_from_singular_values, _svd,
                             _wedge_products, leray_table)
-from tbi.decomposition import _contract, riemann_check
-from tbi.errors import StructureDegenerateError
-from tbi.lattices import exact_integers
-from tbi.periods import _MAX_DRAWS, _RANDOM_FRAME_TOL, _frames_invertible, draws_exhausted
-from tbi.variety import SampleResult, _pair_values
+from tbi.decomposition import _contract
 
 
 def subprocess_env():
@@ -44,65 +40,6 @@ def count_calls(monkeypatch, function) -> list:
                 and getattr(module, function.__name__, None) is function:
             monkeypatch.setattr(module, function.__name__, counting)
     return calls
-
-
-def reference_random_periods(n: int, rngs):
-    """tbi.periods.random_periods as two normal draws per round and a 2n x 2n
-    SVD of every frame: the oracle for its single draw and its closed-form
-    frame test."""
-    periods = np.empty((len(rngs), 2 * n, n), dtype=complex)
-    valid = np.zeros(len(rngs), dtype=bool)
-    pending = np.arange(len(rngs))
-    for _ in range(_MAX_DRAWS):
-        if not pending.size:
-            break
-        draws = np.array([rngs[a].standard_normal((2 * n, n))
-                          + 1j * rngs[a].standard_normal((2 * n, n)) for a in pending])
-        fresh = np.linalg.qr(draws)[0]
-        accepted = _frames_invertible(np.concatenate([fresh, np.conj(fresh)], axis=-1),
-                                      _RANDOM_FRAME_TOL)
-        periods[pending] = fresh
-        valid[pending] = accepted
-        pending = pending[~accepted]
-    return periods, valid
-
-
-def reference_sample_point(form, seed=0, max_attempts=100, tol=tbi.DEFAULT_TOL) -> SampleResult:
-    """tbi.sample_point as its docstring states it: the attempts tried one
-    at a time, each with its own np.random.default_rng(seed + [attempt]), with
-    no rank screen (the einsum values and a full SVD every attempt) and on
-    reference_random_periods.  The oracle for the screened, batched search,
-    which must return the same result."""
-    d = form.fibre_rank // 2
-    m = form.base_rank // 2
-    prefix = exact_integers(np.array(seed, dtype=object, ndmin=1).tolist(), "seed",
-                            bounded=False)
-    coeff = form.coefficients.astype(complex)
-    best_residual = None
-    for attempt in range(1, max_attempts + 1):
-        rng = np.random.default_rng(prefix + [attempt])
-        periods, valid = reference_random_periods(m, [rng])
-        if not valid[0]:
-            raise draws_exhausted(m)
-        u_svd, sing, _ = np.linalg.svd(_pair_values(coeff, periods)[0], full_matrices=True)
-        with np.errstate(over="ignore"):
-            rank = int((sing > tol * sing[:1]).sum())
-        if rank > d:
-            continue
-        padding = rng.standard_normal((2 * d, d - rank)) \
-            + 1j * rng.standard_normal((2 * d, d - rank))
-        q, _ = np.linalg.qr(np.hstack([u_svd[:, :rank], padding]))
-        fibre = ComplexStructure(q)
-        base = ComplexStructure(periods[0])
-        try:
-            verdict = riemann_check(form, base, fibre, tol)
-        except StructureDegenerateError:
-            continue
-        if best_residual is None or verdict.residual < best_residual:
-            best_residual = verdict.residual
-        if verdict.member:
-            return SampleResult(True, base, fibre, attempt, verdict.residual)
-    return SampleResult(False, None, None, max_attempts, best_residual)
 
 
 def skew_d2_image(monkeypatch):

@@ -5,9 +5,6 @@ from tbi import (ComplexStructure, StructureDegenerateError, basis_change,
                  random_structure, split_coordinates, standard_structure,
                  validate_structure)
 from tbi import periods
-from tbi.periods import random_periods
-
-from support import count_calls
 
 
 def test_valid_structure():
@@ -88,48 +85,14 @@ def test_random_structure_accepts_generator():
     assert not np.array_equal(first.period, second.period)
 
 
-def test_random_periods_refuse_zero_half_rank():
+def test_random_structure_refuses_zero_half_rank():
     with pytest.raises(ValueError, match="half rank must be positive"):
-        random_periods(0, [])
+        random_structure(0, 0)
 
 
 def test_random_structure_gives_up_after_its_draws(monkeypatch):
     # Every frame rejected: the generator is exhausted after _MAX_DRAWS draws.
-    monkeypatch.setattr(periods, "_orthonormal_frames_invertible",
-                        lambda stack, tol: np.zeros(len(stack), dtype=bool))
+    monkeypatch.setattr(periods, "_frames_invertible", lambda frame, tol: False)
     with pytest.raises(StructureDegenerateError,
                        match="no valid period matrix of half rank 2 found in 64 draws"):
         random_structure(2, 0)
-
-
-def _orthonormal_periods(rng, n, s_max):
-    """An orthonormal 2n x n period matrix whose P^T P has largest singular
-    value s_max.  Column k is (cos a_k, i sin a_k) on rows 2k, 2k+1, so P^T P
-    is diag(cos 2a_k); a real rotation of the rows and a unitary change of
-    columns keep those singular values."""
-    values = np.concatenate([[s_max], rng.uniform(0, s_max, n - 1)])
-    angles = np.arccos(values) / 2
-    period = np.zeros((2 * n, n), dtype=complex)
-    period[2 * np.arange(n), np.arange(n)] = np.cos(angles)
-    period[2 * np.arange(n) + 1, np.arange(n)] = 1j * np.sin(angles)
-    rotation = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))[0]
-    unitary = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
-    return rotation @ period @ unitary
-
-
-@pytest.mark.parametrize("tol", [periods._RANDOM_FRAME_TOL, 0.5])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_closed_form_frame_test_agrees_at_its_boundary(monkeypatch, n, tol):
-    # (P | conj P) has singular values sqrt(1 +- s_k(P^T P)), so its test at
-    # tol flips at s_max = (1 - tol^2) / (1 + tol^2).  Past 1 (tol 1e-2 and
-    # 1 + 1e-3) the subspace is real and the frame singular.
-    boundary = (1 - tol ** 2) / (1 + tol ** 2)
-    rng = np.random.default_rng([n, 11])
-    stack = np.array([_orthonormal_periods(rng, n, min(boundary * (1 + sign * delta), 1.0))
-                      for delta in (1e-3, 1e-9, 1e-13) for sign in (-1, 1)])
-    expected = periods._frames_invertible(np.concatenate([stack, np.conj(stack)], axis=-1), tol)
-    assert expected[:2].tolist() == [True, False]
-    checks = count_calls(monkeypatch, periods._frames_invertible)
-    assert periods._orthonormal_frames_invertible(stack, tol).tolist() == expected.tolist()
-    # The draws 1e-13 from the boundary are decided by the frame SVD itself.
-    assert sum(len(args[0]) for args, _ in checks) >= 2

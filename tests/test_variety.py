@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 
 import numpy as np
 import pytest
@@ -7,13 +6,12 @@ import pytest
 from tbi import (BundleDatum, ComplexStructure, ExtensionForm,
                  StructureDegenerateError, chart_structure, cli, graph_chart,
                  iwasawa_form, local_equations, pairwise_values, product_form,
-                 random_structure, riemann_check, sample_point, standard_structure)
+                 random_structure, riemann_check, sample_point, standard_structure,
+                 validate_structure)
 from tbi import periods, variety
-from tbi.periods import random_periods
 from tbi.serialize import dumps, input_document
-from tbi.variety import _MAX_BATCH, _chunks, _generators, _pair_values, _seed_words
 
-from support import count_calls, random_alternating_form, reference_sample_point
+from support import count_calls, random_alternating_form
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +164,7 @@ def test_sample_point_refuses_non_integer_seeds(seed):
 
 def test_sample_failure_reports_attempts():
     rng = np.random.default_rng(61)
-    form = random_alternating_form(rng, 3, 1)
+    form = random_alternating_form(rng, 3, 2)
     result = sample_point(form, seed=7, max_attempts=5)
     assert not result.found
     assert result.attempts == 5
@@ -177,13 +175,18 @@ def test_sample_failure_reports_attempts():
 # ---------------------------------------------------------------------------
 # Frozen sampler results
 #
-# Recorded with the attempt-by-attempt sampler that preceded the batched
-# screen: every SampleResult field and the period bytes must stay the same.
 # Columns: form, tol, seed, max_attempts, found, attempts, best_residual and
 # the first 16 hex digits of sha256(base period bytes + fibre period bytes)
-# ("-" when nothing was found).  The coarse tolerances make the rank test and
-# the membership check pass on some attempts and not others, so successes
-# land inside later batches and failures carry a best residual.
+# ("-" when nothing was found).  Every SampleResult field and the period
+# bytes must stay the same.  The coarse tolerances make the rank decisions
+# and the membership check pass on some attempts and not others, so
+# successes land on later attempts and failures carry a best residual.
+# The rows of the forms with more pairs than d (random-3-1-a, random-3-1-b,
+# random-3-2 and random-4-1) were recorded again when sample_point began to
+# build its points instead of rejecting random bases: the random (3,1) and
+# (4,1) forms now give a point at tol 1e-9.  The rows of the forms whose
+# values always fit (iwasawa, product-3-1, random-2-1-a, random-2-1-b,
+# random-1-2 and random-2-2) did not move.
 # best_residual was recorded again when decompose took the split as two
 # matrix products in place of a term-by-term einsum: it moved in its last
 # digits on 111 rows, and found, attempts and the period digests did not move.
@@ -279,42 +282,42 @@ random-2-1-b 1e-09 4 100 1 1 2.5018537765542007e-16 d1f4473b9e994ada
 random-2-1-b 1e-09 5 1 1 1 7.066778860128639e-16 8b4ea01e19ddfe2b
 random-2-1-b 1e-09 5 5 1 1 7.066778860128639e-16 8b4ea01e19ddfe2b
 random-2-1-b 1e-09 5 100 1 1 7.066778860128639e-16 8b4ea01e19ddfe2b
-random-3-1-a 1e-09 0 1 0 1 None -
-random-3-1-a 1e-09 0 5 0 5 None -
-random-3-1-a 1e-09 0 100 0 100 None -
-random-3-1-a 1e-09 1 1 0 1 None -
-random-3-1-a 1e-09 1 5 0 5 None -
-random-3-1-a 1e-09 1 100 0 100 None -
-random-3-1-a 1e-09 2 1 0 1 None -
-random-3-1-a 1e-09 2 5 0 5 None -
-random-3-1-a 1e-09 2 100 0 100 None -
-random-3-1-a 1e-09 3 1 0 1 None -
-random-3-1-a 1e-09 3 5 0 5 None -
-random-3-1-a 1e-09 3 100 0 100 None -
-random-3-1-a 1e-09 4 1 0 1 None -
-random-3-1-a 1e-09 4 5 0 5 None -
-random-3-1-a 1e-09 4 100 0 100 None -
-random-3-1-a 1e-09 5 1 0 1 None -
-random-3-1-a 1e-09 5 5 0 5 None -
-random-3-1-a 1e-09 5 100 0 100 None -
-random-3-1-b 1e-09 0 1 0 1 None -
-random-3-1-b 1e-09 0 5 0 5 None -
-random-3-1-b 1e-09 0 100 0 100 None -
-random-3-1-b 1e-09 1 1 0 1 None -
-random-3-1-b 1e-09 1 5 0 5 None -
-random-3-1-b 1e-09 1 100 0 100 None -
-random-3-1-b 1e-09 2 1 0 1 None -
-random-3-1-b 1e-09 2 5 0 5 None -
-random-3-1-b 1e-09 2 100 0 100 None -
-random-3-1-b 1e-09 3 1 0 1 None -
-random-3-1-b 1e-09 3 5 0 5 None -
-random-3-1-b 1e-09 3 100 0 100 None -
-random-3-1-b 1e-09 4 1 0 1 None -
-random-3-1-b 1e-09 4 5 0 5 None -
-random-3-1-b 1e-09 4 100 0 100 None -
-random-3-1-b 1e-09 5 1 0 1 None -
-random-3-1-b 1e-09 5 5 0 5 None -
-random-3-1-b 1e-09 5 100 0 100 None -
+random-3-1-a 1e-09 0 1 1 1 7.738350966118095e-15 7a1483f1f714eb9b
+random-3-1-a 1e-09 0 5 1 1 7.738350966118095e-15 7a1483f1f714eb9b
+random-3-1-a 1e-09 0 100 1 1 7.738350966118095e-15 7a1483f1f714eb9b
+random-3-1-a 1e-09 1 1 1 1 2.569295569324444e-15 e367f0df769ca082
+random-3-1-a 1e-09 1 5 1 1 2.569295569324444e-15 e367f0df769ca082
+random-3-1-a 1e-09 1 100 1 1 2.569295569324444e-15 e367f0df769ca082
+random-3-1-a 1e-09 2 1 1 1 2.367373514869999e-14 2dece0412a5a388a
+random-3-1-a 1e-09 2 5 1 1 2.367373514869999e-14 2dece0412a5a388a
+random-3-1-a 1e-09 2 100 1 1 2.367373514869999e-14 2dece0412a5a388a
+random-3-1-a 1e-09 3 1 1 1 5.443490401604861e-15 00f2aecb6cf853ba
+random-3-1-a 1e-09 3 5 1 1 5.443490401604861e-15 00f2aecb6cf853ba
+random-3-1-a 1e-09 3 100 1 1 5.443490401604861e-15 00f2aecb6cf853ba
+random-3-1-a 1e-09 4 1 1 1 8.688887271684032e-15 5a245626852648b8
+random-3-1-a 1e-09 4 5 1 1 8.688887271684032e-15 5a245626852648b8
+random-3-1-a 1e-09 4 100 1 1 8.688887271684032e-15 5a245626852648b8
+random-3-1-a 1e-09 5 1 1 1 2.4939572766503997e-14 4879a1d973c5e32d
+random-3-1-a 1e-09 5 5 1 1 2.4939572766503997e-14 4879a1d973c5e32d
+random-3-1-a 1e-09 5 100 1 1 2.4939572766503997e-14 4879a1d973c5e32d
+random-3-1-b 1e-09 0 1 1 1 3.1796399344122305e-15 5e8855725c3652be
+random-3-1-b 1e-09 0 5 1 1 3.1796399344122305e-15 5e8855725c3652be
+random-3-1-b 1e-09 0 100 1 1 3.1796399344122305e-15 5e8855725c3652be
+random-3-1-b 1e-09 1 1 1 1 7.035714323549514e-15 f802424e77dc2a88
+random-3-1-b 1e-09 1 5 1 1 7.035714323549514e-15 f802424e77dc2a88
+random-3-1-b 1e-09 1 100 1 1 7.035714323549514e-15 f802424e77dc2a88
+random-3-1-b 1e-09 2 1 1 1 2.797656352509526e-13 edfe6ae1893c3849
+random-3-1-b 1e-09 2 5 1 1 2.797656352509526e-13 edfe6ae1893c3849
+random-3-1-b 1e-09 2 100 1 1 2.797656352509526e-13 edfe6ae1893c3849
+random-3-1-b 1e-09 3 1 1 1 7.080797477154318e-15 d93ae541037c21d5
+random-3-1-b 1e-09 3 5 1 1 7.080797477154318e-15 d93ae541037c21d5
+random-3-1-b 1e-09 3 100 1 1 7.080797477154318e-15 d93ae541037c21d5
+random-3-1-b 1e-09 4 1 1 1 1.9555092040374543e-14 a8cce7db24b8dbf2
+random-3-1-b 1e-09 4 5 1 1 1.9555092040374543e-14 a8cce7db24b8dbf2
+random-3-1-b 1e-09 4 100 1 1 1.9555092040374543e-14 a8cce7db24b8dbf2
+random-3-1-b 1e-09 5 1 1 1 1.959132862682772e-14 e7dc9e634426073a
+random-3-1-b 1e-09 5 5 1 1 1.959132862682772e-14 e7dc9e634426073a
+random-3-1-b 1e-09 5 100 1 1 1.959132862682772e-14 e7dc9e634426073a
 random-1-2 1e-09 0 1 1 1 6.291710161720984e-17 f3cb347f12aa31f9
 random-1-2 1e-09 0 5 1 1 6.291710161720984e-17 f3cb347f12aa31f9
 random-1-2 1e-09 0 100 1 1 6.291710161720984e-17 f3cb347f12aa31f9
@@ -351,78 +354,78 @@ random-2-2 1e-09 4 100 1 1 5.3302268750589315e-15 4903d3fc9c63242f
 random-2-2 1e-09 5 1 1 1 1.6011864169946886e-15 3b58a707ffd53724
 random-2-2 1e-09 5 5 1 1 1.6011864169946886e-15 3b58a707ffd53724
 random-2-2 1e-09 5 100 1 1 1.6011864169946886e-15 3b58a707ffd53724
-random-4-1 1e-09 0 1 0 1 None -
-random-4-1 1e-09 0 5 0 5 None -
-random-4-1 1e-09 0 100 0 100 None -
-random-4-1 1e-09 1 1 0 1 None -
-random-4-1 1e-09 1 5 0 5 None -
-random-4-1 1e-09 1 100 0 100 None -
-random-4-1 1e-09 2 1 0 1 None -
-random-4-1 1e-09 2 5 0 5 None -
-random-4-1 1e-09 2 100 0 100 None -
-random-4-1 1e-09 3 1 0 1 None -
-random-4-1 1e-09 3 5 0 5 None -
-random-4-1 1e-09 3 100 0 100 None -
+random-4-1 1e-09 0 1 1 1 2.6693418901311217e-14 246aea162fc48c55
+random-4-1 1e-09 0 5 1 1 2.6693418901311217e-14 246aea162fc48c55
+random-4-1 1e-09 0 100 1 1 2.6693418901311217e-14 246aea162fc48c55
+random-4-1 1e-09 1 1 1 1 7.464134339039856e-15 b5afed16b753f240
+random-4-1 1e-09 1 5 1 1 7.464134339039856e-15 b5afed16b753f240
+random-4-1 1e-09 1 100 1 1 7.464134339039856e-15 b5afed16b753f240
+random-4-1 1e-09 2 1 1 1 6.224381994034986e-14 2242b157b7cc3d81
+random-4-1 1e-09 2 5 1 1 6.224381994034986e-14 2242b157b7cc3d81
+random-4-1 1e-09 2 100 1 1 6.224381994034986e-14 2242b157b7cc3d81
+random-4-1 1e-09 3 1 1 1 8.094926832765773e-15 6bc5b1f5b10c7a0d
+random-4-1 1e-09 3 5 1 1 8.094926832765773e-15 6bc5b1f5b10c7a0d
+random-4-1 1e-09 3 100 1 1 8.094926832765773e-15 6bc5b1f5b10c7a0d
 random-4-1 1e-09 4 1 0 1 None -
-random-4-1 1e-09 4 5 0 5 None -
-random-4-1 1e-09 4 100 0 100 None -
-random-4-1 1e-09 5 1 0 1 None -
-random-4-1 1e-09 5 5 0 5 None -
-random-4-1 1e-09 5 100 0 100 None -
-random-3-1-a 0.2 0 1 0 1 None -
-random-3-1-a 0.2 0 5 0 5 None -
-random-3-1-a 0.2 0 100 0 100 0.8918835823037532 -
-random-3-1-a 0.2 1 1 0 1 None -
-random-3-1-a 0.2 1 5 0 5 None -
-random-3-1-a 0.2 1 100 1 24 1.1345990046089944 718f387ac2fa56e6
+random-4-1 1e-09 4 5 1 2 8.343678738167853e-15 52e501640cae18f1
+random-4-1 1e-09 4 100 1 2 8.343678738167853e-15 52e501640cae18f1
+random-4-1 1e-09 5 1 1 1 8.429656649479352e-15 595156425abe968e
+random-4-1 1e-09 5 5 1 1 8.429656649479352e-15 595156425abe968e
+random-4-1 1e-09 5 100 1 1 8.429656649479352e-15 595156425abe968e
+random-3-1-a 0.2 0 1 1 1 7.738350966118095e-15 7a1483f1f714eb9b
+random-3-1-a 0.2 0 5 1 1 7.738350966118095e-15 7a1483f1f714eb9b
+random-3-1-a 0.2 0 100 1 1 7.738350966118095e-15 7a1483f1f714eb9b
+random-3-1-a 0.2 1 1 1 1 2.569295569324444e-15 e367f0df769ca082
+random-3-1-a 0.2 1 5 1 1 2.569295569324444e-15 e367f0df769ca082
+random-3-1-a 0.2 1 100 1 1 2.569295569324444e-15 e367f0df769ca082
 random-3-1-a 0.2 2 1 0 1 None -
-random-3-1-a 0.2 2 5 0 5 None -
-random-3-1-a 0.2 2 100 1 9 0.3807525008669453 1579fcb186d3a725
+random-3-1-a 0.2 2 5 1 2 7.126343382140037e-15 d93b50c93705e753
+random-3-1-a 0.2 2 100 1 2 7.126343382140037e-15 d93b50c93705e753
 random-3-1-a 0.2 3 1 0 1 None -
-random-3-1-a 0.2 3 5 0 5 None -
-random-3-1-a 0.2 3 100 0 100 None -
-random-3-1-a 0.2 4 1 0 1 None -
-random-3-1-a 0.2 4 5 0 5 None -
-random-3-1-a 0.2 4 100 0 100 None -
+random-3-1-a 0.2 3 5 1 2 2.0471501066083613e-15 e4d133e35044d9c1
+random-3-1-a 0.2 3 100 1 2 2.0471501066083613e-15 e4d133e35044d9c1
+random-3-1-a 0.2 4 1 1 1 8.688887271684032e-15 5a245626852648b8
+random-3-1-a 0.2 4 5 1 1 8.688887271684032e-15 5a245626852648b8
+random-3-1-a 0.2 4 100 1 1 8.688887271684032e-15 5a245626852648b8
 random-3-1-a 0.2 5 1 0 1 None -
-random-3-1-a 0.2 5 5 0 5 None -
-random-3-1-a 0.2 5 100 0 100 1.2983499138980694 -
+random-3-1-a 0.2 5 5 1 3 8.535514988532577e-15 c584f0b0b4b64909
+random-3-1-a 0.2 5 100 1 3 8.535514988532577e-15 c584f0b0b4b64909
 random-3-1-a 0.5 0 1 1 1 1.691239484516158 8bb82f26ea6a5d38
 random-3-1-a 0.5 0 5 1 1 1.691239484516158 8bb82f26ea6a5d38
 random-3-1-a 0.5 0 100 1 1 1.691239484516158 8bb82f26ea6a5d38
-random-3-1-a 0.5 1 1 0 1 None -
-random-3-1-a 0.5 1 5 1 3 0.7810321992123019 7d214177f05432ec
-random-3-1-a 0.5 1 100 1 3 0.7810321992123019 7d214177f05432ec
+random-3-1-a 0.5 1 1 1 1 1.1860351676465117 63ed4bb859d311ca
+random-3-1-a 0.5 1 5 1 1 1.1860351676465117 63ed4bb859d311ca
+random-3-1-a 0.5 1 100 1 1 1.1860351676465117 63ed4bb859d311ca
 random-3-1-a 0.5 2 1 0 1 None -
-random-3-1-a 0.5 2 5 0 5 None -
-random-3-1-a 0.5 2 100 1 7 0.840412692354727 ecd828adbc57e403
+random-3-1-a 0.5 2 5 1 3 0.9758331985374046 dfee66f187495fb7
+random-3-1-a 0.5 2 100 1 3 0.9758331985374046 dfee66f187495fb7
 random-3-1-a 0.5 3 1 0 1 None -
-random-3-1-a 0.5 3 5 0 5 1.9887025796091078 -
-random-3-1-a 0.5 3 100 1 8 1.3174088609227186 ff2ecfcd56f13849
+random-3-1-a 0.5 3 5 1 4 1.0976799699882371e-14 03f85a745c40982c
+random-3-1-a 0.5 3 100 1 4 1.0976799699882371e-14 03f85a745c40982c
 random-3-1-a 0.5 4 1 0 1 None -
 random-3-1-a 0.5 4 5 1 5 2.2339459918627136 53c23ac6695c18b1
 random-3-1-a 0.5 4 100 1 5 2.2339459918627136 53c23ac6695c18b1
 random-3-1-a 0.5 5 1 0 1 None -
-random-3-1-a 0.5 5 5 0 5 2.465204820889548 -
-random-3-1-a 0.5 5 100 1 22 1.7093512847476733 e3313c5adba4a97e
+random-3-1-a 0.5 5 5 1 5 5.307157537219911e-15 cb50696ef10b6d77
+random-3-1-a 0.5 5 100 1 5 5.307157537219911e-15 cb50696ef10b6d77
 random-3-2 0.2 0 1 0 1 None -
-random-3-2 0.2 0 5 0 5 None -
-random-3-2 0.2 0 100 1 58 1.0084261332520925 54f1bccae41da208
+random-3-2 0.2 0 5 1 3 1.040512795453665 90c12fd28f8da76a
+random-3-2 0.2 0 100 1 3 1.040512795453665 90c12fd28f8da76a
 random-3-2 0.2 1 1 0 1 None -
-random-3-2 0.2 1 5 0 5 None -
-random-3-2 0.2 1 100 1 71 0.94793806616362 f9a7713f149ffcad
+random-3-2 0.2 1 5 1 5 0.984052631379589 c25bada5e9d059a9
+random-3-2 0.2 1 100 1 5 0.984052631379589 c25bada5e9d059a9
 random-3-2 0.2 2 1 0 1 None -
-random-3-2 0.2 2 5 0 5 None -
-random-3-2 0.2 2 100 1 11 1.5200559962098412 7dc8a1a95b0c5385
+random-3-2 0.2 2 5 1 5 0.25839636533262655 02a60b9101ff0e45
+random-3-2 0.2 2 100 1 5 0.25839636533262655 02a60b9101ff0e45
 random-3-2 0.2 3 1 0 1 None -
 random-3-2 0.2 3 5 0 5 None -
-random-3-2 0.2 3 100 1 39 1.0917047829339135 cceab63b3d1f2534
-random-3-2 0.2 4 1 0 1 None -
-random-3-2 0.2 4 5 0 5 None -
-random-3-2 0.2 4 100 0 100 1.1273498912360582 -
+random-3-2 0.2 3 100 1 12 0.7261314110518517 4c2c8221ce4ccadf
+random-3-2 0.2 4 1 1 1 1.129008319719443 4b02cdaf722055f1
+random-3-2 0.2 4 5 1 1 1.129008319719443 4b02cdaf722055f1
+random-3-2 0.2 4 100 1 1 1.129008319719443 4b02cdaf722055f1
 random-3-2 0.2 5 1 0 1 None -
-random-3-2 0.2 5 5 0 5 None -
-random-3-2 0.2 5 100 1 24 2.0153693966570394 c06bbd7b7315c67c
+random-3-2 0.2 5 5 1 2 0.14661057956952256 aa293b234fd98e80
+random-3-2 0.2 5 100 1 2 0.14661057956952256 aa293b234fd98e80
 random-3-2 0.5 0 1 0 1 None -
 random-3-2 0.5 0 5 0 5 None -
 random-3-2 0.5 0 100 1 25 1.9825030015768959 693b64093bd5e64c
@@ -443,22 +446,22 @@ random-3-2 0.5 5 5 0 5 None -
 random-3-2 0.5 5 100 0 100 None -
 random-4-1 0.5 0 1 0 1 None -
 random-4-1 0.5 0 5 0 5 None -
-random-4-1 0.5 0 100 0 100 None -
+random-4-1 0.5 0 100 1 77 2.0659669939541545 d90a9675ff0b18be
 random-4-1 0.5 1 1 0 1 None -
-random-4-1 0.5 1 5 0 5 None -
-random-4-1 0.5 1 100 0 100 3.4344554839315937 -
+random-4-1 0.5 1 5 1 3 1.6161302522253451 c0bad08b88413ee2
+random-4-1 0.5 1 100 1 3 1.6161302522253451 c0bad08b88413ee2
 random-4-1 0.5 2 1 0 1 None -
 random-4-1 0.5 2 5 0 5 None -
-random-4-1 0.5 2 100 0 100 None -
+random-4-1 0.5 2 100 1 22 1.5808336589465608 4ae25216c8141c24
 random-4-1 0.5 3 1 0 1 None -
 random-4-1 0.5 3 5 0 5 None -
-random-4-1 0.5 3 100 0 100 4.034481811678438 -
+random-4-1 0.5 3 100 1 18 2.7528409378174397 2c1b2cf1cbd0d173
 random-4-1 0.5 4 1 0 1 None -
 random-4-1 0.5 4 5 0 5 None -
-random-4-1 0.5 4 100 0 100 None -
-random-4-1 0.5 5 1 0 1 None -
-random-4-1 0.5 5 5 0 5 None -
-random-4-1 0.5 5 100 1 78 2.041652956942539 ca7c1da3c587ef4a
+random-4-1 0.5 4 100 1 15 0.6233542327867345 1e330c706e62458b
+random-4-1 0.5 5 1 1 1 2.7036391828963566 4fed00d7cefb4c7a
+random-4-1 0.5 5 5 1 1 2.7036391828963566 4fed00d7cefb4c7a
+random-4-1 0.5 5 100 1 1 2.7036391828963566 4fed00d7cefb4c7a
 """
 
 
@@ -493,7 +496,8 @@ def test_sampler_frozen(name, tol, expected):
 
 @pytest.mark.parametrize("name,digest", [
     ("iwasawa", "f8e3bebd4dca0afcd58827cf601b5d6d73f20bc7ae562a381004be0309000d19"),
-    ("random-3-1-a", "d4a2d0eb72b90ca01e2dd022a693a91e89c6d6a661ce288095e9bcc48dc17b1d"),
+    ("random-3-1-a", "3a275a9be0c65cc98a5f579757b6fc22c514ca7d7cbbda72dbb1ea90b219607f"),
+    ("random-3-2", "1f4a2bc82b92a8e2bf0f3fb643fbb0783231a5c1354def8840293e11eef1e2ba"),
 ])
 def test_sample_cli_stdout_frozen(tmp_path, capsys, name, digest):
     path = tmp_path / "form.json"
@@ -503,7 +507,7 @@ def test_sample_cli_stdout_frozen(tmp_path, capsys, name, digest):
 
 
 def _reference_structure(n, seed):
-    """The draw loop of random_structure before the stacked kernel."""
+    """random_structure as two normal draws per round and a 2n x 2n frame SVD."""
     rng = np.random.default_rng(seed)
     for _ in range(64):
         draw = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
@@ -516,7 +520,7 @@ def _reference_structure(n, seed):
 
 
 def _reference_values(form, base):
-    """pairwise_values before the stacked kernel: one einsum per pair."""
+    """pairwise_values as one einsum per pair."""
     coeff = form.coefficients.astype(complex)
     m = base.half_rank
     columns = [np.einsum("kij,i,j->k", coeff, base.period[:, h], base.period[:, l])
@@ -525,81 +529,14 @@ def _reference_values(form, base):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_stacked_kernels_match_one_at_a_time(n):
+def test_random_structure_and_pairwise_values_match_one_at_a_time(n):
     # Seeds 0..39 include generators whose first frame is redrawn (n=2:
     # seeds 9 and 13, the latter twice).
-    seeds = range(40)
-    periods, valid = random_periods(n, [np.random.default_rng(s) for s in seeds])
-    assert valid.all()
     form = _random_form(100 + n, n, 2)
-    values = _pair_values(form.coefficients.astype(complex), periods)
-    for a, seed in enumerate(seeds):
+    for seed in range(40):
         base = _reference_structure(n, seed)
-        assert periods[a].tobytes() == base.period.tobytes()
         assert random_structure(n, seed).period.tobytes() == base.period.tobytes()
-        reference = _reference_values(form, base)
-        assert values[a].T.tobytes() == reference.tobytes()
-        assert pairwise_values(form, base)[1].tobytes() == reference.tobytes()
-
-
-def test_stacked_draws_continue_each_generator():
-    # A generator used by random_periods is left where the one-at-a-time
-    # draw loop leaves it, so the sampler's padding draws are unchanged.
-    stacked = [np.random.default_rng(s) for s in range(20)]
-    single = [np.random.default_rng(s) for s in range(20)]
-    random_periods(2, stacked)
-    for a, b in zip(stacked, single):
-        _reference_structure(2, b)
-        assert a.standard_normal() == b.standard_normal()
-
-
-def test_chunks_grow_by_four_up_to_max_attempts():
-    assert [list(c) for c in _chunks(1)] == [[1]]
-    assert [len(c) for c in _chunks(100)] == [1, 4, 16, 64, 15]
-    assert [c[0] for c in _chunks(100)] == [1, 2, 6, 22, 86]
-    assert list(_chunks(0)) == []
-
-
-@pytest.mark.parametrize("max_attempts", [1, 127, 128, 256, 511, 1000, 4096])
-def test_chunks_cover_every_attempt_in_capped_batches(max_attempts):
-    chunks = list(_chunks(max_attempts))
-    assert [a for c in chunks for a in c] == list(range(1, max_attempts + 1))
-    assert all(len(c) <= _MAX_BATCH for c in chunks)
-
-
-def test_chunks_stop_growing_at_the_cap():
-    assert _MAX_BATCH == 256
-    assert [len(c) for c in _chunks(127)] == [1, 4, 16, 64, 42]
-    assert [len(c) for c in _chunks(1000)] == [1, 4, 16, 64, 256, 256, 256, 147]
-
-
-def test_seed_words_split_as_numpy_does():
-    assert _seed_words(0) == [0]
-    assert _seed_words(2**32 - 1) == [2**32 - 1]
-    assert _seed_words(2**32) == [0, 1]
-    assert _seed_words(2**64 + 1) == [1, 0, 1]
-
-
-@pytest.mark.parametrize("prefix,attempts", [
-    ([0], range(1, 6)),
-    ([2**32 - 1, 0], range(1, 5)),
-    ([2**32], range(1, 17)),
-    ([2**64 + 1, 0], range(1, 5)),
-    ([1, 2, 3, 4, 5], range(1, 5)),  # six words with the attempt's, past the 4-word pool
-    ([2**100 + 3], range(60, 65)),
-    ([3, 1], range(2**32 - 3, 2**32 + 3)),  # the attempt's own words go from one to two
-    ([0], range(2**32 - 1, 2**32 + 1)),
-    ([2**64 + 1, 0], range(2**64 - 2, 2**64 + 2)),
-])
-def test_generators_match_default_rng_stream_for_stream(prefix, attempts):
-    words = [word for value in prefix for word in _seed_words(value)]
-    rngs = _generators(words, attempts)
-    assert len(rngs) == len(attempts)
-    for attempt, rng in zip(attempts, rngs):
-        reference = np.random.default_rng(prefix + [attempt])
-        assert rng.bit_generator.state == reference.bit_generator.state
-        assert rng.standard_normal(9).tobytes() == reference.standard_normal(9).tobytes()
-        assert rng.integers(2**62, size=3).tolist() == reference.integers(2**62, size=3).tolist()
+        assert pairwise_values(form, base)[1].tobytes() == _reference_values(form, base).tobytes()
 
 
 @pytest.mark.parametrize("seed", [-1, [3, -1], [2**64, -(2**70)]])
@@ -610,61 +547,87 @@ def test_sample_point_refuses_a_negative_seed_as_numpy_does(seed):
         sample_point(product_form(2, 1), seed=seed)
 
 
-def test_sample_point_tests_each_fibre_frame_once(monkeypatch):
+def test_sample_point_tests_each_frame_once(monkeypatch):
+    # One base frame (4 x 4) at _RANDOM_FRAME_TOL per attempt, and one fibre
+    # frame (2 x 2) at tol, by the split's basis change.
     frame_checks = count_calls(monkeypatch, periods.validate_structure)
     frame_svds = count_calls(monkeypatch, periods._frames_invertible)
     checks = count_calls(monkeypatch, variety.riemann_check)
     for seed in range(5):
         assert sample_point(iwasawa_form(), seed=seed, max_attempts=10).found
     assert len(checks) == 5
-    assert len(frame_checks) == len(checks)
-    assert [args[0].shape for args, _ in frame_svds] == [(2, 2)] * len(checks)
+    assert len(frame_checks) == 2 * len(checks)
+    assert [args[0].shape for args, _ in frame_svds] == [(4, 4), (2, 2)] * len(checks)
 
 
-def test_sample_point_refuses_an_exhausted_base_draw(monkeypatch):
-    monkeypatch.setattr(periods, "_orthonormal_frames_invertible",
-                        lambda stack, tol: np.zeros(len(stack), dtype=bool))
-    with pytest.raises(StructureDegenerateError,
-                       match="no valid period matrix of half rank 2 found in 64 draws"):
-        sample_point(iwasawa_form(), seed=0, max_attempts=5)
-
-
-def _result_fields(result):
-    return (result.found, result.attempts, result.best_residual,
-            *(None if s is None else s.period.tobytes() for s in (result.base, result.fibre)))
-
-
-@pytest.mark.parametrize("tol", [1e-300, 1e-9, 0.2, 0.5, 1, 10, 1e308])
-@pytest.mark.parametrize("name", ["iwasawa", "product-3-1", "random-2-1-a", "random-3-1-a",
-                                  "random-3-2", "random-4-1"])
-def test_screened_search_matches_the_unscreened_loop(name, tol):
-    form = SAMPLER_FORMS[name]()
-    for seed, max_attempts in itertools.product([7, 2**40 + 7, [2**64 + 1, 0]], (1, 100, 300)):
-        assert _result_fields(sample_point(form, seed=seed, max_attempts=max_attempts, tol=tol)) \
-            == _result_fields(reference_sample_point(form, seed=seed, max_attempts=max_attempts,
-                                                     tol=tol))
-
-
-def test_a_failing_search_takes_only_small_values_only_svds(monkeypatch):
-    # The bases' frames are tested from P^T P (3 x 3), and the values only
-    # screened (2 x 3): no SVD with vectors and no 6 x 6 frame SVD.
-    svds = count_calls(monkeypatch, np.linalg.svd)
-    result = sample_point(SAMPLER_FORMS["random-3-1-a"](), seed=0, max_attempts=100)
-    assert (result.found, result.attempts) == (False, 100)
-    assert {args[0].shape[1:] for args, _ in svds} == {(3, 3), (2, 3)}
-    assert all(kwargs == {"compute_uv": False} for _, kwargs in svds)
-
-
-def test_sample_point_skips_a_degenerate_fibre_frame(monkeypatch):
-    # The first candidate's fibre frame fails its test; the search goes on to
-    # the next attempt, which succeeds as every Iwasawa attempt does.
+@pytest.mark.parametrize("failing_tol", [periods._RANDOM_FRAME_TOL, periods.DEFAULT_TOL],
+                         ids=["base", "fibre"])
+def test_sample_point_skips_a_degenerate_frame(monkeypatch, failing_tol):
+    # The first attempt's base frame (tested at _RANDOM_FRAME_TOL) or fibre
+    # frame (tested at tol) fails its test; the search goes on to the next
+    # attempt, which succeeds as every Iwasawa attempt does.
     verdicts = iter([False])
     original = periods.validate_structure
 
-    def first_fails(structure, tol):
-        return next(verdicts, True) and original(structure, tol)
+    def first_fails(structure, tol=periods.DEFAULT_TOL):
+        return (tol != failing_tol or next(verdicts, True)) and original(structure, tol)
 
     monkeypatch.setattr(periods, "validate_structure", first_fails)
     monkeypatch.setattr(variety, "validate_structure", first_fails)
+    checks = count_calls(monkeypatch, variety.riemann_check)
     result = sample_point(iwasawa_form(), seed=0, max_attempts=5)
     assert (result.found, result.attempts) == (True, 2)
+    assert len(checks) == (1 if failing_tol == periods._RANDOM_FRAME_TOL else 2)
+
+
+# ---------------------------------------------------------------------------
+# The construction: every returned pair is checked again on fresh structures,
+# so no verdict the search cached on its own structures is reused.
+
+
+def _assert_compatible(form, result, tol=periods.DEFAULT_TOL):
+    assert result.found
+    base, fibre = ComplexStructure(result.base.period), ComplexStructure(result.fibre.period)
+    assert validate_structure(base, tol) and validate_structure(fibre, tol)
+    assert riemann_check(form, base, fibre, tol).member
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_random_m_1_forms_are_all_found(m):
+    for seed in range(8):
+        form = _random_form([seed, m, 1], m, 1)
+        _assert_compatible(form, sample_point(form, seed=seed))
+
+
+# Every case the rejection search found: values that always fit in d
+# dimensions (at most d pairs, the zero form, Iwasawa).
+FITTING_FORMS = {
+    "iwasawa": iwasawa_form,
+    "zero-3-1": lambda: product_form(3, 1),
+    "zero-3-2": lambda: product_form(3, 2),
+    "random-2-1": lambda: _random_form(201, 2, 1),
+    "random-2-2": lambda: _random_form(202, 2, 2),
+    "random-2-3": lambda: _random_form(203, 2, 3),
+    "random-3-3": lambda: _random_form(303, 3, 3),
+    "random-4-6": lambda: _random_form(406, 4, 6),
+}
+
+
+@pytest.mark.parametrize("name", FITTING_FORMS)
+@pytest.mark.parametrize("tol", [periods.DEFAULT_TOL, 1e-6])
+def test_forms_whose_values_fit_are_still_found(name, tol):
+    form = FITTING_FORMS[name]()
+    for seed in range(4):
+        result = sample_point(form, seed=seed, tol=tol)
+        assert result.attempts == 1
+        _assert_compatible(form, result, tol)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_hopeless_forms_end_every_attempt_before_the_check(monkeypatch, m):
+    # A random (m, 2) form: its null space has no room left at the first
+    # redrawn column, so no attempt reaches riemann_check.
+    checks = count_calls(monkeypatch, variety.riemann_check)
+    result = sample_point(_random_form([m, 2], m, 2), seed=3, max_attempts=20)
+    assert (result.found, result.attempts, result.best_residual) == (False, 20, None)
+    assert checks == []
