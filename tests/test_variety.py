@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -631,3 +632,26 @@ def test_hopeless_forms_end_every_attempt_before_the_check(monkeypatch, m):
     result = sample_point(_random_form([m, 2], m, 2), seed=3, max_attempts=20)
     assert (result.found, result.attempts, result.best_residual) == (False, 20, None)
     assert checks == []
+
+
+@pytest.mark.parametrize("tol", [1e-300, 1e-9, 0.2, 0.5, 1, 10, 1e308])
+@pytest.mark.parametrize("name", ["iwasawa", "product-3-1", "random-2-1-a", "random-3-1-a",
+                                  "random-3-2", "random-4-1"])
+def test_every_search_reports_a_checked_point_or_all_its_attempts(name, tol):
+    # From the finest to past the float range of tol: a found pair re-passes
+    # the checks on fresh structures (the base frame at _RANDOM_FRAME_TOL, the
+    # fibre frame and the membership at tol) with the residual it reports, and
+    # a failed search ran every attempt and returns no structures.
+    form = SAMPLER_FORMS[name]()
+    for seed, max_attempts in itertools.product([7, 2**40 + 7, [2**64 + 1, 0]], (1, 100)):
+        result = sample_point(form, seed=seed, max_attempts=max_attempts, tol=tol)
+        if result.found:
+            assert 1 <= result.attempts <= max_attempts
+            base, fibre = ComplexStructure(result.base.period), ComplexStructure(result.fibre.period)
+            assert validate_structure(base, periods._RANDOM_FRAME_TOL)
+            assert validate_structure(fibre, tol)
+            verdict = riemann_check(form, base, fibre, tol)
+            assert verdict.member and verdict.residual == result.best_residual
+        else:
+            assert result.attempts == max_attempts
+            assert result.base is None and result.fibre is None
