@@ -7,11 +7,10 @@ checkout's src and once on OTHER_CHECKOUT's src (each in its own process), and
 compares the stdout, stderr and exit code of every run.  The corpus: the
 catalog and tests/support.py SMALL_MEMBERS documents under invariants (json
 and table), validate and decompose; the bench/members.py GRID members at seed
-1 under invariants (json and table; n up to 13, about 20 s per side and 400 MB
-at the largest); Iwasawa with one pair of 'A' entries set to each of
-EDGE_VALUES under invariants and group; the group ELEMENTS, the curve
-CHERN_VECTORS; sample on Iwasawa, also at each --tol of SAMPLE_TOLS, on the
-zero (3,1) form, on two random (3,1) forms and on a random (3,2) form, on
+1 under invariants (json and table); Iwasawa with one pair of 'A' entries set
+to each of EDGE_VALUES under invariants and group; the group ELEMENTS, the
+curve CHERN_VECTORS; sample on Iwasawa, also at each --tol of SAMPLE_TOLS, on
+the zero (3,1) form, on two random (3,1) forms and on a random (3,2) form, on
 Iwasawa and the second random (3,1) form at each --seed of WIDE_SEEDS, and on
 the (3,2) form, on which every attempt fails, also with 600 attempts;
 invariants near the rank cuts, on support.near_threshold_member at its own
@@ -24,7 +23,8 @@ at base dimension 40.
 An exception that escapes tbi.cli.main is recorded as the run's exit code.
 After the corpus, each process runs every invariants argv a second time, and
 that run's stdout must equal the first one's on the same checkout, so that
-no state kept between calls can change a later report.
+no state kept between calls can change a later report.  Each process
+reports its peak resident set size (ru_maxrss), and both are printed.
 
 A differing run is fields-only when its exit codes and stderr agree and its
 JSON stdout is equal once the keys present on only one side are dropped; it is
@@ -41,6 +41,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -61,7 +62,8 @@ SAMPLE_FORMS_SEED = 31  # two random (3,1) forms, then a (3,2) form that no atte
 WIDE_SEEDS = ("4294967296", "18446744073709551617")  # 2**32 and 2**64 + 1: 2 and 3 seed words
 GRID = (("mixed", 4, 2, False), ("mixed", 7, 3, False), ("mixed", 8, 3, False),
         ("mixed", 10, 1, False), ("pure_hermitian", 10, 1, False), ("zero_hermitian", 9, 1, True),
-        ("mixed", 12, 1, False), ("pure_hermitian", 12, 1, False))
+        ("mixed", 12, 1, False), ("pure_hermitian", 12, 1, False),
+        ("pure_hermitian", 6, 3, False), ("pure_hermitian", 14, 1, False))
 FLOAT_KEYS = {"tol", "residual", "riemann_residual", "best_residual", "scale", "holomorphic",
               "hermitian", "antiholomorphic", "forbidden", "smallest_kept",
               "largest_dropped", "threshold", "V", "U"}
@@ -163,7 +165,8 @@ def write_corpus(workdir) -> list:
 
 
 def dump(argv_file):
-    """One JSON line per argv: its stdout, stderr and exit code."""
+    """One JSON line per argv: its stdout, stderr and exit code; then one
+    line with the process's peak resident set size in MB."""
     from tbi import cli
     with open(argv_file) as handle:
         argvs = json.load(handle)
@@ -177,13 +180,15 @@ def dump(argv_file):
             except Exception as exc:  # a traceback on the command line
                 code = repr(exc)
         print(json.dumps([out.getvalue(), err.getvalue(), code]), flush=True)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)  # Linux reports KiB
 
 
 def run(checkout, argv_file):
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     out = subprocess.run([sys.executable, os.path.abspath(__file__), "--dump", argv_file],
                          env=env, check=True, stdout=subprocess.PIPE, text=True).stdout
-    return [json.loads(line) for line in out.splitlines()]
+    *results, peak_mb = (json.loads(line) for line in out.splitlines())
+    return results, peak_mb
 
 
 def cut_floats(result):
@@ -245,8 +250,9 @@ def compare(other):
         argv_file = os.path.join(workdir, "argv.json")
         with open(argv_file, "w") as handle:
             json.dump(argvs + [argvs[index] for index in again], handle)
-        theirs, mine = run(other, argv_file), run(ROOT, argv_file)
+        (theirs, their_peak), (mine, my_peak) = run(other, argv_file), run(ROOT, argv_file)
         shown = [[os.path.basename(x) if x.startswith(workdir) else x for x in a] for a in argvs]
+    print(f"peak RSS: other {their_peak:.0f} MB, this {my_peak:.0f} MB")
     leaks = 0
     for side, results in (("other", theirs), ("this", mine)):
         for index, repeat in zip(again, results[len(argvs):], strict=True):

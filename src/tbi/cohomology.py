@@ -12,12 +12,12 @@ integer arrays, and each d2 block is one scatter through them.  The level
 maps are built by base direction: _wedge_directions regroups the maps by the
 wedged direction k, and one GEMM per k pairs the target representatives
 with e_k ∧ (source representatives); one more GEMM against the hermitian
-block gives every (fibre, base) block of a level piece at once.  Between
-identity frames the piece is known entry by entry: at d = 1 its singular
-values have a closed form, and at d >= 2 _whole_piece scatters it through
-_wedge_map.  An exactly zero hermitian block makes every level piece exactly
-zero, and no piece is built.  No operator on a whole degree space is ever
-built.
+block gives every (fibre, base) block of a level piece at once.  The piece
+between identity frames is built the same way, and at d = 1 its singular
+values have a closed form.  An exactly zero hermitian block makes every level
+piece exactly zero, and no piece is built; an exactly zero holomorphic block
+makes every d2 block exactly zero, and no d2 block is built.  No operator on
+a whole degree space is ever built.
 
 Every rank decision is one RankDecision record: the smallest singular value
 kept, the largest discarded, the threshold, and how many singular values lie
@@ -26,9 +26,8 @@ singular value that caused it and a borderline cut is flagged by its own
 record.  Every distinct matrix is decomposed once: the rank, kernel, image
 and coimage of a d2 block come from one SVD.  Serre duality (trivial
 canonical bundle) makes the d2 out of (i, j) and out of (m-2-i, d+1-j)
-starred transposes of each other (_dual_columns), so one SVD serves both, and
-an exactly zero d2 block takes zero singular values without one.  A block
-that no d2 of rank > 0 leaves keeps the whole block as kernel, so its
+starred transposes of each other (_dual_columns), so one SVD serves both.  A
+block that no d2 of rank > 0 leaves keeps the whole block as kernel, so its
 representatives are the rest of that SVD's u, and no overlap is decomposed
 for it.  Between two whole blocks (no d2 of rank > 0 enters or leaves either)
 every level piece is, up to a permutation, I ⊗ Q_i with Q_i the piece at
@@ -51,10 +50,11 @@ microseconds.
 
 The spectral table keeps only what a later reader reads: the page grids,
 the representatives that the tangent table consumes, and the rank
-decisions.  The d2 blocks, their image bases and their coimages are locals
-of leray_table and are freed when it returns.  bundle_report is the one entry
-point that computes every dimension from one build of each table, and it
-refuses a report that breaks a duality identity.  The palindrome of
+decisions; a whole block keeps no matrix, and SpectralTable.basis reads it
+as the identity.  The d2 blocks, their image bases and their coimages are
+locals of leray_table and are freed when it returns.  bundle_report is the
+one entry point that computes every dimension from one build of each table,
+and it refuses a report that breaks a duality identity.  The palindrome of
 h_structure holds by construction of e3; the test suite checks the d2
 duality it rests on.
 """
@@ -237,11 +237,13 @@ class SpectralTable:
     """First and second page dimensions, with the bases the tangent table reads.
 
     e2/e3 are (m+1) x (d+1) integer grids indexed by (base degree, fibre
-    degree).  representatives holds, per block, an orthonormal basis of the
+    degree).  representatives holds the bases leray_table computed: per block
+    that a d2 of rank > 0 enters or leaves, an orthonormal basis of the
     surviving subspace (the kernel of the outgoing d2 intersected with the
     orthogonal complement of the incoming image).  A whole block, one with
-    e3 == e2, holds exactly the identity.  The d2 blocks, the image bases and
-    the coimages (row spaces of the outgoing d2) are not kept.
+    e3 == e2, holds no matrix; basis(i, j) reads it as the identity.  The d2
+    blocks, the image bases and the coimages (row spaces of the outgoing d2)
+    are not kept.
     """
 
     e2: np.ndarray
@@ -254,6 +256,12 @@ class SpectralTable:
         m, d = (size - 1 for size in self.e3.shape)
         return [int(sum(self.e3[i, j] for i, j in _degree_blocks(m, d, p)))
                 for p in range(m + d + 1)]
+
+    def basis(self, i, j) -> np.ndarray:
+        """The representatives of block (i, j): the stored basis, or for a
+        whole block, which stores none, the identity."""
+        reps = self.representatives.get((i, j))
+        return np.eye(self.e2[i, j], dtype=complex) if reps is None else reps
 
 
 def _d2_block(conj_two_forms, m, d, i, j):
@@ -357,18 +365,19 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     and the image arriving at each block off the coimage (or, for the rest,
     the kernel) of the dual of the d2 that brings it.  Since rank(into
     (i, j)) = rank(out of (m-i, d-j)), e3 is a Serre-dual grid by
-    construction.  An exactly zero d2 block takes exact zero singular values
-    without an SVD.  Where no d2 of rank > 0 leaves (i, j), the kernel is the
-    whole block and holds the orthonormal image exactly: the overlap is
-    recorded with singular values 1 and not decomposed, and the
-    representatives are the rest of the incoming d2's u.  require_table_fits
-    runs first.
+    construction.  An exactly zero holomorphic block builds no d2 block: each
+    d2 decision takes the exact zeros LAPACK would return.  Where no d2 of
+    rank > 0 leaves (i, j), the kernel is the whole block and holds the
+    orthonormal image exactly: the overlap is recorded with singular values 1
+    and not decomposed, and the representatives are the rest of the incoming
+    d2's u.  A whole block stores none.  require_table_fits runs first.
     """
     require_table_fits(datum)
     split = datum.split
     m, d = split.base_half_rank, split.fibre_half_rank
     tol, scale = datum.tol, split.scale
     conj_two_forms = np.conj(split.holomorphic)
+    zero = not conj_two_forms.any()
 
     e2 = np.array([[math.comb(m, i) * math.comb(d, j) for j in range(d + 1)]
                    for i in range(m + 1)], dtype=np.int64)
@@ -380,9 +389,10 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
         dual = (m - 2 - i, d + 1 - j)
         if dual in d2_decisions:
             continue
-        block = _d2_block(conj_two_forms, m, d, i, j)
-        # LAPACK returns exact zeros for an exactly zero block.
-        u, sing, vh = _svd(block) if block.any() else (None, np.zeros(min(block.shape)), None)
+        if zero:  # the exact zeros LAPACK returns for an exactly zero block
+            u, sing, vh = None, np.zeros(min(e2[i + 2, j - 1], e2[i, j])), None
+        else:
+            u, sing, vh = _svd(_d2_block(conj_two_forms, m, d, i, j))
         for key in {(i, j), dual}:
             d2_decisions[key] = _rank_from_singular_values(
                 sing, tol, scale, "d2 out of ({},{})".format(*key))
@@ -393,14 +403,13 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
             if dual != (i, j):
                 kernels[dual] = _dual_columns(u[:, rank:], m, d, *dual)
                 coimages[dual] = _dual_columns(u[:, :rank], m, d, *dual)
-        del block, u, vh  # before the next SVD
+        del u, vh  # before the next SVD
     decisions = [d2_decisions[key] for key in sorted(d2_decisions)]
 
     e3 = np.zeros_like(e2)
     representatives = {}
     for i in range(m + 1):
         for j in range(d + 1):
-            dim = int(e2[i, j])
             rank_in = d2_decisions[(i - 2, j + 1)].rank if (i - 2, j + 1) in d2_decisions else 0
             reps = kernels.get((i, j))
             vh_overlap = None
@@ -418,8 +427,6 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
                 else:
                     image = _dual_columns(coimages[source], m, d, i, j)
                     _, sing, vh_overlap = _svd(image.conj().T @ reps)
-            elif reps is None:
-                reps = np.eye(dim, dtype=complex)
             overlap = _rank_from_singular_values(sing, tol, 1.0,
                                                  f"image/kernel overlap at ({i},{j})")
             decisions.append(overlap)
@@ -431,8 +438,9 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
                 )
             if vh_overlap is not None:
                 reps = reps @ vh_overlap[overlap.rank:].conj().T
-            representatives[(i, j)] = reps
-            e3[i, j] = reps.shape[1]
+            if reps is not None:  # else a whole block
+                representatives[(i, j)] = reps
+            e3[i, j] = e2[i, j] if reps is None else reps.shape[1]
 
     return SpectralTable(e2, e3, representatives, tuple(decisions))
 
@@ -487,21 +495,6 @@ def _level_piece(one_forms, source, target, m, i):
     blocks = np.matmul(one_forms, _wedge_products(target, source, m, i))  # (x, a·s, w)
     piece = blocks.reshape(height * (one_forms.shape[0] // m), m * width)
     return _svd(piece, compute_uv=False) if piece.size else None
-
-
-def _whole_piece(one_forms, m, i):
-    """The level piece from block (i, ·) to (i+1, ·) between identity frames
-    at fibre count 1, laid out as _level_piece's: row (x, a), column (s, w).
-    Its entry is sign·one_forms[(a, s), k] where x = w ∪ {k} and
-    e_k ∧ e_w = sign·e_x, and 0 elsewhere, so it is scattered through
-    _wedge_map, with no GEMM against the identity."""
-    index, src, sign = _wedge_map(m, i)
-    d = one_forms.shape[0] // m
-    height, width = math.comb(m, i + 1), math.comb(m, i)
-    piece = np.zeros((height, d, m, width), dtype=complex)
-    values = one_forms.reshape(d, m, m)[:, :, index] * sign  # (a, s, pos, x)
-    piece[np.arange(height), :, :, src] = values.transpose(2, 3, 0, 1)
-    return piece.reshape(height * d, m * width)
 
 
 def _closed_whole_pieces(one_forms, m):
@@ -560,17 +553,16 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     than the largest largest_dropped / smallest_kept of the d2 decisions of
     rank > 0, which the report prints; the test suite checks that bound.
 
-    Between two whole blocks (e3 == e2, identity representatives) the piece
-    for (i, j) is, up to a permutation, the Kronecker product I_{C(d,j)} ⊗
-    Q_i, where Q_i is the piece between identity frames at fibre count 1, and
-    its singular values count C(d, j) times for each such (i, j).  At d = 1
+    Between two whole blocks (e3 == e2, no stored basis) the piece for (i, j)
+    is, up to a permutation, the Kronecker product I_{C(d,j)} ⊗ Q_i, where
+    Q_i is the piece between identity frames at fibre count 1, and its
+    singular values count C(d, j) times for each such (i, j).  At d = 1
     they are √(Σ_{s∈x} σ_s(H)²) over the (i+1)-subsets x, with σ_s(H) the
     singular values of the m x m hermitian block H, because Q_i Q_iᴴ is the
     additive compound of conj(Hᴴ H) on Λ^{i+1} (M. Fiedler, Czech. Math. J.
     1974): one SVD of H per table gives every Q_i (_closed_whole_pieces).  At
-    d >= 2 there is no such closed form, and Q_i is scattered from the
-    hermitian block (_whole_piece) with no GEMM and decomposed once per base
-    degree i.
+    d >= 2 there is no such closed form, and Q_i is built by _level_piece
+    between identity frames and decomposed once per base degree i.
 
     An exactly zero hermitian block makes every piece exactly zero, so then
     each level decision takes exact zero singular values, with no piece
@@ -587,7 +579,6 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
 
     decisions: list = []
     h = table.total_dims() + [0]  # nothing above the top degree
-    reps = table.representatives
 
     whole = table.e3 == table.e2
     # i -> singular values of Q_i, all in closed form at d = 1
@@ -596,15 +587,15 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     for p in range(total + 1):
         singular_values = []
         for i, j in () if zero else _degree_blocks(m, d, p):
-            source = reps[(i, j)]
-            if i == m or source.shape[1] == 0:
+            if i == m or table.e3[i, j] == 0:
                 continue
             if whole[i, j] and whole[i + 1, j]:
                 if i not in whole_pieces:
-                    whole_pieces[i] = _svd(_whole_piece(one_forms, m, i), compute_uv=False)
+                    frames = (np.eye(math.comb(m, k), dtype=complex) for k in (i, i + 1))
+                    whole_pieces[i] = _level_piece(one_forms, *frames, m, i)
                 singular_values.append(np.tile(whole_pieces[i], math.comb(d, j)))
             else:
-                sing = _level_piece(one_forms, source, reps[(i + 1, j)], m, i)
+                sing = _level_piece(one_forms, table.basis(i, j), table.basis(i + 1, j), m, i)
                 if sing is not None:
                     singular_values.append(sing)
         # Padded with the exact zeros of the rows and columns no piece covers.

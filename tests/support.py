@@ -11,7 +11,7 @@ import numpy as np
 import tbi
 from tbi import BundleDatum, ComplexStructure, ExtensionForm, basis_change, standard_structure
 from tbi.cohomology import (_d2_block, _degree_blocks, _rank_from_singular_values, _svd,
-                            _wedge_products, leray_table)
+                            _wedge_map, _wedge_products, leray_table)
 from tbi.decomposition import _contract
 
 
@@ -122,7 +122,7 @@ def twist_residual(datum) -> float:
     for p in range(m + d + 1):
         dropped_sq, image_sq = np.zeros(d * m), np.zeros(d * m)
         for i, j in _degree_blocks(m, d, p):
-            source = table.representatives[(i, j)]
+            source = table.basis(i, j)
             if i == m or source.shape[1] == 0:
                 continue
             identity = np.eye(math.comb(m, i + 1) * math.comb(d, j), dtype=complex)
@@ -134,6 +134,21 @@ def twist_residual(datum) -> float:
         if np.any(moved):
             twist = max(twist, float(np.max(np.sqrt(dropped_sq[moved]) / image[moved])))
     return twist
+
+
+def scattered_whole_piece(one_forms, m, i):
+    """Reference for the level piece from block (i, ·) to (i+1, ·) between
+    identity frames at fibre count 1, laid out as _level_piece's: row (x, a),
+    column (s, w).  Its entry is sign·one_forms[(a, s), k] where x = w ∪ {k}
+    and e_k ∧ e_w = sign·e_x, and 0 elsewhere, so it is scattered through
+    _wedge_map, with no GEMM against the identity."""
+    index, src, sign = _wedge_map(m, i)
+    d = one_forms.shape[0] // m
+    height, width = math.comb(m, i + 1), math.comb(m, i)
+    piece = np.zeros((height, d, m, width), dtype=complex)
+    values = one_forms.reshape(d, m, m)[:, :, index] * sign  # (a, s, pos, x)
+    piece[np.arange(height), :, :, src] = values.transpose(2, 3, 0, 1)
+    return piece.reshape(height * d, m * width)
 
 
 def random_alternating_form(rng, m, d, span=3):

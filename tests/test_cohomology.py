@@ -5,6 +5,7 @@ import json
 import math
 import pathlib
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,12 +19,12 @@ from tbi import (BundleDatum, ComplexStructure, ExtensionForm, ToleranceAmbiguit
                  product_datum, random_structure, sample_point, tangent_table)
 
 from tbi.cohomology import (_closed_whole_pieces, _d2_block, _dual_columns, _level_piece,
-                            _rank_from_singular_values, _svd, _wedge_map, _wedge_products,
-                            _whole_piece)
+                            _rank_from_singular_values, _svd, _wedge_map, _wedge_products)
 
 from support import (SMALL_MEMBERS, betti_one, count_calls, d2_blocks, exact_rank,
                      gaussian_member, near_threshold_member, random_alternating_form,
-                     skew_d2_image, small_member, transported_case1, twist_residual)
+                     scattered_whole_piece, skew_d2_image, small_member, transported_case1,
+                     twist_residual)
 
 
 def _random_datum(seed, m, d):
@@ -528,7 +529,8 @@ def test_h1_two_paths_agree(seed):
 def test_representatives_orthonormal_and_clear_images(iwasawa):
     table = leray_table(iwasawa)
     images = d2_blocks(iwasawa)[1]
-    for key, reps in table.representatives.items():
+    for key in np.ndindex(table.e2.shape):
+        reps = table.basis(*key)
         if reps.shape[1]:
             gram = reps.conj().T @ reps
             assert np.allclose(gram, np.eye(reps.shape[1]), atol=1e-10)
@@ -539,8 +541,8 @@ def test_representatives_orthonormal_and_clear_images(iwasawa):
 
 def test_representative_counts_match_e3():
     table = leray_table(_random_datum(85, 3, 2))
-    for (i, j), reps in table.representatives.items():
-        assert reps.shape[1] == table.e3[i, j]
+    for i, j in np.ndindex(table.e2.shape):
+        assert table.basis(i, j).shape[1] == table.e3[i, j]
 
 
 @pytest.mark.parametrize("kind", ["mixed", "zero_hermitian"])
@@ -593,17 +595,17 @@ def test_level_decisions_match_dense_pieces(kind, m, d):
     datum = small_member(kind, m, d)
     table = leray_table(datum)
     tangent = tangent_table(datum, table)
-    reps, hermitian = table.representatives, datum.split.hermitian
+    basis, hermitian = table.basis, datum.split.hermitian
     h = table.total_dims() + [0]
     assert len(tangent.decisions) == m + d + 1
     for p, decision in enumerate(tangent.decisions):
         assert decision.label == f"level map at degree {p}"
         sing = np.zeros(min(d * h[p + 1], m * h[p]))
-        pieces = [np.block([[reps[(i + 1, j)].conj().T
+        pieces = [np.block([[basis(i + 1, j).conj().T
                              @ _level_map_reference(hermitian[a, s], m, i, math.comb(d, j))
-                             @ reps[(i, j)] for s in range(m)] for a in range(d)])
+                             @ basis(i, j) for s in range(m)] for a in range(d)])
                   for i, j in tbi.cohomology._degree_blocks(m, d, p)
-                  if i < m and reps[(i, j)].shape[1]]
+                  if i < m and table.e3[i, j]]
         merged = np.sort(np.concatenate([np.linalg.svd(piece, compute_uv=False)
                                          for piece in pieces if piece.size] + [[]]))[::-1]
         sing[:merged.size] = merged
@@ -623,7 +625,7 @@ def test_representatives_images_coimages_are_unitary(kind, m, d):
     table = leray_table(datum)
     d2, images, coimages = d2_blocks(datum)
     for key in d2:
-        frame = np.hstack([table.representatives[key], images[key], coimages[key]])
+        frame = np.hstack([table.basis(*key), images[key], coimages[key]])
         assert frame.shape == (table.e2[key],) * 2
         np.testing.assert_allclose(frame.conj().T @ frame, np.eye(frame.shape[0]),
                                    rtol=0, atol=1e-12)
@@ -632,18 +634,68 @@ def test_representatives_images_coimages_are_unitary(kind, m, d):
 @pytest.mark.parametrize("kind,m,d", [slot for slot in SMALL_MEMBERS
                                       if slot[0] != "zero_hermitian"])
 def test_whole_blocks_hold_the_identity(kind, m, d):
-    """A whole block (no d2 of rank > 0 enters or leaves it, e3 == e2) keeps
-    exactly the identity as its representatives, and an empty coimage."""
+    """A whole block (no d2 of rank > 0 enters or leaves it, e3 == e2) stores
+    no matrix, reads through basis as exactly the identity, and has an empty
+    coimage; every other block reads as the basis leray_table stored."""
     datum = small_member(kind, m, d)
     table = leray_table(datum)
     coimages = d2_blocks(datum)[2]
     whole = [(i, j) for i in range(m + 1) for j in range(d + 1)
              if table.e3[i, j] == table.e2[i, j]]
     assert (0, 0) in whole and (1, 0) in whole
-    for key in whole:
-        dim = int(table.e2[key])
-        assert np.array_equal(table.representatives[key], np.eye(dim))
-        assert coimages[key].shape == (dim, 0)
+    assert set(table.representatives).isdisjoint(whole)
+    for key in np.ndindex(table.e2.shape):
+        if key in whole:
+            dim = int(table.e2[key])
+            assert np.array_equal(table.basis(*key), np.eye(dim))
+            assert table.basis(*key).dtype == complex
+            assert coimages[key].shape == (dim, 0)
+        else:
+            assert table.basis(*key) is table.representatives[key]
+
+
+ZERO_TWO_FORM_MEMBERS = {
+    f"small.{kind}.{m}.{d}": functools.partial(small_member, kind, m, d)
+    for kind, m, d in SMALL_MEMBERS if kind == "pure_hermitian"} | {
+    f"product.{m}.{d}": functools.partial(product_datum, m, d)
+    for kind, m, d in SMALL_MEMBERS if kind == "pure_hermitian"} | {
+    "grid.pure_hermitian.12.1": lambda: _grid_member("pure_hermitian", 12, 1)}
+
+
+@pytest.mark.parametrize("name", ZERO_TWO_FORM_MEMBERS)
+def test_zero_two_form_builds_no_d2_block(monkeypatch, name):
+    """An exactly zero holomorphic block makes every d2 block exactly zero,
+    so leray_table builds none: each d2 decision is the one on exact zeros
+    of the block's smaller side, every block is whole, and no basis is
+    stored."""
+    datum = ZERO_TWO_FORM_MEMBERS[name]()
+    assert not datum.split.holomorphic.any()
+    blocks = count_calls(monkeypatch, _d2_block)
+    table = leray_table(datum)
+    assert blocks == []
+    assert table.representatives == {}
+    assert np.array_equal(table.e3, table.e2)
+    e2 = table.e2
+    expected = {f"d2 out of ({i},{j})": _rank_from_singular_values(
+        np.zeros(min(e2[i + 2, j - 1], e2[i, j])), datum.tol, datum.split.scale,
+        f"d2 out of ({i},{j})") for i in range(e2.shape[0] - 2) for j in range(1, e2.shape[1])}
+    assert {x.label: x for x in table.decisions if x.label in expected} == expected
+
+
+def test_pure_hermitian_tables_allocate_little():
+    """Pure-hermitian (11,1): with no stored identity and no zero d2 block
+    built, one leray_table and tangent_table call peaks below 4 MiB of
+    traced allocations (22 MiB when every whole block held np.eye and every
+    zero d2 block was built)."""
+    datum = _grid_member("pure_hermitian", 11, 1)
+    tangent_table(datum, leray_table(datum))  # fill the index-map caches
+    tracemalloc.start()
+    try:
+        tangent_table(datum, leray_table(datum))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("kind,m,d", SMALL_MEMBERS)
@@ -696,7 +748,7 @@ def test_whole_piece_is_the_identity_frame_piece(m, d):
     one_forms = rng.normal(size=(d * m, m)) + 1j * rng.normal(size=(d * m, m))
     for i in range(m):
         rows, cols = math.comb(m, i + 1), math.comb(m, i)
-        piece = _whole_piece(one_forms, m, i)
+        piece = scattered_whole_piece(one_forms, m, i)
         products = _wedge_products(np.eye(rows, dtype=complex), np.eye(cols, dtype=complex), m, i)
         assert np.array_equal(piece, np.matmul(one_forms, products).reshape(rows * d, m * cols))
         assert np.array_equal(_svd(piece, compute_uv=False), _identity_piece(one_forms, m, i))
@@ -710,12 +762,12 @@ def test_whole_piece_is_the_fibre_count_one_piece_repeated(m, d):
     datum = small_member("pure_hermitian", m, d)
     table = leray_table(datum)
     assert np.array_equal(table.e3, table.e2)
-    reps, one_forms = table.representatives, datum.split.hermitian.reshape(d * m, m)
+    basis, one_forms = table.basis, datum.split.hermitian.reshape(d * m, m)
     for i in range(m):
         piece = _identity_piece(one_forms, m, i)
         for j in range(d + 1):
             repeated = np.sort(np.tile(piece, math.comb(d, j)))
-            dense = _level_piece(one_forms, reps[(i, j)], reps[(i + 1, j)], m, i)
+            dense = _level_piece(one_forms, basis(i, j), basis(i + 1, j), m, i)
             np.testing.assert_allclose(repeated, np.sort(dense), rtol=1e-12, atol=0)
 
 
@@ -728,10 +780,10 @@ def test_whole_pieces_at_fibre_degree_one_match_the_dense_decisions():
     datum = gaussian_member(np.random.default_rng(61), "pure_hermitian", m, d)
     table = leray_table(datum)
     tangent = tangent_table(datum, table)
-    reps, h = table.representatives, table.total_dims() + [0]
+    basis, h = table.basis, table.total_dims() + [0]
     one_forms = datum.split.hermitian.reshape(d * m, m)
     for p, decision in enumerate(tangent.decisions):
-        pieces = [_level_piece(one_forms, reps[(i, j)], reps[(i + 1, j)], m, i)
+        pieces = [_level_piece(one_forms, basis(i, j), basis(i + 1, j), m, i)
                   for i, j in tbi.cohomology._degree_blocks(m, d, p) if i < m]
         sing = np.zeros(min(d * h[p + 1], m * h[p]))
         merged = np.sort(np.concatenate(pieces + [[]]))[::-1]
@@ -821,7 +873,7 @@ def test_closed_form_whole_pieces_are_the_dense_singular_values(name):
     closed = _closed_whole_pieces(one_forms, m)
     assert sorted(closed) == list(range(m))
     for i in range(m):
-        dense = np.linalg.svd(_whole_piece(one_forms, m, i), compute_uv=False)
+        dense = np.linalg.svd(scattered_whole_piece(one_forms, m, i), compute_uv=False)
         assert closed[i].shape == dense.shape
         assert np.all(np.diff(closed[i]) <= 0)
         assert np.max(np.abs(closed[i] - dense), initial=0.0) <= 1e-12 * dense[0], i

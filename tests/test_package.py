@@ -63,6 +63,7 @@ SIGNATURES = {
     "RankDecision": "(label, rank, smallest_kept, largest_dropped, threshold, near)",
     "SampleResult": "(found, base, fibre, attempts, best_residual)",
     "SpectralTable": "(e2, e3, representatives, decisions)",
+    "SpectralTable.basis": "(self, i, j)",
     "SpectralTable.total_dims": "(self)",
     "TangentTable": "(coker, ker, decisions)",
     "basis_change": "(structure, tol=1e-09)",
