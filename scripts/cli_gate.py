@@ -8,18 +8,23 @@ compares the stdout, stderr and exit code of every run.  The corpus: the
 catalog and tests/support.py SMALL_MEMBERS documents under invariants (json
 and table), validate and decompose; the bench/members.py GRID members at seed
 1 under invariants (json and table); Iwasawa with one pair of 'A' entries set
-to each of EDGE_VALUES under invariants and group; the group ELEMENTS, the
-curve CHERN_VECTORS; sample on Iwasawa, also at each --tol of SAMPLE_TOLS, on
-the zero (3,1) form, on two random (3,1) forms and on a random (3,2) form, on
-Iwasawa and the second random (3,1) form at each --seed of WIDE_SEEDS, and on
-the (3,2) form, on which every attempt fails, also with 600 attempts;
-invariants near the rank cuts, on support.near_threshold_member at its own
-tol and, at every --tol of NEAR_TOLS, on SMALL_MEMBERS and the points
-sample_point finds for four forms; the OVERFLOW_SCALES documents, whose
-split overflows, under validate, decompose and invariants (json and table); a
-seeded random document at (m, d) = LARGE, a size at which a term-by-term
-split takes about a second, under validate and decompose; and catalog product
-at base dimension 40.
+to each of EDGE_VALUES under invariants and group; the group ELEMENTS; group
+on a random (6,3) form, seeded by GROUP_FORM_SEED, for one pair of elements of
+each GROUP_SPANS size (small, 2**33..2**40 whose products leave int64, and
+past 2**63), which test group_multiply and group_inverse and each
+operand's bound through the spot check's product chain (no command reaches
+the closed-form tbi.commutator, whose tests are in tests/test_lattices.py);
+the curve CHERN_VECTORS; sample on Iwasawa, also at each --tol of
+SAMPLE_TOLS, on the zero (3,1) form, on two random (3,1) forms and on a random
+(3,2) form, on Iwasawa and the second random (3,1) form at each --seed of
+WIDE_SEEDS, and on the (3,2) form, on which every attempt fails, also with 600
+attempts; invariants near the rank cuts, on support.near_threshold_member at
+its own tol and, at every --tol of NEAR_TOLS, on SMALL_MEMBERS and the points
+sample_point finds for four forms; the OVERFLOW_SCALES documents, whose split
+overflows, under validate, decompose and invariants (json and table); a seeded
+random document at (m, d) = LARGE, a size at which a term-by-term split takes
+about a second, under validate and decompose; and catalog product at base
+dimension 40.
 An exception that escapes tbi.cli.main is recorded as the run's exit code.
 After the corpus, each process runs every invariants argv a second time, and
 that run's stdout must equal the first one's on the same checkout, so that
@@ -53,6 +58,8 @@ EDGE_VALUES = {"int": 1, "float": 1.0, "fraction": 0.5, "nan": float("nan"), "in
                "string": "1", "true": True, "2.0**63": 2.0 ** 63}
 ELEMENTS = ("e1", "f2", "1,0/0,0,1,0", "-1,2/3,-4,5,-6", "9223372036854775807,0/1,0,0,0",
             "0,0/9223372036854775808,0,0,0", "e9", "1,2/3")
+GROUP_FORM_SEED = 63  # a random (6,3) form, the shape of the benchmark's second group form
+GROUP_SPANS = ((0, 1001), (2 ** 33, 2 ** 40), (2 ** 63, 2 ** 63 + 2 ** 40))  # |coordinate|
 CHERN_VECTORS = ("2,-4", "0,0", "99999999999999999999,0", "1.5,2", "1,2,3")
 NEAR_TOLS = ("1e-3", "0.05", "0.1", "0.2", "0.45")  # at 0.1, ten times a cut is the top
 OVERFLOW_SCALES = (("iwasawa", 1e308, 1.0), ("small.mixed.2.1", 1e100, 1e-150))  # of V, of U
@@ -144,6 +151,17 @@ def write_corpus(workdir) -> list:
 
     path = write("iwasawa.group", json.dumps(iwasawa))
     argvs += [["group", path, element, "e3"] for element in ELEMENTS]
+    rng = np.random.default_rng(GROUP_FORM_SEED)
+    form = support.random_alternating_form(rng, 6, 3)
+    group_path = write("random.6.3", tbi.dumps(tbi.input_document(form)))
+    for low, high in GROUP_SPANS:
+        elements = []
+        for _ in range(2):
+            entries = [(low + int(rng.integers(high - low))) * int(rng.choice([-1, 1]))
+                       for _ in range(form.fibre_rank + form.base_rank)]
+            elements.append(",".join(map(str, entries[:form.fibre_rank])) + "/"
+                            + ",".join(map(str, entries[form.fibre_rank:])))
+        argvs.append(["group", group_path, *elements])
     argvs += [["curve", "--genus", "2", "--fibre-dim", "1", "--chern", vector]
               for vector in CHERN_VECTORS]
     argvs += [["sample", path, "--count", "2", "--seed", "3"],

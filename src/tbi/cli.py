@@ -29,8 +29,7 @@ from .cohomology import CohomologyReport, bundle_report
 from .curves import divisibility_index, kuranishi_dim
 from .decomposition import BundleDatum
 from .errors import ParseError, TbiError, ToleranceAmbiguityError
-from .lattices import (GroupElement, basis_lift, central_lift, commutator, group_inverse,
-                       group_multiply)
+from .lattices import GroupElement, basis_lift, central_lift, group_inverse, group_multiply
 from .periods import DEFAULT_TOL
 from .serialize import (InputDocument, check_tol, dumps, input_document, parse_input,
                         require_int, sha256_hex)
@@ -69,9 +68,15 @@ def _parse_file(path: str, args, require_structures: bool = True) -> tuple:
 
 
 def _bracket(form, g1, g2) -> tuple:
-    """The commutator of g1 and g2, the form's value on their base parts, and
-    whether the commutator is the central element carrying that value."""
-    bracket = commutator(form, g1, g2)  # checks that the parts fit the form
+    """The commutator g1 g2 g1^-1 g2^-1 of g1 and g2, the form's value on
+    their base parts, and whether the commutator is the central element
+    carrying that value.  The commutator is taken as the product chain, not
+    as lattices.commutator, whose closed form is the form's value itself on
+    an alternating form, so that the check tests the group law against the
+    form."""
+    bracket = group_multiply(form, g1, g2)  # checks that the parts fit the form
+    bracket = group_multiply(form, bracket, group_inverse(form, g1))
+    bracket = group_multiply(form, bracket, group_inverse(form, g2))
     expected = form._value(g1.base, g2.base)
     return bracket, expected, (not bracket.base.any()
                                and bracket.fibre.tolist() == expected.tolist())

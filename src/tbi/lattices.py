@@ -20,7 +20,10 @@ which is integral for every alternating A.  Group elements are pairs
 
 The group law is exact.  Form coefficients are int64; group coordinates are
 int64 while they lie in [-2**63, 2**63) and Python ints past that, and each
-operation stays in int64 while a bound on its result keeps it there.
+operation stays in int64 while a bound on its result keeps it there.  That
+bound reads each operand's _largest, the largest |entry| of its parts, which
+an element computes on its first use as an operand and then keeps: a result
+that is never an operand never pays for it.
 """
 
 import functools
@@ -37,6 +40,11 @@ INT64_BOUND = 2**63
 def _max_abs(v) -> int:
     """max |v_i| as a Python int, 0 for an empty vector."""
     return max(map(abs, v.tolist()), default=0)
+
+
+def _weight_of(tensor) -> int:
+    """max over k of sum_ij |tensor[k, i, j]| as a Python int."""
+    return max(sum(map(abs, layer)) for layer in tensor.reshape(tensor.shape[0], -1).tolist())
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,18 @@ class ExtensionForm:
     def _weight(self) -> int:
         """max over k of sum_ij |coefficients[k, i, j]|, exact: A(x, y) and
         c(x, y) are at most _weight * max|x| * max|y| in size."""
-        return max(sum(map(abs, layer)) for layer in self.coefficients.reshape(
-            self.fibre_rank, -1).tolist())
+        return _weight_of(self.coefficients)
+
+    @functools.cached_property
+    def _antisymmetrized(self) -> tuple:
+        """(c - c^T, its weight) for c the cocycle upper, taken on first use:
+        the tensor of x, y -> c(x, y) - c(y, x), the fibre of a commutator.
+        It equals the coefficients when the form is alternating.  int64 when
+        every entry fits, read-only."""
+        upper = self.upper.astype(object)  # Python ints: -(-2**63) must not wrap
+        tensor = _int_array(upper - upper.transpose(0, 2, 1), "coefficients", bounded=False)
+        tensor.setflags(write=False)
+        return tensor, _weight_of(tensor)
 
     @property
     def base_rank(self) -> int:
@@ -140,6 +158,12 @@ class GroupElement:
     def __post_init__(self):
         _store(self, _int_vector(self.fibre, None, "fibre"), _int_vector(self.base, None, "base"))
 
+    @functools.cached_property
+    def _largest(self) -> int:
+        """The largest |entry| of both parts as a Python int, which bounds
+        the group law; taken on first use."""
+        return max(map(abs, self.fibre.tolist() + self.base.tolist()), default=0)
+
     def __eq__(self, other):
         return (
             isinstance(other, GroupElement)
@@ -149,14 +173,11 @@ class GroupElement:
 
 
 def _store(element: GroupElement, fibre, base) -> None:
-    """Set the read-only parts of element and its _largest, the largest
-    |entry| of both parts as a Python int, which bounds the group law."""
+    """Set the read-only parts of element."""
     fibre.setflags(write=False)
     base.setflags(write=False)
     object.__setattr__(element, "fibre", fibre)
     object.__setattr__(element, "base", base)
-    object.__setattr__(element, "_largest",
-                       max(map(abs, fibre.tolist() + base.tolist()), default=0))
 
 
 def _element(fibre, base) -> GroupElement:
@@ -290,8 +311,16 @@ def group_inverse(form: ExtensionForm, g: GroupElement) -> GroupElement:
 
 
 def commutator(form: ExtensionForm, g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """g1 g2 g1^-1 g2^-1; always central, with fibre part A(g1.base, g2.base)."""
-    product = group_multiply(form, g1, g2)
-    product = group_multiply(form, product, group_inverse(form, g1))
-    product = group_multiply(form, product, group_inverse(form, g2))
-    return product
+    """g1 g2 g1^-1 g2^-1 = (c(x, y) - c(y, x), 0) for x, y the base parts,
+    in closed form.
+
+    The fibre parts are central and cancel, and the cocycle terms of the
+    product chain add up to c(x, y) - c(y, x), which is A(x, y) for an
+    alternating A.  The commutator takes it as one exact bilinear
+    evaluation on the form's c - c^T, so it is the commutator of the group
+    law on every form, one that validate_form rejects included."""
+    _check_lengths(form, g1, g2)
+    tensor, weight = form._antisymmetrized
+    x, y = g1.base, g2.base
+    fibre = _bilinear(tensor, weight, weight * _max_abs(x) * _max_abs(y), x, y)[0]
+    return _element(fibre, np.zeros(form.base_rank, dtype=np.int64))

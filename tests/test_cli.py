@@ -844,6 +844,40 @@ def test_group_keeps_int64_extreme_coordinates(tmp_path, capsys):
     assert payload["g2"]["fibre"] == [0, -2 ** 63]
 
 
+def test_group_law_checks_see_a_broken_product(tmp_path, capsys, monkeypatch):
+    """The spot checks of invariants and group compare the product chain
+    g1 g2 g1^-1 g2^-1 with the form's value, so a product that is off by one
+    in the fibre fails them; a check that read the closed-form commutator
+    would compare the form's value with itself and pass."""
+    multiply = cli.group_multiply
+
+    def broken(form, g1, g2):
+        product = multiply(form, g1, g2)
+        return tbi.GroupElement(product.fibre + 1, product.base)
+
+    monkeypatch.setattr(cli, "group_multiply", broken)
+    path = _write(tmp_path, "iwasawa.json", _iwasawa_doc())
+    code, out, _ = _run(capsys, ["invariants", path])
+    assert code == 0
+    assert json.loads(out)["group_checks"] == {"pairs_checked": 6, "all_match": False}
+    code, out, _ = _run(capsys, ["group", path, "e2", "e4"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["form_value"] == [-1, 0]
+    assert payload["commutator_matches_form"] is False
+
+
+def test_group_records_list_only_the_parts(tmp_path, capsys):
+    """An element's cached _largest is no dataclass field, so no record has it."""
+    assert list(cli._record(tbi.GroupElement([2 ** 70, 0], [1, 0, 0, 0]))) == ["fibre", "base"]
+    path = _write(tmp_path, "form.json", _form_only_doc())
+    code, out, _ = _run(capsys, ["group", path, "1180591620717411303424,0/1,0,0,0", "e3"])
+    assert code == 0
+    payload = json.loads(out)
+    for name in ("g1", "g2", "product", "inverse_g1", "commutator"):
+        assert list(payload[name]) == ["fibre", "base"]
+
+
 # ---------------------------------------------------------------------------
 # catalog
 

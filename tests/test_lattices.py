@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -388,3 +389,107 @@ def test_group_law_on_random_forms_matches_python_ints(data, seed, m, d, span):
     for result, expected in results:
         assert _parts(result) == expected
         assert not result.fibre.flags.writeable and not result.base.flags.writeable
+
+
+# Fixed rows at the int64 edges, which no Hypothesis example pool can move:
+# each part of each operand cycles through its values, so the rows mix int64
+# and object operands and parts, and the last one has proportional base
+# parts whose Python-int form value 0 comes back as int64.
+
+_EDGE_ROWS = {  # (g1 fibre, g1 base, g2 fibre, g2 base)
+    "int64": ([_TOP, -2 ** 63], [_TOP, 1, -2 ** 63], [-2 ** 63, 0], [-1, _TOP]),
+    "object-fibres": ([2 ** 63, -2 ** 63 - 1], [1, -1, 2], [2 ** 70], [0, 1]),
+    "object-bases": ([0, 5], [2 ** 63, -2 ** 63 - 1], [_TOP], [-2 ** 63, 2 ** 70]),
+    "object": ([2 ** 70, -2 ** 63 - 1], [-2 ** 70, 2 ** 63], [2 ** 63], [2 ** 70, -2 ** 63 - 1]),
+    "proportional-bases": ([2 ** 70], [2 ** 63, 0], [-2 ** 63 - 1], [-2 ** 63, 0]),
+}
+
+
+def _cycled(values, length):
+    return [values[k % len(values)] for k in range(length)]
+
+
+@pytest.mark.parametrize("row", list(_EDGE_ROWS))
+@pytest.mark.parametrize("form_index", range(len(_BIG_FORMS)))
+def test_commutator_is_the_product_chain_at_the_int64_edges(form_index, row):
+    form = _BIG_FORMS[form_index]
+    lengths = (form.fibre_rank, form.base_rank) * 2
+    parts = [_cycled(values, length) for values, length in zip(_EDGE_ROWS[row], lengths)]
+    a, b = tuple(parts[:2]), tuple(parts[2:])
+    g1, g2 = GroupElement(*a), GroupElement(*b)
+    bracket = commutator(form, g1, g2)
+    product = _ref_multiply(form, _ref_multiply(form, a, b), _ref_inverse(form, a))
+    assert _parts(bracket) == _ref_multiply(form, product, _ref_inverse(form, b))
+    chain = group_multiply(form, group_multiply(form, group_multiply(form, g1, g2),
+                                                group_inverse(form, g1)), group_inverse(form, g2))
+    assert _parts(bracket) == _parts(chain)
+    assert bracket.fibre.tolist() == _ref_value(form, a[1], b[1], upper=False)
+    assert bracket.base.dtype == np.int64 and not bracket.base.any()
+    assert not bracket.fibre.flags.writeable and not bracket.base.flags.writeable
+
+
+
+# Forms that ExtensionForm accepts but validate_form rejects: the commutator
+# is still the group law's, c(x, y) - c(y, x), and not A(x, y).  The second
+# holds -2**63 in the upper triangle, whose negation leaves int64.
+_SKEWED_FORMS = [
+    ExtensionForm([[[1, 2], [0, 0]], [[0, 0], [0, 0]]]),
+    ExtensionForm([[[3, -2 ** 63, 1, 0], [_TOP, -1, 2, 5], [0, 4, 7, -2 ** 63], [1, 1, 1, 1]],
+                   np.arange(16).reshape(4, 4) - 8]),
+]
+_SKEWED_ROWS = {"small": ([1, 0], [1, 1], [0, 2], [2, -3]), **_EDGE_ROWS}
+
+
+@pytest.mark.parametrize("row", list(_SKEWED_ROWS))
+@pytest.mark.parametrize("form_index", range(len(_SKEWED_FORMS)))
+def test_commutator_is_the_product_chain_on_a_form_that_is_not_alternating(form_index, row):
+    form = _SKEWED_FORMS[form_index]
+    assert validate_form(form)
+    lengths = (form.fibre_rank, form.base_rank) * 2
+    parts = [_cycled(values, length) for values, length in zip(_SKEWED_ROWS[row], lengths)]
+    a, b = tuple(parts[:2]), tuple(parts[2:])
+    g1, g2 = GroupElement(*a), GroupElement(*b)
+    bracket = commutator(form, g1, g2)
+    product = _ref_multiply(form, _ref_multiply(form, a, b), _ref_inverse(form, a))
+    assert _parts(bracket) == _ref_multiply(form, product, _ref_inverse(form, b))
+    chain = group_multiply(form, group_multiply(form, group_multiply(form, g1, g2),
+                                                group_inverse(form, g1)), group_inverse(form, g2))
+    assert _parts(bracket) == _parts(chain)
+    assert bracket.base.dtype == np.int64 and not bracket.base.any()
+    assert not bracket.fibre.flags.writeable and not bracket.base.flags.writeable
+
+
+def test_an_element_commutes_with_itself_on_a_form_that_is_not_alternating():
+    g = GroupElement([0, 0], [1, 1])
+    assert _SKEWED_FORMS[0](g.base, g.base).tolist() == [3, 0]  # A(x, x), not the bracket
+    assert _parts(commutator(_SKEWED_FORMS[0], g, g)) == ([0, 0], [0, 0])
+
+
+# The bound on operands: _largest is max|entry| over both parts as an exact
+# Python int, taken on an element's first use as an operand and then kept.
+
+@pytest.mark.parametrize("fibre,base", [
+    ([0, 0], [0, 0, 0, 0]), ([3, -7], [1, 0, 0, 2]), ([_TOP, -2 ** 63], [0, 0, 0, 0]),
+    ([2 ** 70, 0], [0, -2 ** 63 - 1, 0, 0]), ([1, 2], [-2 ** 80, 0, 0, 2 ** 63]),
+])
+def test_largest_is_the_exact_bound_of_every_element(fibre, base):
+    form = iwasawa_form()
+    g, h = GroupElement(fibre, base), GroupElement(base[:2], fibre + fibre)
+    lifts = [basis_lift(form, 1), central_lift(form, 0)]
+    assert not any("_largest" in vars(element) for element in [g, h, *lifts])
+    results = [group_multiply(form, g, h), group_inverse(form, g), commutator(form, g, h)]
+    for element in [g, h, *lifts, *results]:
+        exact = max(abs(x) for x in element.fibre.tolist() + element.base.tolist())
+        assert type(element._largest) is int and element._largest == exact
+        assert vars(element)["_largest"] == exact  # kept for the next use
+
+
+def test_results_take_their_bound_only_as_operands():
+    form = iwasawa_form()
+    g, h = GroupElement([1, 2], [3, 4, 5, 6]), GroupElement([2 ** 70, 0], [0, 1, 0, 0])
+    product = group_multiply(form, g, h)
+    assert "_largest" in vars(g) and "_largest" in vars(h) and "_largest" not in vars(product)
+    assert product.fibre.dtype == object
+    group_inverse(form, product)
+    assert vars(product)["_largest"] == max(map(abs, product.fibre.tolist())) > 2 ** 70
+    assert [field.name for field in dataclasses.fields(GroupElement)] == ["fibre", "base"]
