@@ -8,9 +8,10 @@ compares the stdout, stderr and exit code of every run.  The corpus: the
 catalog and tests/support.py SMALL_MEMBERS documents under invariants (json
 and table), validate and decompose; the bench/members.py GRID members at seed
 1 under invariants (json and table); Iwasawa with one pair of 'A' entries set
-to each of EDGE_VALUES under invariants and group; the group ELEMENTS; group
-on a random (6,3) form, seeded by GROUP_FORM_SEED, for one pair of elements of
-each GROUP_SPANS size (small, 2**33..2**40 whose products leave int64, and
+to each of EDGE_VALUES under invariants and group; Iwasawa made not
+alternating by each of SKEWED_ENTRIES under validate, invariants, group and
+sample; the group ELEMENTS; group on a random (6,3) form, seeded by
+GROUP_FORM_SEED, for one pair of elements of each GROUP_SPANS size (small, 2**33..2**40 whose products leave int64, and
 past 2**63), which test group_multiply and group_inverse and each
 operand's bound through the spot check's product chain (no command reaches
 the closed-form tbi.commutator, whose tests are in tests/test_lattices.py);
@@ -58,6 +59,11 @@ EDGE_VALUES = {"int": 1, "float": 1.0, "fraction": 0.5, "nan": float("nan"), "in
                "string": "1", "true": True, "2.0**63": 2.0 ** 63}
 ELEMENTS = ("e1", "f2", "1,0/0,0,1,0", "-1,2/3,-4,5,-6", "9223372036854775807,0/1,0,0,0",
             "0,0/9223372036854775808,0,0,0", "e9", "1,2/3")
+SKEWED_ENTRIES = {  # 'A' entries set on Iwasawa to make it not alternating
+    "diagonal": [((0, 0, 0), 1)],
+    "symmetric": [((0, 0, 1), 1), ((0, 1, 0), 1)],
+    "int64-min": [((0, 0, 1), -2 ** 63), ((0, 1, 0), -2 ** 63)],
+}
 GROUP_FORM_SEED = 63  # a random (6,3) form, the shape of the benchmark's second group form
 GROUP_SPANS = ((0, 1001), (2 ** 33, 2 ** 40), (2 ** 63, 2 ** 63 + 2 ** 40))  # |coordinate|
 CHERN_VECTORS = ("2,-4", "0,0", "99999999999999999999,0", "1.5,2", "1,2,3")
@@ -133,6 +139,13 @@ def write_corpus(workdir) -> list:
         doc["A"][0][0][1], doc["A"][0][1][0] = value, negated
         path = write(f"edge.{label}", json.dumps(doc))
         argvs += [["invariants", path], ["group", path, "e1", "e3"]]
+    for label, entries in SKEWED_ENTRIES.items():
+        doc = json.loads(json.dumps(iwasawa))
+        for (k, i, j), value in entries:
+            doc["A"][k][i][j] = value
+        path = write(f"skewed.{label}", json.dumps(doc))
+        argvs += [["validate", path], ["invariants", path], ["group", path, "e1", "e3"],
+                  ["sample", path]]
 
     datums = dict(members)
     for name, scale_base, scale_fibre in OVERFLOW_SCALES:

@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .catalog import (catalog_datum, iwasawa_datum, iwasawa_form, product_datum,
                       product_form)
-from .cohomology import (CohomologyReport, OneFormsSpace, RankDecision, SpectralTable,
+from .cohomology import (CohomologyReport, RankDecision, SpectralTable,
                          TangentTable, bundle_report, classify_blocks, closed_forms_dim,
                          h0_forms, h1_structure_sheaf, is_parallelizable, leray_table,
                          numerical_rank, require_table_fits, tangent_table)

@@ -67,16 +67,16 @@ def _parse_file(path: str, args, require_structures: bool = True) -> tuple:
     return data, document
 
 
-def _bracket(form, g1, g2) -> tuple:
-    """The commutator g1 g2 g1^-1 g2^-1 of g1 and g2, the form's value on
-    their base parts, and whether the commutator is the central element
-    carrying that value.  The commutator is taken as the product chain, not
-    as lattices.commutator, whose closed form is the form's value itself on
-    an alternating form, so that the check tests the group law against the
+def _bracket(form, g1, g2, inverse1, inverse2) -> tuple:
+    """The commutator g1 g2 g1^-1 g2^-1 of g1 and g2, given their inverses,
+    the form's value on their base parts, and whether the commutator is the
+    central element carrying that value.  The commutator is taken as the
+    product chain, not as lattices.commutator, whose closed form is the
+    form's value itself, so that the check tests the group law against the
     form."""
-    bracket = group_multiply(form, g1, g2)  # checks that the parts fit the form
-    bracket = group_multiply(form, bracket, group_inverse(form, g1))
-    bracket = group_multiply(form, bracket, group_inverse(form, g2))
+    bracket = group_multiply(form, g1, g2)
+    bracket = group_multiply(form, bracket, inverse1)
+    bracket = group_multiply(form, bracket, inverse2)
     expected = form._value(g1.base, g2.base)
     return bracket, expected, (not bracket.base.any()
                                and bracket.fibre.tolist() == expected.tolist())
@@ -86,8 +86,9 @@ def _group_spot_checks(form) -> dict:
     """Exercise the group law on the first four basis lifts: each pair must
     pass the commutator check of _bracket."""
     lifts = [basis_lift(form, i) for i in range(min(form.base_rank, 4))]
-    matches = [_bracket(form, left, right)[2]
-               for i, left in enumerate(lifts) for right in lifts[i + 1:]]
+    inverses = [group_inverse(form, lift) for lift in lifts]
+    matches = [_bracket(form, lifts[i], lifts[j], inverses[i], inverses[j])[2]
+               for i in range(len(lifts)) for j in range(i + 1, len(lifts))]
     return {"pairs_checked": len(matches), "all_match": all(matches)}
 
 
@@ -281,12 +282,13 @@ def cmd_group(args) -> int:
     form = document.form
     g1 = _parse_element(args.g1, form)
     g2 = _parse_element(args.g2, form)
-    bracket, expected, matches = _bracket(form, g1, g2)
+    inverse1 = group_inverse(form, g1)
+    bracket, expected, matches = _bracket(form, g1, g2, inverse1, group_inverse(form, g2))
     print(dumps({
         "g1": _record(g1),
         "g2": _record(g2),
         "product": _record(group_multiply(form, g1, g2)),
-        "inverse_g1": _record(group_inverse(form, g1)),
+        "inverse_g1": _record(inverse1),
         "commutator": _record(bracket),
         "form_value": expected.tolist(),
         "commutator_matches_form": matches,

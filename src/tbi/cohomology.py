@@ -148,13 +148,6 @@ def _rank_from_singular_values(sing, tol, scale, label) -> RankDecision:
 # Annihilator-style dimension counts
 
 
-@dataclass(frozen=True)
-class OneFormsSpace:
-    """Dimension of the global holomorphic 1-forms."""
-
-    dim: int
-
-
 def _corank(datum: BundleDatum, blocks, label, decisions) -> int:
     """m + d minus the numerical rank of the blocks' d-row flats side by side:
     the m base forms plus the fibre functionals that annihilate every block."""
@@ -165,10 +158,10 @@ def _corank(datum: BundleDatum, blocks, label, decisions) -> int:
                                                      decisions)
 
 
-def h0_forms(datum: BundleDatum, decisions=None) -> OneFormsSpace:
+def h0_forms(datum: BundleDatum, decisions=None) -> int:
     """Global 1-forms: the m base forms always survive; a fibre functional
     survives exactly when it annihilates the image of the hermitian block."""
-    return OneFormsSpace(_corank(datum, [datum.split.hermitian], "hermitian block", decisions))
+    return _corank(datum, [datum.split.hermitian], "hermitian block", decisions)
 
 
 def closed_forms_dim(datum: BundleDatum, decisions=None) -> int:
@@ -190,7 +183,7 @@ def is_parallelizable(datum: BundleDatum) -> bool:
     block vanishes, that is when its rank decision ("hermitian block") gives
     rank 0: then all m + d frame forms are global."""
     split = datum.split
-    return h0_forms(datum).dim == split.base_half_rank + split.fibre_half_rank
+    return h0_forms(datum) == split.base_half_rank + split.fibre_half_rank
 
 
 # ---------------------------------------------------------------------------
@@ -688,14 +681,14 @@ def bundle_report(datum: BundleDatum) -> CohomologyReport:
     table = leray_table(datum)
     tangent = tangent_table(datum, table)
     h_structure = tuple(table.total_dims())
-    _require_identities(h_structure, tangent.dims, forms.dim, h1)
+    _require_identities(h_structure, tangent.dims, forms, h1)
     m, d = datum.split.base_half_rank, datum.split.fibre_half_rank
-    parallelizable = forms.dim == m + d
+    parallelizable = forms == m + d
     return CohomologyReport(
         e2=table.e2,
         e3=table.e3,
         h_structure=h_structure,
-        h0_one_forms=forms.dim,
+        h0_one_forms=forms,
         closed_one_forms=closed,
         h1_structure=h1,
         parallelizable=parallelizable,

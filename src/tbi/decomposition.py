@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MembershipError, StructureDegenerateError
-from .lattices import ExtensionForm, _int_array, require_form
+from .lattices import ExtensionForm, _int_array
 from .periods import (ComplexStructure, DEFAULT_TOL, basis_change, require_structure,
                       split_coordinates)
 
@@ -169,8 +169,8 @@ class BundleDatum:
 
     @classmethod
     def checked(cls, form, base, fibre, tol=DEFAULT_TOL):
-        """Construct and validate: alternation, non-degeneracy, membership."""
-        require_form(form)
+        """Construct and validate: non-degeneracy and membership (a form is
+        alternating by construction)."""
         for name, structure in (("V", base), ("U", fibre)):
             require_structure(structure, tol, name)
         return cls(form, base, fibre, tol=tol).require_member()

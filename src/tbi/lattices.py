@@ -4,7 +4,8 @@ A bundle datum starts from two free abelian groups, a base lattice of even
 rank 2m and a fibre lattice of even rank 2d, together with an alternating
 bilinear map A from pairs of base vectors to the fibre lattice.  The map is
 stored as an integer tensor ``coefficients[k, i, j]`` holding the k-th fibre
-coordinate of A(e_i, e_j).
+coordinate of A(e_i, e_j).  ExtensionForm refuses a tensor that is not
+alternating, so every form is: no consumer checks it again.
 
 A determines a central extension of the base lattice by the fibre lattice:
 the fundamental group of the total space.  Because A/2 need not be integral
@@ -42,17 +43,15 @@ def _max_abs(v) -> int:
     return max(map(abs, v.tolist()), default=0)
 
 
-def _weight_of(tensor) -> int:
-    """max over k of sum_ij |tensor[k, i, j]| as a Python int."""
-    return max(sum(map(abs, layer)) for layer in tensor.reshape(tensor.shape[0], -1).tolist())
-
-
 @dataclass(frozen=True)
 class ExtensionForm:
     """Alternating integer form from base-lattice pairs to the fibre lattice.
 
     coefficients: int array of shape (2d, 2m, 2m); entry [k, i, j] is the
-    k-th fibre coordinate of the value on the (i, j) base basis pair.
+    k-th fibre coordinate of the value on the (i, j) base basis pair.  The
+    constructor raises FormInvalidError on a tensor of another shape, on
+    entries that are not int64 integers, and, with validate_form's
+    violations, on one that is not alternating, so every form is.
     """
 
     coefficients: np.ndarray
@@ -70,6 +69,9 @@ class ExtensionForm:
         coeff = _int_array(coeff, "coefficients", FormInvalidError)
         coeff.setflags(write=False)
         object.__setattr__(self, "coefficients", coeff)
+        violations = validate_form(self)
+        if violations:
+            raise FormInvalidError("; ".join(violations))
 
     @functools.cached_property
     def upper(self) -> np.ndarray:
@@ -83,18 +85,8 @@ class ExtensionForm:
     def _weight(self) -> int:
         """max over k of sum_ij |coefficients[k, i, j]|, exact: A(x, y) and
         c(x, y) are at most _weight * max|x| * max|y| in size."""
-        return _weight_of(self.coefficients)
-
-    @functools.cached_property
-    def _antisymmetrized(self) -> tuple:
-        """(c - c^T, its weight) for c the cocycle upper, taken on first use:
-        the tensor of x, y -> c(x, y) - c(y, x), the fibre of a commutator.
-        It equals the coefficients when the form is alternating.  int64 when
-        every entry fits, read-only."""
-        upper = self.upper.astype(object)  # Python ints: -(-2**63) must not wrap
-        tensor = _int_array(upper - upper.transpose(0, 2, 1), "coefficients", bounded=False)
-        tensor.setflags(write=False)
-        return tensor, _weight_of(tensor)
+        coeff = self.coefficients
+        return max(sum(map(abs, layer)) for layer in coeff.reshape(coeff.shape[0], -1).tolist())
 
     @property
     def base_rank(self) -> int:
@@ -119,7 +111,9 @@ def validate_form(form: ExtensionForm) -> list[str]:
     """Return a list of alternation violations, empty when the form is valid.
 
     Each violation names the first offending index triple in 1-based
-    coordinates, e.g. ``"(k=1, i=1, j=2)"``.
+    coordinates, e.g. ``"(k=1, i=1, j=2)"``.  ExtensionForm calls it on its
+    integer coefficients and refuses a tensor with any violation, so on a
+    built form it returns [].
     """
     coeff = form.coefficients
     # int64 negation is exact but at -2**63, which no alternating form holds
@@ -137,13 +131,6 @@ def validate_form(form: ExtensionForm) -> list[str]:
                     f"{block[i, j]} != {-block[j, i]}"
                 )
     return violations
-
-
-def require_form(form: ExtensionForm) -> None:
-    """FormInvalidError listing the alternation violations, if there are any."""
-    violations = validate_form(form)
-    if violations:
-        raise FormInvalidError("; ".join(violations))
 
 
 @dataclass(frozen=True)
@@ -311,16 +298,12 @@ def group_inverse(form: ExtensionForm, g: GroupElement) -> GroupElement:
 
 
 def commutator(form: ExtensionForm, g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """g1 g2 g1^-1 g2^-1 = (c(x, y) - c(y, x), 0) for x, y the base parts,
-    in closed form.
+    """g1 g2 g1^-1 g2^-1 = (A(x, y), 0) for x, y the base parts, in closed
+    form.
 
     The fibre parts are central and cancel, and the cocycle terms of the
-    product chain add up to c(x, y) - c(y, x), which is A(x, y) for an
-    alternating A.  The commutator takes it as one exact bilinear
-    evaluation on the form's c - c^T, so it is the commutator of the group
-    law on every form, one that validate_form rejects included."""
+    product chain add up to c(x, y) - c(y, x), which is A(x, y) because
+    every form is alternating.  The commutator takes it as one exact
+    bilinear evaluation, the one ExtensionForm.__call__ makes."""
     _check_lengths(form, g1, g2)
-    tensor, weight = form._antisymmetrized
-    x, y = g1.base, g2.base
-    fibre = _bilinear(tensor, weight, weight * _max_abs(x) * _max_abs(y), x, y)[0]
-    return _element(fibre, np.zeros(form.base_rank, dtype=np.int64))
+    return _element(form._value(g1.base, g2.base), np.zeros(form.base_rank, dtype=np.int64))

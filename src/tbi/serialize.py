@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from .errors import ParseError
-from .lattices import INT64_BOUND, ExtensionForm, exact_integers, require_form
+from .lattices import INT64_BOUND, ExtensionForm, exact_integers
 from .periods import ComplexStructure, DEFAULT_TOL, require_structure
 
 
@@ -230,7 +230,6 @@ def parse_input(text: str, require_structures: bool = True,
     elif not all(-INT64_BOUND <= x < INT64_BOUND for x in entries):
         raise ParseError(out_of_range)
     form = ExtensionForm(coefficients)
-    require_form(form)
 
     base = fibre = None
     if "V" in raw or "U" in raw or require_structures:

@@ -55,7 +55,7 @@ def test_criterion_3_product_closed_forms():
         datum = product_datum(m, d)
         n = m + d
         assert leray_table(datum).total_dims() == [math.comb(n, p) for p in range(n + 1)]
-        assert h0_forms(datum).dim == n
+        assert h0_forms(datum) == n
         assert tangent_table(datum).dims == \
             tuple(n * math.comb(n, i) for i in range(n + 1))
     _report(3, "binomial dimensions for all 16 trivial bundles with m, d <= 4")
@@ -149,7 +149,7 @@ def test_criterion_5_property_suite():
             assert equations.member == datum.membership.member
 
         # (f) every frame form is global exactly for parallelizable bundles
-        assert (h0_forms(datum).dim == m + d) == is_parallelizable(datum)
+        assert (h0_forms(datum) == m + d) == is_parallelizable(datum)
 
         if datum.membership.member:
             members += 1

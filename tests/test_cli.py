@@ -867,6 +867,27 @@ def test_group_law_checks_see_a_broken_product(tmp_path, capsys, monkeypatch):
     assert payload["commutator_matches_form"] is False
 
 
+def test_group_law_checks_see_a_broken_inverse(tmp_path, capsys, monkeypatch):
+    """An inverse that is off by one in the fibre fails the spot checks too,
+    and invariants takes each of the four lifts' inverses once."""
+    inverse, operands = cli.group_inverse, []
+
+    def broken(form, g):
+        operands.append(g)
+        result = inverse(form, g)
+        return tbi.GroupElement(result.fibre + 1, result.base)
+
+    monkeypatch.setattr(cli, "group_inverse", broken)
+    path = _write(tmp_path, "iwasawa.json", _iwasawa_doc())
+    code, out, _ = _run(capsys, ["invariants", path])
+    assert code == 0
+    assert json.loads(out)["group_checks"] == {"pairs_checked": 6, "all_match": False}
+    assert [g.base.tolist() for g in operands] == np.eye(4, dtype=int).tolist()
+    code, out, _ = _run(capsys, ["group", path, "e2", "e4"])
+    assert code == 0
+    assert json.loads(out)["commutator_matches_form"] is False
+
+
 def test_group_records_list_only_the_parts(tmp_path, capsys):
     """An element's cached _largest is no dataclass field, so no record has it."""
     assert list(cli._record(tbi.GroupElement([2 ** 70, 0], [1, 0, 0, 0]))) == ["fibre", "base"]

@@ -237,9 +237,9 @@ def test_riemann_check_is_the_datum_verdict(make, seed, m, member):
 
 
 def test_checked_rejects_bad_form():
-    bad = ExtensionForm(np.array([[[0, 1], [1, 0]], [[0, 0], [0, 0]]]))
     with pytest.raises(FormInvalidError):
-        BundleDatum.checked(bad, standard_structure(1), standard_structure(1))
+        BundleDatum.checked(ExtensionForm(np.array([[[0, 1], [1, 0]], [[0, 0], [0, 0]]])),
+                            standard_structure(1), standard_structure(1))
 
 
 def test_checked_rejects_degenerate_structure():

@@ -57,26 +57,30 @@ def test_python_int_and_object_entries_coerced_exactly(value, message):
     assert ExtensionForm(coefficients).coefficients[0, 0, 1] == 2 ** 62
 
 
-def test_validate_form_does_not_wrap_int64_min():
+def test_constructor_refusal_does_not_wrap_int64_min():
     low = np.iinfo(np.int64).min
-    form = ExtensionForm(np.array([[[0, low], [low, 0]], [[0, 0], [0, 0]]]))
-    violations = validate_form(form)
+    with pytest.raises(FormInvalidError) as refusal:
+        ExtensionForm(np.array([[[0, low], [low, 0]], [[0, 0], [0, 0]]]))
+    violations = str(refusal.value).split("; ")
     assert len(violations) == 1
     assert f"{low} != {-low}" in violations[0]
 
 
-def test_validate_form_names_first_violation():
-    form = ExtensionForm(np.array([[[0, 1], [1, 0]], [[0, 0], [0, 0]]]))
-    violations = validate_form(form)
+def test_constructor_refusal_names_first_violation():
+    with pytest.raises(FormInvalidError) as refusal:
+        ExtensionForm(np.array([[[0, 1], [1, 0]], [[0, 0], [0, 0]]]))
+    violations = str(refusal.value).split("; ")
     assert len(violations) == 1
     assert "(k=1, i=1, j=2)" in violations[0]
     assert "1 != -1" in violations[0]
 
 
-def test_validate_form_reports_diagonal():
-    form = ExtensionForm(np.array([[[1, 0], [0, 0]], [[0, 0], [0, 0]]]))
-    violations = validate_form(form)
+def test_constructor_refusal_reports_diagonal():
+    with pytest.raises(FormInvalidError) as refusal:
+        ExtensionForm(np.array([[[1, 2], [0, 0]], [[0, 0], [0, 0]]]))
+    violations = str(refusal.value).split("; ")
     assert any("(k=1, i=1, j=1)" in v for v in violations)
+    assert any("(k=1, i=1, j=2)" in v for v in violations)
 
 
 def test_validate_form_iwasawa_clean():
@@ -426,43 +430,6 @@ def test_commutator_is_the_product_chain_at_the_int64_edges(form_index, row):
     assert bracket.fibre.tolist() == _ref_value(form, a[1], b[1], upper=False)
     assert bracket.base.dtype == np.int64 and not bracket.base.any()
     assert not bracket.fibre.flags.writeable and not bracket.base.flags.writeable
-
-
-
-# Forms that ExtensionForm accepts but validate_form rejects: the commutator
-# is still the group law's, c(x, y) - c(y, x), and not A(x, y).  The second
-# holds -2**63 in the upper triangle, whose negation leaves int64.
-_SKEWED_FORMS = [
-    ExtensionForm([[[1, 2], [0, 0]], [[0, 0], [0, 0]]]),
-    ExtensionForm([[[3, -2 ** 63, 1, 0], [_TOP, -1, 2, 5], [0, 4, 7, -2 ** 63], [1, 1, 1, 1]],
-                   np.arange(16).reshape(4, 4) - 8]),
-]
-_SKEWED_ROWS = {"small": ([1, 0], [1, 1], [0, 2], [2, -3]), **_EDGE_ROWS}
-
-
-@pytest.mark.parametrize("row", list(_SKEWED_ROWS))
-@pytest.mark.parametrize("form_index", range(len(_SKEWED_FORMS)))
-def test_commutator_is_the_product_chain_on_a_form_that_is_not_alternating(form_index, row):
-    form = _SKEWED_FORMS[form_index]
-    assert validate_form(form)
-    lengths = (form.fibre_rank, form.base_rank) * 2
-    parts = [_cycled(values, length) for values, length in zip(_SKEWED_ROWS[row], lengths)]
-    a, b = tuple(parts[:2]), tuple(parts[2:])
-    g1, g2 = GroupElement(*a), GroupElement(*b)
-    bracket = commutator(form, g1, g2)
-    product = _ref_multiply(form, _ref_multiply(form, a, b), _ref_inverse(form, a))
-    assert _parts(bracket) == _ref_multiply(form, product, _ref_inverse(form, b))
-    chain = group_multiply(form, group_multiply(form, group_multiply(form, g1, g2),
-                                                group_inverse(form, g1)), group_inverse(form, g2))
-    assert _parts(bracket) == _parts(chain)
-    assert bracket.base.dtype == np.int64 and not bracket.base.any()
-    assert not bracket.fibre.flags.writeable and not bracket.base.flags.writeable
-
-
-def test_an_element_commutes_with_itself_on_a_form_that_is_not_alternating():
-    g = GroupElement([0, 0], [1, 1])
-    assert _SKEWED_FORMS[0](g.base, g.base).tolist() == [3, 0]  # A(x, x), not the bracket
-    assert _parts(commutator(_SKEWED_FORMS[0], g, g)) == ([0, 0], [0, 0])
 
 
 # The bound on operands: _largest is max|entry| over both parts as an exact

@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "BundleDatum", "CohomologyReport", "ComplexStructure",
     "DEFAULT_TOL", "DecomposedForm", "ExtensionForm", "FormInvalidError",
     "GroupElement", "InputDocument", "LocalEquations", "MembershipError",
-    "MembershipResult", "OneFormsSpace", "ParseError", "RankDecision", "SampleResult",
+    "MembershipResult", "ParseError", "RankDecision", "SampleResult",
     "SpectralTable", "StructureDegenerateError", "TableTooLargeError", "TangentTable",
     "TbiError", "ToleranceAmbiguityError", "basis_change",
     "basis_lift", "bundle_report", "catalog", "catalog_datum", "central_lift",
@@ -59,7 +59,6 @@ SIGNATURES = {
     "InputDocument": "(m, d, form, base, fibre, translation, seed, effective_tol=1e-09)",
     "LocalEquations": "(pairs, w_vectors, chart, residuals)",
     "MembershipResult": "(member, residual, scale)",
-    "OneFormsSpace": "(dim)",
     "RankDecision": "(label, rank, smallest_kept, largest_dropped, threshold, near)",
     "SampleResult": "(found, base, fibre, attempts, best_residual)",
     "SpectralTable": "(e2, e3, representatives, decisions)",
