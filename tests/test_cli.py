@@ -115,6 +115,32 @@ def test_validate_bad_form_exits_2(tmp_path, capsys):
     assert "(k=1, i=1, j=2)" in err
 
 
+# Iwasawa made not alternating by a few 'A' entries, and the one violation
+# each leaves, in the words of validate_form.
+_SKEWED_DOCS = {
+    "diagonal": ({(0, 0, 0): 1}, "(k=1, i=1, j=1): 1 != -1"),
+    "symmetric": ({(0, 0, 1): 1, (0, 1, 0): 1}, "(k=1, i=1, j=2): 1 != -1"),
+    "int64-min": ({(0, 0, 1): -2 ** 63, (0, 1, 0): -2 ** 63},
+                  f"(k=1, i=1, j=2): {-2 ** 63} != {2 ** 63}"),
+}
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["invariants"], ["group", "e1", "e3"], ["sample"]],
+                         ids=["validate", "invariants", "group", "sample"])
+@pytest.mark.parametrize("label", list(_SKEWED_DOCS))
+def test_a_form_that_is_not_alternating_exits_2(tmp_path, capsys, label, argv):
+    """Every command refuses the document while it builds the form, with
+    exit code 2, no stdout and the violation on stderr."""
+    entries, violation = _SKEWED_DOCS[label]
+    doc = _iwasawa_doc()
+    for (k, i, j), value in entries.items():
+        doc["A"][k][i][j] = value
+    path = _write(tmp_path, "skewed.json", doc)
+    code, out, err = _run(capsys, [argv[0], path, *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err == f"error: not alternating at {violation}\n"
+
+
 def test_validate_degenerate_structure_exits_3(tmp_path, capsys):
     doc = _iwasawa_doc()
     doc["V"][1] = doc["V"][0]

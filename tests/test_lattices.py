@@ -83,6 +83,32 @@ def test_constructor_refusal_reports_diagonal():
     assert any("(k=1, i=1, j=2)" in v for v in violations)
 
 
+# Tensors that are not alternating; the second holds -2**63 in the upper
+# triangle, whose negation leaves int64.
+_SKEWED_TENSORS = [
+    [[[1, 2], [0, 0]], [[0, 0], [0, 0]]],
+    [[[3, -2 ** 63, 1, 0], [2 ** 63 - 1, -1, 2, 5], [0, 4, 7, -2 ** 63], [1, 1, 1, 1]],
+     (np.arange(16).reshape(4, 4) - 8).tolist()],
+]
+
+
+@pytest.mark.parametrize("tensor", _SKEWED_TENSORS, ids=["small", "int64-min"])
+def test_constructor_refuses_a_form_that_is_not_alternating(tensor):
+    """The refusal lists every violation, in Python ints, and
+    dataclasses.replace cannot slip such a tensor into a built form."""
+    expected = [f"not alternating at (k={k + 1}, i={i + 1}, j={j + 1}): "
+                f"{layer[i][j]} != {-layer[j][i]}"
+                for k, layer in enumerate(tensor) for i in range(len(layer))
+                for j in range(i, len(layer)) if layer[i][j] != -layer[j][i]]
+    with pytest.raises(FormInvalidError) as refusal:
+        ExtensionForm(tensor)
+    assert str(refusal.value) == "; ".join(expected)
+    form = ExtensionForm(np.zeros(np.shape(tensor), dtype=np.int64))
+    with pytest.raises(FormInvalidError) as replaced:
+        dataclasses.replace(form, coefficients=tensor)
+    assert str(replaced.value) == str(refusal.value)
+
+
 def test_validate_form_iwasawa_clean():
     assert validate_form(iwasawa_form()) == []
 
