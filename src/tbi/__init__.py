@@ -31,5 +31,4 @@ from .periods import (ComplexStructure, DEFAULT_TOL, basis_change, random_struct
                       split_coordinates, standard_structure, validate_structure)
 from .serialize import (InputDocument, complex_to_pairs, dumps, input_document,
                         parse_input, sha256_hex)
-from .variety import (LocalEquations, SampleResult, chart_structure, graph_chart,
-                      local_equations, pairwise_values, sample_point)
+from .variety import SampleResult, pairwise_values, sample_point

@@ -32,6 +32,8 @@ def iwasawa_datum() -> BundleDatum:
 
 
 def product_form(m: int = 2, d: int = 1) -> ExtensionForm:
+    """The zero form on base rank 2m and fibre rank 2d: the topological type
+    of a product of two tori."""
     return ExtensionForm(np.zeros((2 * d, 2 * m, 2 * m), dtype=np.int64))
 
 
@@ -41,6 +43,9 @@ def product_datum(m: int = 2, d: int = 1) -> BundleDatum:
 
 
 def catalog_datum(name: str, m: int = 2, d: int = 1) -> BundleDatum:
+    """The built-in datum called name, one of CATALOG_NAMES; m and d size the
+    product datum and are ignored for Iwasawa.  KeyError for any other
+    name."""
     if name == "iwasawa":
         return iwasawa_datum()
     if name == "product":

@@ -282,6 +282,10 @@ def _check_lengths(form: ExtensionForm, *elements) -> None:
 
 
 def group_multiply(form: ExtensionForm, g1: GroupElement, g2: GroupElement) -> GroupElement:
+    """The product g1 g2 in the extension group: for gk = (lk, xk) it is
+    (l1 + l2 + c(x1, x2), x1 + x2), with c the cocycle of extension_cocycle.
+    Exact for coordinates of any size; ValueError for an operand whose
+    lengths do not match the form's ranks."""
     _check_lengths(form, g1, g2)
     s1, s2, weight = g1._largest, g2._largest, form._weight
     c, base1, base2, fibre1, fibre2 = _bilinear(
@@ -290,6 +294,9 @@ def group_multiply(form: ExtensionForm, g1: GroupElement, g2: GroupElement) -> G
 
 
 def group_inverse(form: ExtensionForm, g: GroupElement) -> GroupElement:
+    """The element h with g h = h g = (0, 0) in the extension group, exact
+    for coordinates of any size; ValueError for an operand whose lengths do
+    not match the form's ranks."""
     # (l, g)^-1 = (-l + c(g, g), -g); c(g, -g) = -c(g, g) makes both sides check out.
     _check_lengths(form, g)
     s, weight = g._largest, form._weight

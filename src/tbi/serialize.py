@@ -91,6 +91,8 @@ def dumps(value) -> str:
 
 
 def sha256_hex(data: bytes) -> str:
+    """The SHA-256 digest of data as 64 lowercase hex digits, the form in
+    which reports echo their input."""
     return hashlib.sha256(data).hexdigest()
 
 

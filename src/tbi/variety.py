@@ -1,4 +1,4 @@
-"""Local equations and sampling for the variety of compatible structure pairs.
+"""Sampling of the variety of compatible structure pairs.
 
 For a fixed extension form, the pairs (base structure, fibre structure) that
 satisfy the membership condition cut out a subvariety of a product of two
@@ -7,9 +7,9 @@ fibre subspace: every pairwise value
 
     w_{h,l} = A(v_h, v_l)   (columns h < l of the base period matrix)
 
-must lie in the fibre subspace.  In the graph chart of the fibre Grassmannian,
-where the subspace is { (u', U* u') }, this reads w'' = U* w' per pair, which
-is what LocalEquations records.
+must lie in the fibre subspace.  riemann_check decides that condition, as the
+vanishing of the forbidden block at the caller's tol; it is the one
+membership verdict.
 
 sample_point builds its points instead of searching for them.  Each attempt
 keeps random base columns v_1, v_2, ... while their pairwise values span at
@@ -31,34 +31,6 @@ from .lattices import ExtensionForm, exact_integers
 from .periods import ComplexStructure, DEFAULT_TOL, _RANDOM_FRAME_TOL, validate_structure
 
 
-@dataclass(frozen=True)
-class LocalEquations:
-    """Pairwise values and chart residuals at one (base, chart) point.
-
-    pairs holds the 1-based index pairs (h, l) with h < l; w_vectors the
-    corresponding values in ambient fibre coordinates (one row per pair);
-    residuals the per-pair defects w'' - U* w'; member compares their
-    max-norm with DEFAULT_TOL times that of the values.
-    """
-
-    pairs: tuple
-    w_vectors: np.ndarray
-    chart: np.ndarray
-    residuals: np.ndarray
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(np.abs(self.residuals), initial=0.0))
-
-    @property
-    def scale(self) -> float:
-        return float(np.max(np.abs(self.w_vectors), initial=0.0))
-
-    @property
-    def member(self) -> bool:
-        return self.max_residual <= DEFAULT_TOL * self.scale
-
-
 @lru_cache(maxsize=None)
 def _pair_index(m: int):
     """Row and column indices of the pairs h < l, in pair-label order."""
@@ -77,56 +49,31 @@ def _pair_values(coeff: np.ndarray, period: np.ndarray) -> np.ndarray:
 
 
 def pairwise_values(form: ExtensionForm, base: ComplexStructure):
-    """The vectors A(v_h, v_l) for h < l, plus the 1-based pair labels."""
+    """The pairwise values of the base columns and their labels.
+
+    Returns (pairs, values): pairs lists the 1-based labels (h, l), h < l, in
+    lexicographic order, and values is a (len(pairs), 2d) complex array whose
+    rows are A(v_h, v_l) in ambient fibre coordinates, in the same order.  The
+    pair (base, fibre) is compatible exactly when every row lies in the fibre
+    subspace; riemann_check decides that, at its tol.
+    """
     m = base.half_rank
     pairs = tuple((h + 1, l + 1) for h in range(m) for l in range(h + 1, m))
     values = _pair_values(form.coefficients.astype(complex), base.period)
     return pairs, np.ascontiguousarray(values.T)
 
 
-def chart_structure(chart) -> ComplexStructure:
-    """The fibre structure whose subspace is the graph { (u', chart @ u') }."""
-    chart = np.asarray(chart, dtype=complex)
-    if chart.ndim != 2 or chart.shape[0] != chart.shape[1]:
-        raise ValueError("chart must be a square matrix")
-    d = chart.shape[0]
-    return ComplexStructure(np.vstack([np.eye(d), chart]))
-
-
-def graph_chart(fibre: ComplexStructure) -> np.ndarray:
-    """Express a fibre structure in the graph chart: the d x d matrix U* with
-    column span { (u', U* u') }.  Fails when the subspace does not project
-    onto the first d coordinates (the point is outside this chart).  The
-    rank of the top rows is cut relative to the whole period matrix, so the
-    test does not depend on how the period columns are scaled."""
-    d = fibre.half_rank
-    top = fibre.period[:d, :]
-    bottom = fibre.period[d:, :]
-    if np.linalg.matrix_rank(top, tol=DEFAULT_TOL * float(np.max(np.abs(fibre.period)))) < d:
-        raise StructureDegenerateError("fibre subspace is outside the graph chart")
-    return np.linalg.solve(top.T, bottom.T).T
-
-
-def local_equations(form: ExtensionForm, base: ComplexStructure, chart) -> LocalEquations:
-    """Evaluate the chart equations w'' = U* w' at a (base, chart) point.
-    chart may be a d x d matrix or a ComplexStructure (converted via
-    graph_chart); the values alone are pairwise_values.
-    """
-    pairs, values = pairwise_values(form, base)
-    if isinstance(chart, ComplexStructure):
-        chart = graph_chart(chart)
-    chart = np.asarray(chart, dtype=complex)
-    structure = chart_structure(chart)
-    if not validate_structure(structure):
-        raise StructureDegenerateError(
-            "chart does not describe a complex structure (graph meets its conjugate)"
-        )
-    d = chart.shape[0]
-    return LocalEquations(pairs, values, chart, values[:, d:] - values[:, :d] @ chart.T)
-
-
 @dataclass(frozen=True)
 class SampleResult:
+    """The outcome of sample_point; true exactly when a pair was found.
+
+    On success, base and fibre are the pair, attempts the 1-based index of
+    the attempt that built it and best_residual its riemann_check residual.
+    On failure, base and fibre are None and attempts == max_attempts;
+    best_residual is the smallest residual riemann_check gave over the
+    attempts, or None when no attempt reached a riemann_check verdict.
+    """
+
     found: bool
     base: ComplexStructure | None
     fibre: ComplexStructure | None

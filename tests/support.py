@@ -9,7 +9,8 @@ import sys
 import numpy as np
 
 import tbi
-from tbi import BundleDatum, ComplexStructure, ExtensionForm, basis_change, standard_structure
+from tbi import (DEFAULT_TOL, BundleDatum, ComplexStructure, ExtensionForm, MembershipResult,
+                 basis_change, standard_structure)
 from tbi.cohomology import (_d2_block, _degree_blocks, _rank_from_singular_values, _svd,
                             _wedge_map, _wedge_products, leray_table)
 from tbi.decomposition import _contract
@@ -323,13 +324,92 @@ def exact_rank(rows) -> int:
     return rank
 
 
-def betti_one(form: ExtensionForm) -> int:
-    """b1 of the nilmanifold of form: 2m + 2d - rank_Q(A), with A read as the
-    2d x C(2m, 2) integer matrix of its values on the pairs i < j (Nomizu:
-    b1 = dim H^1 of the Lie algebra)."""
+def pair_matrix(form: ExtensionForm) -> list:
+    """A as the 2d x C(2m, 2) integer matrix of its values on the base pairs
+    i < j, as rows of Python ints: the map from Lambda^2 of the base lattice
+    to the fibre lattice."""
     i, j = np.triu_indices(form.base_rank, k=1)
-    matrix = [[layer[a][b] for a, b in zip(i, j)] for layer in form.coefficients.tolist()]
-    return form.base_rank + form.fibre_rank - exact_rank(matrix)
+    return [[layer[a][b] for a, b in zip(i, j)] for layer in form.coefficients.tolist()]
+
+
+def betti_one(form: ExtensionForm) -> int:
+    """b1 of the nilmanifold of form: 2m + 2d - rank_Q(A), with A read as
+    pair_matrix (Nomizu: b1 = dim H^1 of the Lie algebra)."""
+    return form.base_rank + form.fibre_rank - exact_rank(pair_matrix(form))
+
+
+def invariant_factors(rows) -> list:
+    """The non-zero invariant factors d_1 | d_2 | ... of an integer matrix,
+    given as rows of Python ints: the diagonal of its Smith normal form.
+
+    Row and column operations over Z move the smallest non-zero entry to the
+    corner and reduce its row and column by it; a remainder gives a smaller
+    pivot, so the loop ends with the corner dividing its row and column,
+    which are then cleared.  The diagonal that results is put in divisibility
+    order by replacing pairs (a, b) with (gcd, lcm), which keeps the group
+    Z/a + Z/b."""
+    rows = [[int(x) for x in row] for row in rows]
+    diagonal = []
+    while rows and rows[0]:
+        entries = [(abs(x), r, c) for r, row in enumerate(rows) for c, x in enumerate(row) if x]
+        if not entries:
+            break
+        _, r, c = min(entries)
+        rows[0], rows[r] = rows[r], rows[0]
+        for row in rows:
+            row[0], row[c] = row[c], row[0]
+        top = rows[0]
+        pivot = top[0]
+        for row in rows[1:]:
+            quotient = row[0] // pivot
+            row[:] = [x - quotient * y for x, y in zip(row, top)]
+        for c in range(1, len(top)):
+            quotient = top[c] // pivot
+            for row in rows:
+                row[c] -= quotient * row[0]
+        if not any(row[0] for row in rows[1:]) and not any(top[1:]):
+            diagonal.append(abs(pivot))
+            rows = [row[1:] for row in rows[1:]]
+    for a in range(len(diagonal)):
+        for b in range(a + 1, len(diagonal)):
+            g = math.gcd(diagonal[a], diagonal[b])
+            diagonal[a], diagonal[b] = g, diagonal[a] * diagonal[b] // g
+    return diagonal
+
+
+def first_homology(form: ExtensionForm) -> tuple:
+    """H_1(M; Z) of the nilmanifold of form as (free rank, torsion).
+
+    The abelianization of the extension group is Z^{2m} + coker A, with A
+    the pair_matrix, so the free rank is 2m + 2d - rank A (which is b1) and
+    the torsion is the invariant factors of A above 1, in divisibility
+    order."""
+    factors = invariant_factors(pair_matrix(form))
+    return form.base_rank + form.fibre_rank - len(factors), tuple(f for f in factors if f > 1)
+
+
+def reference_values(form, base) -> np.ndarray:
+    """pairwise_values as one einsum per pair: the rows A(v_h, v_l), h < l."""
+    coeff = form.coefficients.astype(complex)
+    m = base.half_rank
+    columns = [np.einsum("kij,i,j->k", coeff, base.period[:, h], base.period[:, l])
+               for h in range(m) for l in range(h + 1, m)]
+    return np.array(columns).reshape(len(columns), form.fibre_rank)
+
+
+def values_outside_fibre(form, base, fibre) -> MembershipResult:
+    """A chart-free membership verdict, independent of the split: the pair
+    is compatible when every pairwise value A(v_h, v_l) lies in span(U).
+    residual is the max-norm of the values' parts outside span(U), taken
+    through a QR of the fibre periods, and scale the max-norm of the values;
+    member when residual <= DEFAULT_TOL * scale.  With no pairs (m = 1) both
+    are 0 and the pair is a member."""
+    values = reference_values(form, base)
+    q = np.linalg.qr(fibre.period)[0]
+    outside = values - values @ q.conj() @ q.T
+    residual = float(np.max(np.abs(outside), initial=0.0))
+    scale = float(np.max(np.abs(values), initial=0.0))
+    return MembershipResult(residual <= DEFAULT_TOL * scale, residual, scale)
 
 
 def _reference_emit(value, pieces, indent):

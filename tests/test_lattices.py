@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 import tbi.lattices as lattices
 from tbi import (ExtensionForm, FormInvalidError, GroupElement, basis_lift,
                  central_lift, commutator, extension_cocycle, group_inverse,
-                 group_multiply, iwasawa_form, validate_form)
+                 group_multiply, iwasawa_form, standard_structure, validate_form)
 
-from support import random_alternating_form
+from support import (betti_one, first_homology, invariant_factors, random_alternating_form,
+                     transport, unimodular_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -486,3 +489,66 @@ def test_results_take_their_bound_only_as_operands():
     group_inverse(form, product)
     assert vars(product)["_largest"] == max(map(abs, product.fibre.tolist())) > 2 ** 70
     assert [field.name for field in dataclasses.fields(GroupElement)] == ["fibre", "base"]
+
+
+# ---------------------------------------------------------------------------
+# H_1(M; Z) from the Smith normal form of the form
+
+
+def _minor_gcd(rows, k) -> int:
+    """The gcd of the k x k minors of an integer matrix (Leibniz formula)."""
+    def det(square):
+        return sum(math.prod(square[i][p] for i, p in enumerate(perm))
+                   * (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+                   for perm in itertools.permutations(range(len(square))))
+    return math.gcd(*(det([[rows[r][c] for c in cols] for r in chosen])
+                      for chosen in itertools.combinations(range(len(rows)), k)
+                      for cols in itertools.combinations(range(len(rows[0])), k)))
+
+
+def test_invariant_factors_are_the_quotients_of_the_minor_gcds():
+    # d_1 d_2 ... d_k is the gcd of the k x k minors, which is 0 past the
+    # rank, and the factors divide one another.
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        rows, cols = (int(x) for x in rng.integers(1, 5, size=2))
+        matrix = (rng.integers(-4, 5, size=(rows, cols))
+                  * rng.choice([1, 2, 6], size=(rows, 1))).tolist()
+        factors = invariant_factors(matrix)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        for k in range(1, min(rows, cols) + 1):
+            expected = math.prod(factors[:k]) if k <= len(factors) else 0
+            assert _minor_gcd(matrix, k) == expected, (matrix, factors)
+
+
+def _homology_forms():
+    rng = np.random.default_rng(23)
+    forms = [ExtensionForm(k * iwasawa_form().coefficients) for k in (1, 2, 3, 6)]
+    for m, d, factor in [(1, 1, 1), (2, 1, 4), (2, 2, 1), (2, 2, 3), (3, 1, 2), (3, 2, 1)]:
+        form = random_alternating_form(rng, m, d, span=2)
+        forms.append(ExtensionForm(factor * form.coefficients))
+    forms.append(ExtensionForm(np.zeros((4, 6, 6), dtype=np.int64)))
+    return forms
+
+
+def test_first_homology_free_rank_is_b1():
+    for form in _homology_forms():
+        assert first_homology(form)[0] == betti_one(form)
+
+
+def test_first_homology_is_invariant_under_unimodular_base_changes():
+    rng = np.random.default_rng(29)
+    for form in _homology_forms():
+        m, d = form.base_rank // 2, form.fibre_rank // 2
+        expected = first_homology(form)
+        for _ in range(3):
+            moved = transport(form, standard_structure(m), standard_structure(d),
+                              unimodular_matrix(rng, 2 * m), unimodular_matrix(rng, 2 * d))[0]
+            assert first_homology(moved) == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_first_homology_of_the_iwasawa_multiples(k):
+    # k A_Iwasawa: H_1 = Z^4 + (Z/k)^2; the Iwasawa form itself has no torsion.
+    torsion = () if k == 1 else (k, k)
+    assert first_homology(ExtensionForm(k * iwasawa_form().coefficients)) == (4, torsion)

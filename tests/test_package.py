@@ -1,29 +1,39 @@
 """The public names of the tbi package and the parameters of its callables,
 pinned: an addition to or a removal from the API, or a parameter added,
 removed or given another default, shows up here as a change to one reviewed
-line."""
+line.  The documentation is held to the code too: every public function and
+class has a docstring, and the README's library example computes the values
+its comments state."""
 
+import ast
+import dataclasses
+import inspect
+import io
 import json
+import pathlib
 import subprocess
 import sys
+import tokenize
+
+import tbi
 
 from support import subprocess_env
 
 PUBLIC_NAMES = [
     "BundleDatum", "CohomologyReport", "ComplexStructure",
     "DEFAULT_TOL", "DecomposedForm", "ExtensionForm", "FormInvalidError",
-    "GroupElement", "InputDocument", "LocalEquations", "MembershipError",
+    "GroupElement", "InputDocument", "MembershipError",
     "MembershipResult", "ParseError", "RankDecision", "SampleResult",
     "SpectralTable", "StructureDegenerateError", "TableTooLargeError", "TangentTable",
     "TbiError", "ToleranceAmbiguityError", "basis_change",
     "basis_lift", "bundle_report", "catalog", "catalog_datum", "central_lift",
-    "chart_structure", "classify_blocks", "closed_forms_dim", "cocycle_defect",
+    "classify_blocks", "closed_forms_dim", "cocycle_defect",
     "cocycle_eval", "cohomology", "commutator", "complex_to_pairs",
     "curves", "decompose", "decomposition", "divisibility_index", "dumps", "errors",
-    "extension_cocycle", "graph_chart", "group_inverse", "group_multiply", "h0_forms",
+    "extension_cocycle", "group_inverse", "group_multiply", "h0_forms",
     "h1_structure_sheaf", "input_document", "is_parallelizable", "iwasawa_datum",
     "iwasawa_form", "kuranishi_dim", "lattice_vector_from_fibre", "lattices",
-    "leray_table", "local_equations", "numerical_rank", "pairwise_values",
+    "leray_table", "numerical_rank", "pairwise_values",
     "parse_input", "periods", "product_datum", "product_form", "random_structure",
     "reconstruct", "require_table_fits", "riemann_check", "sample_point", "serialize",
     "sha256_hex", "split_coordinates", "standard_structure",
@@ -57,7 +67,6 @@ SIGNATURES = {
     "ExtensionForm": "(coefficients)",
     "GroupElement": "(fibre, base)",
     "InputDocument": "(m, d, form, base, fibre, translation, seed, effective_tol=1e-09)",
-    "LocalEquations": "(pairs, w_vectors, chart, residuals)",
     "MembershipResult": "(member, residual, scale)",
     "RankDecision": "(label, rank, smallest_kept, largest_dropped, threshold, near)",
     "SampleResult": "(found, base, fibre, attempts, best_residual)",
@@ -70,7 +79,6 @@ SIGNATURES = {
     "bundle_report": "(datum)",
     "catalog_datum": "(name, m=2, d=1)",
     "central_lift": "(form, index)",
-    "chart_structure": "(chart)",
     "classify_blocks": "(datum)",
     "closed_forms_dim": "(datum, decisions=None)",
     "cocycle_defect": "(datum, gamma1, gamma2, z)",
@@ -81,7 +89,6 @@ SIGNATURES = {
     "divisibility_index": "(chern_vector)",
     "dumps": "(value)",
     "extension_cocycle": "(form, g1_base, g2_base)",
-    "graph_chart": "(fibre)",
     "group_inverse": "(form, g)",
     "group_multiply": "(form, g1, g2)",
     "h0_forms": "(datum, decisions=None)",
@@ -93,7 +100,6 @@ SIGNATURES = {
     "kuranishi_dim": "(genus, fibre_dim)",
     "lattice_vector_from_fibre": "(datum, value, tol=None)",
     "leray_table": "(datum)",
-    "local_equations": "(form, base, chart)",
     "numerical_rank": "(matrix, tol, scale, label, decisions=None)",
     "pairwise_values": "(form, base)",
     "parse_input": "(text, require_structures=True, tol=1e-09, tol_override=None)",
@@ -139,3 +145,50 @@ def test_public_signatures_are_pinned():
     listed = subprocess.run([sys.executable, "-c", _LIST_SIGNATURES], capture_output=True,
                             text=True, check=True, env=subprocess_env())
     assert json.loads(listed.stdout) == SIGNATURES
+
+
+def _generated_doc(cls) -> str:
+    """The docstring dataclass writes for a class that has none: its name
+    and the text of its signature."""
+    return cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+
+
+def test_public_names_have_docstrings():
+    undocumented = []
+    for name in dir(tbi):
+        obj = getattr(tbi, name)
+        if name.startswith("_") or not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        doc = (obj.__doc__ or "").strip()
+        if not doc or dataclasses.is_dataclass(obj) and doc == _generated_doc(obj):
+            undocumented.append(name)
+    assert undocumented == []
+
+
+def _library_example() -> list:
+    """The lines of the python block under the README's '## Library'."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0].splitlines()
+
+
+def _split_comment(line):
+    """(code, comment text) of one line of Python; comment is None without one."""
+    for token in tokenize.generate_tokens(io.StringIO(line).readline):
+        if token.type == tokenize.COMMENT:
+            return line[:token.start[1]].rstrip(), token.string[1:].strip()
+    return line, None
+
+
+def test_readme_library_example_computes_its_comments():
+    namespace, checked = {}, 0
+    for line in _library_example():
+        code, comment = _split_comment(line)
+        try:
+            expected = ast.literal_eval(comment)
+        except (ValueError, SyntaxError):  # no comment, or prose
+            exec(code, namespace)
+            continue
+        assert eval(code, namespace) == expected, line
+        checked += 1
+    assert checked == 7

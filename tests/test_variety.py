@@ -4,19 +4,17 @@ import itertools
 import numpy as np
 import pytest
 
-from tbi import (BundleDatum, ComplexStructure, ExtensionForm,
-                 StructureDegenerateError, chart_structure, cli, graph_chart,
-                 iwasawa_form, local_equations, pairwise_values, product_form,
-                 random_structure, riemann_check, sample_point, standard_structure,
-                 validate_structure)
+from tbi import (BundleDatum, ComplexStructure, ExtensionForm, cli, iwasawa_form,
+                 pairwise_values, product_form, random_structure, riemann_check,
+                 sample_point, standard_structure, validate_structure)
 from tbi import periods, variety
 from tbi.serialize import dumps, input_document
 
-from support import count_calls, random_alternating_form
+from support import count_calls, random_alternating_form, reference_values, values_outside_fibre
 
 
 # ---------------------------------------------------------------------------
-# Pairwise values and charts
+# Pairwise values
 
 
 def test_iwasawa_pairwise_values(iwasawa):
@@ -32,74 +30,30 @@ def test_pair_labels_m3():
     assert values.shape == (3, 2)
 
 
-def test_graph_chart_standard_fibre():
-    chart = graph_chart(standard_structure(1))
-    assert np.allclose(chart, [[-1j]], atol=1e-12)
-
-
-def test_graph_chart_roundtrip():
-    fibre = random_structure(2, 21)
-    chart = graph_chart(fibre)
-    rebuilt = chart_structure(chart)
-    # same column span: each rebuilt column solves against the original period
-    coeffs = np.linalg.lstsq(fibre.period, rebuilt.period, rcond=None)[0]
-    assert np.allclose(fibre.period @ coeffs, rebuilt.period, atol=1e-9)
-
-
-def test_graph_chart_outside_chart_raises():
-    sideways = ComplexStructure(np.array([[0.0], [1.0]]))
-    with pytest.raises(StructureDegenerateError):
-        graph_chart(sideways)
-
-
-def test_graph_chart_ignores_the_scale_of_the_fibre_periods(iwasawa):
-    """Scaling the fibre periods changes neither the subspace nor its chart."""
-    scaled = ComplexStructure(iwasawa.fibre.period * 1e-10)
-    assert riemann_check(iwasawa.form, iwasawa.base, scaled).member
-    np.testing.assert_allclose(graph_chart(scaled), graph_chart(iwasawa.fibre), rtol=1e-12)
-    assert local_equations(iwasawa.form, iwasawa.base, scaled).member
-
-
-def test_chart_structure_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        chart_structure(np.zeros((1, 2)))
-
-
 # ---------------------------------------------------------------------------
-# Local equations
+# The chart-free oracle against riemann_check
 
 
-def test_iwasawa_local_equations_member(iwasawa):
-    equations = local_equations(iwasawa.form, iwasawa.base, iwasawa.fibre)
-    assert equations.pairs == ((1, 2),)
-    assert np.allclose(equations.chart, [[-1j]], atol=1e-12)
-    assert equations.max_residual < 1e-12
-    assert equations.member
-
-
-def test_local_equations_without_pairs():
-    """m = 1 has no pairs h < l: no residuals, and the zero residual is a member."""
-    equations = local_equations(product_form(1, 2), standard_structure(1), 1j * np.eye(2))
-    assert equations.pairs == ()
-    assert equations.residuals.shape == (0, 2)
-    assert (equations.max_residual, equations.scale, equations.member) == (0.0, 0.0, True)
-
-
-def test_local_equations_rejects_real_chart():
-    # the graph of a real-conjugate chart meets its own conjugate
-    with pytest.raises(StructureDegenerateError):
-        local_equations(iwasawa_form(), standard_structure(2), [[0.0]])
-
-
-def test_local_equations_detects_nonmember():
+def test_values_outside_fibre_detects_nonmember():
     rng = np.random.default_rng(31)
     form = random_alternating_form(rng, 2, 1)
     base = random_structure(2, rng)
     fibre = random_structure(1, rng)
-    equations = local_equations(form, base, fibre)
+    oracle = values_outside_fibre(form, base, fibre)
     verdict = riemann_check(form, base, fibre)
-    assert equations.member == verdict.member
-    assert not equations.member
+    assert oracle.member == verdict.member
+    assert not oracle.member
+
+
+def test_values_outside_fibre_on_iwasawa_and_without_pairs(iwasawa):
+    """Iwasawa's one value lies in U; m = 1 has no pairs, so the zero residual
+    against the zero scale is a member."""
+    oracle = values_outside_fibre(iwasawa.form, iwasawa.base, iwasawa.fibre)
+    assert oracle.member and oracle.residual < 1e-12
+    assert riemann_check(iwasawa.form, iwasawa.base, iwasawa.fibre).member
+    no_pairs = values_outside_fibre(product_form(1, 2), standard_structure(1),
+                                    standard_structure(2))
+    assert (no_pairs.member, no_pairs.residual, no_pairs.scale) == (True, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("seed", [41, 42, 43])
@@ -108,8 +62,7 @@ def test_verdicts_agree_on_sampled_members(seed):
     form = random_alternating_form(rng, 2, 1)
     result = sample_point(form, seed=seed)
     assert result.found
-    equations = local_equations(form, result.base, result.fibre)
-    assert equations.member
+    assert values_outside_fibre(form, result.base, result.fibre).member
     assert riemann_check(form, result.base, result.fibre).member
 
 
@@ -520,15 +473,6 @@ def _reference_structure(n, seed):
     raise AssertionError("no valid draw")
 
 
-def _reference_values(form, base):
-    """pairwise_values as one einsum per pair."""
-    coeff = form.coefficients.astype(complex)
-    m = base.half_rank
-    columns = [np.einsum("kij,i,j->k", coeff, base.period[:, h], base.period[:, l])
-               for h in range(m) for l in range(h + 1, m)]
-    return np.array(columns).reshape(len(columns), form.fibre_rank)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_random_structure_and_pairwise_values_match_one_at_a_time(n):
     # Seeds 0..39 include generators whose first frame is redrawn (n=2:
@@ -537,7 +481,7 @@ def test_random_structure_and_pairwise_values_match_one_at_a_time(n):
     for seed in range(40):
         base = _reference_structure(n, seed)
         assert random_structure(n, seed).period.tobytes() == base.period.tobytes()
-        assert pairwise_values(form, base)[1].tobytes() == _reference_values(form, base).tobytes()
+        assert pairwise_values(form, base)[1].tobytes() == reference_values(form, base).tobytes()
 
 
 @pytest.mark.parametrize("seed", [-1, [3, -1], [2**64, -(2**70)]])
