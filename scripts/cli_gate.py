@@ -30,7 +30,8 @@ An exception that escapes tbi.cli.main is recorded as the run's exit code.
 After the corpus, each process runs every invariants argv a second time, and
 that run's stdout must equal the first one's on the same checkout, so that
 no state kept between calls can change a later report.  Each process
-reports its peak resident set size (ru_maxrss), and both are printed.
+reports its peak resident set size (ru_maxrss), and both are printed, beside
+the number of lines in each checkout's src/tbi/*.py.
 
 A differing run is fields-only when its exit codes and stderr agree and its
 JSON stdout is equal once the keys present on only one side are dropped; it is
@@ -222,6 +223,17 @@ def run(checkout, argv_file):
     return results, peak_mb
 
 
+def source_lines(checkout):
+    """The number of lines in the checkout's src/tbi/*.py, as wc -l counts them."""
+    package = os.path.join(checkout, "src", "tbi")
+    total = 0
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as handle:
+                total += handle.read().count(b"\n")
+    return total
+
+
 def cut_floats(result):
     """The (stdout, stderr, exit) result with each float value as '#', and the values."""
     values = []
@@ -283,7 +295,8 @@ def compare(other):
             json.dump(argvs + [argvs[index] for index in again], handle)
         (theirs, their_peak), (mine, my_peak) = run(other, argv_file), run(ROOT, argv_file)
         shown = [[os.path.basename(x) if x.startswith(workdir) else x for x in a] for a in argvs]
-    print(f"peak RSS: other {their_peak:.0f} MB, this {my_peak:.0f} MB")
+    print(f"peak RSS: other {their_peak:.0f} MB, this {my_peak:.0f} MB; "
+          f"src/tbi lines: other {source_lines(other)}, this {source_lines(ROOT)}")
     leaks = 0
     for side, results in (("other", theirs), ("this", mine)):
         for index, repeat in zip(again, results[len(argvs):], strict=True):

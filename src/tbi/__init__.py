@@ -13,14 +13,13 @@ __version__ = "0.1.0"
 
 from .catalog import (catalog_datum, iwasawa_datum, iwasawa_form, product_datum,
                       product_form)
-from .cohomology import (CohomologyReport, RankDecision, SpectralTable,
-                         TangentTable, bundle_report, classify_blocks, closed_forms_dim,
-                         h0_forms, h1_structure_sheaf, is_parallelizable, leray_table,
-                         numerical_rank, require_table_fits, tangent_table)
+from .cohomology import (CohomologyReport, RankDecision, SpectralTable, TangentTable,
+                         bundle_report, closed_forms_dim, h0_forms, h1_structure_sheaf,
+                         leray_table, numerical_rank, require_table_fits, tangent_table)
 from .curves import divisibility_index, kuranishi_dim
 from .decomposition import (BundleDatum, DecomposedForm, MembershipResult,
                             cocycle_defect, cocycle_eval, decompose,
-                            lattice_vector_from_fibre, reconstruct, riemann_check)
+                            lattice_vector_from_fibre, riemann_check)
 from .errors import (FormInvalidError, MembershipError, ParseError,
                      StructureDegenerateError, TableTooLargeError, TbiError,
                      ToleranceAmbiguityError)

@@ -198,7 +198,7 @@ def cmd_decompose(args) -> int:
     print(dumps({
         "input": _input_echo(data, document),
         **_record(datum.membership),
-        "blocks": _record(split, "tol", "scale"),
+        "blocks": _record(split, "scale"),
         "norms": _norms(split),
     }))
     return 0
@@ -305,13 +305,13 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    chern = None
-    if args.chern is not None:
-        chern = _parse_vector(args.chern, 2 * args.fibre_dim, "--chern")
     try:
         dimension = kuranishi_dim(args.genus, args.fibre_dim)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    chern = None
+    if args.chern is not None:
+        chern = _parse_vector(args.chern, 2 * args.fibre_dim, "--chern")
     doc = {
         "genus": args.genus,
         "fibre_dim": args.fibre_dim,

@@ -178,14 +178,6 @@ def h1_structure_sheaf(datum: BundleDatum, decisions=None) -> int:
     return _corank(datum, [datum.split.holomorphic], "holomorphic block", decisions)
 
 
-def is_parallelizable(datum: BundleDatum) -> bool:
-    """The bundle's total space is parallelizable exactly when the hermitian
-    block vanishes, that is when its rank decision ("hermitian block") gives
-    rank 0: then all m + d frame forms are global."""
-    split = datum.split
-    return h0_forms(datum) == split.base_half_rank + split.fibre_half_rank
-
-
 # ---------------------------------------------------------------------------
 # Wedge bookkeeping on index maps
 
@@ -523,7 +515,7 @@ class TangentTable:
         return tuple(c + k for c, k in zip(self.coker, self.ker))
 
 
-def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> TangentTable:
+def tangent_table(datum: BundleDatum, table: SpectralTable) -> TangentTable:
     """Tangent-sheaf cohomology dimensions for all degrees.
 
     In degree p the space splits into the cokernel of the level-(p-1) map
@@ -561,8 +553,6 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
     each level decision takes exact zero singular values, with no piece
     built and no SVD, as LAPACK would return for the zero pieces.
     """
-    if table is None:
-        table = leray_table(datum)
     split = datum.split
     m, d = split.base_half_rank, split.fibre_half_rank
     tol, scale = datum.tol, split.scale
@@ -608,15 +598,11 @@ def tangent_table(datum: BundleDatum, table: SpectralTable | None = None) -> Tan
 # Reports
 
 
-def classify_blocks(datum: BundleDatum) -> str | None:
+def _classification(datum: BundleDatum, parallelizable: bool, h1: int) -> str | None:
     """Coarse label by which blocks vanish; only defined for one-dimensional
     fibres (d=1), None otherwise.  "abelian" is decided exactly on the
     integer form; "zero_hermitian" (parallelizable) and "pure_hermitian"
     (h^1(O) = m + 1, not parallelizable) on the blocks' rank decisions."""
-    return _classification(datum, is_parallelizable(datum), h1_structure_sheaf(datum))
-
-
-def _classification(datum: BundleDatum, parallelizable: bool, h1: int) -> str | None:
     split = datum.split
     if split.fibre_half_rank != 1:
         return None
@@ -683,6 +669,7 @@ def bundle_report(datum: BundleDatum) -> CohomologyReport:
     h_structure = tuple(table.total_dims())
     _require_identities(h_structure, tangent.dims, forms, h1)
     m, d = datum.split.base_half_rank, datum.split.fibre_half_rank
+    # All m + d frame forms are global exactly when the hermitian block has rank 0.
     parallelizable = forms == m + d
     return CohomologyReport(
         e2=table.e2,

@@ -12,8 +12,9 @@ subspace U or its conjugate).  The three U-valued blocks are::
 The pair of structures is compatible with the form exactly when the
 antiholomorphic block vanishes; that is the membership test for the
 parameter variety of bundle structures.  The three conjugate (Ubar-valued)
-blocks are determined by reality of the integer form, so decompose neither
-computes nor keeps them: reconstruct derives them from the U-valued blocks.
+blocks are determined by reality of the integer form (the conjugates of the
+U-valued blocks with V and Vbar slots exchanged), so decompose neither
+computes nor keeps them.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,6 @@ class DecomposedForm:
     holomorphic: np.ndarray
     hermitian: np.ndarray
     antiholomorphic: np.ndarray
-    tol: float
     scale: float
 
     @property
@@ -81,7 +81,7 @@ def decompose(form: ExtensionForm, base: ComplexStructure, fibre: ComplexStructu
     """The U-valued blocks of the form split along the structure pair: the
     output index runs over the U-coordinates alone, each input index over the
     V-slots [:m] and the conjugate slots [m:].  The Ubar-valued half is their
-    conjugate (reconstruct derives it), so it is not contracted.
+    conjugate, so it is not contracted.
 
     _contract takes the U rows of basis_change(fibre) into the value index,
     then base.frame into each slot, in O(d m^2 (d + m)) operations where a
@@ -102,30 +102,8 @@ def decompose(form: ExtensionForm, base: ComplexStructure, fibre: ComplexStructu
         holomorphic=half[:, :m, :m],
         hermitian=half[:, :m, m:],
         antiholomorphic=half[:, m:, m:],
-        tol=tol,
         scale=float(np.max(np.abs(half))) if half.size else 0.0,
     )
-
-
-def reconstruct(split: DecomposedForm, base: ComplexStructure,
-                fibre: ComplexStructure) -> np.ndarray:
-    """Invert decompose, returning a complex tensor that should equal the
-    original integer coefficients up to roundoff: the whole split, rebuilt
-    from the U-valued blocks, goes through _contract with fibre.frame and
-    basis_change(base), O(d m^2 (d + m))."""
-    m = split.base_half_rank
-    d = split.fibre_half_rank
-    full = np.zeros((2 * d, 2 * m, 2 * m), dtype=complex)
-    # Mixed blocks with swapped slots are forced by alternation of the form.
-    full[:d, :m, :m] = split.holomorphic
-    full[:d, :m, m:] = split.hermitian
-    full[:d, m:, :m] = -split.hermitian.transpose(0, 2, 1)
-    full[:d, m:, m:] = split.antiholomorphic
-    # Reality of the integer form: the Ubar-valued half is the conjugate of
-    # the U-valued half with V and Vbar slots exchanged.
-    swap = np.r_[m:2 * m, 0:m]
-    full[d:] = np.conj(full[:d][:, swap][:, :, swap])
-    return _contract(fibre.frame, full, basis_change(base, split.tol))
 
 
 def riemann_check(form: ExtensionForm, base: ComplexStructure, fibre: ComplexStructure,

@@ -71,6 +71,27 @@ def full_split(datum) -> np.ndarray:
                      datum.form.coefficients.astype(complex), datum.base.frame)
 
 
+def reconstruct(datum) -> np.ndarray:
+    """Invert decompose, returning a complex tensor that should equal the
+    original integer coefficients up to roundoff: the whole split, rebuilt
+    from the U-valued blocks of datum.split, goes through _contract with
+    fibre.frame and basis_change(base), O(d m^2 (d + m))."""
+    split = datum.split
+    m = split.base_half_rank
+    d = split.fibre_half_rank
+    full = np.zeros((2 * d, 2 * m, 2 * m), dtype=complex)
+    # Mixed blocks with swapped slots are forced by alternation of the form.
+    full[:d, :m, :m] = split.holomorphic
+    full[:d, :m, m:] = split.hermitian
+    full[:d, m:, :m] = -split.hermitian.transpose(0, 2, 1)
+    full[:d, m:, m:] = split.antiholomorphic
+    # Reality of the integer form: the Ubar-valued half is the conjugate of
+    # the U-valued half with V and Vbar slots exchanged.
+    swap = np.r_[m:2 * m, 0:m]
+    full[d:] = np.conj(full[:d][:, swap][:, :, swap])
+    return _contract(datum.fibre.frame, full, basis_change(datum.base, datum.tol))
+
+
 def naive_split(datum) -> np.ndarray:
     """The U-valued half of the split as one term-by-term 4-operand einsum,
     O(d^2 m^4): the oracle for decompose's pairwise contraction."""

@@ -14,15 +14,14 @@ import time
 
 import numpy as np
 
-from tbi import (BundleDatum, ExtensionForm, GroupElement, bundle_report, classify_blocks,
-                 cocycle_defect, commutator, dumps, h0_forms, input_document,
-                 is_parallelizable, iwasawa_datum, iwasawa_form, kuranishi_dim,
-                 lattice_vector_from_fibre, leray_table, product_datum, random_structure,
-                 reconstruct, sample_point, tangent_table)
+from tbi import (BundleDatum, ExtensionForm, GroupElement, bundle_report, cocycle_defect,
+                 commutator, dumps, h0_forms, input_document, iwasawa_datum, iwasawa_form,
+                 kuranishi_dim, lattice_vector_from_fibre, leray_table, product_datum,
+                 random_structure, sample_point, tangent_table)
 from tbi import cli
 
 from support import (d2_blocks, random_alternating_form, random_group_element_parts,
-                     subprocess_env, transported_case1, values_outside_fibre)
+                     reconstruct, subprocess_env, transported_case1, values_outside_fibre)
 
 
 def _report(number, detail):
@@ -53,9 +52,10 @@ def test_criterion_3_product_closed_forms():
     for m, d in itertools.product(range(1, 5), range(1, 5)):
         datum = product_datum(m, d)
         n = m + d
-        assert leray_table(datum).total_dims() == [math.comb(n, p) for p in range(n + 1)]
+        table = leray_table(datum)
+        assert table.total_dims() == [math.comb(n, p) for p in range(n + 1)]
         assert h0_forms(datum) == n
-        assert tangent_table(datum).dims == \
+        assert tangent_table(datum, table).dims == \
             tuple(n * math.comb(n, i) for i in range(n + 1))
     _report(3, "binomial dimensions for all 16 trivial bundles with m, d <= 4")
 
@@ -97,7 +97,7 @@ def _property_instance(k):
 
 def test_criterion_5_property_suite():
     instances = 500
-    members = 0
+    members = parallelizable = 0
     for k in range(instances):
         datum, rng = _property_instance(k)
         form, base, fibre = datum.form, datum.base, datum.fibre
@@ -105,7 +105,7 @@ def test_criterion_5_property_suite():
         scale = max(1.0, float(np.max(np.abs(form.coefficients))))
 
         # (a) decompose / reconstruct round trip
-        rebuilt = reconstruct(datum.split, base, fibre)
+        rebuilt = reconstruct(datum)
         assert np.max(np.abs(rebuilt - form.coefficients)) < 1e-8 * scale
 
         # (b) the commutator of two lifted elements is central with fibre
@@ -141,14 +141,18 @@ def test_criterion_5_property_suite():
         # span(U), gives the membership verdict of the split
         assert values_outside_fibre(form, base, fibre).member == datum.membership.member
 
-        # (f) every frame form is global exactly for parallelizable bundles
-        assert (h0_forms(datum) == m + d) == is_parallelizable(datum)
-
+        # (f) a parallelizable total space has a trivial tangent sheaf of
+        # rank m + d, so h^p(Θ) = (m + d)·h^p(O) in every degree
         if datum.membership.member:
             members += 1
+            report = bundle_report(datum)
+            if report.parallelizable:
+                parallelizable += 1
+                assert report.h_tangent == tuple((m + d) * h for h in report.h_structure)
 
     assert members >= instances // 5
-    _report(5, f"{instances} instances: {members} members")
+    assert parallelizable >= instances // 5
+    _report(5, f"{instances} instances: {members} members, {parallelizable} parallelizable")
 
 
 def test_criterion_6_case_checks():
@@ -157,10 +161,9 @@ def test_criterion_6_case_checks():
         rng = np.random.default_rng([57, k])
         m = int(rng.integers(2, 5))
         form, base, fibre = transported_case1(rng, m)
-        datum = BundleDatum.checked(form, base, fibre)
-        assert classify_blocks(datum) == "zero_hermitian"
-        h1 = leray_table(datum).total_dims()[1]
-        assert tangent_table(datum).dims[1] == (m + 1) * h1
+        report = bundle_report(BundleDatum.checked(form, base, fibre))
+        assert report.classification == "zero_hermitian"
+        assert report.h_tangent[1] == (m + 1) * report.h_structure[1]
         zero_hermitian_points += 1
 
     mixed_points = 0
@@ -168,9 +171,9 @@ def test_criterion_6_case_checks():
         form = random_alternating_form(np.random.default_rng([58, k]), 2, 1)
         result = sample_point(form, seed=[59, k])
         assert result.found
-        datum = BundleDatum.checked(form, result.base, result.fibre)
-        assert classify_blocks(datum) == "mixed"
-        assert tangent_table(datum).dims[1] <= 2 * (2 + 1)
+        report = bundle_report(BundleDatum.checked(form, result.base, result.fibre))
+        assert report.classification == "mixed"
+        assert report.h_tangent[1] <= 2 * (2 + 1)
         mixed_points += 1
 
     assert zero_hermitian_points == 25 and mixed_points == 25

@@ -689,6 +689,24 @@ def test_decompose_reports_nonmember_without_failing(tmp_path, capsys):
     assert payload["norms"]["forbidden"] == 2.0
 
 
+# sha256 of `tbi decompose` stdout on the NEAR_THRESHOLD_DOCS at the default
+# tol, recorded while DecomposedForm still carried a tol field, which the
+# printed blocks left out.
+DECOMPOSE_DIGESTS = {
+    "iwasawa": "9f3e60a09d65bb541338bbfa4229d241a8f51f19162c94244dc98f5a7acb497a",
+    "sampled-89": "79f079c8f926ee354b68fc006dbea058f2f88ca1a51b6800d0c32247dc83c705",
+}
+
+
+@pytest.mark.parametrize("name", DECOMPOSE_DIGESTS)
+def test_decompose_stdout_frozen(tmp_path, capsys, name):
+    path = _write(tmp_path, "doc.json", NEAR_THRESHOLD_DOCS[name]())
+    code, out, err = _run(capsys, ["decompose", path])
+    assert (code, err) == (0, "")
+    assert list(json.loads(out)["blocks"]) == ["holomorphic", "hermitian", "antiholomorphic"]
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_DIGESTS[name]
+
+
 # ---------------------------------------------------------------------------
 # sample
 
@@ -1020,6 +1038,14 @@ def test_curve_wrong_chern_length_exits_1(capsys):
                                  "--chern", "1,2"])
     assert code == 1
     assert "--chern" in err
+
+
+@pytest.mark.parametrize("fibre_dim,chern", [("-1", "1,2"), ("0", "1")])
+def test_curve_fibre_dim_is_checked_before_chern(capsys, fibre_dim, chern):
+    """The --chern length is 2 * --fibre-dim, so a fibre dimension below 1
+    is named before --chern is read."""
+    argv = ["curve", "--genus", "2", "--fibre-dim", fibre_dim, "--chern", chern]
+    assert _run(capsys, argv) == (1, "", "error: fibre dimension must be positive\n")
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -14,9 +14,8 @@ import pytest
 import tbi.cli
 import tbi.cohomology
 from tbi import (BundleDatum, ComplexStructure, ExtensionForm, ToleranceAmbiguityError,
-                 bundle_report, classify_blocks, closed_forms_dim, h0_forms,
-                 h1_structure_sheaf, is_parallelizable, leray_table, numerical_rank,
-                 product_datum, random_structure, sample_point, tangent_table)
+                 bundle_report, closed_forms_dim, h0_forms, h1_structure_sheaf, leray_table,
+                 numerical_rank, product_datum, random_structure, sample_point, tangent_table)
 
 from tbi.cohomology import (_closed_whole_pieces, _d2_block, _dual_columns, _level_piece,
                             _rank_from_singular_values, _svd, _wedge_map, _wedge_products)
@@ -444,15 +443,17 @@ def test_h1_structure_fixtures(iwasawa, kodaira_surface):
 
 
 def test_parallelizable_fixtures(iwasawa, kodaira_surface):
-    assert is_parallelizable(iwasawa)
-    assert not is_parallelizable(kodaira_surface)
-    assert is_parallelizable(product_datum(2, 1))
+    assert bundle_report(iwasawa).parallelizable
+    assert not bundle_report(kodaira_surface).parallelizable
+    assert bundle_report(product_datum(2, 1)).parallelizable
 
 
 @pytest.mark.parametrize("seed,m,d", [(75, 2, 1), (76, 3, 2), (77, 1, 1)])
 def test_parallelizable_iff_all_forms_survive(seed, m, d):
-    datum = _random_datum(seed, m, d)
-    assert is_parallelizable(datum) == (h0_forms(datum) == m + d)
+    """A random hermitian block hits every fibre functional, so only the m
+    base forms are global, and the report says not parallelizable."""
+    report = bundle_report(_random_datum(seed, m, d))
+    assert (report.h0_one_forms, report.parallelizable) == (m, False)
 
 
 # ---------------------------------------------------------------------------
@@ -556,21 +557,22 @@ def test_image_outside_kernel_is_tolerance_ambiguity(monkeypatch, kind):
 
 
 def test_tangent_iwasawa_frozen(iwasawa):
-    tangent = tangent_table(iwasawa)
+    tangent = tangent_table(iwasawa, leray_table(iwasawa))
     assert tangent.dims == (3, 6, 6, 3)
     assert [x.rank for x in tangent.decisions] == [0, 0, 0, 0]
     assert twist_residual(iwasawa) == 0.0
 
 
 def test_tangent_kodaira_frozen(kodaira_surface):
-    tangent = tangent_table(kodaira_surface)
+    tangent = tangent_table(kodaira_surface, leray_table(kodaira_surface))
     assert tangent.dims == (1, 2, 1)
     assert [x.rank for x in tangent.decisions] == [1, 1, 0]
 
 
 @pytest.mark.parametrize("m,d", [(1, 1), (2, 1), (2, 2)])
 def test_tangent_product_scales_binomials(m, d):
-    tangent = tangent_table(product_datum(m, d))
+    datum = product_datum(m, d)
+    tangent = tangent_table(datum, leray_table(datum))
     expected = tuple((m + d) * math.comb(m + d, p) for p in range(m + d + 1))
     assert tangent.dims == expected
 
@@ -580,8 +582,8 @@ def test_parallelizable_tangent_is_frame_multiple(seed, m):
     """Parallelizable total space: Θ is trivial of rank m + d, so
     h^p(Θ) = (m + d)·h^p(O) in every degree."""
     datum = BundleDatum.checked(*transported_case1(np.random.default_rng([seed, m]), m))
-    assert is_parallelizable(datum)
     report = bundle_report(datum)
+    assert report.parallelizable
     assert report.h_tangent == tuple((m + 1) * h for h in report.h_structure)
 
 
@@ -971,9 +973,9 @@ def test_d2_decisions_match_numerical_rank(seed, m, d):
 
 
 def test_tangent_table_coker_ker_fixtures(iwasawa, kodaira_surface):
-    middle = tangent_table(iwasawa)
+    middle = tangent_table(iwasawa, leray_table(iwasawa))
     assert (middle.dims[1], middle.coker[1], middle.ker[1]) == (6, 2, 4)
-    surface = tangent_table(kodaira_surface)
+    surface = tangent_table(kodaira_surface, leray_table(kodaira_surface))
     assert (surface.dims[1], surface.coker[1], surface.ker[1]) == (2, 1, 1)
 
 
@@ -982,9 +984,9 @@ def test_tangent_table_coker_ker_fixtures(iwasawa, kodaira_surface):
 
 
 def test_classify_fixtures(iwasawa, kodaira_surface):
-    assert classify_blocks(iwasawa) == "zero_hermitian"
-    assert classify_blocks(kodaira_surface) == "pure_hermitian"
-    assert classify_blocks(product_datum(2, 1)) == "abelian"
+    assert bundle_report(iwasawa).classification == "zero_hermitian"
+    assert bundle_report(kodaira_surface).classification == "pure_hermitian"
+    assert bundle_report(product_datum(2, 1)).classification == "abelian"
 
 
 @pytest.mark.parametrize("fixture,label,h_tangent", [
@@ -998,7 +1000,7 @@ def test_classify_ignores_the_scale_of_the_base(tmp_path, capsys, request, fixtu
     datum = request.getfixturevalue(fixture)
     scaled = BundleDatum.checked(datum.form, ComplexStructure(datum.base.period * 1e-5),
                                  datum.fibre)
-    assert classify_blocks(scaled) == label
+    assert bundle_report(scaled).classification == label
     path = tmp_path / "scaled.json"
     path.write_text(tbi.dumps(tbi.input_document(scaled.form, scaled.base, scaled.fibre)))
     assert tbi.cli.main(["invariants", str(path)]) == 0
@@ -1011,8 +1013,8 @@ def test_classify_mixed_and_undefined():
     split = datum.split
     assert np.max(np.abs(split.holomorphic)) > 1e-6
     assert np.max(np.abs(split.hermitian)) > 1e-6
-    assert classify_blocks(datum) == "mixed"
-    assert classify_blocks(_random_datum(87, 2, 2)) is None
+    assert bundle_report(datum).classification == "mixed"
+    assert bundle_report(_random_datum(87, 2, 2)).classification is None
 
 
 SWEEP_TOLS = (1e-9, 1e-6, 1e-3, 1e-2, 0.05, 0.1, 0.2, 0.3, 0.45)
@@ -1037,8 +1039,7 @@ def test_block_verdicts_follow_the_rank_decisions(slot):
         report = bundle_report(datum)
         ranks = {decision.label: decision.rank for decision in report.decisions}
         assert report.parallelizable == (report.h0_one_forms == m + d) \
-            == (ranks["hermitian block"] == 0) == is_parallelizable(datum)
-        assert report.classification == classify_blocks(datum)
+            == (ranks["hermitian block"] == 0)
         if d == 1:
             assert (report.classification == "zero_hermitian") == report.parallelizable
         assert (report.classification == "pure_hermitian") == \

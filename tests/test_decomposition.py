@@ -6,14 +6,14 @@ import pytest
 from tbi import (BundleDatum, ComplexStructure, ExtensionForm, FormInvalidError,
                  MembershipError, StructureDegenerateError, cocycle_defect,
                  catalog_datum, cocycle_eval, decompose, iwasawa_form, lattice_vector_from_fibre,
-                 iwasawa_datum, product_datum, random_structure, reconstruct,
-                 riemann_check, standard_structure)
+                 iwasawa_datum, product_datum, random_structure, riemann_check,
+                 standard_structure)
 
 from tbi import periods
 from tbi.periods import split_coordinates
 
 from support import (SMALL_MEMBERS, count_calls, full_split, naive_split, near_threshold_member,
-                     random_alternating_form, small_member, transported_case1)
+                     random_alternating_form, reconstruct, small_member, transported_case1)
 
 
 def _random_datum(seed, m, d):
@@ -45,7 +45,7 @@ def test_kodaira_blocks_frozen(kodaira_surface):
 @pytest.mark.parametrize("seed,m,d", [(0, 1, 1), (1, 2, 1), (2, 2, 2), (3, 3, 2), (4, 4, 3)])
 def test_reconstruct_roundtrip(seed, m, d):
     datum = _random_datum(seed, m, d)
-    rebuilt = reconstruct(datum.split, datum.base, datum.fibre)
+    rebuilt = reconstruct(datum)
     scale = max(1.0, np.max(np.abs(datum.form.coefficients)))
     assert np.max(np.abs(rebuilt - datum.form.coefficients)) < 1e-9 * scale
 

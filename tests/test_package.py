@@ -27,15 +27,15 @@ PUBLIC_NAMES = [
     "SpectralTable", "StructureDegenerateError", "TableTooLargeError", "TangentTable",
     "TbiError", "ToleranceAmbiguityError", "basis_change",
     "basis_lift", "bundle_report", "catalog", "catalog_datum", "central_lift",
-    "classify_blocks", "closed_forms_dim", "cocycle_defect",
+    "closed_forms_dim", "cocycle_defect",
     "cocycle_eval", "cohomology", "commutator", "complex_to_pairs",
     "curves", "decompose", "decomposition", "divisibility_index", "dumps", "errors",
     "extension_cocycle", "group_inverse", "group_multiply", "h0_forms",
-    "h1_structure_sheaf", "input_document", "is_parallelizable", "iwasawa_datum",
+    "h1_structure_sheaf", "input_document", "iwasawa_datum",
     "iwasawa_form", "kuranishi_dim", "lattice_vector_from_fibre", "lattices",
     "leray_table", "numerical_rank", "pairwise_values",
     "parse_input", "periods", "product_datum", "product_form", "random_structure",
-    "reconstruct", "require_table_fits", "riemann_check", "sample_point", "serialize",
+    "require_table_fits", "riemann_check", "sample_point", "serialize",
     "sha256_hex", "split_coordinates", "standard_structure",
     "tangent_table", "validate_form",
     "validate_structure", "variety",
@@ -63,7 +63,7 @@ SIGNATURES = {
                         "parallelizable, h_tangent, deformation_target, classification, "
                         "decisions)",
     "ComplexStructure": "(period)",
-    "DecomposedForm": "(holomorphic, hermitian, antiholomorphic, tol, scale)",
+    "DecomposedForm": "(holomorphic, hermitian, antiholomorphic, scale)",
     "ExtensionForm": "(coefficients)",
     "GroupElement": "(fibre, base)",
     "InputDocument": "(m, d, form, base, fibre, translation, seed, effective_tol=1e-09)",
@@ -79,7 +79,6 @@ SIGNATURES = {
     "bundle_report": "(datum)",
     "catalog_datum": "(name, m=2, d=1)",
     "central_lift": "(form, index)",
-    "classify_blocks": "(datum)",
     "closed_forms_dim": "(datum, decisions=None)",
     "cocycle_defect": "(datum, gamma1, gamma2, z)",
     "cocycle_eval": "(datum, gamma, z)",
@@ -94,7 +93,6 @@ SIGNATURES = {
     "h0_forms": "(datum, decisions=None)",
     "h1_structure_sheaf": "(datum, decisions=None)",
     "input_document": "(form, base=None, fibre=None, translation=None, tol=None, seed=None)",
-    "is_parallelizable": "(datum)",
     "iwasawa_datum": "()",
     "iwasawa_form": "()",
     "kuranishi_dim": "(genus, fibre_dim)",
@@ -106,14 +104,13 @@ SIGNATURES = {
     "product_datum": "(m=2, d=1)",
     "product_form": "(m=2, d=1)",
     "random_structure": "(n, seed)",
-    "reconstruct": "(split, base, fibre)",
     "require_table_fits": "(datum)",
     "riemann_check": "(form, base, fibre, tol=1e-09)",
     "sample_point": "(form, seed=0, max_attempts=100, tol=1e-09)",
     "sha256_hex": "(data)",
     "split_coordinates": "(structure, x, tol=1e-09)",
     "standard_structure": "(n)",
-    "tangent_table": "(datum, table=None)",
+    "tangent_table": "(datum, table)",
     "validate_form": "(form)",
     "validate_structure": "(structure, tol=1e-09)",
 }
