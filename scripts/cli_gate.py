@@ -10,7 +10,8 @@ and table), validate and decompose; the bench/members.py GRID members at seed
 1 under invariants (json and table); Iwasawa with one pair of 'A' entries set
 to each of EDGE_VALUES under invariants and group; Iwasawa made not
 alternating by each of SKEWED_ENTRIES under validate, invariants, group and
-sample; the group ELEMENTS; group on a random (6,3) form, seeded by
+sample; the MALFORMED_JSON documents under validate and invariants; the group
+ELEMENTS; group on a random (6,3) form, seeded by
 GROUP_FORM_SEED, for one pair of elements of each GROUP_SPANS size (small, 2**33..2**40 whose products leave int64, and
 past 2**63), which test group_multiply and group_inverse and each
 operand's bound through the spot check's product chain (no command reaches
@@ -64,6 +65,10 @@ SKEWED_ENTRIES = {  # 'A' entries set on Iwasawa to make it not alternating
     "diagonal": [((0, 0, 0), 1)],
     "symmetric": [((0, 0, 1), 1), ((0, 1, 0), 1)],
     "int64-min": [((0, 0, 1), -2 ** 63), ((0, 1, 0), -2 ** 63)],
+}
+MALFORMED_JSON = {  # past the JSON decoder's limits: nesting depth, int() digits
+    "deep": '{"m": 1, "d": 1, "A": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    "long-integer": '{"m": 1, "d": 1, "A": [[[0, %s], [0, 0]], [[0, 0], [0, 0]]]}' % ("1" * 5000),
 }
 GROUP_FORM_SEED = 63  # a random (6,3) form, the shape of the benchmark's second group form
 GROUP_SPANS = ((0, 1001), (2 ** 33, 2 ** 40), (2 ** 63, 2 ** 63 + 2 ** 40))  # |coordinate|
@@ -147,6 +152,9 @@ def write_corpus(workdir) -> list:
         path = write(f"skewed.{label}", json.dumps(doc))
         argvs += [["validate", path], ["invariants", path], ["group", path, "e1", "e3"],
                   ["sample", path]]
+    for name, text in MALFORMED_JSON.items():
+        path = write(f"malformed.{name}", text)
+        argvs += [["validate", path], ["invariants", path]]
 
     datums = dict(members)
     for name, scale_base, scale_fibre in OVERFLOW_SCALES:

@@ -5,7 +5,7 @@ lattice is Z[i]^2, the fibre lattice Z[i], and the extension form is the
 antisymmetrization of the product map (x, y) -> x*y'.  The product datum is
 the degenerate comparison point with zero form.  Both data are members by
 construction and are built without the membership check, which would split
-the form at a cost of order d^2 m^4.
+the form at a cost of order d m^2 (d + m).
 """
 
 import numpy as np

@@ -414,3 +414,6 @@ def main(argv=None) -> int:
         # A decomposition that did not converge leaves no rank to trust.
         print(f"error: {exc}", file=sys.stderr)
         return ToleranceAmbiguityError.exit_code
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return TbiError.exit_code

@@ -26,6 +26,8 @@ class ComplexStructure:
     """Subspace chart for a complex torus of half rank n.
 
     period: complex array of shape (2n, n), columns spanning the subspace.
+    The frame (P | conj P) is read-only like the period matrix, so its
+    spectrum, taken once on first use, serves validate_structure at any tol.
     """
 
     period: np.ndarray
@@ -51,37 +53,32 @@ class ComplexStructure:
     @cached_property
     def frame(self) -> np.ndarray:
         """The square matrix (P | conj P) pairing the subspace with its conjugate."""
-        return np.hstack([self.period, np.conj(self.period)])
+        frame = np.hstack([self.period, np.conj(self.period)])
+        frame.setflags(write=False)
+        return frame
 
     @cached_property
-    def _verdicts(self) -> dict:
-        """validate_structure's verdict at each tol it was asked for; the
-        period matrix is read-only, so a verdict never changes."""
-        return {}
+    def _spectrum(self) -> np.ndarray:
+        """The frame's singular values, in descending order."""
+        return np.linalg.svd(self.frame, compute_uv=False)
 
 
-def _frames_invertible(frame: np.ndarray, tol: float) -> bool:
-    """Whether the square frame has its smallest singular value above tol
-    times its largest."""
-    s = np.linalg.svd(frame, compute_uv=False)
-    # A product past the float range is inf, which no singular value exceeds.
-    with np.errstate(over="ignore"):
-        return bool(s[-1] > tol * s[0])
+def _rank_at(sing: np.ndarray, tol: float) -> int:
+    """How many of the descending singular values exceed tol times the largest."""
+    with np.errstate(over="ignore"):  # a tol past the float range counts none
+        return int((sing > tol * sing[:1]).sum())
 
 
 def validate_structure(structure: ComplexStructure, tol: float = DEFAULT_TOL) -> bool:
     """True when (P | conj P) is invertible at relative tolerance tol.
 
-    The test compares the smallest singular value of the frame against
-    tol times the largest, so rescaling the period matrix does not change
-    the verdict.  The verdict is kept on the structure, so a period matrix
-    tested when a document is parsed is not decomposed again when the split
-    tests it at the same tol.
+    The test asks that the smallest singular value of the frame exceed tol
+    times the largest, so rescaling the period matrix does not change the
+    verdict.  The singular values are kept on the structure, so a period
+    matrix tested when a document is parsed is not decomposed again when
+    the split tests it, at any tol.
     """
-    verdicts = structure._verdicts
-    if tol not in verdicts:
-        verdicts[tol] = _frames_invertible(structure.frame, tol)
-    return verdicts[tol]
+    return _rank_at(structure._spectrum, tol) == structure.full_rank
 
 
 def require_structure(structure: ComplexStructure, tol: float = DEFAULT_TOL,

@@ -10,6 +10,7 @@ dependent formatting is used anywhere.
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 # json.dumps of a str is this function's result; calling it skips the dispatch.
 from json.encoder import encode_basestring_ascii as _quote
@@ -204,6 +205,11 @@ def parse_input(text: str, require_structures: bool = True,
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                          f"{exc.msg}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    except ValueError:  # the one other ValueError json.loads raises
+        raise ParseError(f"invalid JSON: an integer literal has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     if not isinstance(raw, dict):
         raise ParseError("top level must be a JSON object")
 

@@ -28,7 +28,7 @@ import numpy as np
 from .decomposition import riemann_check
 from .errors import StructureDegenerateError
 from .lattices import ExtensionForm, exact_integers
-from .periods import ComplexStructure, DEFAULT_TOL, _RANDOM_FRAME_TOL, validate_structure
+from .periods import ComplexStructure, DEFAULT_TOL, _RANDOM_FRAME_TOL, _rank_at, validate_structure
 
 
 @lru_cache(maxsize=None)
@@ -84,12 +84,6 @@ class SampleResult:
         return self.found
 
 
-def _rank(sing: np.ndarray, tol: float) -> int:
-    """How many of the sorted singular values exceed tol times the largest."""
-    with np.errstate(over="ignore"):  # a tol past the float range counts none
-        return int((sing > tol * sing[:1]).sum())
-
-
 def _complete(coeff: np.ndarray, columns: np.ndarray, draws: np.ndarray, fibre: np.ndarray,
               tol: float):
     """Extend the base columns by one column per draw, each projected onto
@@ -101,7 +95,7 @@ def _complete(coeff: np.ndarray, columns: np.ndarray, draws: np.ndarray, fibre: 
     for draw in draws.T:
         conditions = outside @ np.einsum("ai,kab->ikb", columns, coeff)
         _, sing, vh = np.linalg.svd(conditions.reshape(-1, len(draw)))
-        rows = vh[:_rank(sing, tol)]
+        rows = vh[:_rank_at(sing, tol)]
         if len(draw) - len(rows) <= columns.shape[1]:
             return None
         columns = np.column_stack([columns, draw - rows.conj().T @ (rows @ draw)])
@@ -119,7 +113,7 @@ def _attempt(coeff: np.ndarray, m: int, d: int, rng, tol: float):
     u, rank, kept = np.eye(2 * d, dtype=complex), 0, 1
     while kept < m:
         u_next, sing, _ = np.linalg.svd(_pair_values(coeff, period[:, :kept + 1]))
-        rank_next = _rank(sing, tol)
+        rank_next = _rank_at(sing, tol)
         if rank_next > d:
             break
         u, rank, kept = u_next, rank_next, kept + 1

@@ -43,6 +43,27 @@ def count_calls(monkeypatch, function) -> list:
     return calls
 
 
+def count_frame_svds(monkeypatch) -> list:
+    """Record every np.linalg.svd call on the frame of a ComplexStructure
+    built from here on, and return the list that gets the frame's shape, one
+    entry per call."""
+    structures, shapes = [], []
+    post_init, svd = ComplexStructure.__post_init__, np.linalg.svd
+
+    def recording(self):
+        post_init(self)
+        structures.append(self)
+
+    def counting(matrix, *args, **kwargs):
+        if any(matrix is structure.__dict__.get("frame") for structure in structures):
+            shapes.append(matrix.shape)
+        return svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(ComplexStructure, "__post_init__", recording)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes
+
+
 def skew_d2_image(monkeypatch):
     """Patch the spectral table so that, for m = 4 and d = 2, the bases that
     Serre duality carries into block (2,1) skip the Hodge star there.  d2 out

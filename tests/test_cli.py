@@ -22,7 +22,7 @@ from tbi import (ComplexStructure, ToleranceAmbiguityError, dumps, input_documen
 from tbi import cli
 from tbi.catalog import CATALOG_NAMES
 
-from support import (count_calls, gaussian_member, near_threshold_member,
+from support import (count_calls, count_frame_svds, gaussian_member, near_threshold_member,
                      random_alternating_form, skew_d2_image, small_member, subprocess_env)
 
 try:
@@ -70,17 +70,17 @@ def test_validate_ok(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "invariants", "decompose"])
 def test_document_checks_run_once(tmp_path, capsys, monkeypatch, command):
     # parse_input tests the form once and each period matrix once; the split's
-    # basis change asks for the fibre frame's verdict once more before
-    # membership and reads the one parse_input left: one frame SVD of V
-    # (4 x 4) and one of U (2 x 2).
+    # basis change tests the fibre frame once more before membership, on the
+    # singular values parse_input left: one frame SVD of V (4 x 4) and one of
+    # U (2 x 2).
     path = _write(tmp_path, "iwasawa.json", _iwasawa_doc())
     form_checks = count_calls(monkeypatch, tbi.lattices.validate_form)
     frame_checks = count_calls(monkeypatch, tbi.periods.validate_structure)
-    frame_svds = count_calls(monkeypatch, tbi.periods._frames_invertible)
+    frame_svds = count_frame_svds(monkeypatch)
     code, _, _ = _run(capsys, [command, path])
     assert code == 0
     assert (len(form_checks), len(frame_checks)) == (1, 3)
-    assert [args[0].shape for args, _ in frame_svds] == [(4, 4), (2, 2)]
+    assert frame_svds == [(4, 4), (2, 2)]
 
 
 def test_validate_not_json(tmp_path, capsys):
@@ -88,6 +88,28 @@ def test_validate_not_json(tmp_path, capsys):
     code, out, err = _run(capsys, ["validate", path])
     assert code == 1
     assert err.startswith("error:")
+
+
+LONG_INTEGER = "1" * 5000  # past Python's default limit of 4300 digits for int()
+TOO_LONG = f"invalid JSON: an integer literal has more than {sys.get_int_max_str_digits()} digits"
+MALFORMED_JSON = {
+    "deep": ('{"m": 1, "d": 1, "A": ' + "[" * 100_000 + "]" * 100_000 + "}",
+             "invalid JSON: nested too deeply"),
+    "long-A": ('{"m": 1, "d": 1, "A": [[[0, %s], [0, 0]], [[0, 0], [0, 0]]]}' % LONG_INTEGER,
+               TOO_LONG),
+    "long-seed": ('{"m": 1, "d": 1, "A": [[[0, 1], [-1, 0]], [[0, 0], [0, 0]]], "seed": %s}'
+                  % LONG_INTEGER, TOO_LONG),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants"])
+@pytest.mark.parametrize("name", MALFORMED_JSON)
+def test_json_past_the_decoder_limits_exits_1(tmp_path, capsys, command, name):
+    """json.loads raises RecursionError on deep nesting and ValueError on an
+    integer literal past Python's digit limit; each is a parse error."""
+    text, problem = MALFORMED_JSON[name]
+    code, out, err = _run(capsys, [command, _write(tmp_path, f"{name}.json", text)])
+    assert (code, out, err) == (1, "", f"error: {problem}\n")
 
 
 def test_validate_missing_file(tmp_path, capsys):
@@ -982,6 +1004,23 @@ def test_catalog_and_table_size_check_take_no_split(capsys, monkeypatch):
     with pytest.raises(tbi.TableTooLargeError):
         tbi.require_table_fits(tbi.product_datum(16, 4))
     assert calls == []
+
+
+NUMPY_REFUSAL = ("Unable to allocate 596. GiB for an array with shape (2, 200000, 200000) "
+                 "and data type int64")
+
+
+@pytest.mark.parametrize("message,line", [(NUMPY_REFUSAL, NUMPY_REFUSAL), ("", "out of memory")])
+def test_memory_error_exits_1(capsys, monkeypatch, message, line):
+    """An allocation that fails ends as one error line.  The failure is
+    raised by a stand-in: a host that overcommits memory may start to fill a
+    really oversized array instead of refusing it."""
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "catalog_datum", refuse)
+    code, out, err = _run(capsys, ["catalog", "product", "--base-dim", "100000"])
+    assert (code, out, err) == (1, "", f"error: {line}\n")
 
 
 def test_catalog_datum_refuses_an_unknown_name():

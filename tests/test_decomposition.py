@@ -9,10 +9,9 @@ from tbi import (BundleDatum, ComplexStructure, ExtensionForm, FormInvalidError,
                  iwasawa_datum, product_datum, random_structure, riemann_check,
                  standard_structure)
 
-from tbi import periods
 from tbi.periods import split_coordinates
 
-from support import (SMALL_MEMBERS, count_calls, full_split, naive_split, near_threshold_member,
+from support import (SMALL_MEMBERS, count_frame_svds, full_split, naive_split, near_threshold_member,
                      random_alternating_form, reconstruct, small_member, transported_case1)
 
 
@@ -249,20 +248,20 @@ def test_checked_rejects_degenerate_structure():
         BundleDatum.checked(form, real, standard_structure(1))
 
 
-def test_decompose_tests_each_fibre_frame_once_per_tol(monkeypatch):
-    # A structure keeps its verdict per tol, so the second split at tol 1e-9
-    # takes no frame SVD; a new tol, or a new structure, takes one.
+def test_decompose_tests_each_fibre_frame_once_per_structure(monkeypatch):
+    # A structure keeps its frame's singular values, so splits at tols 1e-9,
+    # 1e-9 and 0.5 take one frame SVD; a new structure takes one more.
     datum = iwasawa_datum()
+    frame_svds = count_frame_svds(monkeypatch)
     fibre = ComplexStructure(datum.fibre.period)
-    frame_svds = count_calls(monkeypatch, periods._frames_invertible)
     for tol in (1e-9, 1e-9, 0.5):
         decompose(datum.form, datum.base, fibre, tol)
-    assert [args[1] for args, _ in frame_svds] == [1e-9, 0.5]
+    assert frame_svds == [(2, 2)]
     real = ComplexStructure(np.array([[1.0], [2.0]]))
     for _ in range(2):
         with pytest.raises(StructureDegenerateError, match="period matrix is degenerate"):
             decompose(datum.form, datum.base, real)
-    assert len(frame_svds) == 3
+    assert frame_svds == [(2, 2), (2, 2)]
 
 
 @pytest.mark.parametrize("name,m,d", [("iwasawa", 2, 1)] + [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,34 @@ def test_tolerance_times_a_huge_frame_is_no_overflow():
     structure = ComplexStructure(np.array([[1e299], [-1e299j]]))
     assert validate_structure(structure, 0.5)
     assert not validate_structure(structure, 1271161007.0)
+
+
+@pytest.mark.parametrize("period", [[[1e299], [-1e299j]], [[1.0], [0.5j]], [[1.0], [2.0]]],
+                         ids=["huge", "uneven", "real"])
+def test_verdict_is_the_old_rule_at_its_edges(period):
+    """validate_structure gives s[-1] > tol * s[0] on the frame's singular
+    values s at the edge tol s[-1] / s[0] and the floats on either side of
+    it, at 1271161007.0 and at tols whose product with s[0] passes the float
+    range, with no RuntimeWarning."""
+    s = np.linalg.svd(ComplexStructure(period).frame, compute_uv=False)
+    edge = s[-1] / s[0]
+    tols = [np.nextafter(edge, 0), edge, np.nextafter(edge, np.inf), 1271161007.0,
+            np.finfo(float).max, np.inf]
+    with np.errstate(over="ignore"):
+        expected = [bool(s[-1] > tol * s[0]) for tol in tols]
+    structure = ComplexStructure(period)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert [validate_structure(structure, tol) for tol in tols] == expected
+    assert (expected[0], expected[2]) == (True, False)  # the three tols straddle the edge
+
+
+def test_frame_is_read_only():
+    # A write would leave the kept singular values describing another frame.
+    structure = standard_structure(2)
+    for array in (structure.period, structure.frame):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
 
 
 @pytest.mark.parametrize("shape", [(3, 1), (2, 2), (4, 1), (1, 1)])
@@ -92,7 +122,7 @@ def test_random_structure_refuses_zero_half_rank():
 
 def test_random_structure_gives_up_after_its_draws(monkeypatch):
     # Every frame rejected: the generator is exhausted after _MAX_DRAWS draws.
-    monkeypatch.setattr(periods, "_frames_invertible", lambda frame, tol: False)
+    monkeypatch.setattr(periods, "validate_structure", lambda structure, tol: False)
     with pytest.raises(StructureDegenerateError,
                        match="no valid period matrix of half rank 2 found in 64 draws"):
         random_structure(2, 0)
