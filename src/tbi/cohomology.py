@@ -51,12 +51,12 @@ microseconds.
 The spectral table keeps only what a later reader reads: the page grids,
 the representatives that the tangent table consumes, and the rank
 decisions; a whole block keeps no matrix, and SpectralTable.basis reads it
-as the identity.  The d2 blocks, their image bases and their coimages are
-locals of leray_table and are freed when it returns.  bundle_report is the
-one entry point that computes every dimension from one build of each table,
-and it refuses a report that breaks a duality identity.  The palindrome of
-h_structure holds by construction of e3; the test suite checks the d2
-duality it rests on.
+as the identity.  One pass of leray_table forms the d2 blocks, their image
+bases and their coimages block by block, and keeps none of them.
+bundle_report is the one entry point that computes every dimension from one
+build of each table, and it refuses a report that breaks a duality identity.
+The palindrome of h_structure holds by construction of e3; the test suite
+checks the d2 duality it rests on.
 """
 
 import functools
@@ -356,6 +356,11 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     orthonormal image exactly: the overlap is recorded with singular values 1
     and not decomposed, and the representatives are the rest of the incoming
     d2's u.  A whole block stores none.  require_table_fits runs first.
+
+    One pass walks the blocks upward in base degree i, then j.  At (i, j) it
+    decomposes the d2 out of (i, j) unless its dual was, then decides the
+    overlap, whose incoming d2 is decided at a lower base degree.  So an
+    overlap refusal wins over a later d2's "SVD did not converge" (exit 5).
     """
     require_table_fits(datum)
     split = datum.split
@@ -367,66 +372,58 @@ def leray_table(datum: BundleDatum) -> SpectralTable:
     e2 = np.array([[math.comb(m, i) * math.comb(d, j) for j in range(d + 1)]
                    for i in range(m + 1)], dtype=np.int64)
 
-    d2_decisions = {}
-    kernels = {}
-    coimages = {}
-    for i, j in itertools.product(range(m - 1), range(1, d + 1)):
-        dual = (m - 2 - i, d + 1 - j)
-        if dual in d2_decisions:
-            continue
-        if zero:  # the exact zeros LAPACK returns for an exactly zero block
-            u, sing, vh = None, np.zeros(min(e2[i + 2, j - 1], e2[i, j])), None
-        else:
-            u, sing, vh = _svd(_d2_block(conj_two_forms, m, d, i, j))
-        for key in {(i, j), dual}:
-            d2_decisions[key] = _rank_from_singular_values(
-                sing, tol, scale, "d2 out of ({},{})".format(*key))
-        rank = d2_decisions[(i, j)].rank
-        if rank:
-            kernels[(i, j)] = vh[rank:].conj().T
-            coimages[(i, j)] = vh[:rank].conj().T
-            if dual != (i, j):
-                kernels[dual] = _dual_columns(u[:, rank:], m, d, *dual)
-                coimages[dual] = _dual_columns(u[:, :rank], m, d, *dual)
-        del u, vh  # before the next SVD
-    decisions = [d2_decisions[key] for key in sorted(d2_decisions)]
-
+    d2_decisions, kernels, coimages, representatives = {}, {}, {}, {}
+    overlaps = []
     e3 = np.zeros_like(e2)
-    representatives = {}
-    for i in range(m + 1):
-        for j in range(d + 1):
-            rank_in = d2_decisions[(i - 2, j + 1)].rank if (i - 2, j + 1) in d2_decisions else 0
-            reps = kernels.get((i, j))
-            vh_overlap = None
-            sing = np.zeros(0)
-            if rank_in:
-                # The d2 arriving here is dual to d2 out of (m-i, d-j), whose
-                # coimage and kernel give, up to sign, the image and the rest
-                # of this d2's u.
-                source = (m - i, d - j)
-                if reps is None:
-                    # An orthonormal image inside the whole block: every
-                    # overlap singular value is 1, and the rest of u spans the
-                    # complement.
-                    sing, reps = np.ones(rank_in), _dual_columns(kernels[source], m, d, i, j)
-                else:
-                    image = _dual_columns(coimages[source], m, d, i, j)
-                    _, sing, vh_overlap = _svd(image.conj().T @ reps)
-            overlap = _rank_from_singular_values(sing, tol, 1.0,
-                                                 f"image/kernel overlap at ({i},{j})")
-            decisions.append(overlap)
-            if overlap.rank != rank_in:
-                raise ToleranceAmbiguityError(
-                    f"spectral block ({i},{j}): image does not lie in the kernel "
-                    f"at the working tolerance (overlap rank {overlap.rank}, "
-                    f"image rank {rank_in})"
-                )
-            if vh_overlap is not None:
-                reps = reps @ vh_overlap[overlap.rank:].conj().T
-            if reps is not None:  # else a whole block
-                representatives[(i, j)] = reps
-            e3[i, j] = e2[i, j] if reps is None else reps.shape[1]
+    for i, j in itertools.product(range(m + 1), range(d + 1)):
+        dual = (m - 2 - i, d + 1 - j)
+        if i < m - 1 and j and dual not in d2_decisions:
+            if zero:  # the exact zeros LAPACK returns for an exactly zero block
+                u, sing, vh = None, np.zeros(min(e2[i + 2, j - 1], e2[i, j])), None
+            else:
+                u, sing, vh = _svd(_d2_block(conj_two_forms, m, d, i, j))
+            for key in {(i, j), dual}:
+                d2_decisions[key] = _rank_from_singular_values(
+                    sing, tol, scale, "d2 out of ({},{})".format(*key))
+            rank = d2_decisions[(i, j)].rank
+            if rank:
+                kernels[(i, j)] = vh[rank:].conj().T
+                coimages[(i, j)] = vh[:rank].conj().T
+                if dual != (i, j):
+                    kernels[dual] = _dual_columns(u[:, rank:], m, d, *dual)
+                    coimages[dual] = _dual_columns(u[:, :rank], m, d, *dual)
+            del u, vh  # before the next SVD
 
+        rank_in = d2_decisions[(i - 2, j + 1)].rank if (i - 2, j + 1) in d2_decisions else 0
+        reps = kernels.get((i, j))
+        sing, vh_overlap = np.zeros(0), None
+        if rank_in:
+            # The d2 arriving here is dual to d2 out of (m-i, d-j), whose
+            # coimage and kernel give, up to sign, the image and the rest of
+            # this d2's u.
+            source = (m - i, d - j)
+            if reps is None:
+                # An orthonormal image inside the whole block: every overlap
+                # singular value is 1, and the rest of u spans the complement.
+                sing, reps = np.ones(rank_in), _dual_columns(kernels[source], m, d, i, j)
+            else:
+                sing, vh_overlap = _svd(  # keeps neither the image nor u
+                    _dual_columns(coimages[source], m, d, i, j).conj().T @ reps)[1:]
+        overlap = _rank_from_singular_values(sing, tol, 1.0, f"image/kernel overlap at ({i},{j})")
+        overlaps.append(overlap)
+        if overlap.rank != rank_in:
+            raise ToleranceAmbiguityError(
+                f"spectral block ({i},{j}): image does not lie in the kernel "
+                f"at the working tolerance (overlap rank {overlap.rank}, "
+                f"image rank {rank_in})"
+            )
+        if vh_overlap is not None:  # used once, then freed before the next SVD
+            reps, vh_overlap = reps @ vh_overlap[overlap.rank:].conj().T, None
+        if reps is not None:  # else a whole block
+            representatives[(i, j)] = reps
+        e3[i, j] = e2[i, j] if reps is None else reps.shape[1]
+
+    decisions = [d2_decisions[key] for key in sorted(d2_decisions)] + overlaps
     return SpectralTable(e2, e3, representatives, tuple(decisions))
 
 
@@ -475,11 +472,11 @@ def _wedge_products(frame, source, m, i):
 
 def _level_piece(one_forms, source, target, m, i):
     """Singular values of the level-map piece from block (i, j) to (i+1, j),
-    built by base direction (None when it is empty)."""
+    built by base direction (no values, and no SVD, for an empty piece)."""
     height, width = target.shape[1], source.shape[1]
     blocks = np.matmul(one_forms, _wedge_products(target, source, m, i))  # (x, a·s, w)
     piece = blocks.reshape(height * (one_forms.shape[0] // m), m * width)
-    return _svd(piece, compute_uv=False) if piece.size else None
+    return _svd(piece, compute_uv=False) if piece.size else np.zeros(0)
 
 
 def _closed_whole_pieces(one_forms, m):
@@ -524,7 +521,10 @@ def tangent_table(datum: BundleDatum, table: SpectralTable) -> TangentTable:
     one-form of s into the representative and reading the result in fibre
     components a.  The map keeps the fibre degree j, so up to a permutation
     of rows and columns it is a direct sum of one piece per block (i, j) to
-    (i+1, j), and its singular values are those of the pieces together.
+    (i+1, j), and its singular values are those of the pieces together.  One
+    walk builds the pieces in leray_table's block order, and files each
+    one's values under its degree p = i + j, in ascending i; after the walk
+    each degree's values are merged, descending, and decided.
 
     Each piece is built by base direction k, not by (a, s): one GEMM per k
     pairs the target representatives with e_k ∧ source (_wedge_products),
@@ -567,25 +567,24 @@ def tangent_table(datum: BundleDatum, table: SpectralTable) -> TangentTable:
     # i -> singular values of Q_i, all in closed form at d = 1
     whole_pieces = _closed_whole_pieces(one_forms, m) if d == 1 and not zero else {}
 
-    for p in range(total + 1):
-        singular_values = []
-        for i, j in () if zero else _degree_blocks(m, d, p):
-            if i == m or table.e3[i, j] == 0:
-                continue
-            if whole[i, j] and whole[i + 1, j]:
-                if i not in whole_pieces:
-                    frames = (np.eye(math.comb(m, k), dtype=complex) for k in (i, i + 1))
-                    whole_pieces[i] = _level_piece(one_forms, *frames, m, i)
-                singular_values.append(np.tile(whole_pieces[i], math.comb(d, j)))
-            else:
-                sing = _level_piece(one_forms, table.basis(i, j), table.basis(i + 1, j), m, i)
-                if sing is not None:
-                    singular_values.append(sing)
+    pieces = [[] for _ in range(total + 1)]  # per degree p = i + j, ascending i
+    for i, j in () if zero else itertools.product(range(m), range(d + 1)):
+        if table.e3[i, j] == 0:
+            continue
+        if whole[i, j] and whole[i + 1, j]:
+            if i not in whole_pieces:
+                frames = (np.eye(math.comb(m, k), dtype=complex) for k in (i, i + 1))
+                whole_pieces[i] = _level_piece(one_forms, *frames, m, i)
+            sing = np.tile(whole_pieces[i], math.comb(d, j))
+        else:
+            sing = _level_piece(one_forms, table.basis(i, j), table.basis(i + 1, j), m, i)
+        pieces[i + j].append(sing)
+
+    for p, singular_values in enumerate(pieces):
         # Padded with the exact zeros of the rows and columns no piece covers.
         sing = np.zeros(min(d * h[p + 1], m * h[p]))
-        if singular_values:
-            merged = np.sort(np.concatenate(singular_values))[::-1]
-            sing[:merged.size] = merged
+        merged = np.sort(np.concatenate(singular_values + [[]]))[::-1]
+        sing[:merged.size] = merged
         decisions.append(_rank_from_singular_values(sing, tol, scale, f"level map at degree {p}"))
 
     level_ranks = [decision.rank for decision in decisions]

@@ -182,6 +182,14 @@ class BundleDatum:
         return self.translation @ np.asarray(gamma)
 
 
+def _vector(values, length, name, dtype=None) -> np.ndarray:
+    """values as a one-dimensional array of the given length, else ValueError."""
+    array = np.asarray(values, dtype=dtype)
+    if array.shape != (length,):
+        raise ValueError(f"{name} must have length {length}")
+    return array
+
+
 def _eval_at_point(datum: BundleDatum, gamma, point) -> np.ndarray:
     """Classifying cocycle at an arbitrary point of the complexified base,
     given in lattice coordinates: -(U-part of A(point, gamma)) + translation."""
@@ -201,9 +209,8 @@ def cocycle_eval(datum: BundleDatum, gamma, z) -> np.ndarray:
     and gamma -- split into its (V, Vbar) halves -- into the remaining slots
     of the holomorphic and hermitian blocks; it is complex linear in z.
     """
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (datum.base.half_rank,):
-        raise ValueError(f"z must have length {datum.base.half_rank}")
+    m = datum.base.half_rank
+    gamma, z = _vector(gamma, 2 * m, "gamma"), _vector(z, m, "z", complex)
     return _eval_at_point(datum, gamma, datum.base.period @ z)
 
 
@@ -218,9 +225,10 @@ def cocycle_defect(datum: BundleDatum, gamma1, gamma2, z) -> np.ndarray:
     additive, cancels exactly.  (Projecting g2 first would leave a hermitian
     remainder that is not a lattice vector.)
     """
-    gamma1 = np.asarray(gamma1)
-    gamma2 = np.asarray(gamma2)
-    point = datum.base.period @ np.asarray(z, dtype=complex)
+    m = datum.base.half_rank
+    gamma1 = _vector(gamma1, 2 * m, "gamma1")
+    gamma2 = _vector(gamma2, 2 * m, "gamma2")
+    point = datum.base.period @ _vector(z, m, "z", complex)
     total = _eval_at_point(datum, gamma1 + gamma2, point)
     translated = _eval_at_point(datum, gamma1, point + gamma2)
     second = _eval_at_point(datum, gamma2, point)
@@ -236,7 +244,7 @@ def lattice_vector_from_fibre(datum: BundleDatum, value, tol: float | None = Non
     The vector is exact: int64 while every entry fits, Python ints past that.
     """
     tol = datum.tol if tol is None else tol
-    value = np.asarray(value, dtype=complex)
+    value = _vector(value, datum.fibre.half_rank, "value", complex)
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite: no vector
         real = 2 * (datum.fibre.period @ value).real
     if not np.all(np.isfinite(real)):

@@ -552,6 +552,34 @@ def test_image_outside_kernel_is_tolerance_ambiguity(monkeypatch, kind):
         leray_table(datum)
 
 
+@pytest.mark.parametrize("seed,m,d", [(62, 4, 2), (63, 5, 1)])
+def test_leray_table_walks_upward_in_base_degree(monkeypatch, seed, m, d):
+    """The d2 blocks leray_table builds and the overlaps it decides come in
+    ascending base degree, so the representatives of (i, ·) are done before
+    degree i+1 is touched: the order a per-degree sweep relies on."""
+    datum = gaussian_member(np.random.default_rng(seed), "mixed", m, d)
+    d2_block, rank_decision = _d2_block, _rank_from_singular_values
+    steps = []
+
+    def building(conj_two_forms, m, d, i, j):
+        steps.append(("d2", i))
+        return d2_block(conj_two_forms, m, d, i, j)
+
+    def deciding(sing, tol, scale, label):
+        if label.startswith("image/kernel overlap at "):
+            steps.append(("overlap", int(label.split("(")[1].split(",")[0])))
+        return rank_decision(sing, tol, scale, label)
+
+    monkeypatch.setattr(tbi.cohomology, "_d2_block", building)
+    monkeypatch.setattr(tbi.cohomology, "_rank_from_singular_values", deciding)
+    table = leray_table(datum)
+    assert any(x.rank for x in table.decisions if x.label.startswith("d2 "))
+    kinds = [kind for kind, _ in steps]
+    assert "d2" in kinds and kinds.count("overlap") == (m + 1) * (d + 1)
+    degrees = [i for _, i in steps]
+    assert degrees == sorted(degrees), steps
+
+
 # ---------------------------------------------------------------------------
 # Tangent-sheaf dimensions
 

@@ -296,7 +296,14 @@ def test_checked_rejects_nonmember(iwasawa):
     (lambda x: BundleDatum(x.form, x.base, standard_structure(2)),
      "fibre structure rank does not match the form"),
     (lambda x: cocycle_eval(x, [1, 0, 0, 0], [1.0]), "z must have length 2"),
-], ids=["base-rank", "fibre-rank", "z-length"])
+    (lambda x: cocycle_eval(x, [1, 0, 0], [0, 0]), "gamma must have length 4"),
+    (lambda x: cocycle_defect(x, [1, 0, 0], [0, 1, 0, 0], [0, 0]), "gamma1 must have length 4"),
+    (lambda x: cocycle_defect(x, [1, 0, 0, 0], [0, 1], [0, 0]), "gamma2 must have length 4"),
+    (lambda x: cocycle_defect(x, [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0]),
+     "z must have length 2"),
+    (lambda x: lattice_vector_from_fibre(x, [1.0, 2.0]), "value must have length 1"),
+], ids=["base-rank", "fibre-rank", "z-length", "gamma-length", "gamma1-length",
+        "gamma2-length", "defect-z-length", "value-length"])
 def test_mismatched_shapes_raise_value_error(iwasawa, make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make(iwasawa)
