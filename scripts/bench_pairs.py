@@ -3,12 +3,15 @@
 Usage, from the root of a checkout:
 
     python3 scripts/bench_pairs.py OTHER_CHECKOUT --workload W --pairs N [--seconds S]
+        [--seed K]
 
-Each pair runs ``python3 bench/run.py --workload W --seed 1 --seconds S
+Each pair runs ``python3 bench/run.py --workload W --seed K --seconds S
 --trace 0`` once in each checkout, one after the other; the side that runs
 first alternates from pair to pair, so a drift of the host's speed falls on
 both sides alike.  The run length S is BENCHMARK.json's run_seconds unless
---seconds is given.  Each run's result is the JSON object on the last line of
+--seconds is given.  The seed K is 1, the seed of every command in
+bench/README.md, unless --seed is given: a claimed gain should also hold on a
+seed that was not used while the change was written.  Each run's result is the JSON object on the last line of
 its stdout.
 
 For every end-to-end metric of this checkout's BENCHMARK.json the script
@@ -30,12 +33,11 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-README_SEED = 1  # the seed of every command in bench/README.md
 
 
-def run_bench(checkout, workload, seconds):
+def run_bench(checkout, workload, seed, seconds):
     """The result object of one bench/run.py run in checkout."""
-    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(README_SEED),
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -58,6 +60,8 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float)
+    parser.add_argument("--seed", type=int, default=1,
+                        help="workload seed (default 1, the seed bench/README.md uses)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -70,10 +74,10 @@ def main(argv=None):
     for pair in range(args.pairs):
         order = ("other", "this") if pair % 2 == 0 else ("this", "other")
         for side in order:
-            results[side].append(run_bench(sides[side], args.workload, seconds))
+            results[side].append(run_bench(sides[side], args.workload, args.seed, seconds))
         print(f"pair {pair + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
 
-    print(f"workload {args.workload}, seed {README_SEED}, {seconds:g} s runs, {args.pairs} pairs")
+    print(f"workload {args.workload}, seed {args.seed}, {seconds:g} s runs, {args.pairs} pairs")
     print(f"{'metric':16s} {'this':>11s} {'other':>11s} {'change':>8s} "
           f"{'other IQR':>9s} {'bound':>6s} {'wins':>6s}")
     for metric in benchmark["end_to_end"]:

@@ -82,7 +82,8 @@ WIDE_SEEDS = ("4294967296", "18446744073709551617")  # 2**32 and 2**64 + 1: 2 an
 GRID = (("mixed", 4, 2, False), ("mixed", 7, 3, False), ("mixed", 8, 3, False),
         ("mixed", 10, 1, False), ("pure_hermitian", 10, 1, False), ("zero_hermitian", 9, 1, True),
         ("mixed", 12, 1, False), ("pure_hermitian", 12, 1, False),
-        ("pure_hermitian", 6, 3, False), ("pure_hermitian", 14, 1, False))
+        ("pure_hermitian", 6, 3, False), ("pure_hermitian", 14, 1, False),
+        ("pure_hermitian", 16, 1, False), ("pure_hermitian", 18, 1, False))
 FLOAT_KEYS = {"tol", "residual", "riemann_residual", "best_residual", "scale", "holomorphic",
               "hermitian", "antiholomorphic", "forbidden", "smallest_kept",
               "largest_dropped", "threshold", "V", "U"}

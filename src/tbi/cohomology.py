@@ -44,9 +44,15 @@ its adjoint, whose factors are those of the matrix with u and vh swapped
 (as its transpose when only singular values are wanted).  A tall matrix is
 first reduced to a small triangular factor (Chan, ACM TOMS 1982), and
 numpy's SVD of a wide C-ordered complex matrix takes about twice as long as
-that of its transpose.  Square and tall matrices go through unchanged.  The
-d-row flats of the one-form counts are left as they are: they cost
-microseconds.
+that of its transpose.  LAPACK's zgesdd reduces first from ⌊17·cols/9⌋ rows
+on, but then bidiagonalizes the factor inside the tall work array; so where
+only singular values are wanted, from that cut and _QR_FLOOR columns on, tbi
+takes the factor itself with np.linalg.qr and hands the SVD the compact
+triangle, which gives the same bits sooner.  Those are the tall level pieces
+and the d >= 2 whole pieces Q_i.  Below the floor the extra call costs more
+than it saves; with u and vh wanted an explicit factor is neither faster nor
+bitwise equal, so the d2 blocks and overlaps go through unchanged.  The d-row
+flats of the one-form counts are left as they are: they cost microseconds.
 
 The spectral table keeps only what a later reader reads: the page grids,
 the representatives that the tangent table consumes, and the rank
@@ -72,6 +78,7 @@ from .errors import TableTooLargeError, ToleranceAmbiguityError
 _NEAR_FACTOR = 10.0  # singular values within this factor of the cut are flagged
 TABLE_BYTES_LIMIT = 2**33  # fixed: no option or environment variable moves it
 _SHORT = 32  # up to this many singular values, a rank decision counts in Python
+_QR_FLOOR = 24  # fewer columns: the extra qr costs more than it saves (CHANGES.md)
 
 
 @dataclass(frozen=True)
@@ -113,15 +120,26 @@ def _svd(matrix, compute_uv=True):
     """np.linalg.svd(matrix, compute_uv=compute_uv) with full matrices, a
     wide matrix decomposed as its adjoint (as its transpose, a view, when
     only the singular values are wanted).  Tall and square matrices get
-    numpy's result bit for bit.  np.linalg.svd is looked up on every call,
-    so a patched svd sees each decomposition."""
+    numpy's result bit for bit.
+
+    Only singular values of a tall orientation with at least _QR_FLOOR
+    columns, at or past zgesdd's own QR-first cut (rows >= ⌊17·cols/9⌋),
+    come from the SVD of np.linalg.qr(matrix, mode="r").  zgesdd takes the
+    same factor there, but bidiagonalizes it inside the rows x cols work
+    array; given the compact factor it returns the same bits sooner.
+    np.linalg.svd and np.linalg.qr are looked up on every call, so a patched
+    function sees each decomposition."""
     rows, cols = matrix.shape
-    if rows >= cols:
-        return np.linalg.svd(matrix, compute_uv=compute_uv)
-    if not compute_uv:
-        return np.linalg.svd(matrix.T, compute_uv=False)
-    u, sing, vh = np.linalg.svd(matrix.T.conj())
-    return vh.T.conj(), sing, u.T.conj()
+    if compute_uv:
+        if rows >= cols:
+            return np.linalg.svd(matrix)
+        u, sing, vh = np.linalg.svd(matrix.T.conj())
+        return vh.T.conj(), sing, u.T.conj()
+    if rows < cols:
+        matrix, rows, cols = matrix.T, cols, rows
+    if cols >= _QR_FLOOR and rows >= 17 * cols // 9:
+        matrix = np.linalg.qr(matrix, mode="r")
+    return np.linalg.svd(matrix, compute_uv=False)
 
 
 def _rank_from_singular_values(sing, tol, scale, label) -> RankDecision:
@@ -288,12 +306,23 @@ def require_table_fits(datum: BundleDatum) -> None:
     d·C(m,i+1)·C(d,j) x m·C(m,i)·C(d,j).  When the larger of the two sizes is
     above TABLE_BYTES_LIMIT (n >= 16) the datum is refused with
     TableTooLargeError.
+
+    At d = 1 an exactly zero holomorphic block builds neither: no d2 block,
+    so every block is whole, and every level piece has closed-form singular
+    values.  What is built there is the _wedge_map index arrays, three intp
+    arrays of (i+1) x C(m, i+1) per degree i, 24·m·2^(m-1) bytes in all, and
+    that is the estimate.  The split is read only at d = 1, where the first
+    estimate is above the limit and this one is not (16 <= n <= 25).
     """
     m, d = datum.base.half_rank, datum.fibre.half_rank
     n = m + d
     piece = d * m * max(math.comb(m, i + 1) * math.comb(m, i) * math.comb(d, j) ** 2
                         for i in range(m) for j in range(d + 1))
     estimate = 16 * max(math.comb(n, n // 2) ** 2, piece)
+    if estimate > TABLE_BYTES_LIMIT and d == 1:
+        wedge_maps = 24 * m * 2 ** (m - 1)
+        if wedge_maps <= TABLE_BYTES_LIMIT and not datum.split.holomorphic.any():
+            estimate = wedge_maps
     if estimate > TABLE_BYTES_LIMIT:
         raise TableTooLargeError(
             f"cohomology tables for n = m + d = {n} need an estimated {estimate} bytes, "
@@ -549,7 +578,9 @@ def tangent_table(datum: BundleDatum, table: SpectralTable) -> TangentTable:
     d >= 2 there is no such closed form, and Q_i is built by _level_piece
     between identity frames and decomposed once per base degree i.
 
-    An exactly zero hermitian block makes every piece exactly zero, so then
+    A piece whose source or target block has no representatives is empty:
+    it is not built, and the merge's zero padding stands in for it.  An
+    exactly zero hermitian block makes every piece exactly zero, so then
     each level decision takes exact zero singular values, with no piece
     built and no SVD, as LAPACK would return for the zero pieces.
     """
@@ -569,7 +600,7 @@ def tangent_table(datum: BundleDatum, table: SpectralTable) -> TangentTable:
 
     pieces = [[] for _ in range(total + 1)]  # per degree p = i + j, ascending i
     for i, j in () if zero else itertools.product(range(m), range(d + 1)):
-        if table.e3[i, j] == 0:
+        if table.e3[i, j] == 0 or table.e3[i + 1, j] == 0:  # an empty piece
             continue
         if whole[i, j] and whole[i + 1, j]:
             if i not in whole_pieces:

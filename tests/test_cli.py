@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tbi
@@ -286,11 +286,38 @@ def test_table_size_limit_accepts_n_15():
 def test_table_size_limit_refuses_n_16_and_above():
     """(15, 1) is refused on its level piece from (7, 1) to (8, 1), 6435 x
     96525 complex entries, although its largest d2 block would fit.  No
-    table is built: leray_table runs the check first."""
+    table is built: leray_table runs the check first.  At d = 1 the datum
+    is mixed, since an exactly zero holomorphic block is sized otherwise
+    (test_table_size_limit_sizes_zero_holomorphic_d1_by_its_wedge_maps)."""
     for m, d in [(m, 16 - m) for m in range(1, 16)] + [(16, 1)]:
+        datum = (gaussian_member(np.random.default_rng([140, m]), "mixed", m, d) if d == 1
+                 else tbi.product_datum(m, d))
         with pytest.raises(tbi.TableTooLargeError, match=rf"n = m \+ d = {m + d} ") as caught:
-            tbi.leray_table(tbi.product_datum(m, d))
+            tbi.leray_table(datum)
         assert caught.value.exit_code == 1
+
+
+@pytest.mark.parametrize("kind", ["abelian", "pure_hermitian"])
+def test_table_size_limit_sizes_zero_holomorphic_d1_by_its_wedge_maps(kind):
+    """At d = 1 an exactly zero holomorphic block builds no d2 block and no
+    level piece, only the _wedge_map index arrays of 24·m·2^(m-1) bytes: so
+    m = 15..24 fit, and m = 25 is refused on the first estimate, without
+    taking a split.  Abelian (15,1) and (16,1) give their full reports."""
+    def datum(m):
+        if kind == "abelian":
+            return tbi.product_datum(m, 1)
+        return gaussian_member(np.random.default_rng([141, m]), kind, m, 1)
+
+    for m in (15, 16, 24):
+        tbi.require_table_fits(datum(m))
+    if kind == "abelian":  # h^1(Θ) of the torus of dimension m + 1 is (m + 1)^2
+        for m in (15, 16):
+            assert tbi.bundle_report(datum(m)).h_tangent[1] == (m + 1) ** 2
+    late = datum(25)
+    split_before = "split" in late.__dict__  # gaussian_member splits to check membership
+    with pytest.raises(tbi.TableTooLargeError, match=r"n = m \+ d = 26 "):
+        tbi.require_table_fits(late)
+    assert ("split" in late.__dict__) == split_before
 
 
 def test_invariants_takes_one_upper_triangle_per_form(tmp_path, capsys, monkeypatch):
@@ -1240,8 +1267,45 @@ def _assert_documented_exit(argv):
         assert code == 1
 
 
+class _FixedDraws:
+    """A stand-in for st.data() in an explicit @example: each draw of a
+    plain strategy returns the next of the given values, and a draw of an
+    @st.composite strategy runs its definition on these draws, so _argvs
+    still puts in the path of the document the property writes."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def draw(self, strategy):
+        inner = getattr(strategy, "wrapped_strategy", strategy)
+        if hasattr(inner, "definition"):  # an @st.composite strategy
+            return inner.definition(self.draw, *inner.args, **inner.kwargs)
+        return next(self._values)
+
+
+def _scaled_iwasawa(scale_base, scale_fibre):
+    """The Iwasawa document with its periods multiplied by the two scales."""
+    datum = tbi.iwasawa_datum()
+    return dumps(input_document(datum.form, ComplexStructure(datum.base.period * scale_base),
+                                ComplexStructure(datum.fibre.period * scale_fibre)))
+
+
+# Fixed examples that no edit to a literal in src/tbi can move: a split that
+# overflows (V at 1e308, and V at 1e100 against U at 1e-150), and a tol that
+# takes the frame test of a 1e299 frame past the float range.
+_OVERFLOWS = (_scaled_iwasawa(1e308, 1.0), _scaled_iwasawa(1e100, 1e-150))
+_FRAME_1E299 = _scaled_iwasawa(1e299, 1.0)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data(), text=_small_documents())
+@example(data=_FixedDraws("invariants", False, "json"), text=_OVERFLOWS[0])
+@example(data=_FixedDraws("decompose", False), text=_OVERFLOWS[0])
+@example(data=_FixedDraws("invariants", False, "table"), text=_OVERFLOWS[1])
+@example(data=_FixedDraws("validate", True, 1e10), text=_FRAME_1E299)
+@example(data=_FixedDraws("sample", True, 1e10, False, 1, 1), text=_FRAME_1E299)
+@example(data=_FixedDraws("invariants", True, 1e10, "json"), text=_FRAME_1E299)
+@example(data=_FixedDraws("invariants", False, "json"), text=_FRAME_1E299)
 def test_every_argv_ends_on_a_documented_exit_code(data, text):
     with tempfile.TemporaryDirectory() as directory:
         path = pathlib.Path(directory, "doc.json")

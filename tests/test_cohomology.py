@@ -163,11 +163,19 @@ SVD_CASES = {
     "empty tall": np.zeros((5, 0), dtype=complex),
     "zero wide": np.zeros((3, 7), dtype=complex),
     "zero tall": np.zeros((7, 3), dtype=complex),
+    # 40 columns, above _QR_FLOOR; LAPACK's QR-first cut is 17 * 40 // 9 = 75 rows.
+    "tall at the cut": _complex_matrix((75, 40)),
+    "tall one row below the cut": _complex_matrix((74, 40)),
+    "wide, transpose past the cut": _complex_matrix((40, 90)),
+    "zero tall past the cut": np.zeros((100, 30), dtype=complex),
 }
 
 
 @pytest.mark.parametrize("name", SVD_CASES)
 def test_svd_matches_numpy(name):
+    """_svd gives np.linalg.svd's factors; its singular values are those of
+    np.linalg.svd on the tall orientation bit for bit, on either side of the
+    QR-first cut."""
     matrix = SVD_CASES[name]
     rows, cols = matrix.shape
     sing = _svd(matrix, compute_uv=False)
@@ -180,8 +188,9 @@ def test_svd_matches_numpy(name):
     np.testing.assert_allclose(vh @ vh.conj().T, np.eye(cols), atol=1e-12)
     rebuilt = (u[:, :sing_uv.size] * sing_uv) @ vh[:sing_uv.size]
     assert np.linalg.norm(rebuilt - matrix) <= 1e-12 * np.linalg.norm(matrix)
+    tall = matrix if rows >= cols else matrix.T
+    assert np.array_equal(sing, np.linalg.svd(tall, compute_uv=False))
     if rows >= cols:
-        assert np.array_equal(sing, reference)
         for ours, numpys in zip((u, sing_uv, vh), np.linalg.svd(matrix)):
             assert np.array_equal(ours, numpys)
 
@@ -213,6 +222,34 @@ def test_table_svds_are_tall(monkeypatch):
         tangent_table(datum, leray_table(datum))
     assert [shape for shape in shapes if shape[0] < shape[1]] == []
     assert len(shapes) == 11
+
+
+@pytest.mark.parametrize("m,d,i,qr_calls", [(6, 2, 2, 1), (4, 2, 1, 0), (6, 3, 2, 0)])
+def test_level_piece_takes_the_triangular_factor_past_the_cut(monkeypatch, m, d, i, qr_calls):
+    """The piece between identity frames from (i, ·) to (i+1, ·) has
+    d·C(m, i+1) rows and m·C(m, i) columns, decomposed as its transpose.
+    (6, 2, 2) is 90 x 40 that way: 40 columns, at least _QR_FLOOR, and past
+    the cut of 17 * 40 // 9 = 75 rows, so it takes one qr.  (4, 2, 1) is
+    16 x 12, below the floor, and (6, 3, 2) is 90 x 60, short of the cut of
+    113 rows: neither takes one."""
+    rng = np.random.default_rng([130, m, d])
+    one_forms = rng.normal(size=(d * m, m)) + 1j * rng.normal(size=(d * m, m))
+    qrs = count_calls(monkeypatch, np.linalg.qr)
+    _identity_piece(one_forms, m, i)
+    assert len(qrs) == qr_calls
+
+
+def test_tangent_table_builds_no_empty_piece(monkeypatch):
+    """A piece whose source or target block has no representatives is not
+    built: _wedge_products never sees a frame or a source with no columns.
+    Every mixed slot of SMALL_MEMBERS has a block with representatives whose
+    block one base degree up has none."""
+    products = count_calls(monkeypatch, _wedge_products)
+    for kind, m, d in SMALL_MEMBERS:
+        datum = small_member(kind, m, d)
+        tangent_table(datum, leray_table(datum))
+    assert products
+    assert [args for args, _ in products if 0 in (args[0].shape[1], args[1].shape[1])] == []
 
 
 # ---------------------------------------------------------------------------
